@@ -70,7 +70,7 @@ def integrate_even(values: np.ndarray, nodes: np.ndarray) -> float:
 
 
 def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool = False,
-                      n: int = 1 << 16) -> float:
+                      n: int = 1 << 16) -> float | np.ndarray:
     """Integral over [-pi, pi] of an even function given vectorized on arrays.
 
     Short-memory integrands use a fine trapezoid rule (spectrally accurate
@@ -78,17 +78,37 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool 
     integrable algebraic pole at the origin, go through adaptive
     Gauss-Kronrod, whose epsilon extrapolation resolves endpoint
     singularities far better than any fixed mesh.
+
+    `fn` may return one row per node or an array of shape (k, len(lam));
+    the result is then a float or the length-k vector of row integrals.
+    On the trapezoid path `fn` is evaluated once for all rows; on the
+    Gauss-Kronrod path each row gets its own adaptive rule.
     """
     if long_memory:
         from scipy.integrate import quad
 
-        def scalar_fn(x: float) -> float:
-            return float(np.asarray(fn(np.array([x])))[0])
+        shape = []  # shape of one evaluation, recorded by the first call
 
-        val, _ = quad(scalar_fn, 0.0, math.pi, limit=400, epsabs=1e-9, epsrel=1e-10)
-        return 2.0 * val
+        def scalar_fn(x: float, row: int) -> float:
+            vals = np.asarray(fn(np.array([x])))
+            if not shape:
+                shape.append(vals.shape)
+            return float(vals[row, 0] if vals.ndim == 2 else vals[0])
+
+        def row_integral(row: int) -> float:
+            val, _ = quad(scalar_fn, 0.0, math.pi, args=(row,), limit=400,
+                          epsabs=1e-9, epsrel=1e-10)
+            return 2.0 * val
+
+        first = row_integral(0)
+        if len(shape[0]) == 1:
+            return first
+        return np.array([first] + [row_integral(r) for r in range(1, shape[0][0])])
     nodes = even_nodes(n)
-    return integrate_even(np.asarray(fn(nodes), dtype=float), nodes)
+    vals = np.asarray(fn(nodes), dtype=float)
+    if vals.ndim == 2:
+        return np.array([integrate_even(v, nodes) for v in vals])
+    return integrate_even(vals, nodes)
 
 
 def cosine_coefficient(fn: Callable, u: int, long_memory: bool = False) -> float:

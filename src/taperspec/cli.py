@@ -8,6 +8,7 @@ schema violations exit 1, check-threshold failures exit 2, success 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -31,8 +32,9 @@ def _add_common(sub):
     sub.add_argument("--driver", help="innovation driver: gaussian, exponential, laplace")
     sub.add_argument("--oversample", help="frequency grid oversampling factor (2, 4, or 8)")
     sub.add_argument("--out", help="output base path; writes <out>.csv and <out>.json")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="process count for replication-level parallelism")
+    sub.add_argument("--workers", type=int,
+                     help="process count for replication-level parallelism "
+                          "(default: the preset's, else 1)")
     sub.add_argument("--check", action="store_true",
                      help="audit aggregate metrics against thresholds; exit 2 on failure")
 
@@ -112,14 +114,13 @@ def main(argv=None) -> int:
         if args.kind == "run":
             cfg = harness.load_config_file(args.config)
             cfg.options.update(_cli_options(args))
-            if args.workers != 1:
-                cfg.workers = args.workers
             cfg.check_enabled = cfg.check_enabled or args.check
         else:
             cfg = harness.ExperimentConfig(kind=args.kind,
                                            options=_cli_options(args),
-                                           check_enabled=args.check,
-                                           workers=args.workers)
+                                           check_enabled=args.check)
+        if args.workers is not None:
+            cfg = dataclasses.replace(cfg, workers=args.workers)
         return harness.run_experiment(cfg)
     except TaperspecError as exc:
         print(f"taperspec: error: {exc}", file=sys.stderr)

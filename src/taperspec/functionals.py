@@ -247,9 +247,4 @@ def fejer_smoothing_error(model: Model, g: GeneratingFunction, taper: Taper,
     c_h = _lagged_products(h, top)
     terms = r * ghat * c_h / c_t
     expected = terms[0] + 2.0 * float(np.sum(terms[1:]))
-    if g.degree is not None and g.degree > T - 1:
-        # Band-limited weight wider than the sample: lags T..deg(g) are
-        # absent from the estimator but present in J; they are already
-        # excluded from `expected`, so nothing extra to add.
-        pass
     return expected - j

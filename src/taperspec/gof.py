@@ -260,34 +260,30 @@ def gamma_matrix(model: Model, names=None) -> np.ndarray:
     return info.W
 
 
-def _score_closure(model: Model, k: int):
-    def _fn(lam):
-        return np.atleast_2d(model.score(lam))[k]
-    return _fn
-
-
 def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
     """b_jk = (4 pi e(h))^{-1/2} int phi_j d_k ln f dlam.
 
-    Zero slots contribute zero rows; the rest go through quadrature
-    (singularity-aware when the model carries long memory).
+    Zero slots contribute zero rows; the rest go through one multi-row
+    quadrature of a single score evaluation (singularity-aware when the
+    model carries long memory).
     """
     names = model.free_names if model.free_names else (model.scale_name,)
     p = len(names)
     long_mem = model.memory_class != "short"
     scale = 1.0 / math.sqrt(4.0 * math.pi * tapering_factor(taper))
+    active = basis.active
     out = np.zeros((basis.m, p))
-    for j, fn in enumerate(basis.functions):
-        if basis.parity[j] == "zero":
-            continue
-        for k in range(p):
-            srow = _score_closure(model, k)
+    if not active:
+        return out
 
-            def integrand(lam, fn=fn, srow=srow):
-                lam = np.asarray(lam, dtype=float)
-                return np.asarray(fn(lam), dtype=float) * srow(lam)
+    def integrand(lam):
+        lam = np.asarray(lam, dtype=float)
+        s = np.atleast_2d(model.score(lam))
+        return np.vstack([np.asarray(basis.functions[j](lam), dtype=float) * s[k]
+                          for j in active for k in range(p)])
 
-            out[j, k] = scale * spectral_integral(integrand, long_memory=long_mem)
+    vals = spectral_integral(integrand, long_memory=long_mem)
+    out[list(active)] = scale * vals.reshape(len(active), p)
     return out
 
 

@@ -35,35 +35,28 @@ import numpy as np
 import scipy.stats
 
 from . import gof, robustness, toeplitz
-from .errors import DegenerateSampleError, DomainError, SchemaError
+from .errors import (DegenerateSampleError, DomainError, InvalidTaperError,
+                     SchemaError)
 from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           fejer_smoothing_error, indicator, plugin_estimate,
                           quadratic_form, true_functional)
 from .models import Model, derive_seed, get_driver, parse_model
 from .spectrum import canonical_grid, tapered_periodogram
-from .taper import (Taper, fejer_kernel, linear, rectangular, tapering_factor,
-                    tukey_hanning)
+from .taper import Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
 
 _FLOAT_FMT = "%.17g"
-
-_TAPER_FACTORY = {
-    "rect": rectangular,
-    "linear": linear,
-    "tukey": tukey_hanning,
-}
 
 # ---------------------------------------------------------------------------
 # small resolvers shared by every runner
 
 
 def resolve_taper(taper_id: str) -> Taper:
+    """The shared built-in taper instance (its moments are computed once)."""
     try:
-        return _TAPER_FACTORY[taper_id]()
-    except KeyError:
-        raise SchemaError(
-            f"field 'taper': unknown id {taper_id!r}; expected one of "
-            f"{sorted(_TAPER_FACTORY)}") from None
+        return get_taper(taper_id)
+    except InvalidTaperError as exc:
+        raise SchemaError(f"field 'taper': {exc}") from None
 
 
 def resolve_driver(name: str):
@@ -317,7 +310,12 @@ def load_config_file(path: str) -> ExperimentConfig:
     kind = options.pop("kind", None)
     if kind is None:
         raise SchemaError(f"config file {path}: field 'kind' missing in [experiment]")
-    workers = int(options.pop("workers", "1"))
+    raw_workers = options.pop("workers", "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        raise SchemaError(
+            f"field 'workers': expected integer, got {raw_workers!r}") from None
     check = dict(parser["check"]) if "check" in parser else {}
     return ExperimentConfig(kind=kind, options=options,
                             check_overrides=check, workers=workers)
@@ -326,8 +324,10 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # replication engine
 
-# Taper and model objects hold closures, which do not pickle; workers get
-# primitive payloads (spec strings, ids, ints) and rebuild locally.
+# Model objects and bases hold closures, which do not pickle; workers get
+# primitive payloads (spec strings, ids, ints) and resolve them locally:
+# models are parsed again, tapers come from the shared get_taper instances
+# (inherited, with their cached moments, by forked workers).
 
 
 def _map_reps(kind: str, payload: dict, reps: int, workers: int) -> list:
@@ -403,10 +403,21 @@ def _build_basis(basis_spec: str, model: Model):
         f"field 'basis': unknown basis {basis_spec!r}; expected cosine:m or ar-example:m")
 
 
+def _errors_only(record: logging.LogRecord) -> bool:
+    return record.levelno >= logging.ERROR
+
+
 def _rep_gof(payload: dict, rep: int) -> dict:
     # The nu-degeneracy warning fires once per replication here and the
-    # aggregate JSON reports nu anyway, so keep the logger quiet.
-    logging.getLogger("taperspec.gof").setLevel(logging.ERROR)
+    # aggregate JSON reports nu anyway, so mute warnings while it runs.
+    gof.logger.addFilter(_errors_only)
+    try:
+        return _gof_replication(payload, rep)
+    finally:
+        gof.logger.removeFilter(_errors_only)
+
+
+def _gof_replication(payload: dict, rep: int) -> dict:
     null_model = parse_model(payload["model"])
     data_model = parse_model(payload["data_model"])
     taper = resolve_taper(payload["taper"])

@@ -216,7 +216,13 @@ def taper_ids() -> Iterable[str]:
 
 
 def get_taper(name: str) -> Taper:
-    """Look up a built-in taper by CLI name (shared instance, warm caches)."""
+    """The shared built-in taper for a CLI name.
+
+    There is one instance per name and process, so its moments H_k and
+    sampled values h(t/T) are computed once and reused by every caller
+    (forked worker processes inherit them).  Raises InvalidTaperError for
+    an unknown name.
+    """
     try:
         builder = _REGISTRY[name]
     except KeyError:

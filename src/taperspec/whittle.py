@@ -19,6 +19,7 @@ through the factor e(h) = H4 / H2^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,24 +56,41 @@ class InfoMatrices:
 
 @dataclass(frozen=True)
 class WhittleFit:
-    """Minimizer of the tapered Whittle criterion plus its error model."""
+    """Minimizer of the tapered Whittle criterion plus its error model.
+
+    `asym_cov` (e(h) Gamma at the fitted point) and `se` are computed by
+    `info_matrices` on first access and then kept; a singular information
+    matrix raises SingularInformationError there, not during the fit.
+    """
 
     theta_hat: np.ndarray
     names: tuple
     objective_value: float
     iterations: int
     converged: bool
-    asym_cov: np.ndarray
-    se: np.ndarray
     model: Model
     sigma2_hat: float | None
     taper_id: str
     T: int
+    tapering_factor: float
+    kappa4: float = 0.0
+    weight: object = None
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
-        self.asym_cov.setflags(write=False)
-        self.se.setflags(write=False)
+
+    @functools.cached_property
+    def asym_cov(self) -> np.ndarray:
+        info = info_matrices(self.model, weight=self.weight, kappa4=self.kappa4)
+        cov = self.tapering_factor * info.gamma
+        cov.setflags(write=False)
+        return cov
+
+    @functools.cached_property
+    def se(self) -> np.ndarray:
+        se = np.sqrt(np.clip(np.diag(self.asym_cov), 0.0, None) / self.T)
+        se.setflags(write=False)
+        return se
 
 
 def _weight_values(weight, points: np.ndarray) -> np.ndarray:
@@ -264,70 +282,66 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         theta = best_vec
         fit_names = names
 
-    info = info_matrices(fitted, weight=weight, kappa4=kappa4)
-    e_h = tapering_factor(taper)
-    asym_cov = e_h * info.gamma
-    se = np.sqrt(np.clip(np.diag(asym_cov), 0.0, None) / T)
     return WhittleFit(
         theta_hat=theta, names=fit_names, objective_value=float(value),
-        iterations=int(iterations), converged=bool(converged),
-        asym_cov=asym_cov, se=se, model=fitted,
+        iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=(float(s2) if (has_scale and p > 0) else
                     (float(theta[0]) if (has_scale and p == 0) else None)),
-        taper_id=taper.id, T=T)
+        taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
+        kappa4=kappa4, weight=weight)
 
 
-def _score_rows(model: Model, names: tuple):
-    """Closures evaluating d ln f / d theta_k at scalar or vector lam."""
+def _score_index(model: Model, names: tuple) -> list:
+    """Rows of `model.score` holding d ln f / d theta_k for each name."""
     all_names = list(model.free_names)
     if model.scale_name is not None:
         all_names.append(model.scale_name)
     index = {n: i for i, n in enumerate(all_names)}
-    rows = []
     for name in names:
         if name not in index:
             raise DomainError(f"unknown parameter {name!r}")
-        k = index[name]
-        rows.append(lambda lam, k=k: np.atleast_2d(model.score(lam))[k])
-    return rows
+    return [index[name] for name in names]
 
 
 def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
                   names: tuple | None = None) -> InfoMatrices:
     """W, A, B and Gamma by quadrature of log-density gradient products.
 
-    W_ij = (1/4pi) int s_i s_j w, A_ij the same with w^2, and
-    B = (kappa4 / 16 pi^2) v v' with v_i = int s_i w.  Defaults to the
-    model's shape parameters, or its scale when there are none.
+    W_ij = (1/4pi) int s_i s_j w, A_ij the same with w^2 (so A = W when
+    w is 1), and B = (kappa4 / 16 pi^2) v v' with v_i = int s_i w.
+    Defaults to the model's shape parameters, or its scale when there are
+    none.  Every entry comes from one multi-row quadrature of a single
+    score evaluation.
     """
     if names is None:
         names = model.free_names if model.free_names else (model.scale_name,)
         if names == (None,):
             raise DomainError("model exposes no parameters")
-    rows = _score_rows(model, tuple(names))
-    p = len(rows)
-    long_mem = model.memory_class != "short"
+    idx = _score_index(model, tuple(names))
+    p = len(idx)
+    pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
-    def wfun(lam):
-        if weight is None:
-            return np.ones_like(np.asarray(lam, dtype=float))
-        return np.asarray(weight(lam), dtype=float)
+    def integrand(lam):
+        s = np.atleast_2d(model.score(lam))[idx]
+        w = _weight_values(weight, np.asarray(lam, dtype=float))
+        rows = [s[i] * w for i in range(p)]
+        rows += [s[i] * s[j] * w for i, j in pairs]
+        if weight is not None:
+            w2 = w ** 2
+            rows += [s[i] * s[j] * w2 for i, j in pairs]
+        return np.vstack(rows)
 
-    W = np.empty((p, p))
-    A = np.empty((p, p))
-    v = np.empty(p)
-    for i in range(p):
-        v[i] = spectral_integral(lambda lam: rows[i](lam) * wfun(lam),
-                                 long_memory=long_mem)
-        for j in range(i, p):
-            def wij(lam, i=i, j=j):
-                return rows[i](lam) * rows[j](lam) * wfun(lam)
+    vals = spectral_integral(integrand, long_memory=model.memory_class != "short")
+    v = vals[:p]
 
-            def aij(lam, i=i, j=j):
-                return rows[i](lam) * rows[j](lam) * wfun(lam) ** 2
+    def symmetric(upper):
+        out = np.empty((p, p))
+        for (i, j), val in zip(pairs, upper):
+            out[i, j] = out[j, i] = val / (4.0 * math.pi)
+        return out
 
-            W[i, j] = W[j, i] = spectral_integral(wij, long_memory=long_mem) / (4.0 * math.pi)
-            A[i, j] = A[j, i] = spectral_integral(aij, long_memory=long_mem) / (4.0 * math.pi)
+    W = symmetric(vals[p:p + len(pairs)])
+    A = W if weight is None else symmetric(vals[p + len(pairs):])
     B = (kappa4 / (16.0 * math.pi**2)) * np.outer(v, v)
     if not np.all(np.isfinite(W)) or np.linalg.cond(W) > 1e12:
         raise SingularInformationError("information matrix W is singular")

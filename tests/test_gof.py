@@ -363,6 +363,19 @@ def test_composite_result_fields():
     assert res.phi[0] == 0.0
 
 
+def test_composite_computes_information_once(monkeypatch):
+    import taperspec.whittle as whittle_mod
+
+    calls = []
+    real = whittle_mod.info_matrices
+    monkeypatch.setattr(whittle_mod, "info_matrices",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 1))
+    composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
+                   lambda mdl: ar_example_basis(mdl, 4), mc_draws=2000)
+    assert calls == [1]
+
+
 def test_composite_aborts_on_nonconvergence(monkeypatch):
     import taperspec.gof as gof_mod
 

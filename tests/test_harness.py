@@ -12,6 +12,7 @@ bitwise copy, so its variance ratio is 1 and every check passes.
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from taperspec import harness
 from taperspec.cli import build_parser, main
 from taperspec.errors import (DegenerateSampleError, DomainError, SchemaError)
 from taperspec.models import make_rng
+from taperspec.taper import get_taper
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,10 @@ def test_resolvers_reject_unknown_ids():
         harness.resolve_taper("kaiser")
     with pytest.raises(SchemaError, match="driver"):
         harness.resolve_driver("cauchy")
+
+
+def test_resolve_taper_returns_shared_instance():
+    assert harness.resolve_taper("tukey") is get_taper("tukey")
 
 
 def test_experiment_config_validation():
@@ -203,14 +209,41 @@ def test_estimate_functional_identity_and_determinism(tmp_path, monkeypatch):
     assert res["true_value"] == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
+_COMPOSITE_GOF = ["gof", "--mode", "composite", "--basis", "ar-example:4",
+                  "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+                  "--T", "256", "--mc-draws", "2000"]
+
+
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    # Forked workers inherit process-level state (shared tapers with their
+    # cached moments), so every replication engine is compared here.
     monkeypatch.chdir(tmp_path)
-    base = ["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}",
-            "--taper", "rect", "--g", "cosine:1", "--T", "128",
-            "--reps", "12", "--seed", "17"]
-    assert main([*base, "--out", "s1"]) == 0
-    assert main([*base, "--out", "s2", "--workers", "3"]) == 0
-    assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+    model = ["--model", "ar1{theta=0.5,sigma2=1}"]
+    cases = {
+        "fn": ["estimate-functional", *model, "--taper", "rect",
+               "--g", "cosine:1", "--T", "128", "--reps", "12", "--seed", "17"],
+        "wh": ["whittle", *model, "--taper", "tukey", "--T", "128",
+               "--reps", "6", "--seed", "18"],
+        "gc": [*_COMPOSITE_GOF, "--reps", "4", "--seed", "19"],
+    }
+    for name, base in cases.items():
+        assert main([*base, "--out", f"{name}1"]) == 0
+        assert main([*base, "--out", f"{name}3", "--workers", "3"]) == 0
+        assert ((tmp_path / f"{name}1.csv").read_bytes()
+                == (tmp_path / f"{name}3.csv").read_bytes()), name
+
+
+def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)
+    gof_logger = logging.getLogger("taperspec.gof")
+    level, filters = gof_logger.level, list(gof_logger.filters)
+    with caplog.at_level(logging.WARNING):
+        assert main([*_COMPOSITE_GOF, "--reps", "2", "--out", "gc"]) == 0
+    # the ar-example basis makes nu = 1 in every replication; that
+    # expected warning is muted while the replications run
+    assert not [r for r in caplog.records if r.name == "taperspec.gof"]
+    assert gof_logger.level == level
+    assert gof_logger.filters == filters
 
 
 def test_whittle_runner_smoke(tmp_path, monkeypatch):
@@ -321,6 +354,27 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["gof", "--mode", "fancy",
                  "--model", "ar1{theta=0.5}", "--T", "64"]) == 1
     assert main(["simulate", "--T", "64"]) == 1  # model missing
+
+
+def test_ini_workers_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.ini").write_text(
+        "[experiment]\nkind = trace-experiment\npair = ar1xcos\n"
+        "T = 64,128\nworkers = two\n", encoding="utf-8")
+    assert main(["run", "--config", "w.ini"]) == 1
+    assert "field 'workers'" in capsys.readouterr().err
+
+
+def test_workers_flag_overrides_preset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.ini").write_text(
+        "[experiment]\nkind = trace-experiment\npair = ar1xcos\n"
+        "T = 64,128\nworkers = 2\nout = tr\n", encoding="utf-8")
+    for flag, expected in (([], "2"), (["--workers", "1"], "1")):
+        assert main(["run", "--config", "w.ini", *flag]) == 0
+        config = json.loads((tmp_path / "tr.json").read_text())["config"]
+        assert config["workers"] == expected
+    assert main(["run", "--config", "w.ini", "--workers", "0"]) == 1
 
 
 def test_argparse_error_exits_one():

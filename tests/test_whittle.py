@@ -159,6 +159,31 @@ def test_ar1_estimate_attaches_taper_factor_covariance():
     assert fit.se[0] == pytest.approx(math.sqrt(fit.asym_cov[0, 0] / 2048.0), rel=1e-12)
 
 
+def test_covariance_is_computed_on_first_access(monkeypatch):
+    import taperspec.whittle as whittle_mod
+
+    calls = []
+    real = whittle_mod.info_matrices
+    monkeypatch.setattr(whittle_mod, "info_matrices",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    ts = AR1(theta=0.5).simulate(gaussian(), 512, seed=8)
+    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    assert calls == []
+    se = fit.se
+    assert calls == [1]
+    assert fit.se is se and fit.asym_cov is fit.asym_cov
+    assert calls == [1]
+    assert not se.flags.writeable and not fit.asym_cov.flags.writeable
+
+
+def test_singular_information_raises_on_covariance_access():
+    ts = AR1(theta=0.5).simulate(gaussian(), 512, seed=8)
+    fit = whittle_estimate(ts, get_taper("tukey"), _FlatScore(theta=0.0))
+    assert fit.converged
+    with pytest.raises(SingularInformationError):
+        fit.se
+
+
 def test_fisher_efficiency_corner_rect_taper():
     # Rectangular taper, Gaussian innovations, unit weight: the attached
     # covariance is exactly W^{-1} at the fitted point.
@@ -246,7 +271,7 @@ def test_info_matrix_ar1_closed_forms():
     info = info_matrices(AR1(theta=0.5))
     assert info.W[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert info.gamma[0, 0] == pytest.approx(0.75, rel=1e-10)
-    assert np.allclose(info.A, info.W, atol=1e-8)
+    assert np.array_equal(info.A, info.W)  # unit weight: A is W
 
 
 def test_info_matrix_kurtosis_term():
