@@ -1,10 +1,17 @@
 """Internal quadrature helpers.
 
-Two tools live here: a recursive adaptive Simpson rule for one-off scalar
-integrals (taper moments, normalization constants), and vectorized
-trapezoid integration of even functions over [-pi, pi], with an optional
-graded mesh that crowds nodes near lambda = 0 for integrands with an
-integrable pole there.
+Three tools live here: a recursive adaptive Simpson rule for one-off
+scalar integrals (taper moments, normalization constants), the
+population integral `spectral_integral` of an even function over
+[-pi, pi], and the cosine coefficients `cosine_coefficient`.
+
+`spectral_integral` has two paths.  A short-memory integrand is smooth
+and periodic, so the periodic midpoint rule converges on it geometrically
+(Trefethen and Weideman, SIAM Review 56, 2014); the rule doubles its node
+count from a start level set by the integrand's known oscillation until
+two levels agree, capped at _MAX_NODES nodes on [0, pi].  A long-memory
+integrand may carry an algebraic pole at the origin and goes through
+QUADPACK's adaptive Gauss-Kronrod rule instead.
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ from typing import Callable
 import numpy as np
 
 _MAX_DEPTH = 48
+# midpoint rule for spectral_integral: node counts on [0, pi] and stopping tolerance
+_MIN_NODES = 64
+_MAX_NODES = 1 << 16
+_RTOL = 1e-13
 
 
 def _simpson_step(fn, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -41,48 +52,38 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: floa
     return _simpson_step(fn, a, fa, b, fb, m, fm, whole, tol, 0)
 
 
-def even_nodes(n: int = 1 << 16, graded: bool = False, power: float = 2.0) -> np.ndarray:
-    """Nodes in (0, pi] for integrating an even function over [-pi, pi].
-
-    With graded=True the nodes follow pi * (j/n)^power, clustering near the
-    origin so that integrable singularities (long-memory poles) are resolved.
-    The origin itself is excluded; the first cell is closed by treating the
-    integrand as its value at the first node (safe for any integrable pole
-    because the cell width shrinks like n^-power).
-    """
-    j = np.arange(1, n + 1, dtype=float)
-    if graded:
-        return math.pi * (j / n) ** power
-    return math.pi * j / n
-
-
-def integrate_even(values: np.ndarray, nodes: np.ndarray) -> float:
-    """Trapezoid integral of an even function over [-pi, pi].
-
-    `values` holds the integrand at `nodes` (inside (0, pi]); the value at 0
-    is extrapolated as values[0], which for graded meshes contributes
-    O(width of first cell) and is otherwise exact for smooth integrands in
-    the usual trapezoid sense.
-    """
-    x = np.concatenate(([0.0], nodes))
-    y = np.concatenate(([values[0]], values))
-    return 2.0 * float(np.trapezoid(y, x))
-
-
 def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool = False,
-                      n: int = 1 << 16) -> float | np.ndarray:
+                      degree: int | None = None) -> float | np.ndarray:
     """Integral over [-pi, pi] of an even function given vectorized on arrays.
 
-    Short-memory integrands use a fine trapezoid rule (spectrally accurate
-    for analytic densities).  Long-memory integrands, which may carry an
-    integrable algebraic pole at the origin, go through adaptive
-    Gauss-Kronrod, whose epsilon extrapolation resolves endpoint
-    singularities far better than any fixed mesh.
+    Short-memory integrands go through the periodic midpoint rule on
+    [0, pi], nodes (j + 1/2) pi / m: for the even extension of a smooth
+    periodic function this is the trapezoid rule on the whole circle,
+    which converges geometrically.  The rule runs at m, 2m, 4m, ... and
+    stops once every row agrees with the level before within
+    1e-13 * int |row|, or once m reaches _MAX_NODES; the last level is
+    returned.  No node falls on lambda = 0 or pi, so an integrable log
+    singularity at the origin (the d-score of ARFIMA at d = 0) is sampled
+    only where finite.
+
+    `degree` is the highest trigonometric frequency the integrand is known
+    to carry (the k of a cos(k lam) factor; smooth factors such as a
+    short-memory density or score count as 0).  The first level is the
+    smallest power of two m >= max(64, 2 (degree + 1)): it integrates that
+    oscillation exactly with room to spare, where a coarser start can
+    alias it and have two levels agree on a wrong value.  An integrand
+    that may oscillate faster than any known `degree` must pass None,
+    which runs one level at _MAX_NODES.
+
+    Long-memory integrands, which may carry an integrable algebraic pole
+    at the origin, go through adaptive Gauss-Kronrod, whose epsilon
+    extrapolation resolves endpoint singularities far better than any
+    fixed mesh; `degree` is ignored there.
 
     `fn` may return one row per node or an array of shape (k, len(lam));
     the result is then a float or the length-k vector of row integrals.
-    On the trapezoid path `fn` is evaluated once for all rows; on the
-    Gauss-Kronrod path each row gets its own adaptive rule.
+    On the midpoint path `fn` is evaluated once per level for all rows; on
+    the Gauss-Kronrod path each row gets its own adaptive rule.
     """
     if long_memory:
         from scipy.integrate import quad
@@ -104,11 +105,20 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool 
         if len(shape[0]) == 1:
             return first
         return np.array([first] + [row_integral(r) for r in range(1, shape[0][0])])
-    nodes = even_nodes(n)
-    vals = np.asarray(fn(nodes), dtype=float)
-    if vals.ndim == 2:
-        return np.array([integrate_even(v, nodes) for v in vals])
-    return integrate_even(vals, nodes)
+    if degree is None:
+        m = _MAX_NODES
+    else:
+        m = min(_MAX_NODES, max(_MIN_NODES, 1 << (2 * degree + 1).bit_length()))
+    prev = None
+    while True:
+        vals = np.asarray(fn((np.arange(m) + 0.5) * (math.pi / m)), dtype=float)
+        h = 2.0 * math.pi / m
+        est = h * vals.sum(axis=-1)
+        done = prev is not None and np.all(
+            np.abs(est - prev) <= _RTOL * h * np.abs(vals).sum(axis=-1))
+        if done or m >= _MAX_NODES:
+            return est if vals.ndim == 2 else float(est)
+        prev, m = est, 2 * m
 
 
 def cosine_coefficient(fn: Callable, u: int, long_memory: bool = False) -> float:

@@ -172,6 +172,7 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
         f2g2 = spectral_integral(
             lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
             long_memory=long_mem,
+            degree=None if g.degree is None else 2 * g.degree,
         )
     j = true_functional(model, g)
     return 4.0 * math.pi * e_h * f2g2 + kappa4 * e_h * j * j

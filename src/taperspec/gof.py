@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.stats
@@ -59,6 +59,12 @@ class TestBasis:
     projects to exactly zero for every sample while still claiming a
     degree of freedom, which would silently wreck the chi-square
     calibration.
+
+    `degree` is the highest frequency j of an e^{i j lam} factor in any
+    slot, the rest of each slot being smooth (see ar_example_basis); the
+    population quadrature starts fine enough to resolve it.  It is None
+    when unknown, as for callables certified by make_basis, which makes
+    that quadrature run at its finest level only.
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
@@ -67,6 +73,7 @@ class TestBasis:
     names: tuple
     parity: tuple
     gram_residual: float
+    degree: int | None = None
 
     @property
     def m(self) -> int:
@@ -139,7 +146,8 @@ def cosine_basis(m: int) -> TestBasis:
     for j in range(1, m + 1):
         funcs.append(lambda lam, j=j: np.cos(j * np.asarray(lam, dtype=float))
                      / math.sqrt(math.pi))
-    return make_basis(funcs, names=tuple(f"cos{j}" for j in range(1, m + 1)))
+    names = tuple(f"cos{j}" for j in range(1, m + 1))
+    return replace(make_basis(funcs, names=names), degree=m)
 
 
 def _ar_poly(model: Model) -> np.ndarray:
@@ -189,7 +197,7 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     for j in range(p + 1, m + 1):
         funcs.append(re_psi(j))
         names.append(f"re_psi{j}")
-    return make_basis(funcs, names=tuple(names))
+    return replace(make_basis(funcs, names=tuple(names)), degree=m)
 
 
 @dataclass(frozen=True)
@@ -282,7 +290,7 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
         return np.vstack([np.asarray(basis.functions[j](lam), dtype=float) * s[k]
                           for j in active for k in range(p)])
 
-    vals = spectral_integral(integrand, long_memory=long_mem)
+    vals = spectral_integral(integrand, long_memory=long_mem, degree=basis.degree)
     out[list(active)] = scale * vals.reshape(len(active), p)
     return out
 

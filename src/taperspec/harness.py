@@ -928,7 +928,6 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     resolved = dict(cfg.options)
     resolved["kind"] = cfg.kind
     resolved["seed"] = str(cfg.seed)
-    resolved["workers"] = str(cfg.workers)
     resolved["check"] = "1" if cfg.check_enabled else "0"
     payload = {
         "experiment": cfg.kind,
@@ -938,6 +937,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     }
     write_csv(out + ".csv", fieldnames, rows)
     write_json(out + ".json", payload)
+    echo(f"workers: {cfg.workers}")
     echo(f"wrote {out}.csv ({len(rows)} rows)")
     echo(f"wrote {out}.json")
     if not cfg.check_enabled:

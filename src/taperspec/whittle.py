@@ -331,7 +331,9 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
             rows += [s[i] * s[j] * w2 for i, j in pairs]
         return np.vstack(rows)
 
-    vals = spectral_integral(integrand, long_memory=model.memory_class != "short")
+    # a caller's weight may oscillate at any frequency; the score alone is smooth
+    vals = spectral_integral(integrand, long_memory=model.memory_class != "short",
+                             degree=0 if weight is None else None)
     v = vals[:p]
 
     def symmetric(upper):

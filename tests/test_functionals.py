@@ -19,7 +19,7 @@ from taperspec.functionals import (
 )
 from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian
 from taperspec.spectrum import canonical_grid, tapered_periodogram
-from taperspec.taper import fejer_kernel, get_taper
+from taperspec.taper import fejer_kernel, get_taper, tapering_factor
 
 TAPER_NAMES = ("rect", "linear", "tukey")
 
@@ -153,6 +153,26 @@ def test_variance_ar1_cosine_closed_form():
     assert asymptotic_variance(m, cosine(1), tukey) == pytest.approx(
         (35.0 / 18.0) * 124.0 / 27.0, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("u", [1, 64, 256, 512, 4096])
+def test_variance_ar1_high_cosine_against_lag_sum(u):
+    # int f^2 cos^2(u lam) = c(0)/2 + c(2u)/2 with c(k) = int f^2 e^{ik lam}
+    # = (1/2pi) sum_s r(s) r(k - s).  A quadrature that aliases cos(2u lam)
+    # onto a constant returns about twice the c(0)/2 term for large u.
+    theta = 0.5
+    m = AR1(theta=theta, sigma2=1.0)
+    tukey = get_taper("tukey")
+
+    r = lambda lag: theta ** np.abs(lag) / (1.0 - theta**2)
+
+    def c(k):
+        s = np.arange(-80, k + 81)
+        return float(np.sum(r(s) * r(k - s))) / (2.0 * math.pi)
+
+    f2g2 = 0.5 * c(0) + 0.5 * c(2 * u)
+    expected = 4.0 * math.pi * tapering_factor(tukey) * f2g2
+    assert asymptotic_variance(m, cosine(u), tukey) == pytest.approx(expected, rel=1e-12)
 
 
 def test_variance_spectral_function_white_noise():

@@ -70,9 +70,10 @@ def test_ar_example_basis_structure():
 
 
 def test_ar_example_basis_score_orthogonal():
-    basis = ar_example_basis(AR_HALF, 4)
-    b = b_matrix(AR_HALF, basis, TUKEY)
-    assert np.max(np.abs(b)) < 1e-9
+    for theta in (0.5, 0.9, 0.99):
+        model = AR1(theta=theta, sigma2=1.0)
+        b = b_matrix(model, ar_example_basis(model, 4), TUKEY)
+        assert np.max(np.abs(b)) <= 1e-12, theta
 
 
 def test_ar_example_basis_rejects_bad_shapes():

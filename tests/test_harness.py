@@ -216,8 +216,9 @@ _COMPOSITE_GOF = ["gof", "--mode", "composite", "--basis", "ar-example:4",
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
     # Forked workers inherit process-level state (shared tapers with their
-    # cached moments), so every replication engine is compared here.
-    monkeypatch.chdir(tmp_path)
+    # cached moments), so every replication engine is compared here.  Each
+    # worker count writes into its own directory under the same --out, as
+    # the JSON records --out.
     model = ["--model", "ar1{theta=0.5,sigma2=1}"]
     cases = {
         "fn": ["estimate-functional", *model, "--taper", "rect",
@@ -226,11 +227,15 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
                "--reps", "6", "--seed", "18"],
         "gc": [*_COMPOSITE_GOF, "--reps", "4", "--seed", "19"],
     }
-    for name, base in cases.items():
-        assert main([*base, "--out", f"{name}1"]) == 0
-        assert main([*base, "--out", f"{name}3", "--workers", "3"]) == 0
-        assert ((tmp_path / f"{name}1.csv").read_bytes()
-                == (tmp_path / f"{name}3.csv").read_bytes()), name
+    for workers in ("1", "3"):
+        (tmp_path / workers).mkdir()
+        monkeypatch.chdir(tmp_path / workers)
+        for name, base in cases.items():
+            assert main([*base, "--out", name, "--workers", workers]) == 0
+    for name in cases:
+        for ext in (".csv", ".json"):
+            assert ((tmp_path / "1" / f"{name}{ext}").read_bytes()
+                    == (tmp_path / "3" / f"{name}{ext}").read_bytes()), name + ext
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):
@@ -368,12 +373,20 @@ def test_ini_workers_must_be_an_integer(tmp_path, monkeypatch, capsys):
 def test_workers_flag_overrides_preset(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w.ini").write_text(
-        "[experiment]\nkind = trace-experiment\npair = ar1xcos\n"
-        "T = 64,128\nworkers = 2\nout = tr\n", encoding="utf-8")
-    for flag, expected in (([], "2"), (["--workers", "1"], "1")):
-        assert main(["run", "--config", "w.ini", *flag]) == 0
-        config = json.loads((tmp_path / "tr.json").read_text())["config"]
-        assert config["workers"] == expected
+        "[experiment]\nkind = estimate-functional\nmodel = ar1{theta=0.5,sigma2=1}\n"
+        "taper = rect\ng = cosine:1\nT = 64\nreps = 2\nworkers = 2\nout = fn\n",
+        encoding="utf-8")
+    seen = []
+    map_reps = harness._map_reps
+
+    def spy(kind, payload, reps, workers):
+        seen.append(workers)
+        return map_reps(kind, payload, reps, 1)
+
+    monkeypatch.setattr(harness, "_map_reps", spy)
+    assert main(["run", "--config", "w.ini"]) == 0
+    assert main(["run", "--config", "w.ini", "--workers", "1"]) == 0
+    assert seen == [2, 1]
     assert main(["run", "--config", "w.ini", "--workers", "0"]) == 1
 
 

@@ -14,7 +14,9 @@ from taperspec.models import (
     WhiteNoise,
     derive_seed,
     gaussian,
+    parse_model,
 )
+from taperspec._quad import spectral_integral
 from taperspec.spectrum import canonical_grid, tapered_periodogram
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import (
@@ -272,6 +274,24 @@ def test_info_matrix_ar1_closed_forms():
     assert info.W[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert info.gamma[0, 0] == pytest.approx(0.75, rel=1e-10)
     assert np.array_equal(info.A, info.W)  # unit weight: A is W
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.9, 0.99])
+def test_ar1_population_integrals_to_roundoff(theta):
+    # W = (1/4pi) int s^2 and r(0) = int f both equal 1/(1 - theta^2); the
+    # midpoint rule converges geometrically as the pole nears the circle.
+    m = AR1(theta=theta)
+    exact = 1.0 / (1.0 - theta**2)
+    assert info_matrices(m).W[0, 0] == pytest.approx(exact, rel=1e-12)
+    for degree in (None, 0):
+        assert spectral_integral(m.density, degree=degree) == pytest.approx(exact, rel=1e-12)
+
+
+def test_info_matrix_log_singular_short_memory_score():
+    # At d = 0 the model is short memory but its d-score -2 ln|2 sin(lam/2)|
+    # is infinite at the origin, which no node may touch; W = pi^2/6.
+    info = info_matrices(parse_model("arfima0d0{d=0}"))
+    assert info.W[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=3.8e-4)
 
 
 def test_info_matrix_kurtosis_term():
