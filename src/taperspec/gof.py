@@ -21,16 +21,20 @@ every taper: the factors of e(h) cancel.  A basis orthogonal to the score
 leaves nu = 1, and with the first p slots identically zero that
 reproduces a plain chi-square with m - p degrees of freedom.
 
-Mixture p-values come from a seeded internal Monte Carlo draw: simpler
-than characteristic-function inversion and the error is quantifiable (the
-half-width rides along in the result).
+Mixture p-values come from a Monte Carlo draw with a fixed internal seed:
+simpler than characteristic-function inversion and the error is
+quantifiable (the half-width rides along in the result).  The variates do
+not depend on the data, so each process draws them once per law shape
+(unit dof, number of nu terms, draws, seed) and every replication weights
+the same read-only rows by its own nu.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
@@ -45,6 +49,7 @@ from .whittle import WhittleFit, whittle_estimate
 logger = logging.getLogger(__name__)
 
 _GRAM_TOL = 1e-6
+_PARITY_NODES = 8193  # symmetric grid on which slots are classified zero/even/odd
 _MC_SEED = 170339
 
 
@@ -60,16 +65,17 @@ class TestBasis:
     degree of freedom, which would silently wreck the chi-square
     calibration.
 
+    `evaluate` maps an array of frequencies to the (m, len(lam)) array of
+    all slots at once, so a construction can share work between slots.
     `degree` is the highest frequency j of an e^{i j lam} factor in any
     slot, the rest of each slot being smooth (see ar_example_basis); the
-    population quadrature starts fine enough to resolve it.  It is None
-    when unknown, as for callables certified by make_basis, which makes
-    that quadrature run at its finest level only.
+    population quadratures start fine enough to resolve it.  It is None
+    when unknown, which makes them run at their finest level only.
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
 
-    functions: tuple
+    evaluate: object
     names: tuple
     parity: tuple
     gram_residual: float
@@ -77,7 +83,7 @@ class TestBasis:
 
     @property
     def m(self) -> int:
-        return len(self.functions)
+        return len(self.names)
 
     @property
     def active(self) -> tuple:
@@ -88,28 +94,39 @@ class TestBasis:
         return len(self.active)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        return np.vstack([np.broadcast_to(np.asarray(fn(lam), dtype=float),
-                                          lam.shape) for fn in self.functions])
+        return self.evaluate(np.asarray(lam, dtype=float))
 
 
-def make_basis(functions, names=None, grid_n: int = 8193) -> TestBasis:
+def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
     """Certify a list of callables as an orthonormal system on [-pi, pi].
 
-    The Gram matrix of the non-zero slots is computed by trapezoid rule
-    on a symmetric grid (spectrally accurate for periodic integrands) and
-    must match the identity within 1e-6.  Functions with a non-vanishing
-    odd part are rejected, see TestBasis.
+    `degree` is as in TestBasis.  See _certified for the checks.
     """
     functions = tuple(functions)
-    m = len(functions)
-    if m == 0:
+    if not functions:
         raise DomainError("basis needs at least one function")
+
+    def evaluate(lam):
+        return np.vstack([np.broadcast_to(np.asarray(fn(lam), dtype=float),
+                                          lam.shape) for fn in functions])
+
     if names is None:
-        names = tuple(f"phi{j + 1}" for j in range(m))
-    grid = np.linspace(-math.pi, math.pi, grid_n)
-    vals = np.vstack([np.broadcast_to(np.asarray(fn(grid), dtype=float),
-                                      grid.shape) for fn in functions])
+        names = tuple(f"phi{j + 1}" for j in range(len(functions)))
+    return _certified(evaluate, names, degree)
+
+
+def _certified(evaluate, names, degree) -> TestBasis:
+    """TestBasis for `evaluate` once its slots pass the certificate.
+
+    Slots are classified zero or even, and any with a non-vanishing odd
+    part rejected (see TestBasis), on a symmetric grid.
+    The Gram matrix of the non-zero slots comes from `spectral_integral`,
+    started at twice the basis degree (a product of two slots carries up
+    to that frequency), and must match the identity within 1e-6.
+    """
+    m = len(names)
+    grid = np.linspace(-math.pi, math.pi, _PARITY_NODES)
+    vals = evaluate(grid)
     if not np.all(np.isfinite(vals)):
         raise DomainError("basis function not finite on [-pi, pi]")
     zero = np.max(np.abs(vals), axis=1) < 1e-12
@@ -122,19 +139,25 @@ def make_basis(functions, names=None, grid_n: int = 8193) -> TestBasis:
     parity = tuple("zero" if zero[j] else "even" for j in range(m))
     active = [j for j in range(m) if parity[j] != "zero"]
     if active:
-        av = vals[active]
+        pairs = [(i, j) for i in range(len(active)) for j in range(i, len(active))]
+
+        def products(lam):
+            av = evaluate(lam)[active]
+            return np.vstack([av[i] * av[j] for i, j in pairs])
+
+        upper = spectral_integral(
+            products, degree=None if degree is None else 2 * degree)
         gram = np.empty((len(active), len(active)))
-        for i in range(len(active)):
-            for j in range(i, len(active)):
-                gram[i, j] = gram[j, i] = float(np.trapezoid(av[i] * av[j], grid))
+        for (i, j), val in zip(pairs, np.atleast_1d(upper)):
+            gram[i, j] = gram[j, i] = val
         residual = float(np.max(np.abs(gram - np.eye(len(active)))))
     else:
         residual = 0.0
     if residual > _GRAM_TOL:
         raise DomainError(
             f"basis fails the orthonormality certificate: residual {residual:.3e}")
-    return TestBasis(functions=functions, names=tuple(names), parity=parity,
-                     gram_residual=residual)
+    return TestBasis(evaluate=evaluate, names=tuple(names), parity=parity,
+                     gram_residual=residual, degree=degree)
 
 
 def cosine_basis(m: int) -> TestBasis:
@@ -147,7 +170,7 @@ def cosine_basis(m: int) -> TestBasis:
         funcs.append(lambda lam, j=j: np.cos(j * np.asarray(lam, dtype=float))
                      / math.sqrt(math.pi))
     names = tuple(f"cos{j}" for j in range(1, m + 1))
-    return replace(make_basis(funcs, names=names), degree=m)
+    return make_basis(funcs, names=names, degree=m)
 
 
 def _ar_poly(model: Model) -> np.ndarray:
@@ -183,21 +206,17 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     if m <= p:
         raise DomainError(f"need m > p = {p} basis slots")
 
-    def re_psi(j):
-        def _fn(lam):
-            lam = np.asarray(lam, dtype=float)
-            z = np.exp(1j * lam)
-            ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
-            return np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi)
-        return _fn
+    def evaluate(lam):
+        # e^{i lam} and the AR ratio are shared by every slot
+        z = np.exp(1j * lam)
+        ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
+        rows = [np.zeros_like(lam) for _ in range(p)]
+        rows += [np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi)
+                 for j in range(p + 1, m + 1)]
+        return np.vstack(rows)
 
-    funcs = [lambda lam: np.zeros_like(np.asarray(lam, dtype=float))
-             for _ in range(p)]
-    names = ["zero"] * p
-    for j in range(p + 1, m + 1):
-        funcs.append(re_psi(j))
-        names.append(f"re_psi{j}")
-    return replace(make_basis(funcs, names=tuple(names)), degree=m)
+    names = ("zero",) * p + tuple(f"re_psi{j}" for j in range(p + 1, m + 1))
+    return _certified(evaluate, names, degree=m)
 
 
 @dataclass(frozen=True)
@@ -216,9 +235,11 @@ class GofResult:
         self.phi.setflags(write=False)
 
 
-def _density_values(f0, pts: np.ndarray) -> np.ndarray:
-    fn = f0.density if isinstance(f0, Model) else f0
-    vals = np.asarray(fn(pts), dtype=float)
+def _density_values(f0, grid) -> np.ndarray:
+    if isinstance(f0, Model):
+        vals = np.asarray(f0.density(grid.constants), dtype=float)
+    else:
+        vals = np.asarray(f0(grid.points), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise DomainError("null density is not positive and finite on the grid")
     return vals
@@ -241,7 +262,7 @@ def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
     shifted = isinstance(f0, Model) and f0.memory_class != "short"
     pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
     pts = pgram.grid.points
-    f_vals = _density_values(f0, pts)
+    f_vals = _density_values(f0, pgram.grid)
     resid = pgram.values / f_vals - 1.0
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * (basis.values(pts) @ resid) * pgram.grid.weight
@@ -285,10 +306,9 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
         return out
 
     def integrand(lam):
-        lam = np.asarray(lam, dtype=float)
+        phi = basis.values(lam)
         s = np.atleast_2d(model.score(lam))
-        return np.vstack([np.asarray(basis.functions[j](lam), dtype=float) * s[k]
-                          for j in active for k in range(p)])
+        return np.vstack([phi[j] * s[k] for j in active for k in range(p)])
 
     vals = spectral_integral(integrand, long_memory=long_mem, degree=basis.degree)
     out[list(active)] = scale * vals.reshape(len(active), p)
@@ -305,7 +325,7 @@ def delta_vector(series_or_pgram, taper: Taper, model: Model,
     shifted = model.memory_class != "short"
     pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
     pts = pgram.grid.points
-    f_vals = _density_values(model, pts)
+    f_vals = _density_values(model, pgram.grid)
     resid = pgram.values / f_vals - 1.0
     names = model.free_names if model.free_names else (model.scale_name,)
     rows = np.atleast_2d(model.score(pts))[:len(names)]
@@ -337,14 +357,32 @@ def mixture_weights(gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
     return nu
 
 
+@functools.lru_cache(maxsize=4)
+def _reference_draws(unit_dof: int, p: int, draws: int, seed: int) -> tuple:
+    """The mixture law's fixed-seed variates, drawn once per process.
+
+    Returns the chi^2(unit_dof) row (None when unit_dof is 0) and the p
+    rows of Z^2, read-only, in the stream order of the seed.
+    """
+    rng = make_rng(seed)
+    chi = rng.chisquare(unit_dof, size=draws) if unit_dof > 0 else None
+    if chi is not None:
+        chi.setflags(write=False)
+    z2 = np.empty((p, draws))
+    for k in range(p):
+        z2[k] = rng.standard_normal(draws) ** 2
+    z2.setflags(write=False)
+    return chi, z2
+
+
 def _mixture_pvalue(s: float, unit_dof: int, nu: np.ndarray, draws: int,
                     seed: int) -> tuple:
-    rng = make_rng(seed)
+    chi, z2 = _reference_draws(int(unit_dof), len(nu), int(draws), int(seed))
     total = np.zeros(draws)
-    if unit_dof > 0:
-        total += rng.chisquare(unit_dof, size=draws)
-    for w in nu:
-        total += w * rng.standard_normal(draws) ** 2
+    if chi is not None:
+        total += chi
+    for w, row in zip(nu, z2):
+        total += w * row
     p = float(np.mean(total >= s))
     half_width = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / draws) / draws)
     return p, float(half_width)
@@ -361,7 +399,8 @@ def composite_test(series, taper: Taper, model: Model, basis,
     reference law is the chi-square mixture with one unit term per
     surplus active slot and one nu-weighted term per fitted shape
     parameter, sampled with a fixed internal seed independent of the data
-    streams.
+    streams (its variates are drawn once per process, see the module
+    docstring).
     """
     fit = whittle_estimate(series, taper, model, kappa4=kappa4,
                            oversample=oversample, **fit_kwargs)
@@ -369,7 +408,10 @@ def composite_test(series, taper: Taper, model: Model, basis,
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
     test_basis = basis(fitted) if callable(basis) else basis
-    phi = phi_vector(series, taper, fitted, test_basis, oversample=oversample)
+    # the fit's periodogram serves unless the fitted memory class moves the grid
+    same_grid = fit.periodogram.grid.shifted == (fitted.memory_class != "short")
+    phi = phi_vector(fit.periodogram if same_grid else series, taper, fitted,
+                     test_basis, oversample=oversample)
     s = float(np.dot(phi, phi))
     names = fitted.free_names if fitted.free_names else (fitted.scale_name,)
     p = len(names)

@@ -138,6 +138,7 @@ class Model:
         return {name: getattr(self, name) for name in self.param_names}
 
     def density(self, lam) -> np.ndarray:
+        """f at an array of frequencies or a FrequencyConstants value."""
         raise NotImplementedError
 
     def score(self, lam) -> np.ndarray:
@@ -201,6 +202,47 @@ def _maybe_scalar(out, lam):
     return out
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class FrequencyConstants:
+    """Frequencies lam with the trigonometric constants the densities share.
+
+    cos(lam), e^{-i lam} and 2 sin(|lam|/2) are computed on first use and
+    then kept, read-only.  Every family's `density` reads them through
+    this value and wraps a plain array in a fresh one, so a search that
+    evaluates many candidates on one grid (`FrequencyGrid.constants`)
+    computes them once.  numpy reads the value as its frequency array.
+    """
+
+    def __init__(self, lam):
+        self.lam = _as_lam(lam)
+
+    def __array__(self, dtype=None, copy=None):
+        lam = self.lam if dtype is None else self.lam.astype(dtype, copy=False)
+        return lam.copy() if copy else lam
+
+    @functools.cached_property
+    def cos(self) -> np.ndarray:
+        return _frozen(np.cos(self.lam))
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        """e^{-i lam}."""
+        return _frozen(np.exp(-1j * self.lam))
+
+    @functools.cached_property
+    def two_sin_half(self) -> np.ndarray:
+        """2 sin(|lam|/2) = |1 - e^{-i lam}|."""
+        return _frozen(2.0 * np.sin(np.abs(self.lam) / 2.0))
+
+
+def _constants(lam) -> FrequencyConstants:
+    return lam if isinstance(lam, FrequencyConstants) else FrequencyConstants(lam)
+
+
 # ---------------------------------------------------------------------------
 # white noise
 
@@ -216,8 +258,7 @@ class WhiteNoise(Model):
         self.sigma2 = float(sigma2)
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        out = np.full(lam_arr.shape, self.sigma2 / (2.0 * math.pi))
+        out = np.full(_constants(lam).lam.shape, self.sigma2 / (2.0 * math.pi))
         return _maybe_scalar(out, lam)
 
     def score(self, lam):
@@ -244,9 +285,22 @@ def _arma_polys(phi: tuple, theta: tuple):
     return a, b
 
 
-def _poly_on_circle(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    z = np.exp(-1j * lam)
+def _poly_on_circle(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1 + c1 z + ... + cp z^p at z = e^{-i lam}."""
     return np.polyval(coeffs[::-1], z)
+
+
+def _arma_score_rows(a: np.ndarray, b: np.ndarray, lam_arr: np.ndarray) -> list:
+    """d log f / d phi_j and d log f / d theta_j of the rational factor |b|^2/|a|^2."""
+    z = np.exp(-1j * lam_arr)
+    rows = []
+    for coeffs in (a, b):
+        val = _poly_on_circle(coeffs, z)
+        zp = np.ones_like(z)
+        for _ in range(coeffs.size - 1):
+            zp = zp * z
+            rows.append(2.0 * np.real(zp * np.conj(val)) / np.abs(val) ** 2)
+    return rows
 
 
 def _spectral_radius(poly: np.ndarray) -> float:
@@ -304,8 +358,7 @@ class AR1(Model):
         self.sigma2 = float(sigma2)
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        denom = 1.0 - 2.0 * self.theta * np.cos(lam_arr) + self.theta**2
+        denom = 1.0 - 2.0 * self.theta * _constants(lam).cos + self.theta**2
         return _maybe_scalar(self.sigma2 / (2.0 * math.pi * denom), lam)
 
     def score(self, lam):
@@ -375,25 +428,14 @@ class ARMA(Model):
         return ARMA(phi=tuple(vec[:p]), theta=tuple(vec[p:]), sigma2=self.sigma2)
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        num = np.abs(_poly_on_circle(self._b, lam_arr)) ** 2
-        den = np.abs(_poly_on_circle(self._a, lam_arr)) ** 2
+        z = _constants(lam).z
+        num = np.abs(_poly_on_circle(self._b, z)) ** 2
+        den = np.abs(_poly_on_circle(self._a, z)) ** 2
         return _maybe_scalar(self.sigma2 * num / (2.0 * math.pi * den), lam)
 
     def score(self, lam):
         lam_arr = _as_lam(lam)
-        z = np.exp(-1j * lam_arr)
-        a_val = _poly_on_circle(self._a, lam_arr)
-        b_val = _poly_on_circle(self._b, lam_arr)
-        rows = []
-        zp = np.ones_like(z)
-        for j in range(1, len(self.phi) + 1):
-            zp = zp * z
-            rows.append(2.0 * np.real(zp * np.conj(a_val)) / np.abs(a_val) ** 2)
-        zp = np.ones_like(z)
-        for j in range(1, len(self.theta) + 1):
-            zp = zp * z
-            rows.append(2.0 * np.real(zp * np.conj(b_val)) / np.abs(b_val) ** 2)
+        rows = _arma_score_rows(self._a, self._b, lam_arr)
         rows.append(np.full(lam_arr.size, 1.0 / self.sigma2))
         return np.vstack(rows)
 
@@ -471,10 +513,8 @@ class ARFIMA0d0(Model):
         self.memory_class = "long" if d > 0 else ("intermediate" if d < 0 else "short")
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        s = 2.0 * np.sin(np.abs(lam_arr) / 2.0)
         with np.errstate(divide="ignore"):
-            out = s ** (-2.0 * self.d)
+            out = _constants(lam).two_sin_half ** (-2.0 * self.d)
         return _maybe_scalar(out, lam)
 
     def score(self, lam):
@@ -554,12 +594,11 @@ class ArfimaPDQ(Model):
                          theta=tuple(vec[1 + p:]), sigma2=self.sigma2)
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        s = 2.0 * np.sin(np.abs(lam_arr) / 2.0)
-        num = np.abs(_poly_on_circle(self._b, lam_arr)) ** 2
-        den = np.abs(_poly_on_circle(self._a, lam_arr)) ** 2
+        c = _constants(lam)
+        num = np.abs(_poly_on_circle(self._b, c.z)) ** 2
+        den = np.abs(_poly_on_circle(self._a, c.z)) ** 2
         with np.errstate(divide="ignore"):
-            frac = s ** (-2.0 * self.d)
+            frac = c.two_sin_half ** (-2.0 * self.d)
         return _maybe_scalar(self.sigma2 * frac * num / (2.0 * math.pi * den), lam)
 
     def score(self, lam):
@@ -567,9 +606,9 @@ class ArfimaPDQ(Model):
         s = 2.0 * np.sin(np.abs(lam_arr) / 2.0)
         with np.errstate(divide="ignore"):
             d_row = -2.0 * np.log(s)
-        arma = ARMA(phi=self.phi, theta=self.theta, sigma2=self.sigma2)
-        arma_rows = arma.score(lam_arr)
-        return np.vstack([d_row, arma_rows])
+        rows = [d_row, *_arma_score_rows(self._a, self._b, lam_arr),
+                np.full(lam_arr.size, 1.0 / self.sigma2)]
+        return np.vstack(rows)
 
     def covariance(self, u):
         u_arr = np.abs(np.atleast_1d(np.asarray(u)).astype(int))
@@ -652,8 +691,7 @@ class FGN(Model):
         return c
 
     def density(self, lam):
-        lam_arr = _as_lam(lam)
-        out = self._norm() * self._bracket(np.abs(lam_arr))
+        out = self._norm() * self._bracket(np.abs(_constants(lam).lam))
         return _maybe_scalar(out, lam)
 
     def score(self, lam):

@@ -26,12 +26,13 @@ the weighted periodogram sum reproduces the tapered sample energy exactly
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import TimeSeries
+from .models import FrequencyConstants, TimeSeries
 from .taper import Taper
 
 _OVERSAMPLE_CHOICES = (1, 2, 4, 8)
@@ -54,6 +55,11 @@ class FrequencyGrid:
     @property
     def weights(self) -> np.ndarray:
         return np.full(self.N, self.weight)
+
+    @functools.cached_property
+    def constants(self) -> FrequencyConstants:
+        """The points with their density constants, computed once per grid."""
+        return FrequencyConstants(self.points)
 
 
 def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:

@@ -10,6 +10,13 @@ families), with w an optional weight function, identically 1 by default.
 A multiplicative innovation scale is profiled out in closed form, so the
 numeric search runs over shape parameters only.
 
+Only what depends on the candidate is computed per criterion evaluation.
+The frequency constants the densities read (cos lam, e^{-i lam},
+2 sin(|lam|/2)) are computed once per fit, on the grid
+(`FrequencyGrid.constants`); each candidate is built once, at unit scale
+from a template; and the unit weight is never materialized, since
+multiplying by 1 is exact and its sum is the grid size.
+
 The estimator's limit covariance is e(h) Gamma(theta) with
 Gamma = W^{-1} (A + B) W^{-1}, where W, A, B are quadratures of products
 of the log-density gradient (B carries the fourth cumulant of the
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -61,6 +68,7 @@ class WhittleFit:
     `asym_cov` (e(h) Gamma at the fitted point) and `se` are computed by
     `info_matrices` on first access and then kept; a singular information
     matrix raises SingularInformationError there, not during the fit.
+    `periodogram` is the one the criterion was fitted to.
     """
 
     theta_hat: np.ndarray
@@ -75,6 +83,7 @@ class WhittleFit:
     tapering_factor: float
     kappa4: float = 0.0
     weight: object = None
+    periodogram: Periodogram | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
@@ -93,13 +102,27 @@ class WhittleFit:
         return se
 
 
-def _weight_values(weight, points: np.ndarray) -> np.ndarray:
+def _weight_values(weight, points: np.ndarray) -> np.ndarray | None:
+    """w on the points, or None for the unit weight (multiplying by 1 is exact)."""
     if weight is None:
-        return np.ones_like(points)
+        return None
     vals = np.asarray(weight(points), dtype=float)
     if vals.shape != points.shape:
         vals = np.broadcast_to(vals, points.shape).astype(float)
     return vals
+
+
+def _weighted_sum(terms: np.ndarray, w: np.ndarray | None) -> float:
+    return np.sum(terms) if w is None else np.sum(terms * w)
+
+
+def _grid_density(model: Model, grid) -> np.ndarray:
+    """f on the grid, through the grid's shared frequency constants."""
+    f = np.asarray(model.density(grid.constants), dtype=float)
+    lo, hi = f.min(), f.max()  # nan propagates into both
+    if not (lo > 0.0 and hi < math.inf):
+        raise DomainError("density is not positive and finite on the grid")
+    return f if lo >= _F_FLOOR else np.maximum(f, _F_FLOOR)
 
 
 def whittle_objective(pgram: Periodogram, model: Model, theta=None,
@@ -107,36 +130,28 @@ def whittle_objective(pgram: Periodogram, model: Model, theta=None,
     """U_T at the model point (or at `theta` substituted into it)."""
     if theta is not None:
         model = model.with_free(np.asarray(theta, dtype=float))
-    pts = pgram.grid.points
-    f = np.asarray(model.density(pts), dtype=float)
-    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-        raise DomainError("density is not positive and finite on the grid")
-    f = np.maximum(f, _F_FLOOR)
-    w = _weight_values(weight, pts)
-    total = np.sum((np.log(f) + pgram.values / f) * w) * pgram.grid.weight
+    f = _grid_density(model, pgram.grid)
+    w = _weight_values(weight, pgram.grid.points)
+    total = _weighted_sum(np.log(f) + pgram.values / f, w) * pgram.grid.weight
     return float(total / (4.0 * math.pi))
 
 
-def _profile_scale(pgram: Periodogram, shape_model: Model, weight) -> tuple:
+def _profile_scale(pgram: Periodogram, unit: Model, weight) -> tuple:
     """Closed-form innovation-scale minimizer and the profiled criterion.
 
-    For f = sigma2 f1: sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the
-    profiled value is the plain criterion evaluated there.
+    `unit` is the candidate at scale 1, f1.  For f = sigma2 f1:
+    sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the profiled value is
+    the plain criterion evaluated there.
     """
-    scale = shape_model.scale_name
-    unit = shape_model.with_params(**{scale: 1.0})
-    pts = pgram.grid.points
-    f1 = np.asarray(unit.density(pts), dtype=float)
-    if not np.all(np.isfinite(f1)) or np.any(f1 <= 0.0):
-        raise DomainError("density is not positive and finite on the grid")
-    f1 = np.maximum(f1, _F_FLOOR)
-    w = _weight_values(weight, pts)
-    denom = float(np.sum(w)) * pgram.grid.weight
+    f1 = _grid_density(unit, pgram.grid)
+    w = _weight_values(weight, pgram.grid.points)
+    denom = (pgram.grid.N if w is None else float(np.sum(w))) * pgram.grid.weight
     if denom <= 0.0:
         raise DomainError("weight function integrates to zero on the grid")
-    s2 = float(np.sum(pgram.values / f1 * w) * pgram.grid.weight / denom)
+    s2 = float(_weighted_sum(pgram.values / f1, w) * pgram.grid.weight / denom)
     s2 = max(s2, _F_FLOOR)
-    value = np.sum((np.log(s2 * f1) + pgram.values / (s2 * f1)) * w)
+    f = s2 * f1
+    value = _weighted_sum(np.log(f) + pgram.values / f, w)
     value = float(value * pgram.grid.weight / (4.0 * math.pi))
     return s2, value
 
@@ -227,10 +242,12 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     names = model.free_names
     p = len(names)
     has_scale = model.scale_name is not None
+    # candidates are built at unit scale, so each is built once
+    template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
 
     def shape_objective(vec) -> tuple:
         try:
-            cand = model.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
+            cand = template.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
             if has_scale:
                 s2, val = _profile_scale(pgram, cand, weight)
                 return val, s2
@@ -241,7 +258,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     if p == 0:
         if not has_scale:
             raise DomainError("model has no free parameters to fit")
-        s2, value = _profile_scale(pgram, model, weight)
+        s2, value = _profile_scale(pgram, template, weight)
         fitted = model.with_params(**{model.scale_name: s2})
         theta = np.array([s2])
         fit_names = (model.scale_name,)
@@ -288,7 +305,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         sigma2_hat=(float(s2) if (has_scale and p > 0) else
                     (float(theta[0]) if (has_scale and p == 0) else None)),
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
-        kappa4=kappa4, weight=weight)
+        kappa4=kappa4, weight=weight, periodogram=pgram)
 
 
 def _score_index(model: Model, names: tuple) -> list:
@@ -323,12 +340,11 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
 
     def integrand(lam):
         s = np.atleast_2d(model.score(lam))[idx]
+        rows = [s[i] for i in range(p)] + [s[i] * s[j] for i, j in pairs]
         w = _weight_values(weight, np.asarray(lam, dtype=float))
-        rows = [s[i] * w for i in range(p)]
-        rows += [s[i] * s[j] * w for i, j in pairs]
-        if weight is not None:
+        if w is not None:
             w2 = w ** 2
-            rows += [s[i] * s[j] * w2 for i, j in pairs]
+            rows = [r * w for r in rows] + [r * w2 for r in rows[p:]]
         return np.vstack(rows)
 
     # a caller's weight may oscillate at any frequency; the score alone is smooth

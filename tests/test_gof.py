@@ -33,8 +33,9 @@ from taperspec.gof import (
     phi_vector,
     simple_test,
 )
-from taperspec.gof import _mixture_pvalue
-from taperspec.models import AR1, derive_seed, gaussian, parse_model
+from taperspec import gof, spectrum, whittle
+from taperspec.gof import _mixture_pvalue, _reference_draws
+from taperspec.models import AR1, derive_seed, gaussian, make_rng, parse_model
 from taperspec.spectrum import Periodogram, canonical_grid
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import whittle_estimate
@@ -83,6 +84,27 @@ def test_ar_example_basis_rejects_bad_shapes():
         ar_example_basis(parse_model("arfima0d0{d=0.2}"), 4)
     with pytest.raises(DomainError):
         ar_example_basis(parse_model("arma{phi=[0.5],theta=[0.3],sigma2=1.0}"), 4)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.99, 0.999])
+def test_ar_example_basis_accepted_near_unit_root(theta):
+    # orthonormal by construction; the certificate's quadrature must see it
+    basis = ar_example_basis(AR1(theta=theta, sigma2=1.0), 4)
+    assert basis.gram_residual < 1e-12
+    assert basis.degree == 4
+
+
+def test_ar_example_slots_match_their_formula_bitwise():
+    theta = 0.7
+    lam = np.linspace(-math.pi, math.pi, 1001)
+    vals = ar_example_basis(AR1(theta=theta, sigma2=1.0), 4).values(lam)
+    z = np.exp(1j * lam)
+    a = np.array([1.0, -theta])
+    ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
+    assert np.array_equal(vals[0], np.zeros_like(lam))
+    for j in (2, 3, 4):
+        assert np.array_equal(
+            vals[j - 1], np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi))
 
 
 def test_make_basis_rejects_odd_function():
@@ -310,6 +332,49 @@ def test_mixture_pvalue_nu_zero_matches_chisq():
         assert hw > 0.0
 
 
+def _fresh_draw_pvalue(s, unit_dof, nu, draws, seed):
+    """The mixture p-value drawing its variates anew, as a reference."""
+    rng = make_rng(seed)
+    total = np.zeros(draws)
+    if unit_dof > 0:
+        total += rng.chisquare(unit_dof, size=draws)
+    for w in nu:
+        total += w * rng.standard_normal(draws) ** 2
+    p = float(np.mean(total >= s))
+    return p, float(1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / draws) / draws))
+
+
+@pytest.mark.parametrize("unit_dof", [0, 2])
+@pytest.mark.parametrize("nu", [(1.0,), (0.25,), (0.0, 0.6)])
+def test_mixture_pvalue_reused_draws_match_fresh(unit_dof, nu):
+    for s in (0.5, 3.0, 7.5):
+        expected = _fresh_draw_pvalue(s, unit_dof, nu, 20000, 777)
+        for _ in range(2):  # the second call reads the cached draws
+            assert _mixture_pvalue(s, unit_dof, np.array(nu), 20000, 777) == expected
+
+
+def test_reference_draws_made_once_per_key(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gof, "make_rng", lambda seed: calls.append(seed) or make_rng(seed))
+    _reference_draws.cache_clear()
+    try:
+        for nu in ((0.3,), (0.9,), (0.1, 0.2), (0.5, 0.5)):
+            for s in (1.0, 4.0):
+                _mixture_pvalue(s, 2, np.array(nu), 5000, 31)
+        _mixture_pvalue(1.0, 2, np.array([0.3]), 5000, 32)
+        assert calls == [31, 31, 32]  # keys (2, 1, 31), (2, 2, 31), (2, 1, 32)
+    finally:
+        _reference_draws.cache_clear()
+
+
+def test_reference_draws_are_read_only():
+    chi, z2 = _reference_draws(2, 2, 1000, 5)
+    assert chi.shape == (1000,) and z2.shape == (2, 1000)
+    assert not chi.flags.writeable and not z2.flags.writeable
+    chi0, z20 = _reference_draws(0, 1, 1000, 5)
+    assert chi0 is None and not z20.flags.writeable
+
+
 def test_mixture_pvalue_deterministic():
     p1, _ = _mixture_pvalue(5.0, 2, np.array([0.7]), 50000, 999)
     p2, _ = _mixture_pvalue(5.0, 2, np.array([0.7]), 50000, 999)
@@ -375,6 +440,21 @@ def test_composite_computes_information_once(monkeypatch):
     composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
                    lambda mdl: ar_example_basis(mdl, 4), mc_draws=2000)
     assert calls == [1]
+
+
+def test_composite_computes_one_periodogram(monkeypatch):
+    calls = []
+    real = spectrum.tapered_periodogram
+    spy = lambda *a, **k: calls.append(1) or real(*a, **k)
+    for module in (spectrum, whittle, gof):
+        monkeypatch.setattr(module, "tapered_periodogram", spy)
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 2))
+    res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
+                         lambda mdl: ar_example_basis(mdl, 4), mc_draws=2000)
+    assert calls == [1]
+    # the reused periodogram gives the projections of a fresh one
+    fresh = phi_vector(x, TUKEY, res.fit.model, ar_example_basis(res.fit.model, 4))
+    assert np.array_equal(res.phi, fresh)
 
 
 def test_composite_aborts_on_nonconvergence(monkeypatch):

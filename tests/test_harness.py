@@ -11,6 +11,7 @@ bitwise copy, so its variance ratio is 1 and every check passes.
 """
 
 import csv
+import hashlib
 import json
 import logging
 
@@ -236,6 +237,28 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
         for ext in (".csv", ".json"):
             assert ((tmp_path / "1" / f"{name}{ext}").read_bytes()
                     == (tmp_path / "3" / f"{name}{ext}").read_bytes()), name + ext
+
+
+# CSV sha256 of two small studies, recorded before the Whittle search and the
+# composite replication stopped recomputing per-candidate and per-replication
+# constants; those changes must leave every output byte alone.
+_PINNED_CSV_SHA256 = {
+    "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
+            "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+            "--T", "512", "--reps", "4", "--seed", "41"],
+           "14a7dd8f2dd44a0485cd6fd4a66ddda53264aaa884586ae3f6d4527cfd67e2fb"),
+    "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
+            "--T", "256", "--reps", "2", "--seed", "43"],
+           "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CSV_SHA256))
+def test_csv_bytes_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, digest = _PINNED_CSV_SHA256[name]
+    assert main([*argv, "--out", name]) == 0
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):

@@ -13,6 +13,7 @@ from taperspec.models import (
     ARFIMA0d0,
     ArfimaPDQ,
     FGN,
+    FrequencyConstants,
     WhiteNoise,
     centered_exponential,
     derive_seed,
@@ -121,6 +122,53 @@ def test_fgn_covariances_against_density_quadrature():
         assert quad_val == pytest.approx(closed, abs=1e-7)
 
 
+_EVERY_FAMILY = [
+    WhiteNoise(sigma2=1.7),
+    AR1(theta=0.6, sigma2=1.3),
+    ARMA(phi=(0.5, -0.2), theta=(0.3,), sigma2=0.8),
+    ARFIMA0d0(d=0.3),
+    ArfimaPDQ(d=0.2, phi=(0.4,), theta=(-0.3,), sigma2=1.4),
+    FGN(H=0.7),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", _EVERY_FAMILY, ids=lambda m: m.family)
+def test_density_through_shared_constants_is_bit_identical(m):
+    # a search reuses one FrequencyConstants for every candidate; it must give
+    # exactly the values of a plain call, on both canonical grid variants
+    for offset in (1.0, 0.5):
+        lam = -math.pi + 2.0 * math.pi * (np.arange(512) + offset) / 512
+        shared = FrequencyConstants(lam)
+        first = m.density(shared)
+        again = m.density(shared)
+        plain = m.density(lam)
+        # fgn is 0 * inf = nan at the origin, in both routes
+        assert np.array_equal(first, plain, equal_nan=True)
+        assert np.array_equal(again, plain, equal_nan=True)
+
+
+def test_density_constants_match_the_plain_formulas_bitwise():
+    lam = -math.pi + 2.0 * math.pi * (np.arange(256) + 0.5) / 256
+    c = FrequencyConstants(lam)
+    assert np.array_equal(c.cos, np.cos(lam))
+    assert np.array_equal(c.z, np.exp(-1j * lam))
+    assert np.array_equal(c.two_sin_half, 2.0 * np.sin(np.abs(lam) / 2.0))
+    for arr in (c.cos, c.z, c.two_sin_half):
+        assert not arr.flags.writeable
+    assert c.cos is c.cos  # computed once, then kept
+    assert np.asarray(c, dtype=float) is lam
+    ar = AR1(theta=0.6, sigma2=1.3)
+    assert np.array_equal(ar.density(c),
+                          1.3 / (2.0 * math.pi * (1.0 - 2.0 * 0.6 * np.cos(lam) + 0.6**2)))
+    pdq = ArfimaPDQ(d=0.2, phi=(0.4,), sigma2=1.4)
+    z = np.exp(-1j * lam)
+    ref = (1.4 * (2.0 * np.sin(np.abs(lam) / 2.0)) ** (-0.4)
+           * np.abs(np.polyval([1.0], z)) ** 2
+           / (2.0 * math.pi * np.abs(np.polyval([-0.4, 1.0], z)) ** 2))
+    assert np.array_equal(pdq.density(c), ref)
+
+
 # ------------------------------------------------------------------- scores
 
 def _numeric_score(model, name, lam, h=1e-6):
@@ -177,6 +225,19 @@ def test_arma_score_matches_numeric():
         - np.log(ARMA(phi=(0.5, -0.2), theta=(0.3 - 1e-6,)).density(lam))
     ) / 2e-6
     assert np.allclose(rows[2], num_ma, atol=1e-6)
+
+
+def test_arfima_pdq_score_arma_rows_bitwise(monkeypatch):
+    m = ArfimaPDQ(d=0.2, phi=(0.5, -0.2), theta=(0.3,), sigma2=1.4)
+    lam = np.linspace(0.01, math.pi, 301)
+    expected = ARMA(phi=m.phi, theta=m.theta, sigma2=m.sigma2).score(lam)
+    checks = []
+    real = models._check_arma
+    monkeypatch.setattr(models, "_check_arma", lambda *a: checks.append(a) or real(*a))
+    s = m.score(lam)
+    assert not checks  # no throwaway ARMA, so no root finding per call
+    assert np.array_equal(s[1:], expected)
+    assert np.array_equal(s[0], -2.0 * np.log(2.0 * np.sin(lam / 2.0)))
 
 
 def test_fgn_score_is_finite():

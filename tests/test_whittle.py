@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from taperspec import models, whittle
 from taperspec.errors import DomainError, SingularInformationError
 from taperspec.models import (
     AR1,
     ARFIMA0d0,
     ARMA,
     FGN,
+    ArfimaPDQ,
     WhiteNoise,
     derive_seed,
     gaussian,
@@ -89,6 +91,43 @@ def test_objective_oversample_invariance():
     v8 = whittle_objective(
         tapered_periodogram(ts2, tp, grid=canonical_grid(512, 8, shifted=True)), lm)
     assert abs(v4 - v8) < 1e-4
+
+
+def test_unit_weight_path_matches_explicit_ones_bitwise():
+    # the criterion skips the all-ones weight array; the values it returns
+    # must be those of the formulas written with an explicit ones weight
+    ts = AR1(theta=0.5).simulate(gaussian(), 256, seed=4)
+    grid = canonical_grid(256, 4, shifted=True)
+    pg = tapered_periodogram(ts, get_taper("tukey"), grid=grid)
+    pts, gw, vals = pg.grid.points, pg.grid.weight, pg.values
+    w = np.ones_like(pts)
+    for unit in (AR1(theta=0.3), ARMA(phi=(0.4,), theta=(0.2,)),
+                 ArfimaPDQ(d=0.2, phi=(0.4,))):
+        f1 = unit.density(pts)
+        s2 = float(np.sum(vals / f1 * w) * gw / (float(np.sum(w)) * gw))
+        value = np.sum((np.log(s2 * f1) + vals / (s2 * f1)) * w)
+        assert whittle._profile_scale(pg, unit, None) == (
+            s2, float(value * gw / (4.0 * math.pi)))
+        total = np.sum((np.log(f1) + vals / f1) * w) * gw
+        assert whittle_objective(pg, unit) == float(total / (4.0 * math.pi))
+
+
+def test_search_builds_each_candidate_once(monkeypatch):
+    ts = ArfimaPDQ(d=0.2, phi=(0.4,)).simulate(gaussian(), 256, seed=6)
+    start = ArfimaPDQ(d=0.1, phi=(0.1,))
+    builds, profiles = [], []
+    real_check, real_profile = models._check_arma, whittle._profile_scale
+    monkeypatch.setattr(models, "_check_arma",
+                        lambda *a: builds.append(a) or real_check(*a))
+    monkeypatch.setattr(whittle, "_profile_scale",
+                        lambda *a: profiles.append(a) or real_profile(*a))
+    fit = whittle_estimate(ts, get_taper("tukey"), start)
+    assert fit.converged
+    assert len(profiles) > 100
+    # one build per evaluation, plus the unit template and the fitted model
+    # with its scale
+    assert len(builds) == len(profiles) + 3
+    assert {p[0].grid.constants for p in profiles} == {fit.periodogram.grid.constants}
 
 
 def test_objective_rejects_bad_density():
