@@ -83,17 +83,19 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool 
     `fn` may return one row per node or an array of shape (k, len(lam));
     the result is then a float or the length-k vector of row integrals.
     On the midpoint path `fn` is evaluated once per level for all rows; on
-    the Gauss-Kronrod path each row gets its own adaptive rule.
+    the Gauss-Kronrod path each row gets its own adaptive rule, and the
+    rows of every node are kept for the call, so a node the rules share
+    is evaluated once.
     """
     if long_memory:
         from scipy.integrate import quad
 
-        shape = []  # shape of one evaluation, recorded by the first call
+        rows_at = {}  # node -> every row of fn there
 
         def scalar_fn(x: float, row: int) -> float:
-            vals = np.asarray(fn(np.array([x])))
-            if not shape:
-                shape.append(vals.shape)
+            vals = rows_at.get(x)
+            if vals is None:
+                vals = rows_at[x] = np.asarray(fn(np.array([x])))
             return float(vals[row, 0] if vals.ndim == 2 else vals[0])
 
         def row_integral(row: int) -> float:
@@ -102,9 +104,10 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], long_memory: bool 
             return 2.0 * val
 
         first = row_integral(0)
-        if len(shape[0]) == 1:
+        shape = next(iter(rows_at.values())).shape
+        if len(shape) == 1:
             return first
-        return np.array([first] + [row_integral(r) for r in range(1, shape[0][0])])
+        return np.array([first] + [row_integral(r) for r in range(1, shape[0])])
     if degree is None:
         m = _MAX_NODES
     else:

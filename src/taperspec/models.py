@@ -24,6 +24,13 @@ Simulation is driven by an innovation distribution with unit variance
 or laplace (scale 1/sqrt(2), kappa4 = 3).  Randomness comes from
 counter-based Philox streams; use `derive_seed(master, rep)` to key one
 stream per Monte Carlo replication.
+
+The fractional families simulate by FFT convolution with the MA weights
+of (1-B)^{-d}, truncated at 2^20.  Two bounded, read-only caches keep
+what every path of a study reuses: the weights per d (up to 8 MB each,
+at most 8 values of d) and their real FFT per (d, FFT length)
+(n // 2 + 1 complex values, about 17 MB at the truncation cap, at most
+2 entries).
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError, SchemaError
@@ -313,15 +321,43 @@ def _spectral_radius(poly: np.ndarray) -> float:
     return float(np.max(1.0 / np.abs(roots)))
 
 
+def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
+    """Whether every root of 1 + c1 z + ... + cp z^p has modulus > 1.
+
+    Schur-Cohn step-down recursion, without root finding: the property
+    holds iff the reflection coefficient k = c_p has |k| < 1 and the
+    polynomial with coefficients (c_i - k c_{p-i}) / (1 - k^2),
+    i = 1..p-1, has it as well.  Non-finite coefficients fail.
+    """
+    c = [float(v) for v in poly[1:]]
+    while c:
+        k = c[-1]
+        if not abs(k) < 1.0:
+            return False
+        c = [(c[i] - k * c[-2 - i]) / (1.0 - k * k) for i in range(len(c) - 1)]
+    return True
+
+
 def _check_arma(phi, theta):
     a, b = _arma_polys(phi, theta)
-    rho_ar = _spectral_radius(a)
-    rho_ma = _spectral_radius(b)
-    if rho_ar >= 1.0:
+    if not _roots_outside_unit_circle(a):
         raise DomainError("autoregressive polynomial has a root on or inside the unit circle")
-    if rho_ma >= 1.0:
+    if not _roots_outside_unit_circle(b):
         raise DomainError("moving-average polynomial is not invertible")
-    return a, b, rho_ar
+    return a, b
+
+
+def _rational_density(top, a: np.ndarray, b: np.ndarray, c: FrequencyConstants):
+    """top |b|^2 / (2 pi |a|^2) at z = e^{-i lam}, lam from the constants c.
+
+    A polynomial of order 0 is identically 1; multiplying or dividing by 1
+    is exact, so that factor is skipped.
+    """
+    if b.size > 1:
+        top = top * np.abs(_poly_on_circle(b, c.z)) ** 2
+    if a.size == 1:
+        return top / (2.0 * math.pi)
+    return top / (2.0 * math.pi * np.abs(_poly_on_circle(a, c.z)) ** 2)
 
 
 def _burn_in(rho: float) -> int:
@@ -394,7 +430,7 @@ class ARMA(Model):
         theta = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
         if sigma2 <= 0:
             raise DomainError("arma requires sigma2 > 0")
-        self._a, self._b, self._rho = _check_arma(phi, theta)
+        self._a, self._b = _check_arma(phi, theta)
         self.phi = phi
         self.theta = theta
         self.sigma2 = float(sigma2)
@@ -427,11 +463,17 @@ class ARMA(Model):
         p = len(self.phi)
         return ARMA(phi=tuple(vec[:p]), theta=tuple(vec[p:]), sigma2=self.sigma2)
 
+    @functools.cached_property
+    def _rho(self) -> float:
+        """AR spectral radius, for the burn-in and the MA(infinity) length."""
+        return _spectral_radius(self._a)
+
     def density(self, lam):
-        z = _constants(lam).z
-        num = np.abs(_poly_on_circle(self._b, z)) ** 2
-        den = np.abs(_poly_on_circle(self._a, z)) ** 2
-        return _maybe_scalar(self.sigma2 * num / (2.0 * math.pi * den), lam)
+        c = _constants(lam)
+        out = _rational_density(self.sigma2, self._a, self._b, c)
+        if np.ndim(out) == 0:  # white noise written as arma{}
+            out = np.full(c.lam.shape, out)
+        return _maybe_scalar(out, lam)
 
     def score(self, lam):
         lam_arr = _as_lam(lam)
@@ -496,6 +538,34 @@ def _frac_psi(d: float, tol: float = 1e-8) -> tuple[np.ndarray, float]:
     return psi, float(tail_frac)
 
 
+@functools.lru_cache(maxsize=2)
+def _frac_spectrum(d: float, n: int) -> np.ndarray:
+    """Real FFT of the `_frac_psi(d)` weights zero-padded to n points.
+
+    Every path of a study filters with the same weights at the same n, so
+    the transform is kept (size and bound in the module docstring).
+    Write-protected.
+    """
+    spec = scipy.fft.rfftn(_frac_psi(d)[0], [n])
+    spec.setflags(write=False)
+    return spec
+
+
+def _frac_filter(xi: np.ndarray, d: float, L: int) -> np.ndarray:
+    """(psi * xi)[K:K + L] for the K + 1 weights psi of (1-B)^{-d}.
+
+    The transforms of scipy.signal.fftconvolve(xi, psi)[K:K + L], bit for
+    bit: rfftn at n = next_fast_len(xi.size + K, True), product, irfftn.
+    The weights' transform comes from `_frac_spectrum` and the product is
+    formed in place.
+    """
+    K = _frac_psi(d)[0].size - 1
+    n = scipy.fft.next_fast_len(xi.size + K, True)
+    spec = scipy.fft.rfftn(xi, [n])
+    spec *= _frac_spectrum(d, n)
+    return scipy.fft.irfftn(spec, [n])[K:K + L]
+
+
 def _frac_r0(d: float) -> float:
     return 2.0 * math.pi * math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
 
@@ -537,7 +607,7 @@ class ARFIMA0d0(Model):
         psi, tail_frac = _frac_psi(self.d)
         K = psi.size - 1
         xi = driver.sample(rng, T + K)
-        x = math.sqrt(2.0 * math.pi) * fftconvolve(xi, psi)[K:K + T]
+        x = math.sqrt(2.0 * math.pi) * _frac_filter(xi, self.d, T)
         prov = self._base_provenance(driver, T, seed)
         prov["ma_truncation"] = K
         prov["ma_tail_fraction"] = tail_frac
@@ -556,7 +626,7 @@ class ArfimaPDQ(Model):
             raise DomainError("arfima_pdq requires sigma2 > 0")
         phi = tuple(float(v) for v in np.atleast_1d(np.asarray(phi, dtype=float))) if np.size(phi) else ()
         theta = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
-        self._a, self._b, self._rho = _check_arma(phi, theta)
+        self._a, self._b = _check_arma(phi, theta)
         self.d = float(d)
         self.phi = phi
         self.theta = theta
@@ -593,13 +663,16 @@ class ArfimaPDQ(Model):
         return ArfimaPDQ(d=float(vec[0]), phi=tuple(vec[1:1 + p]),
                          theta=tuple(vec[1 + p:]), sigma2=self.sigma2)
 
+    @functools.cached_property
+    def _rho(self) -> float:
+        """AR spectral radius, for the burn-in."""
+        return _spectral_radius(self._a)
+
     def density(self, lam):
         c = _constants(lam)
-        num = np.abs(_poly_on_circle(self._b, c.z)) ** 2
-        den = np.abs(_poly_on_circle(self._a, c.z)) ** 2
         with np.errstate(divide="ignore"):
             frac = c.two_sin_half ** (-2.0 * self.d)
-        return _maybe_scalar(self.sigma2 * frac * num / (2.0 * math.pi * den), lam)
+        return _maybe_scalar(_rational_density(self.sigma2 * frac, self._a, self._b, c), lam)
 
     def score(self, lam):
         lam_arr = _as_lam(lam)
@@ -628,7 +701,7 @@ class ArfimaPDQ(Model):
         K = psi.size - 1
         burn = _burn_in(self._rho)
         xi = driver.sample(rng, T + burn + K)
-        frac = fftconvolve(xi, psi)[K:K + T + burn]
+        frac = _frac_filter(xi, self.d, T + burn)
         x = lfilter(self._b, self._a, math.sqrt(self.sigma2) * frac)[burn:]
         prov = self._base_provenance(driver, T, seed)
         prov["burn_in"] = burn
@@ -660,7 +733,17 @@ class FGN(Model):
         )
 
     def _bracket(self, lam_arr: np.ndarray) -> np.ndarray:
-        """|1-e^{-i lam}|^2 sum_{|k|<=100} |lam+2pi k|^{-(2H+1)} + tail."""
+        """|1-e^{-i lam}|^2 sum_{|k|<=100} |lam+2pi k|^{-(2H+1)} + tail.
+
+        At lam = 0 the k = 0 term makes this 0 * inf; its limit there,
+        lam^{1-2H}, is +inf for H > 1/2, 0 for H < 1/2 and 1 at H = 1/2.
+        """
+        origin = lam_arr == 0.0
+        if origin.any():
+            out = np.empty(lam_arr.size)
+            out[~origin] = self._bracket(lam_arr[~origin])
+            out[origin] = math.inf if self.H > 0.5 else float(self.H == 0.5)
+            return out
         expo = 2.0 * self.H + 1.0
         out = np.empty(lam_arr.size)
         k = np.arange(-_FGN_K, _FGN_K + 1, dtype=float)

@@ -239,9 +239,12 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
                     == (tmp_path / "3" / f"{name}{ext}").read_bytes()), name + ext
 
 
-# CSV sha256 of two small studies, recorded before the Whittle search and the
-# composite replication stopped recomputing per-candidate and per-replication
-# constants; those changes must leave every output byte alone.
+# CSV sha256 of small studies, each recorded before a speed-up of the code it
+# runs: gc and lm before the Whittle search and the composite replication
+# stopped recomputing per-candidate and per-replication constants; sf, sp and
+# wa before the fractional filter, the stationarity test and the rational
+# densities stopped recomputing per-path, per-candidate and unit factors.
+# Those changes must leave every output byte alone.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
@@ -250,6 +253,15 @@ _PINNED_CSV_SHA256 = {
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
+    "sf": (["simulate", "--model", "arfima0d0{d=0.45}", "--T", "600",
+            "--reps", "2", "--seed", "45"],
+           "dc2bf94e92074913babccca14be9b25d86ac85b1c17d9c0055106aefabac0d19"),
+    "sp": (["simulate", "--model", "arfima_pdq{d=0.2,phi=[0.4],theta=[-0.3]}",
+            "--T", "300", "--reps", "2", "--seed", "47"],
+           "2564c19ac3f062cff19db6ae3699c1d8b2f796437643f9530e4df4e5e449cb07"),
+    "wa": (["whittle", "--model", "arma{phi=[0.5,-0.2],theta=[0.3]}", "--taper", "tukey",
+            "--T", "256", "--reps", "3", "--seed", "53"],
+           "9a7ebf65e37a3b743b687ea41e9abdfd95bc9481195cec861d4409fe833c5290"),
 }
 
 

@@ -132,20 +132,56 @@ _EVERY_FAMILY = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m", _EVERY_FAMILY, ids=lambda m: m.family)
 def test_density_through_shared_constants_is_bit_identical(m):
     # a search reuses one FrequencyConstants for every candidate; it must give
     # exactly the values of a plain call, on both canonical grid variants
+    # (offset 1 samples the origin)
     for offset in (1.0, 0.5):
         lam = -math.pi + 2.0 * math.pi * (np.arange(512) + offset) / 512
         shared = FrequencyConstants(lam)
         first = m.density(shared)
         again = m.density(shared)
         plain = m.density(lam)
-        # fgn is 0 * inf = nan at the origin, in both routes
-        assert np.array_equal(first, plain, equal_nan=True)
-        assert np.array_equal(again, plain, equal_nan=True)
+        assert not np.isnan(plain).any()
+        assert np.array_equal(first, plain)
+        assert np.array_equal(again, plain)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fgn_density_at_origin():
+    # the limit of |lam|^{1-2H} at 0, not 0 * inf; other nodes keep their bits
+    lam = np.array([0.0, 0.3, -0.0, -1.2])
+    for H, limit in ((0.7, math.inf), (0.3, 0.0)):
+        m = FGN(H)
+        assert m.density(0.0) == limit
+        vals = m.density(lam)
+        assert vals[0] == vals[2] == limit
+        assert np.array_equal(vals[[1, 3]], m.density(lam[[1, 3]]))
+    white = FGN(0.5)  # the k = 0 term alone keeps its limit 1
+    at_origin = white.density(0.0)
+    assert at_origin == white._norm()
+    assert at_origin == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-8)
+
+
+@pytest.mark.parametrize("m", [
+    ARMA(phi=(0.5, -0.2), sigma2=0.8),
+    ARMA(theta=(0.3,), sigma2=0.8),
+    ARMA(sigma2=0.8),
+    ArfimaPDQ(d=0.2, sigma2=1.4),
+    ArfimaPDQ(d=0.2, theta=(-0.3,), sigma2=1.4),
+], ids=lambda m: m.describe())
+def test_unit_polynomial_factors_skipped_bitwise(m):
+    # an order-0 polynomial is identically 1; skipping it must not move a bit
+    lam = -math.pi + 2.0 * math.pi * (np.arange(256) + 0.5) / 256
+    z = np.exp(-1j * lam)
+    num = np.abs(np.polyval(m._b[::-1], z)) ** 2
+    den = np.abs(np.polyval(m._a[::-1], z)) ** 2
+    top = m.sigma2
+    if isinstance(m, ArfimaPDQ):
+        top = top * (2.0 * np.sin(np.abs(lam) / 2.0)) ** (-2.0 * m.d)
+    assert np.array_equal(m.density(lam), top * num / (2.0 * math.pi * den))
 
 
 def test_density_constants_match_the_plain_formulas_bitwise():
@@ -426,6 +462,35 @@ def test_fgn_rejects_non_gaussian_driver():
         FGN(0.7).simulate(centered_exponential(), 64, seed=0)
 
 
+@pytest.mark.parametrize("d", [-0.3, 0.1, 0.3, 0.45])
+def test_frac_filter_matches_fftconvolve_bitwise(d):
+    from scipy.signal import fftconvolve
+
+    psi = models._frac_psi(d)[0]
+    K = psi.size - 1
+    for L in (1, 600, 2548):
+        xi = make_rng(L).standard_normal(L + K)
+        assert np.array_equal(models._frac_filter(xi, d, L),
+                              fftconvolve(xi, psi)[K:K + L])
+
+
+def test_frac_spectrum_cached_read_only():
+    from scipy.fft import next_fast_len
+
+    d, T = 0.3, 64
+    K = models._frac_psi(d)[0].size - 1
+    n = next_fast_len(T + 2 * K, True)
+    ARFIMA0d0(d=d).simulate(gaussian(), T, seed=0)
+    info = models._frac_spectrum.cache_info()
+    spec = models._frac_spectrum(d, n)  # the transform that path used
+    assert models._frac_spectrum.cache_info().hits == info.hits + 1
+    assert info.maxsize == 2
+    assert spec.shape == (n // 2 + 1,)
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
+
+
 def test_arfima_pdq_simulation_runs():
     m = ArfimaPDQ(d=0.2, phi=(0.3,), theta=(), sigma2=1.0)
     ts = m.simulate(gaussian(), 4096, seed=17)
@@ -453,6 +518,59 @@ def test_arfima_pdq_simulation_runs():
 )
 def test_domain_violations_rejected(build):
     with pytest.raises(DomainError):
+        build()
+
+
+def _random_polys(rng, count):
+    """1 + c1 z + ... + cp z^p, p in 1..4: half from random coefficients,
+    half from random inverse roots with moduli straddling 1."""
+    polys = []
+    for i in range(count):
+        p = int(rng.integers(1, 5))
+        if i % 2:
+            polys.append(np.r_[1.0, rng.uniform(-2.0, 2.0, p)])
+            continue
+        pairs = rng.uniform(0.0, 1.3, p // 2) * np.exp(1j * rng.uniform(0.0, math.pi, p // 2))
+        inv = np.concatenate([pairs, pairs.conj(), rng.uniform(-1.3, 1.3, p % 2)])
+        polys.append(np.real(np.poly(inv)))  # prod (1 - r z) has these coefficients
+    return polys
+
+
+def test_schur_cohn_agrees_with_root_radius():
+    checked = 0
+    for poly in _random_polys(make_rng(2024), 2000):
+        rho = models._spectral_radius(poly)
+        if abs(rho - 1.0) < 1e-9:
+            continue
+        assert models._roots_outside_unit_circle(poly) == (rho < 1.0), poly
+        checked += 1
+    assert checked > 1900
+
+
+def test_stationarity_check_finds_no_roots(monkeypatch):
+    calls = []
+    real = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or real(p))
+    m = ArfimaPDQ(d=0.2, phi=(0.5, -0.2), theta=(0.3,))
+    ARMA(phi=(0.5, -0.2), theta=(0.3,)).density(np.array([0.5]))
+    assert not calls
+    # the AR radius is found once, when the burn-in first needs it
+    burn = m.simulate(gaussian(), 16, seed=0).provenance["burn_in"]
+    assert m._rho == models._spectral_radius(m._a)
+    assert burn == models._burn_in(m._rho)
+    assert len(calls) == 2  # the simulation's, then the check's above
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ARMA(phi=(1.0,)), "autoregressive polynomial has a root on or inside the unit circle"),
+    (lambda: ARMA(theta=(-1.0,)), "moving-average polynomial is not invertible"),
+    (lambda: ArfimaPDQ(d=0.2, phi=(1.0,)), "autoregressive polynomial has a root on or inside the unit circle"),
+    (lambda: ArfimaPDQ(d=0.2, theta=(-1.0,)), "moving-average polynomial is not invertible"),
+    (lambda: ARMA(phi=(0.5, 0.5)), "autoregressive polynomial has a root on or inside the unit circle"),
+    (lambda: ARMA(phi=(float("nan"),)), "autoregressive polynomial has a root on or inside the unit circle"),
+])
+def test_unit_circle_boundary_rejected(build, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         build()
 
 

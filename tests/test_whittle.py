@@ -352,6 +352,47 @@ def test_info_matrix_long_memory():
     assert np.allclose(info.B, 0.0, atol=1e-9)
 
 
+def _per_row_quad(fn, rows):
+    """Row integrals of a long-memory integrand, one adaptive rule per row,
+    every node evaluated afresh (the rule spectral_integral must match)."""
+    from scipy.integrate import quad
+
+    def row_fn(x, r):
+        return float(np.asarray(fn(np.array([x])))[r, 0])
+
+    return np.array([2.0 * quad(row_fn, 0.0, math.pi, args=(r,), limit=400,
+                                epsabs=1e-9, epsrel=1e-10)[0] for r in range(rows)])
+
+
+def test_long_memory_quadrature_evaluates_each_node_once():
+    m = ArfimaPDQ(d=0.3, phi=(0.4,))
+    nodes = []
+
+    def integrand(lam):
+        nodes.extend(lam.tolist())
+        return np.vstack([m.density(lam), m.score(lam)])
+
+    vals = spectral_integral(integrand, long_memory=True)
+    assert len(nodes) == len(set(nodes))
+    assert np.array_equal(vals, _per_row_quad(integrand, 4))
+
+
+def test_info_matrix_long_memory_matches_per_row_reference(monkeypatch):
+    m = parse_model("arfima_pdq{d=0.3,phi=0.4}")
+    seen = []
+    real = whittle.spectral_integral
+    monkeypatch.setattr(whittle, "spectral_integral",
+                        lambda fn, **kw: seen.append(fn) or real(fn, **kw))
+    info = info_matrices(m)
+    # rows: s_d, s_phi, then s_d s_d, s_d s_phi, s_phi s_phi
+    ref = _per_row_quad(seen[0], 5)
+    W = np.array([[ref[2], ref[3]], [ref[3], ref[4]]]) / (4.0 * math.pi)
+    assert np.array_equal(info.W, W)
+    assert info.A is info.W
+    w_inv = np.linalg.inv(W)
+    assert np.array_equal(info.gamma, w_inv @ (W + info.B) @ w_inv)
+
+
 def test_info_matrix_weighted():
     # w = 1 + 0.5 cos: for theta = 0 the W integral is unchanged (odd
     # cosine powers drop) while A picks up 3/16 from cos^4.
