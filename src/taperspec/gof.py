@@ -100,7 +100,12 @@ class TestBasis:
 def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
     """Certify a list of callables as an orthonormal system on [-pi, pi].
 
-    `degree` is as in TestBasis.  See _certified for the checks.
+    `degree` is as in TestBasis.  Slots are classified zero or even, and
+    any with a non-vanishing odd part rejected (see TestBasis), on a
+    symmetric grid.  The Gram matrix of the non-zero slots comes from
+    `spectral_integral`, started at twice the basis degree (a product of
+    two slots carries up to that frequency), and must match the identity
+    within 1e-6.
     """
     functions = tuple(functions)
     if not functions:
@@ -112,18 +117,6 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
 
     if names is None:
         names = tuple(f"phi{j + 1}" for j in range(len(functions)))
-    return _certified(evaluate, names, degree)
-
-
-def _certified(evaluate, names, degree) -> TestBasis:
-    """TestBasis for `evaluate` once its slots pass the certificate.
-
-    Slots are classified zero or even, and any with a non-vanishing odd
-    part rejected (see TestBasis), on a symmetric grid.
-    The Gram matrix of the non-zero slots comes from `spectral_integral`,
-    started at twice the basis degree (a product of two slots carries up
-    to that frequency), and must match the identity within 1e-6.
-    """
     m = len(names)
     grid = np.linspace(-math.pi, math.pi, _PARITY_NODES)
     vals = evaluate(grid)
@@ -161,16 +154,22 @@ def _certified(evaluate, names, degree) -> TestBasis:
 
 
 def cosine_basis(m: int) -> TestBasis:
-    """phi_j(lam) = cos(j lam) / sqrt(pi), j = 1..m."""
+    """phi_j(lam) = cos(j lam) / sqrt(pi), j = 1..m.
+
+    Orthonormal by construction, so it skips the certificate (the tests
+    certify it).
+    """
     m = int(m)
     if m < 1:
         raise DomainError("cosine basis needs m >= 1")
-    funcs = []
-    for j in range(1, m + 1):
-        funcs.append(lambda lam, j=j: np.cos(j * np.asarray(lam, dtype=float))
-                     / math.sqrt(math.pi))
-    names = tuple(f"cos{j}" for j in range(1, m + 1))
-    return make_basis(funcs, names=names, degree=m)
+    j = np.arange(1, m + 1, dtype=float)
+
+    def evaluate(lam):
+        return np.cos(np.outer(j, lam)) / math.sqrt(math.pi)
+
+    names = tuple(f"cos{k}" for k in range(1, m + 1))
+    return TestBasis(evaluate=evaluate, names=names, parity=("even",) * m,
+                     gram_residual=0.0, degree=m)
 
 
 def _ar_poly(model: Model) -> np.ndarray:
@@ -198,7 +197,8 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     argument shows every slot with j > p is orthogonal both to the
     other slots and to the AR score, so the cross matrix b vanishes and
     the composite statistic keeps a plain chi-square limit with one
-    degree of freedom per active slot.
+    degree of freedom per active slot.  Being orthonormal by
+    construction, it skips the certificate (the tests certify it).
     """
     a = _ar_poly(model)
     p = a.size - 1
@@ -216,7 +216,9 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
         return np.vstack(rows)
 
     names = ("zero",) * p + tuple(f"re_psi{j}" for j in range(p + 1, m + 1))
-    return _certified(evaluate, names, degree=m)
+    return TestBasis(evaluate=evaluate, names=names,
+                     parity=("zero",) * p + ("even",) * (m - p),
+                     gram_residual=0.0, degree=m)
 
 
 @dataclass(frozen=True)

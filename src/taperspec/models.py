@@ -298,9 +298,8 @@ def _poly_on_circle(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.polyval(coeffs[::-1], z)
 
 
-def _arma_score_rows(a: np.ndarray, b: np.ndarray, lam_arr: np.ndarray) -> list:
-    """d log f / d phi_j and d log f / d theta_j of the rational factor |b|^2/|a|^2."""
-    z = np.exp(-1j * lam_arr)
+def _arma_score_rows(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> list:
+    """d log f / d phi_j and d log f / d theta_j of |b|^2/|a|^2 at z = e^{-i lam}."""
     rows = []
     for coeffs in (a, b):
         val = _poly_on_circle(coeffs, z)
@@ -336,6 +335,22 @@ def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
             return False
         c = [(c[i] - k * c[-2 - i]) / (1.0 - k * k) for i in range(len(c) - 1)]
     return True
+
+
+def _arma_updates(params: dict, updates: dict, family: str) -> dict:
+    """`params` with `updates`: whole parameters first, then single
+    coefficients named phiK / thetaK (K from 1)."""
+    merged = {**params, **{k: v for k, v in updates.items() if k in params}}
+    coefs = {name: list(np.atleast_1d(np.asarray(merged[name], dtype=float)))
+             for name in ("phi", "theta")}
+    for key, val in updates.items():
+        if key in params:
+            continue
+        name = next((n for n in coefs if key.startswith(n)), None)
+        if name is None:
+            raise ValueError(f"unknown {family} parameter {key!r}")
+        coefs[name][int(key[len(name):]) - 1] = float(val)
+    return {**merged, "phi": tuple(coefs["phi"]), "theta": tuple(coefs["theta"])}
 
 
 def _check_arma(phi, theta):
@@ -393,16 +408,17 @@ class AR1(Model):
         self.theta = float(theta)
         self.sigma2 = float(sigma2)
 
+    def _denom(self, c: FrequencyConstants) -> np.ndarray:
+        """|1 - theta e^{-i lam}|^2, written without cancellation near lam = 0."""
+        return (1.0 - self.theta) ** 2 + self.theta * c.two_sin_half**2
+
     def density(self, lam):
-        denom = 1.0 - 2.0 * self.theta * _constants(lam).cos + self.theta**2
-        return _maybe_scalar(self.sigma2 / (2.0 * math.pi * denom), lam)
+        return _maybe_scalar(self.sigma2 / (2.0 * math.pi * self._denom(_constants(lam))), lam)
 
     def score(self, lam):
-        lam_arr = _as_lam(lam)
-        c = np.cos(lam_arr)
-        denom = 1.0 - 2.0 * self.theta * c + self.theta**2
-        row_theta = 2.0 * (c - self.theta) / denom
-        row_sigma = np.full(lam_arr.size, 1.0 / self.sigma2)
+        c = _constants(lam)
+        row_theta = 2.0 * (c.cos - self.theta) / self._denom(c)
+        row_sigma = np.full(c.lam.size, 1.0 / self.sigma2)
         return np.vstack([row_theta, row_sigma])
 
     def covariance(self, u):
@@ -439,21 +455,7 @@ class ARMA(Model):
         )
 
     def with_params(self, **updates):
-        merged = {"phi": self.phi, "theta": self.theta, "sigma2": self.sigma2}
-        phi = list(merged["phi"])
-        th = list(merged["theta"])
-        for key, val in updates.items():
-            if key in merged:
-                merged[key] = val
-            elif key.startswith("phi"):
-                phi[int(key[3:]) - 1] = float(val)
-            elif key.startswith("theta"):
-                th[int(key[5:]) - 1] = float(val)
-            else:
-                raise ValueError(f"unknown arma parameter {key!r}")
-        merged["phi"] = tuple(phi)
-        merged["theta"] = tuple(th)
-        return ARMA(**merged)
+        return ARMA(**_arma_updates(self.params(), updates, self.family))
 
     def free_vector(self):
         return np.array(self.phi + self.theta, dtype=float)
@@ -476,9 +478,9 @@ class ARMA(Model):
         return _maybe_scalar(out, lam)
 
     def score(self, lam):
-        lam_arr = _as_lam(lam)
-        rows = _arma_score_rows(self._a, self._b, lam_arr)
-        rows.append(np.full(lam_arr.size, 1.0 / self.sigma2))
+        c = _constants(lam)
+        rows = _arma_score_rows(self._a, self._b, c.z)
+        rows.append(np.full(c.lam.size, 1.0 / self.sigma2))
         return np.vstack(rows)
 
     def covariance(self, u):
@@ -588,10 +590,8 @@ class ARFIMA0d0(Model):
         return _maybe_scalar(out, lam)
 
     def score(self, lam):
-        lam_arr = _as_lam(lam)
-        s = 2.0 * np.sin(np.abs(lam_arr) / 2.0)
         with np.errstate(divide="ignore"):
-            return -2.0 * np.log(s)[None, :]
+            return -2.0 * np.log(_constants(lam).two_sin_half)[None, :]
 
     def covariance(self, u):
         u_arr = np.abs(np.atleast_1d(np.asarray(u)).astype(int))
@@ -638,21 +638,7 @@ class ArfimaPDQ(Model):
         self._cov_cache: dict[int, float] = {}
 
     def with_params(self, **updates):
-        merged = {"d": self.d, "phi": self.phi, "theta": self.theta, "sigma2": self.sigma2}
-        phi = list(merged["phi"])
-        th = list(merged["theta"])
-        for key, val in updates.items():
-            if key in merged:
-                merged[key] = val
-            elif key.startswith("phi"):
-                phi[int(key[3:]) - 1] = float(val)
-            elif key.startswith("theta"):
-                th[int(key[5:]) - 1] = float(val)
-            else:
-                raise ValueError(f"unknown arfima_pdq parameter {key!r}")
-        merged["phi"] = tuple(phi)
-        merged["theta"] = tuple(th)
-        return ArfimaPDQ(**merged)
+        return ArfimaPDQ(**_arma_updates(self.params(), updates, self.family))
 
     def free_vector(self):
         return np.array((self.d,) + self.phi + self.theta, dtype=float)
@@ -675,12 +661,11 @@ class ArfimaPDQ(Model):
         return _maybe_scalar(_rational_density(self.sigma2 * frac, self._a, self._b, c), lam)
 
     def score(self, lam):
-        lam_arr = _as_lam(lam)
-        s = 2.0 * np.sin(np.abs(lam_arr) / 2.0)
+        c = _constants(lam)
         with np.errstate(divide="ignore"):
-            d_row = -2.0 * np.log(s)
-        rows = [d_row, *_arma_score_rows(self._a, self._b, lam_arr),
-                np.full(lam_arr.size, 1.0 / self.sigma2)]
+            d_row = -2.0 * np.log(c.two_sin_half)
+        rows = [d_row, *_arma_score_rows(self._a, self._b, c.z),
+                np.full(c.lam.size, 1.0 / self.sigma2)]
         return np.vstack(rows)
 
     def covariance(self, u):

@@ -20,7 +20,7 @@ Built-in tapers (CLI names in parentheses):
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -209,10 +209,6 @@ _REGISTRY: dict[str, Callable[[], Taper]] = {
     "tukey": tukey_hanning,
 }
 _INSTANCES: dict[str, Taper] = {}
-
-
-def taper_ids() -> Iterable[str]:
-    return tuple(_REGISTRY)
 
 
 def get_taper(name: str) -> Taper:

@@ -8,7 +8,11 @@ The fitted criterion is
 over a canonical frequency grid (shifted off the origin for long-memory
 families), with w an optional weight function, identically 1 by default.
 A multiplicative innovation scale is profiled out in closed form, so the
-numeric search runs over shape parameters only.
+numeric search runs over shape parameters only: one by projected Fisher
+scoring, with the gradient and expected Hessian of the profiled criterion
+in closed form from `model.score` (the periodogram is fixed during a
+search, so the criterion is as smooth as the density), more by
+Nelder-Mead from five deterministic starts.
 
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
@@ -68,7 +72,8 @@ class WhittleFit:
     `asym_cov` (e(h) Gamma at the fitted point) and `se` are computed by
     `info_matrices` on first access and then kept; a singular information
     matrix raises SingularInformationError there, not during the fit.
-    `periodogram` is the one the criterion was fitted to.
+    `periodogram` is the one the criterion was fitted to, and `iterations`
+    counts the criterion evaluations of the search.
     """
 
     theta_hat: np.ndarray
@@ -174,34 +179,52 @@ def default_bounds(model: Model) -> list:
     return out
 
 
-def golden_section(fn, lo: float, hi: float, tol: float = 1e-7,
-                   max_evals: int = 2000) -> tuple:
-    """Minimize a unimodal scalar function on [lo, hi].
+def _scoring_step(pgram: Periodogram, s2: float, unit: Model, weight) -> float:
+    """Fisher-scoring step -g/H for the one shape parameter of `unit`.
 
-    Returns (x, fx, evals, converged).  Infinite objective values are
-    tolerated; the bracket simply keeps shrinking.
+    g = (1/4pi) sum_j (1 - I_j/f_j) s_j w_j dlam is the gradient of the
+    profiled criterion at f = s2 f1 (s2 minimizes it, so by the envelope
+    theorem it drops out) and H = (1/4pi) sum_j s_j^2 w_j dlam the grid
+    version of `info_matrices`' W, s being the shape row of `model.score`.
+    A zero H, or any non-finite step, gives a zero step.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    evals = 2
-    while (b - a) > tol and evals < max_evals:
-        if fc < fd:
-            b = d
-            d, fd = c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a = c
-            c, fc = d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        evals += 1
-    if fc < fd:
-        return c, fc, evals, (b - a) <= tol
-    return d, fd, evals, (b - a) <= tol
+    f = s2 * _grid_density(unit, pgram.grid)
+    s = np.atleast_2d(unit.score(pgram.grid.constants))[0]
+    w = _weight_values(weight, pgram.grid.points)
+    sw = s if w is None else s * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -np.sum((1.0 - pgram.values / f) * sw) / np.sum(s * sw)
+    return float(step) if np.isfinite(step) else 0.0
+
+
+def _fisher_scoring(evaluate, step_at, lo: float, hi: float, tol: float,
+                    max_evals: int) -> tuple:
+    """Minimize evaluate(x) = (value, state) on [lo, hi] from the centre.
+
+    Each step `step_at(state)` is clipped into the box and halved while
+    the criterion rises (a non-finite value counts as rising); the search
+    converges once a step is at most `tol`.  Returns
+    (x, value, state, evaluations, converged).
+    """
+    x = lo + 0.5 * (hi - lo)
+    value, state = evaluate(x)
+    if not math.isfinite(value):
+        raise DomainError("objective not finite at the search start")
+    evals = 1
+    while evals < max_evals:
+        trial = min(max(x + step_at(state), lo), hi)
+        while trial != x:
+            t_value, t_state = evaluate(trial)
+            evals += 1
+            if t_value <= value or abs(trial - x) <= tol or evals >= max_evals:
+                break
+            trial = x + 0.5 * (trial - x)
+        moved = abs(trial - x)
+        if trial != x and t_value <= value:
+            x, value, state = trial, t_value, t_state
+        if moved <= tol:
+            return x, value, state, evals, True
+    return x, value, state, evals, False
 
 
 def _nm_starts(bounds) -> list:
@@ -227,10 +250,10 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     """Fit the model family to a series by tapered Whittle minimization.
 
     `model` doubles as the family template; its free parameters are the
-    search space and its scale (when it has one) is profiled out.  The
-    search is golden-section for one shape parameter and Nelder-Mead from
-    five deterministic starts otherwise; both are derivative-free on
-    purpose, the periodogram makes the criterion rough.
+    search space and its scale (when it has one) is profiled out.  One
+    shape parameter is fitted by projected Fisher scoring from the centre
+    of its box (`_fisher_scoring`), more than one by Nelder-Mead from five
+    deterministic starts.  `iterations` counts criterion evaluations.
     """
     x = np.asarray(series.values if hasattr(series, "values") else series,
                    dtype=float)
@@ -246,14 +269,15 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
 
     def shape_objective(vec) -> tuple:
+        """(value, (s2, candidate)), s2 = 1 for a family without a scale."""
         try:
             cand = template.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
             if has_scale:
                 s2, val = _profile_scale(pgram, cand, weight)
-                return val, s2
-            return whittle_objective(pgram, cand, weight=weight), None
+                return val, (s2, cand)
+            return whittle_objective(pgram, cand, weight=weight), (1.0, cand)
         except (DomainError, ValueError, FloatingPointError):
-            return math.inf, None
+            return math.inf, (None, None)
 
     if p == 0:
         if not has_scale:
@@ -268,33 +292,27 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         if len(box) != p:
             raise DomainError(f"need {p} bounds pairs, got {len(box)}")
         if p == 1:
-            xopt, value, iterations, converged = golden_section(
-                lambda t: shape_objective([t])[0],
-                box[0][0], box[0][1], tol=tol, max_evals=max_evals)
+            xopt, value, (s2, _), iterations, converged = _fisher_scoring(
+                lambda t: shape_objective([t]),
+                lambda state: _scoring_step(pgram, *state, weight),
+                float(box[0][0]), float(box[0][1]), tol, max_evals)
             best_vec = np.array([xopt])
         else:
             per_start = max(200, max_evals // 5)
-            results = []
-            evals = 0
-            for start in _nm_starts(box):
-                res = scipy.optimize.minimize(
-                    lambda v: shape_objective(v)[0], start,
-                    method="Nelder-Mead", bounds=box,
-                    options={"xatol": tol, "fatol": 1e-12,
-                             "maxfev": per_start})
-                evals += res.nfev
-                results.append(res)
+            results = [scipy.optimize.minimize(
+                lambda v: shape_objective(v)[0], start,
+                method="Nelder-Mead", bounds=box,
+                options={"xatol": tol, "fatol": 1e-12, "maxfev": per_start})
+                for start in _nm_starts(box)]
             best = min(results, key=lambda r: r.fun)
             best_vec = np.asarray(best.x, dtype=float)
-            value = float(best.fun)
-            iterations = evals
+            iterations = sum(r.nfev for r in results)
             converged = bool(best.success)
-        value2, s2 = shape_objective(best_vec)
-        if not math.isfinite(value2):
-            raise DomainError("objective not finite at the reported minimum")
-        value = value2
+            value, (s2, _) = shape_objective(best_vec)
+            if not math.isfinite(value):
+                raise DomainError("objective not finite at the reported minimum")
         fitted = model.with_free(best_vec)
-        if has_scale and s2 is not None:
+        if has_scale:
             fitted = fitted.with_params(**{model.scale_name: s2})
         theta = best_vec
         fit_names = names
@@ -302,8 +320,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     return WhittleFit(
         theta_hat=theta, names=fit_names, objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
-        sigma2_hat=(float(s2) if (has_scale and p > 0) else
-                    (float(theta[0]) if (has_scale and p == 0) else None)),
+        sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
         kappa4=kappa4, weight=weight, periodogram=pgram)
 

@@ -94,6 +94,42 @@ def test_ar_example_basis_accepted_near_unit_root(theta):
     assert basis.degree == 4
 
 
+def _certify(basis, nodes=1 << 16):
+    """Parity and Gram residual of a basis, computed here, not read off it.
+
+    Slots are classified zero or even on a symmetric grid; the Gram matrix
+    of the non-zero slots is the periodic midpoint rule on `nodes` points,
+    whose error for these slots falls like theta^nodes.
+    """
+    grid = np.linspace(-math.pi, math.pi, 8193)
+    vals = basis.values(grid)
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals - vals[:, ::-1])) <= 1e-10  # no odd part
+    parity = tuple("zero" if np.max(np.abs(v)) < 1e-12 else "even" for v in vals)
+    lam = -math.pi + 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    active = basis.values(lam)[[j for j, p in enumerate(parity) if p == "even"]]
+    gram = active @ active.T * (2.0 * math.pi / nodes)
+    return parity, float(np.max(np.abs(gram - np.eye(len(active)))))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("theta", [0.5, 0.9, 0.99, 0.999])
+def test_built_in_bases_pass_the_certificate(theta, m):
+    # built without the certificate, being orthonormal by construction
+    for basis in (cosine_basis(m), ar_example_basis(AR1(theta=theta, sigma2=1.0), m)):
+        parity, residual = _certify(basis)
+        assert parity == basis.parity
+        assert residual < 1e-12
+        assert basis.gram_residual < 1e-12
+
+
+def test_cosine_slots_match_their_formula_bitwise():
+    lam = np.linspace(-math.pi, math.pi, 1001)
+    vals = cosine_basis(5).values(lam)
+    for j in range(1, 6):
+        assert np.array_equal(vals[j - 1], np.cos(j * lam) / math.sqrt(math.pi))
+
+
 def test_ar_example_slots_match_their_formula_bitwise():
     theta = 0.7
     lam = np.linspace(-math.pi, math.pi, 1001)

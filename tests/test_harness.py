@@ -244,12 +244,14 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
 # stopped recomputing per-candidate and per-replication constants; sf, sp and
 # wa before the fractional filter, the stationarity test and the rational
 # densities stopped recomputing per-path, per-candidate and unit factors.
-# Those changes must leave every output byte alone.
+# Those changes must leave every output byte alone.  gc was re-recorded when
+# one-parameter fits moved to Fisher scoring and the AR(1) density lost its
+# cancellation near the origin: its statistic moved in the last 8 digits.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "14a7dd8f2dd44a0485cd6fd4a66ddda53264aaa884586ae3f6d4527cfd67e2fb"),
+           "3c94c8c7ca9830647a796309adfdc003a1dd64c61b4f428331fb1ef62673baf8"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),

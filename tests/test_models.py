@@ -69,6 +69,16 @@ def test_ar1_density_values():
     assert m.density(math.pi) == pytest.approx(1.0 / (2.0 * math.pi * 2.25), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.5, 0.99, 0.999])
+def test_ar1_density_integrates_to_variance_near_unit_root(theta):
+    # r(0) = 1/(1 - theta^2); the density's denominator (1 - theta)^2 +
+    # theta (2 sin(lam/2))^2 keeps its relative precision near lam = 0
+    from taperspec._quad import spectral_integral
+
+    exact = 1.0 / (1.0 - theta**2)
+    assert spectral_integral(AR1(theta=theta).density) == pytest.approx(exact, rel=1e-13)
+
+
 def test_arfima_density_pinned_value():
     m = ARFIMA0d0(d=0.25)
     assert m.density(math.pi) == pytest.approx(2.0**-0.5, rel=1e-12)
@@ -195,8 +205,9 @@ def test_density_constants_match_the_plain_formulas_bitwise():
     assert c.cos is c.cos  # computed once, then kept
     assert np.asarray(c, dtype=float) is lam
     ar = AR1(theta=0.6, sigma2=1.3)
-    assert np.array_equal(ar.density(c),
-                          1.3 / (2.0 * math.pi * (1.0 - 2.0 * 0.6 * np.cos(lam) + 0.6**2)))
+    assert np.array_equal(
+        ar.density(c),
+        1.3 / (2.0 * math.pi * ((1.0 - 0.6) ** 2 + 0.6 * (2.0 * np.sin(np.abs(lam) / 2.0)) ** 2)))
     pdq = ArfimaPDQ(d=0.2, phi=(0.4,), sigma2=1.4)
     z = np.exp(-1j * lam)
     ref = (1.4 * (2.0 * np.sin(np.abs(lam) / 2.0)) ** (-0.4)
@@ -572,6 +583,17 @@ def test_stationarity_check_finds_no_roots(monkeypatch):
 def test_unit_circle_boundary_rejected(build, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         build()
+
+
+def test_arma_with_params_sets_whole_vectors_and_single_coefficients():
+    assert ARMA(phi=(0.5,)).with_params(phi=(0.2, 0.1)).phi == (0.2, 0.1)
+    m = ArfimaPDQ(d=0.1, phi=(0.5, 0.1), theta=(0.5,))
+    assert m.with_params(theta=(0.2,), d=0.3).describe() == (
+        "arfima_pdq{d=0.3,phi=[0.5,0.1],theta=[0.2],sigma2=1.0}")
+    assert m.with_params(phi2=0.2, theta1=-0.1, sigma2=2.0).describe() == (
+        "arfima_pdq{d=0.1,phi=[0.5,0.2],theta=[-0.1],sigma2=2.0}")
+    with pytest.raises(ValueError, match="unknown arma parameter"):
+        ARMA().with_params(foo=1.0)
 
 
 # ------------------------------------------------------------------ grammar

@@ -1,6 +1,7 @@
 """Tapered Whittle objective, estimator, and information matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from taperspec.spectrum import canonical_grid, tapered_periodogram
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import (
     default_bounds,
-    golden_section,
     info_matrices,
     whittle_estimate,
     whittle_objective,
@@ -139,11 +139,84 @@ def test_objective_rejects_bad_density():
 
 # --------------------------------------------------------------- optimizer
 
-def test_golden_section_quadratic():
-    x, fx, evals, converged = golden_section(lambda t: (t - 1.3) ** 2, -2.0, 2.0)
-    assert x == pytest.approx(1.3, abs=1e-6)
-    assert converged
-    assert evals < 60
+def _cosine_weight(lam):
+    return 1.0 + 0.5 * np.cos(np.asarray(lam, float))
+
+
+# Estimates of seeded T = 1024 fits, recorded from the golden-section search
+# (tolerance 1e-7) that preceded Fisher scoring; AR(1) data use seed
+# derive_seed(67, rep), rep = 0..4, and every fit starts from the family
+# at the origin.
+_AR1_AGREEMENT = {
+    ("rect", 0.5): (0.5131091674269372, 0.48740324411367375, 0.5027209080897845,
+                    0.483623707053883, 0.5155508011789335),
+    ("rect", 0.9): (0.9031377333687323, 0.888864956582913, 0.9139027498954224,
+                    0.9001327580815252, 0.8974154917564907),
+    ("tukey", 0.5): (0.5412753188842312, 0.48466043624008603, 0.5296371908901728,
+                     0.4786208198081211, 0.5013487208064913),
+    ("tukey", 0.9): (0.900246489550205, 0.8919913641880326, 0.9219563743695496,
+                     0.8844268309489811, 0.8962909058421137),
+}
+_AGREEMENT_CASES = [
+    pytest.param(AR1(theta=theta0), derive_seed(67, rep), taper, AR1(theta=0.0),
+                 None, hat, id=f"ar1-{taper}-{theta0}-{rep}")
+    for (taper, theta0), hats in _AR1_AGREEMENT.items()
+    for rep, hat in enumerate(hats)
+] + [
+    pytest.param(ARFIMA0d0(d=0.3), 71, "tukey", ARFIMA0d0(d=0.0), None,
+                 0.2840174865902641, id="arfima0d0"),
+    pytest.param(ARMA(theta=(0.3,)), 73, "tukey", ARMA(theta=(0.0,)), None,
+                 0.3065819615698909, id="ma1"),
+    pytest.param(AR1(theta=0.5), 79, "rect", AR1(theta=0.0), _cosine_weight,
+                 0.5056358755329617, id="weighted"),
+]
+
+
+@pytest.mark.parametrize("truth,seed,taper,start,weight,expected", _AGREEMENT_CASES)
+def test_scoring_agrees_with_recorded_estimates(truth, seed, taper, start,
+                                                 weight, expected):
+    ts = truth.simulate(gaussian(), 1024, seed=seed)
+    fit = whittle_estimate(ts, get_taper(taper), start, weight=weight)
+    assert fit.converged
+    assert abs(fit.theta_hat[0] - expected) <= 1e-7
+
+
+def test_ar1_fit_evaluates_the_criterion_a_few_times(monkeypatch):
+    calls = []
+    real = whittle._profile_scale
+    monkeypatch.setattr(whittle, "_profile_scale",
+                        lambda *a: calls.append(a) or real(*a))
+    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
+    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    assert fit.converged
+    assert len(calls) == fit.iterations <= 6
+
+
+def test_scoring_out_of_evaluations_is_not_converged():
+    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
+    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0), max_evals=1)
+    assert not fit.converged
+    assert fit.iterations == 1 and fit.theta_hat[0] == 0.0  # the box centre
+
+
+@pytest.mark.parametrize("box,edge", [((0.6, 0.9), 0.6), ((0.1, 0.4), 0.4)])
+def test_scoring_converges_onto_the_box_edge(box, edge):
+    ts = AR1(theta=0.5).simulate(gaussian(), 1024, seed=10)
+    fit = whittle_estimate(ts, get_taper("rect"), AR1(theta=0.0), bounds=[box])
+    assert fit.converged
+    assert fit.theta_hat[0] == edge
+
+
+def test_one_parameter_search_raises_no_runtime_warning():
+    tp = get_taper("tukey")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for truth, start in ((AR1(theta=0.9), AR1(theta=0.0)),
+                             (ARFIMA0d0(d=0.4), ARFIMA0d0(d=0.0)),
+                             (ARMA(theta=(-0.6,)), ARMA(theta=(0.0,)))):
+            ts = truth.simulate(gaussian(), 512, seed=12)
+            assert whittle_estimate(ts, tp, start).converged
+            assert whittle_estimate(ts, tp, start, bounds=[(-1.5, 1.5)]).converged
 
 
 def test_default_bounds_by_parameter_name():
