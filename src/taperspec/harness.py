@@ -1,34 +1,37 @@
-"""Experiment harness: configs, seeded replication engine, CSV/JSON reports.
+"""Experiment harness: option schema, seeded replication engine, CSV/JSON reports.
 
-Every experiment is described by an `ExperimentConfig` (kind + string
-options) that can come from CLI flags, an INI file, or both (flags win).
-Running one produces two artifacts next to each other:
+Three tables describe every experiment kind: `OPTIONS` (type, bound and
+help of each option), `KINDS` (the options a kind reads, with defaults)
+and `CHECKS` (a kind's threshold audits, in report order).  The CLI is
+built from them, and an `ExperimentConfig` (kind plus string options from
+CLI flags, an INI file, or both; flags win) is checked against them before
+anything runs: a key the kind does not read, or a bad value, is a schema
+error that exits 1 before any file is written.  A run writes
 
     <out>.csv   per-replication (or per-T) rows, RFC 4180, header, UTF-8
-    <out>.json  aggregate metrics plus the fully resolved config
+    <out>.json  aggregate metrics, checks, and the options given plus kind, seed, check
 
 Determinism is the design center.  All randomness flows through
 ``derive_seed(master_seed, rep)``, so replication r sees the same stream
 no matter how many workers run or which one picks it up; floats are
 written with 17 significant digits in the CSV and shortest round-trip
-form in the JSON; key order is sorted; no timestamps anywhere.  Two runs
-of the same config are byte-identical.
-
-``--check`` turns on threshold auditing: each kind has a small default
-set (overridable per key in an INI ``[check]`` section, value ``off``
-removes one) and failures flip the exit code to 2.  Schema problems exit
-1 before any file is written.
+form in the JSON; key order is sorted; no timestamps anywhere.  With
+``--check`` failed audits (thresholds overridable per key in an INI
+``[check]`` section, ``off`` removes one) flip the exit code to 2.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
+import functools
 import json
 import logging
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +47,6 @@ from .models import Model, derive_seed, get_driver, parse_model
 from .spectrum import canonical_grid, tapered_periodogram
 from .taper import Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
-
-_FLOAT_FMT = "%.17g"
 
 # ---------------------------------------------------------------------------
 # small resolvers shared by every runner
@@ -86,62 +87,22 @@ def parse_trend(spec: str) -> robustness.Trend:
     if kind == "zero":
         return robustness.zero_trend()
     if kind == "power":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise SchemaError(f"field 'trend': expected power:c,beta, got {spec!r}")
         try:
-            c, beta = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise SchemaError(f"field 'trend': non-numeric parameter in {spec!r}") from None
-        try:
+            c, beta = (float(p) for p in arg.split(","))
             return robustness.power_decay(c, beta)
-        except DomainError as exc:
-            raise SchemaError(f"field 'trend': {exc}") from None
+        except (ValueError, DomainError) as exc:
+            raise SchemaError(
+                f"field 'trend': expected power:c,beta, got {spec!r}: {exc}") from None
     raise SchemaError(
         f"field 'trend': unknown kind {spec!r}; expected zero or power:c,beta")
 
 
 def parse_t_list(text: str) -> tuple:
-    try:
-        vals = tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
-        raise SchemaError(f"field 'T': non-integer entry in {text!r}") from None
+    """Comma list of sample sizes, each parsed and bounded as one T."""
+    vals = tuple(parse_option("T", p.strip()) for p in str(text).split(",") if p.strip())
     if not vals:
         raise SchemaError("field 'T': empty list")
-    for v in vals:
-        if v < 8:
-            raise SchemaError(f"field 'T': entries must be >= 8, got {v}")
     return vals
-
-
-def _model_of(options: dict, key: str = "model") -> Model:
-    spec = options.get(key)
-    if spec is None:
-        raise SchemaError(f"field {key!r}: required for this experiment")
-    return parse_model(spec)
-
-
-def _opt_int(options: dict, key: str, default=None, minimum=None) -> int:
-    raw = options.get(key, default)
-    if raw is None:
-        raise SchemaError(f"field {key!r}: required for this experiment")
-    try:
-        val = int(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"field {key!r}: expected integer, got {raw!r}") from None
-    if minimum is not None and val < minimum:
-        raise SchemaError(f"field {key!r}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _opt_float(options: dict, key: str, default=None) -> float:
-    raw = options.get(key, default)
-    if raw is None:
-        raise SchemaError(f"field {key!r}: required for this experiment")
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"field {key!r}: expected number, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +110,7 @@ def _opt_float(options: dict, key: str, default=None) -> float:
 
 
 def fmt_float(x) -> str:
-    return _FLOAT_FMT % float(x)
+    return "%.17g" % float(x)  # 17 significant digits round-trip every double
 
 
 def _cell(v) -> str:
@@ -177,13 +138,9 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -226,71 +183,213 @@ def normality_diagnostics(sample) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config
+# schema: the options and checks tables (the kinds table follows the runners)
 
 
-CHECK_DEFAULTS = {
-    "simulate": {},
-    "periodogram": {"parseval_rel_max": 1e-8},
-    "estimate-functional": {"identity_rel_max": 1e-8,
-                            "var_ratio_min": 0.9, "var_ratio_max": 1.1},
-    "whittle": {"var_ratio_min": 0.85, "var_ratio_max": 1.15,
-                "min_convergence": 0.99},
-    "gof": {},  # filled per mode in the runner
-    "trace-experiment": {"final_delta_max": 0.01, "min_decreasing_steps": 3,
-                         "require_all_positive": 1},
-    "fejer": {"norm_err_max": 1e-6, "require_tail_decreasing": 1,
-              "sqrt_t_delta2_max": 0.05},
-    "robustness": {"require_nonincreasing": 1,
-                   "var_ratio_min": 0.85, "var_ratio_max": 1.15},
+@dataclass(frozen=True)
+class Option:
+    """One experiment option; its CLI flag is --name with _ written as -."""
+
+    help: str
+    type: type = str  # str, int or float
+    minimum: int | None = None
+    choices: tuple = ()
+
+
+_TRACE_PAIRS = {"ar1xcos": ("ar1{theta=0.5,sigma2=1.0}", "cosine:1")}
+
+OPTIONS = {
+    "model": Option("model spec, e.g. ar1{theta=0.5,sigma2=1}"),
+    "data_model": Option("model generating the data when it differs from the null"),
+    "pair": Option("named model and generator pair", choices=tuple(_TRACE_PAIRS)),
+    "g": Option("generator: cosine:u or indicator:mu"),
+    "taper": Option("taper id: rect, linear, or tukey"),
+    "driver": Option("innovation driver: gaussian, exponential, laplace"),
+    "T": Option("sample size; a comma list for the ladder kinds", int, 8),
+    "T_smooth": Option("sample size for the smoothing-error evaluation", int, 8),
+    "reps": Option("replication count", int, 1),
+    "report_T": Option("sample size for the distribution report (default: max T)", int, 8),
+    "report_reps": Option("replications for the distribution report (default: reps)", int, 2),
+    "oversample": Option("frequency grid oversampling factor (2, 4, or 8)", int),
+    "mode": Option("test variant", choices=("simple", "composite")),
+    "basis": Option("test basis: cosine:m or ar-example:m"),
+    "alpha": Option("test level", float),
+    "mc_draws": Option("Monte Carlo draws for the composite mixture p-value", int, 1000),
+    "delta": Option("tail cutoff in (0, pi)", float),
+    "trend": Option("zero or power:c,beta"),
+    "target": Option("estimate under contamination", choices=("functional", "whittle")),
+    "seed": Option("master seed", int),
+    "out": Option("output base path for <out>.csv and <out>.json (default: the kind)"),
+    "workers": Option("replication processes (default: the preset's, else 1)", int, 1),
 }
 
-_GOF_CHECK_DEFAULTS = {
-    "simple": {"size_min": 0.03, "size_max": 0.07},
-    "composite": {"ks_max": 0.05},
+
+@dataclass(frozen=True)
+class Check:
+    """A threshold on one results metric; details read "<label> <value><unit> <op> <limit>"."""
+
+    name: str
+    default: object  # threshold, None (off unless [check] sets it), or {gof mode: threshold}
+    op: str  # "<=", ">=", or "flag": the metric is a boolean, audited while the threshold != 0
+    metric: str  # results key; "a.b" reads key b of results["a"]
+    label: str
+    unit: str = ""
+    absolute: bool = False  # compare |metric|
+    missing: str = ""  # failure detail when the metric is absent; else it reads nan
+
+
+_KS_P = ("normality.ks_pvalue", "KS normality p")
+
+# Each kind's checks, in report order.
+CHECKS = {
+    "simulate": (),
+    "periodogram": (
+        Check("parseval_rel_max", 1e-8, "<=", "parseval_rel_err", "Parseval rel err"),),
+    "estimate-functional": (
+        Check("identity_rel_max", 1e-8, "<=", "identity_rel_max", "identity rel err"),
+        Check("var_ratio_min", 0.9, ">=", "var_ratio", "T*var / theory"),
+        Check("var_ratio_max", 1.1, "<=", "var_ratio", "T*var / theory"),
+        Check("kappa4_gap_se_min", None, ">=", "kappa4_gap_se", "gap to kappa4=0 formula",
+              unit=" MC SE"),
+        Check("ks_pvalue_min", None, ">=", *_KS_P)),
+    "whittle": (
+        Check("var_ratio_min", 0.85, ">=", "var_ratio", "T*var / asym var"),
+        Check("var_ratio_max", 1.15, "<=", "var_ratio", "T*var / asym var"),
+        Check("min_convergence", 0.99, ">=", "convergence_rate", "convergence rate"),
+        Check("ks_pvalue_min", None, ">=", *_KS_P)),
+    "gof": (
+        Check("size_min", {"simple": 0.03}, ">=", "rejection_rate", "rejection rate"),
+        Check("size_max", {"simple": 0.07}, "<=", "rejection_rate", "rejection rate"),
+        Check("rate_min", None, ">=", "rejection_rate", "rejection rate"),
+        Check("ks_max", {"composite": 0.05}, "<=", "ks_stat", "KS to chi-square",
+              missing="KS reference law unavailable (mixed nu)")),
+    "trace-experiment": (
+        Check("final_delta_max", 0.01, "<=", "final_delta", "final delta"),
+        Check("min_decreasing_steps", 3, ">=", "decreasing_steps", "decreasing steps"),
+        Check("require_all_positive", 1, "flag", "all_positive", "all deltas strictly positive")),
+    "fejer": (
+        Check("norm_err_max", 1e-6, "<=", "norm_max_err", "normalization err"),
+        Check("require_tail_decreasing", 1, "flag", "tail_decreasing",
+              "tail mass strictly decreasing over the T ladder"),
+        # the smoothing error is signed; the bound is on its size
+        Check("sqrt_t_delta2_max", 0.05, "<=", "sqrt_t_delta2", "|sqrt(T)*Delta2|",
+              absolute=True)),
+    "robustness": (
+        Check("require_nonincreasing", 1, "flag", "nonincreasing",
+              "median sqrt(T)-gap nonincreasing over the T ladder"),
+        Check("var_ratio_min", 0.85, ">=", "variance_ratio", "contaminated/clean variance ratio"),
+        Check("var_ratio_max", 1.15, "<=", "variance_ratio", "contaminated/clean variance ratio")),
 }
 
-KINDS = tuple(CHECK_DEFAULTS)
+
+def parse_option(name: str, raw):
+    """One option's value from its raw text, checked against its table row."""
+    opt = OPTIONS[name]
+    if opt.choices and raw not in opt.choices:
+        raise SchemaError(f"field {name!r}: expected {' or '.join(opt.choices)}, got {raw!r}")
+    try:
+        val = opt.type(raw)
+    except (TypeError, ValueError):
+        noun = "integer" if opt.type is int else "number"
+        raise SchemaError(f"field {name!r}: expected {noun}, got {raw!r}") from None
+    if opt.minimum is not None and val < opt.minimum:
+        raise SchemaError(f"field {name!r}: must be >= {opt.minimum}, got {val}")
+    return val
+
+
+def evaluate_checks(kind: str, thresholds: dict, results: dict) -> list:
+    """(name, passed, detail) for each enabled check of `kind`, in table order."""
+    out = []
+    for row in CHECKS[kind]:
+        if row.name not in thresholds:
+            continue
+        limit = thresholds[row.name]
+        value = results
+        for key in row.metric.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if row.op == "flag":
+            if limit:
+                out.append((row.name, value, row.label))
+        elif value is None and row.missing:
+            out.append((row.name, False, row.missing))
+        else:
+            value = math.nan if value is None else value
+            if row.absolute:
+                value = abs(value)
+            ok = value <= limit if row.op == "<=" else value >= limit
+            out.append((row.name, ok, f"{row.label} {fmt_float(value)}{row.unit} "
+                                      f"{row.op} {fmt_float(limit)}"))
+    return out
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: kind plus raw string options, as a CLI or INI gives them."""
+    """One experiment: kind plus raw string options, as a CLI or INI gives them.
+
+    Construction checks each option and [check] name against the kind's tables.  `workers`
+    (None: one process; > 1 only for parallel kinds) is a field, kept out of the JSON.
+    """
 
     kind: str
     options: dict = field(default_factory=dict)
     check_enabled: bool = False
     check_overrides: dict = field(default_factory=dict)
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SchemaError(
                 f"field 'kind': unknown experiment {self.kind!r}; expected one of {sorted(KINDS)}")
-        if self.workers < 1:
-            raise SchemaError(f"field 'workers': must be >= 1, got {self.workers}")
+        self.options = dict(self.options)
+        self.workers = self.options.pop("workers", self.workers)
+        if self.workers is not None:
+            self.workers = parse_option("workers", self.workers)
+            if self.workers > 1 and "workers" not in KINDS[self.kind].options:
+                raise SchemaError(f"field 'workers': {self.kind!r} runs in one process")
+        for name in self.options:
+            if name not in KINDS[self.kind].options:
+                raise SchemaError(f"field {name!r}: not an option of {self.kind!r}")
+        for name in self.check_overrides:
+            if name not in {row.name for row in CHECKS[self.kind]}:
+                raise SchemaError(f"check field {name!r}: not a check of {self.kind!r}")
 
     @property
     def seed(self) -> int:
-        return _opt_int(self.options, "seed", default="0")
+        return parse_option("seed", self.options.get("seed", 0))
 
     @property
     def out_base(self) -> str:
         return self.options.get("out") or self.kind.replace("-", "_")
 
-    def merged_checks(self, mode_defaults: dict | None = None) -> dict:
-        merged = dict(CHECK_DEFAULTS[self.kind])
-        if mode_defaults:
-            merged.update(mode_defaults)
-        for key, raw in self.check_overrides.items():
-            if str(raw).strip().lower() == "off":
-                merged.pop(key, None)
-                continue
-            try:
-                merged[key] = float(raw)
-            except (TypeError, ValueError):
-                raise SchemaError(
-                    f"check field {key!r}: expected number or 'off', got {raw!r}") from None
+    def resolve(self) -> dict:
+        """Every option the kind reads, parsed, with the table's defaults filled in."""
+        kind = KINDS[self.kind]
+        resolved = {}
+        for name, default in kind.options.items():
+            raw = self.workers if name == "workers" else self.options.get(name)
+            if raw is None and default is REQUIRED:
+                raise SchemaError(f"field {name!r}: required for this experiment")
+            if raw is None:
+                resolved[name] = default
+            else:
+                resolved[name] = (parse_t_list(raw) if name == "T" and kind.ladder
+                                  else parse_option(name, raw))
+        return resolved
+
+    def merged_checks(self, mode: str | None = None) -> dict:
+        """Enabled thresholds: the table's defaults (per gof mode) under [check] overrides."""
+        merged = {}
+        for row in CHECKS[self.kind]:
+            raw = self.check_overrides.get(row.name)
+            default = row.default.get(mode) if isinstance(row.default, dict) else row.default
+            if raw is None and default is not None:
+                merged[row.name] = default
+            elif raw is not None and str(raw).strip().lower() != "off":
+                try:
+                    merged[row.name] = float(raw)
+                except (TypeError, ValueError):
+                    raise SchemaError(
+                        f"check field {row.name!r}: expected number or 'off', got {raw!r}") from None
         return merged
 
 
@@ -304,43 +403,33 @@ def load_config_file(path: str) -> ExperimentConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise SchemaError(f"config file {path}: {exc}") from None
-    if "experiment" not in parser:
-        raise SchemaError(f"config file {path}: missing [experiment] section")
+    if "experiment" not in parser or set(parser.sections()) - {"experiment", "check"}:
+        raise SchemaError(f"config file {path}: expected an [experiment] section and an "
+                          f"optional [check] section, got {parser.sections()}")
     options = dict(parser["experiment"])
     kind = options.pop("kind", None)
     if kind is None:
         raise SchemaError(f"config file {path}: field 'kind' missing in [experiment]")
-    raw_workers = options.pop("workers", "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        raise SchemaError(
-            f"field 'workers': expected integer, got {raw_workers!r}") from None
     check = dict(parser["check"]) if "check" in parser else {}
-    return ExperimentConfig(kind=kind, options=options,
-                            check_overrides=check, workers=workers)
+    return ExperimentConfig(kind=kind, options=options, check_overrides=check)
 
 
 # ---------------------------------------------------------------------------
 # replication engine
 
 # Model objects and bases hold closures, which do not pickle; workers get
-# primitive payloads (spec strings, ids, ints) and resolve them locally:
-# models are parsed again, tapers come from the shared get_taper instances
-# (inherited, with their cached moments, by forked workers).
+# the resolved options, all primitives (spec strings, ids, numbers), and
+# resolve them locally: models are parsed again, tapers come from the shared
+# get_taper instances (inherited, with their cached moments, by forked workers).
 
 
 def _map_reps(kind: str, payload: dict, reps: int, workers: int) -> list:
-    tasks = [(kind, payload, r) for r in range(reps)]
+    rep_fn = KINDS[kind].rep
+    tasks = [(payload, r) for r in range(reps)]
     if workers <= 1 or reps == 1:
-        return [_rep_dispatch(t) for t in tasks]
+        return [rep_fn(*t) for t in tasks]
     with multiprocessing.Pool(processes=min(workers, reps)) as pool:
-        return pool.map(_rep_dispatch, tasks)  # map() preserves task order
-
-
-def _rep_dispatch(task):
-    kind, payload, rep = task
-    return _REP_FUNCS[kind](payload, rep)
+        return pool.starmap(rep_fn, tasks)  # starmap() preserves task order
 
 
 def _rep_functional(payload: dict, rep: int) -> dict:
@@ -367,8 +456,7 @@ def _rep_whittle(payload: dict, rep: int) -> dict:
     fit = whittle_estimate(series, taper, model, kappa4=driver.kappa4,
                            oversample=payload["oversample"])
     row = {"rep": rep, "seed": seed}
-    for name, val in zip(fit.names, fit.theta_hat):
-        row[f"hat_{name}"] = float(val)
+    row.update((f"hat_{name}", float(val)) for name, val in zip(fit.names, fit.theta_hat))
     if fit.sigma2_hat is not None:
         row["sigma2_hat"] = float(fit.sigma2_hat)
     row["converged"] = int(fit.converged)
@@ -377,16 +465,9 @@ def _rep_whittle(payload: dict, rep: int) -> dict:
     return row
 
 
-_BASIS_MEMO: dict = {}
-
-
-def _simple_basis(basis_spec: str, model: Model):
-    key = (basis_spec, model.describe())
-    got = _BASIS_MEMO.get(key)
-    if got is None:
-        got = _build_basis(basis_spec, model)
-        _BASIS_MEMO[key] = got
-    return got
+@functools.lru_cache(maxsize=None)
+def _simple_basis(basis_spec: str, model_spec: str):
+    return _build_basis(basis_spec, parse_model(model_spec))
 
 
 def _build_basis(basis_spec: str, model: Model):
@@ -419,94 +500,66 @@ def _rep_gof(payload: dict, rep: int) -> dict:
 
 def _gof_replication(payload: dict, rep: int) -> dict:
     null_model = parse_model(payload["model"])
-    data_model = parse_model(payload["data_model"])
+    data_model = (parse_model(payload["data_model"]) if payload["data_model"]
+                  else null_model)
     taper = resolve_taper(payload["taper"])
     driver = resolve_driver(payload["driver"])
     seed = derive_seed(payload["seed"], rep)
     series = data_model.simulate(driver, payload["T"], seed)
     if payload["mode"] == "simple":
-        basis = _simple_basis(payload["basis"], null_model)
-        res = gof.simple_test(series, taper, null_model, basis,
-                              alpha=payload["alpha"],
+        basis = _simple_basis(payload["basis"], null_model.describe())
+        res = gof.simple_test(series, taper, null_model, basis, alpha=payload["alpha"],
                               oversample=payload["oversample"])
         law_extra = {"dof": res.law["dof"]}
     else:
-        spec = payload["basis"]
         res = gof.composite_test(series, taper, null_model,
-                                 lambda mdl: _build_basis(spec, mdl),
-                                 alpha=payload["alpha"],
-                                 kappa4=driver.kappa4,
-                                 oversample=payload["oversample"],
-                                 mc_draws=payload["mc_draws"])
+                                 lambda mdl: _build_basis(payload["basis"], mdl),
+                                 alpha=payload["alpha"], kappa4=driver.kappa4,
+                                 oversample=payload["oversample"], mc_draws=payload["mc_draws"])
         law_extra = {"unit_dof": res.law["unit_dof"], "nu": res.law["nu"]}
     return {"rep": rep, "seed": seed, "statistic": float(res.statistic),
             "p_value": float(res.p_value), "reject": int(res.reject),
             "law": law_extra}
 
 
-_REP_FUNCS = {
-    "estimate-functional": _rep_functional,
-    "whittle": _rep_whittle,
-    "gof": _rep_gof,
-}
-
-
 # ---------------------------------------------------------------------------
 # runners: one per experiment kind
 #
-# Each returns (fieldnames, rows, results, checks) where checks is a list of
-# (name, passed, detail) built from the merged check thresholds.
+# Each takes the resolved options and returns (fieldnames, rows, results);
+# `run_experiment` audits the results against the kind's checks.
 
 
-def _band_check(checks, merged, key_min, key_max, label, value):
-    if key_min in merged:
-        ok = value >= merged[key_min]
-        checks.append((key_min, ok, f"{label} {fmt_float(value)} >= {fmt_float(merged[key_min])}"))
-    if key_max in merged:
-        ok = value <= merged[key_max]
-        checks.append((key_max, ok, f"{label} {fmt_float(value)} <= {fmt_float(merged[key_max])}"))
-
-
-def _run_simulate(cfg: ExperimentConfig):
-    model = _model_of(cfg.options)
-    T = _opt_int(cfg.options, "T", minimum=8)
-    reps = _opt_int(cfg.options, "reps", default="1", minimum=1)
-    driver = resolve_driver(cfg.options.get("driver", "gaussian"))
-    master = cfg.seed
-    rows = []
-    all_values = []
-    provenance = None
-    for r in range(reps):
-        seed = derive_seed(master, r)
-        series = model.simulate(driver, T, seed)
-        if provenance is None:
-            provenance = series.provenance
-        all_values.append(series.values)
-        for t, v in enumerate(series.values, start=1):
-            rows.append({"experiment": "simulate", "seed": seed, "T": T,
-                         "rep": r, "t": t, "value": float(v)})
-    stacked = np.concatenate(all_values)
+def _run_simulate(o: dict):
+    model = parse_model(o["model"])
+    driver = resolve_driver(o["driver"])
+    T, reps = o["T"], o["reps"]
+    seeds = [derive_seed(o["seed"], r) for r in range(reps)]
+    paths = [model.simulate(driver, T, seed) for seed in seeds]
+    rows = [{"experiment": "simulate", "seed": seed, "T": T, "rep": r, "t": t,
+             "value": float(v)}
+            for r, (seed, path) in enumerate(zip(seeds, paths))
+            for t, v in enumerate(path.values, start=1)]
+    stacked = np.concatenate([path.values for path in paths])
     results = {
         "reps": reps, "T": T,
         "sample_mean": float(np.mean(stacked)),
         "sample_variance": float(np.var(stacked, ddof=1)),
         "lag0_theory": float(model.covariance(0)),
-        "provenance": provenance,
+        "provenance": paths[0].provenance,
     }
     fieldnames = ["experiment", "seed", "T", "rep", "t", "value"]
-    return fieldnames, rows, results, []
+    return fieldnames, rows, results
 
 
-def _run_periodogram(cfg: ExperimentConfig):
-    model = _model_of(cfg.options)
-    taper = resolve_taper(cfg.options.get("taper", "tukey"))
-    T = _opt_int(cfg.options, "T", minimum=8)
-    oversample = _opt_int(cfg.options, "oversample", default="4")
-    driver = resolve_driver(cfg.options.get("driver", "gaussian"))
-    seed = derive_seed(cfg.seed, 0)
+def _run_periodogram(o: dict):
+    model = parse_model(o["model"])
+    taper = resolve_taper(o["taper"])
+    driver = resolve_driver(o["driver"])
+    T = o["T"]
+    seed = derive_seed(o["seed"], 0)
     series = model.simulate(driver, T, seed)
     shifted = model.memory_class != "short"
-    grid = canonical_grid(T, oversample=oversample, shifted=shifted)
+    grid = canonical_grid(T, oversample=o["oversample"], shifted=shifted)
     pgram = tapered_periodogram(series, taper, grid=grid)
     rows = [{"experiment": "periodogram", "seed": seed, "T": T,
              "lambda": float(lam), "value": float(v)}
@@ -520,29 +573,17 @@ def _run_periodogram(cfg: ExperimentConfig):
     results = {"T": T, "N": grid.N, "c_norm": pgram.c_norm,
                "parseval_grid_sum": lhs, "parseval_time_sum": rhs,
                "parseval_rel_err": rel, "shifted_grid": shifted}
-    merged = cfg.merged_checks()
-    checks = []
-    if "parseval_rel_max" in merged:
-        ok = rel <= merged["parseval_rel_max"]
-        checks.append(("parseval_rel_max", ok,
-                       f"Parseval rel err {fmt_float(rel)} <= {fmt_float(merged['parseval_rel_max'])}"))
     fieldnames = ["experiment", "seed", "T", "lambda", "value"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-def _run_functional(cfg: ExperimentConfig):
-    model = _model_of(cfg.options)
-    taper = resolve_taper(cfg.options.get("taper", "tukey"))
-    g = parse_g(cfg.options.get("g", "cosine:1"))
-    T = _opt_int(cfg.options, "T", minimum=8)
-    reps = _opt_int(cfg.options, "reps", default="200", minimum=1)
-    oversample = _opt_int(cfg.options, "oversample", default="4")
-    driver_name = cfg.options.get("driver", "gaussian")
-    driver = resolve_driver(driver_name)
-    payload = {"model": model.describe(), "taper": cfg.options.get("taper", "tukey"),
-               "g": cfg.options.get("g", "cosine:1"), "T": T,
-               "seed": cfg.seed, "driver": driver_name, "oversample": oversample}
-    per_rep = _map_reps("estimate-functional", payload, reps, cfg.workers)
+def _run_functional(o: dict):
+    model = parse_model(o["model"])
+    taper = resolve_taper(o["taper"])
+    g = parse_g(o["g"])
+    driver = resolve_driver(o["driver"])
+    T, reps = o["T"], o["reps"]
+    per_rep = _map_reps("estimate-functional", o, reps, o["workers"])
     rows = [{"experiment": "estimate-functional", "T": T, **r} for r in per_rep]
 
     j_vals = np.array([r["j_plugin"] for r in per_rep])
@@ -557,7 +598,6 @@ def _run_functional(cfg: ExperimentConfig):
         tvar_se = t_var * math.sqrt(2.0 / (reps - 1) + g2 / reps)
     else:
         tvar_se = float("nan")
-    identity_max = float(max(r["identity_rel_err"] for r in per_rep))
     results = {
         "reps": reps, "T": T,
         "true_value": truth,
@@ -569,48 +609,24 @@ def _run_functional(cfg: ExperimentConfig):
         "var_ratio": t_var / sigma2_full if sigma2_full else float("nan"),
         "kappa4_gap_se": (abs(t_var - sigma2_gauss) / tvar_se
                           if tvar_se and math.isfinite(tvar_se) else float("nan")),
-        "identity_rel_max": identity_max,
+        "identity_rel_max": float(max(r["identity_rel_err"] for r in per_rep)),
     }
     if reps >= 50:
         z = np.sqrt(T) * (j_vals - truth) / math.sqrt(sigma2_full)
         results["normality"] = normality_diagnostics(z)
-    merged = cfg.merged_checks()
-    checks = []
-    if "identity_rel_max" in merged:
-        ok = identity_max <= merged["identity_rel_max"]
-        checks.append(("identity_rel_max", ok,
-                       f"identity rel err {fmt_float(identity_max)} <= {fmt_float(merged['identity_rel_max'])}"))
-    _band_check(checks, merged, "var_ratio_min", "var_ratio_max",
-                "T*var / theory", results["var_ratio"])
-    if "kappa4_gap_se_min" in merged:
-        ok = results["kappa4_gap_se"] >= merged["kappa4_gap_se_min"]
-        checks.append(("kappa4_gap_se_min", ok,
-                       f"gap to kappa4=0 formula {fmt_float(results['kappa4_gap_se'])} MC SE "
-                       f">= {fmt_float(merged['kappa4_gap_se_min'])}"))
-    if "ks_pvalue_min" in merged:
-        pv = results.get("normality", {}).get("ks_pvalue", float("nan"))
-        ok = math.isfinite(pv) and pv >= merged["ks_pvalue_min"]
-        checks.append(("ks_pvalue_min", ok,
-                       f"KS normality p {fmt_float(pv)} >= {fmt_float(merged['ks_pvalue_min'])}"))
     fieldnames = ["experiment", "seed", "T", "rep", "j_plugin", "q_form",
                   "identity_rel_err"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-def _run_whittle(cfg: ExperimentConfig):
-    model = _model_of(cfg.options)
-    taper_id = cfg.options.get("taper", "tukey")
-    taper = resolve_taper(taper_id)
-    T = _opt_int(cfg.options, "T", minimum=8)
-    reps = _opt_int(cfg.options, "reps", default="200", minimum=1)
-    oversample = _opt_int(cfg.options, "oversample", default="4")
-    driver_name = cfg.options.get("driver", "gaussian")
-    driver = resolve_driver(driver_name)
+def _run_whittle(o: dict):
+    model = parse_model(o["model"])
+    taper = resolve_taper(o["taper"])
+    driver = resolve_driver(o["driver"])
+    T, reps = o["T"], o["reps"]
     if not model.free_names:
         raise SchemaError("field 'model': whittle needs at least one free parameter")
-    payload = {"model": model.describe(), "taper": taper_id, "T": T,
-               "seed": cfg.seed, "driver": driver_name, "oversample": oversample}
-    per_rep = _map_reps("whittle", payload, reps, cfg.workers)
+    per_rep = _map_reps("whittle", o, reps, o["workers"])
     rows = [{"experiment": "whittle", "T": T, **r} for r in per_rep]
 
     names = model.free_names
@@ -618,8 +634,7 @@ def _run_whittle(cfg: ExperimentConfig):
     hats = np.array([[r[f"hat_{n}"] for n in names] for r in per_rep])
     conv = float(np.mean([r["converged"] for r in per_rep]))
     e_h = tapering_factor(taper)
-    info = info_matrices(model, kappa4=driver.kappa4)
-    theory_var = float(e_h * info.gamma[0, 0])
+    theory_var = float(e_h * info_matrices(model, kappa4=driver.kappa4).gamma[0, 0])
     first = hats[:, 0]
     t_var = float(T * np.var(first, ddof=1)) if reps > 1 else float("nan")
     results = {
@@ -636,248 +651,146 @@ def _run_whittle(cfg: ExperimentConfig):
     if reps >= 50:
         z = np.sqrt(T) * (first - theta0[0]) / math.sqrt(theory_var)
         results["normality"] = normality_diagnostics(z)
-    merged = cfg.merged_checks()
-    checks = []
-    _band_check(checks, merged, "var_ratio_min", "var_ratio_max",
-                "T*var / asym var", results["var_ratio"])
-    if "min_convergence" in merged:
-        ok = conv >= merged["min_convergence"]
-        checks.append(("min_convergence", ok,
-                       f"convergence rate {fmt_float(conv)} >= {fmt_float(merged['min_convergence'])}"))
-    if "ks_pvalue_min" in merged:
-        pv = results.get("normality", {}).get("ks_pvalue", float("nan"))
-        ok = math.isfinite(pv) and pv >= merged["ks_pvalue_min"]
-        checks.append(("ks_pvalue_min", ok,
-                       f"KS normality p {fmt_float(pv)} >= {fmt_float(merged['ks_pvalue_min'])}"))
     fieldnames = (["experiment", "seed", "T", "rep"]
                   + [f"hat_{n}" for n in names]
                   + (["sigma2_hat"] if model.scale_name is not None else [])
                   + ["converged", "iterations", "objective"])
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
 def _effective_chisq_dof(unit_dof: int, nu) -> int | None:
     """Integer dof when every mixture weight is numerically 0 or 1, else None."""
-    dof = int(unit_dof)
-    for v in nu:
-        if abs(v - 1.0) < 1e-6:
-            dof += 1
-        elif abs(v) >= 1e-6:
-            return None
-    return dof
+    ones = [abs(v - 1.0) < 1e-6 for v in nu]
+    if any(not one and abs(v) >= 1e-6 for one, v in zip(ones, nu)):
+        return None
+    return int(unit_dof) + sum(ones)
 
 
-def _run_gof(cfg: ExperimentConfig):
-    mode = cfg.options.get("mode", "simple")
-    if mode not in ("simple", "composite"):
-        raise SchemaError(f"field 'mode': expected simple or composite, got {mode!r}")
-    model = _model_of(cfg.options)
-    data_spec = cfg.options.get("data_model") or model.describe()
-    basis_spec = cfg.options.get("basis", "cosine:3")
-    taper_id = cfg.options.get("taper", "tukey")
-    T = _opt_int(cfg.options, "T", minimum=8)
-    reps = _opt_int(cfg.options, "reps", default="500", minimum=1)
-    alpha = _opt_float(cfg.options, "alpha", default="0.05")
-    oversample = _opt_int(cfg.options, "oversample", default="4")
-    mc_draws = _opt_int(cfg.options, "mc_draws", default="200000", minimum=1000)
-    driver_name = cfg.options.get("driver", "gaussian")
-    resolve_driver(driver_name)
-    resolve_taper(taper_id)
-    payload = {"mode": mode, "model": model.describe(), "data_model": data_spec,
-               "basis": basis_spec, "taper": taper_id, "T": T, "alpha": alpha,
-               "seed": cfg.seed, "driver": driver_name, "oversample": oversample,
-               "mc_draws": mc_draws}
-    per_rep = _map_reps("gof", payload, reps, cfg.workers)
+def _run_gof(o: dict):
+    mode, T, reps = o["mode"], o["T"], o["reps"]
+    model = parse_model(o["model"])
+    data_model = parse_model(o["data_model"]) if o["data_model"] else model
+    per_rep = _map_reps("gof", o, reps, o["workers"])
     laws = [r.pop("law") for r in per_rep]
     rows = [{"experiment": "gof", "T": T, **r} for r in per_rep]
 
     stats = np.array([r["statistic"] for r in per_rep])
     rate = float(np.mean([r["reject"] for r in per_rep]))
-    half_width = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / reps) / reps)
     results = {
-        "mode": mode, "reps": reps, "T": T, "alpha": alpha,
-        "basis": basis_spec,
-        "null_matches_data": data_spec == model.describe(),
+        "mode": mode, "reps": reps, "T": T, "alpha": o["alpha"],
+        "basis": o["basis"],
+        "null_matches_data": data_model.describe() == model.describe(),
         "rejection_rate": rate,
-        "rate_half_width": half_width,
+        "rate_half_width": 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / reps) / reps),
         "mean_statistic": float(np.mean(stats)),
     }
     if mode == "simple":
         dof = laws[0]["dof"]
         results["dof"] = dof
-        ks = scipy.stats.kstest(stats, "chi2", args=(dof,))
-        results["ks_stat"] = float(ks.statistic)
-        results["ks_pvalue"] = float(ks.pvalue)
     else:
         unit = {law["unit_dof"] for law in laws}
         results["unit_dof"] = sorted(unit)[0] if len(unit) == 1 else sorted(unit)
         results["nu_first_rep"] = list(laws[0]["nu"])
         eff = {_effective_chisq_dof(law["unit_dof"], law["nu"]) for law in laws}
-        if len(eff) == 1 and None not in eff:
-            dof = eff.pop()
-            results["effective_dof"] = dof
-            ks = scipy.stats.kstest(stats, "chi2", args=(dof,))
-            results["ks_stat"] = float(ks.statistic)
-            results["ks_pvalue"] = float(ks.pvalue)
-        else:
-            # genuinely mixed law; no closed-form reference distribution
-            results["effective_dof"] = None
-    merged = cfg.merged_checks(_GOF_CHECK_DEFAULTS[mode])
-    checks = []
-    _band_check(checks, merged, "size_min", "size_max", "rejection rate", rate)
-    if "rate_min" in merged:
-        ok = rate >= merged["rate_min"]
-        checks.append(("rate_min", ok,
-                       f"rejection rate {fmt_float(rate)} >= {fmt_float(merged['rate_min'])}"))
-    if "ks_max" in merged:
-        ks_stat = results.get("ks_stat")
-        ok = ks_stat is not None and ks_stat <= merged["ks_max"]
-        detail = (f"KS to chi-square {fmt_float(ks_stat)} <= {fmt_float(merged['ks_max'])}"
-                  if ks_stat is not None else "KS reference law unavailable (mixed nu)")
-        checks.append(("ks_max", ok, detail))
+        # a genuinely mixed law has no closed-form reference distribution
+        dof = eff.pop() if len(eff) == 1 else None
+        results["effective_dof"] = dof
+    if dof is not None:
+        ks = scipy.stats.kstest(stats, "chi2", args=(dof,))
+        results["ks_stat"] = float(ks.statistic)
+        results["ks_pvalue"] = float(ks.pvalue)
     fieldnames = ["experiment", "seed", "T", "rep", "statistic", "p_value", "reject"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-_TRACE_PAIRS = {
-    "ar1xcos": ("ar1{theta=0.5,sigma2=1.0}", "cosine:1"),
-}
-
-
-def _run_trace(cfg: ExperimentConfig):
-    pair = cfg.options.get("pair")
+def _run_trace(o: dict):
+    pair = o["pair"]
     if pair is not None:
-        if pair not in _TRACE_PAIRS:
-            raise SchemaError(
-                f"field 'pair': unknown pair {pair!r}; expected one of {sorted(_TRACE_PAIRS)}")
+        if o["model"] is not None or o["g"] is not None:
+            raise SchemaError("field 'pair': replaces --model and --g; give one or the other")
         model_spec, g_spec = _TRACE_PAIRS[pair]
     else:
-        model_spec = cfg.options.get("model")
-        g_spec = cfg.options.get("g")
+        model_spec, g_spec = o["model"], o["g"]
         if model_spec is None or g_spec is None:
             raise SchemaError("trace-experiment needs --pair or both --model and --g")
     model = parse_model(model_spec)
     g = parse_g(g_spec)
-    taper = resolve_taper(cfg.options.get("taper", "tukey"))
-    t_values = parse_t_list(cfg.options.get("T", "64,128,256,512,1024"))
+    taper = resolve_taper(o["taper"])
     limit = toeplitz.trace_limit([model, g], taper)
     rows = []
-    deltas = []
-    for T in t_values:
-        mats = [toeplitz.build_matrix(model, taper, T),
-                toeplitz.build_matrix(g, taper, T)]
-        s_t = toeplitz.trace_product(mats)
-        delta = abs(s_t - limit)
-        deltas.append(delta)
-        rows.append({"experiment": "trace-experiment", "seed": cfg.seed, "T": T,
-                     "trace_scaled": s_t, "limit": limit, "delta": delta})
-    decreasing = sum(1 for a, b in zip(deltas, deltas[1:]) if b < a)
+    for T in o["T"]:
+        s_t = toeplitz.trace_product([toeplitz.build_matrix(model, taper, T),
+                                      toeplitz.build_matrix(g, taper, T)])
+        rows.append({"experiment": "trace-experiment", "seed": o["seed"], "T": T,
+                     "trace_scaled": s_t, "limit": limit, "delta": abs(s_t - limit)})
+    deltas = [r["delta"] for r in rows]
     results = {
-        "T_values": list(t_values), "limit": limit,
+        "T_values": list(o["T"]), "limit": limit,
         "deltas": deltas, "final_delta": deltas[-1],
-        "decreasing_steps": decreasing, "steps": len(deltas) - 1,
+        "decreasing_steps": sum(1 for a, b in zip(deltas, deltas[1:]) if b < a),
+        "steps": len(deltas) - 1,
         "all_positive": bool(all(d > 0 for d in deltas)),
     }
-    merged = cfg.merged_checks()
-    checks = []
-    if "final_delta_max" in merged:
-        ok = deltas[-1] <= merged["final_delta_max"]
-        checks.append(("final_delta_max", ok,
-                       f"final delta {fmt_float(deltas[-1])} <= {fmt_float(merged['final_delta_max'])}"))
-    if "min_decreasing_steps" in merged:
-        ok = decreasing >= merged["min_decreasing_steps"]
-        checks.append(("min_decreasing_steps", ok,
-                       f"decreasing steps {decreasing} >= {int(merged['min_decreasing_steps'])}"))
-    if "require_all_positive" in merged and merged["require_all_positive"]:
-        ok = results["all_positive"]
-        checks.append(("require_all_positive", ok, "all deltas strictly positive"))
     fieldnames = ["experiment", "seed", "T", "trace_scaled", "limit", "delta"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-def _run_fejer(cfg: ExperimentConfig):
-    taper = resolve_taper(cfg.options.get("taper", "tukey"))
-    t_values = parse_t_list(cfg.options.get("T", "16,64,256,1024"))
-    delta = _opt_float(cfg.options, "delta", default="0.5")
+def _run_fejer(o: dict):
+    taper = resolve_taper(o["taper"])
+    delta = o["delta"]
     if not 0.0 < delta < math.pi:
         raise SchemaError(f"field 'delta': must lie in (0, pi), got {delta}")
-    model = parse_model(cfg.options.get("model", "ar1{theta=0.5,sigma2=1.0}"))
-    g = parse_g(cfg.options.get("g", "cosine:1"))
-    t_smooth = _opt_int(cfg.options, "T_smooth", default="2048", minimum=8)
+    model = parse_model(o["model"])
+    g = parse_g(o["g"])
+    t_smooth = o["T_smooth"]
     rows = []
-    tails = []
-    norm_errs = []
-    for T in t_values:
+    for T in o["T"]:
         # full-period trapezoid with > 2T+1 points integrates the order-2
         # kernel exactly (it is a trigonometric polynomial of degree < 2T)
         n_grid = 4 * T + 1
         u = np.linspace(-math.pi, math.pi, n_grid)
-        vals = fejer_kernel(taper, 2, T, u)
-        norm = float(np.trapezoid(vals, u))
-        norm_errs.append(abs(norm - 1.0))
+        norm = float(np.trapezoid(fejer_kernel(taper, 2, T, u), u))
         u_tail = np.linspace(delta, math.pi, n_grid)
         tail = 2.0 * float(np.trapezoid(fejer_kernel(taper, 2, T, u_tail), u_tail))
-        tails.append(tail)
-        rows.append({"experiment": "fejer", "seed": cfg.seed, "T": T,
+        rows.append({"experiment": "fejer", "seed": o["seed"], "T": T,
                      "normalization": norm, "norm_abs_err": abs(norm - 1.0),
                      "tail_mass": tail})
+    tails = [r["tail_mass"] for r in rows]
     delta2 = fejer_smoothing_error(model, g, taper, t_smooth)
-    sqrt_t_delta2 = math.sqrt(t_smooth) * delta2
-    tail_decreasing = all(b < a for a, b in zip(tails, tails[1:]))
     results = {
-        "T_values": list(t_values), "delta": delta,
-        "norm_max_err": max(norm_errs), "tail_masses": tails,
-        "tail_decreasing": tail_decreasing,
+        "T_values": list(o["T"]), "delta": delta,
+        "norm_max_err": max(r["norm_abs_err"] for r in rows), "tail_masses": tails,
+        "tail_decreasing": all(b < a for a, b in zip(tails, tails[1:])),
         "T_smooth": t_smooth, "delta2": delta2,
-        "sqrt_t_delta2": sqrt_t_delta2,
+        "sqrt_t_delta2": math.sqrt(t_smooth) * delta2,
     }
-    merged = cfg.merged_checks()
-    checks = []
-    if "norm_err_max" in merged:
-        ok = max(norm_errs) <= merged["norm_err_max"]
-        checks.append(("norm_err_max", ok,
-                       f"normalization err {fmt_float(max(norm_errs))} <= {fmt_float(merged['norm_err_max'])}"))
-    if "require_tail_decreasing" in merged and merged["require_tail_decreasing"]:
-        checks.append(("require_tail_decreasing", tail_decreasing,
-                       "tail mass strictly decreasing over the T ladder"))
-    if "sqrt_t_delta2_max" in merged:
-        # the smoothing error is signed; the bound is on its size
-        ok = abs(sqrt_t_delta2) <= merged["sqrt_t_delta2_max"]
-        checks.append(("sqrt_t_delta2_max", ok,
-                       f"|sqrt(T)*Delta2| {fmt_float(abs(sqrt_t_delta2))} <= {fmt_float(merged['sqrt_t_delta2_max'])}"))
     fieldnames = ["experiment", "seed", "T", "normalization", "norm_abs_err",
                   "tail_mass"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-def _run_robustness(cfg: ExperimentConfig):
-    model = _model_of(cfg.options)
-    trend = parse_trend(cfg.options.get("trend", "power:1.0,0.6"))
-    target = cfg.options.get("target", "functional")
-    taper = resolve_taper(cfg.options.get("taper", "tukey"))
-    g = parse_g(cfg.options.get("g", "cosine:1"))
-    t_values = parse_t_list(cfg.options.get("T", "512,2048,8192"))
-    reps = _opt_int(cfg.options, "reps", default="200", minimum=1)
-    report_t = _opt_int(cfg.options, "report_T", default=str(max(t_values)), minimum=8)
-    report_reps = _opt_int(cfg.options, "report_reps", default=str(reps), minimum=2)
-    driver = resolve_driver(cfg.options.get("driver", "gaussian"))
-    master = cfg.seed
+def _run_robustness(o: dict):
+    model = parse_model(o["model"])
+    trend = parse_trend(o["trend"])
+    taper = resolve_taper(o["taper"])
+    g = parse_g(o["g"])
+    driver = resolve_driver(o["driver"])
+    t_values, reps, master = o["T"], o["reps"], o["seed"]
+    report_t = max(t_values) if o["report_T"] is None else o["report_T"]
+    report_reps = parse_option("report_reps", reps if o["report_reps"] is None
+                               else o["report_reps"])
     ladder = robustness.gap_ladder(model, trend, taper, g, T_values=t_values,
                                    reps=reps, master_seed=master, driver=driver)
     report = robustness.robustness_report(
-        model, trend, taper, target=target, g=g, T=report_t, reps=report_reps,
+        model, trend, taper, target=o["target"], g=g, T=report_t, reps=report_reps,
         master_seed=derive_seed(master, 10_000), driver=driver,
         kappa4=driver.kappa4)
     rows = [{"experiment": "robustness", "seed": master, "T": T,
              "median_gap": mg, "gap_se": se}
             for T, mg, se in zip(ladder.T_values, ladder.median_gaps, ladder.gap_ses)]
     results = {
-        "T_values": list(ladder.T_values),
-        "median_gaps": list(ladder.median_gaps),
-        "gap_ses": list(ladder.gap_ses),
-        "nonincreasing": ladder.nonincreasing,
-        "flag": ladder.flag,
-        "trend": trend.label, "target": target,
+        **dataclasses.asdict(ladder),
+        "trend": trend.label, "target": o["target"],
         "report_T": report_t, "report_reps": report_reps,
         "clean_bias": report.clean_bias,
         "contaminated_bias": report.contaminated_bias,
@@ -890,26 +803,58 @@ def _run_robustness(cfg: ExperimentConfig):
         "normality_pvalue_contaminated": report.normality_pvalue_contaminated,
         "median_gap_report": report.median_gap,
     }
-    merged = cfg.merged_checks()
-    checks = []
-    if "require_nonincreasing" in merged and merged["require_nonincreasing"]:
-        checks.append(("require_nonincreasing", ladder.nonincreasing,
-                       "median sqrt(T)-gap nonincreasing over the T ladder"))
-    _band_check(checks, merged, "var_ratio_min", "var_ratio_max",
-                "contaminated/clean variance ratio", report.variance_ratio)
     fieldnames = ["experiment", "seed", "T", "median_gap", "gap_se"]
-    return fieldnames, rows, results, checks
+    return fieldnames, rows, results
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "periodogram": _run_periodogram,
-    "estimate-functional": _run_functional,
-    "whittle": _run_whittle,
-    "gof": _run_gof,
-    "trace-experiment": _run_trace,
-    "fejer": _run_fejer,
-    "robustness": _run_robustness,
+# ---------------------------------------------------------------------------
+# the kinds table: each kind's runner, replication function and options read
+
+REQUIRED = "required"  # a kinds-table default for an option that has none
+
+
+@dataclass(frozen=True)
+class Kind:
+    summary: str
+    run: Callable  # resolved options -> (fieldnames, rows, results)
+    options: dict  # option name -> default, REQUIRED, or None where the runner derives it
+    ladder: bool  # T is a comma list of sample sizes
+    rep: Callable | None  # one replication, for kinds that spread them over `workers`
+
+
+def _kind(summary: str, run: Callable, ladder: bool = False, rep: Callable | None = None,
+          **defaults) -> Kind:
+    workers = {} if rep is None else {"workers": 1}
+    return Kind(summary, run, {**defaults, **workers, "seed": 0, "out": None}, ladder, rep)
+
+
+KINDS = {
+    "simulate": _kind("draw model sample paths", _run_simulate,
+                      model=REQUIRED, T=REQUIRED, reps=1, driver="gaussian"),
+    "periodogram": _kind("tapered periodogram of one realization", _run_periodogram,
+                         model=REQUIRED, taper="tukey", T=REQUIRED, oversample=4,
+                         driver="gaussian"),
+    "estimate-functional": _kind("plug-in spectral functional study", _run_functional,
+                                 rep=_rep_functional, model=REQUIRED, taper="tukey",
+                                 g="cosine:1", T=REQUIRED, reps=200, oversample=4,
+                                 driver="gaussian"),
+    "whittle": _kind("tapered Whittle fit study", _run_whittle, rep=_rep_whittle,
+                     model=REQUIRED, taper="tukey", T=REQUIRED, reps=200, oversample=4,
+                     driver="gaussian"),
+    "gof": _kind("frequency-domain goodness-of-fit study", _run_gof, rep=_rep_gof,
+                 mode="simple", model=REQUIRED, data_model=None, basis="cosine:3",
+                 taper="tukey", T=REQUIRED, reps=500, alpha=0.05, oversample=4,
+                 mc_draws=200000, driver="gaussian"),
+    "trace-experiment": _kind("tapered trace against its limit", _run_trace, ladder=True,
+                              pair=None, model=None, g=None, taper="tukey",
+                              T=(64, 128, 256, 512, 1024)),
+    "fejer": _kind("kernel normalization and tail mass ladder", _run_fejer, ladder=True,
+                   taper="tukey", T=(16, 64, 256, 1024), delta=0.5,
+                   model="ar1{theta=0.5,sigma2=1.0}", g="cosine:1", T_smooth=2048),
+    "robustness": _kind("trend contamination study", _run_robustness, ladder=True,
+                        model=REQUIRED, trend="power:1.0,0.6", target="functional",
+                        taper="tukey", g="cosine:1", T=(512, 2048, 8192), reps=200,
+                        report_T=None, report_reps=None, driver="gaussian"),
 }
 
 
@@ -919,34 +864,30 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Run one experiment; write <out>.csv and <out>.json; return exit code."""
-    runner = _RUNNERS[cfg.kind]
-    fieldnames, rows, results, checks = runner(cfg)
+    opts = cfg.resolve()
+    thresholds = cfg.merged_checks(opts.get("mode"))
+    fieldnames, rows, results = KINDS[cfg.kind].run(opts)
+    checks = evaluate_checks(cfg.kind, thresholds, results)
     out = cfg.out_base
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    resolved = dict(cfg.options)
-    resolved["kind"] = cfg.kind
-    resolved["seed"] = str(cfg.seed)
-    resolved["check"] = "1" if cfg.check_enabled else "0"
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    config = {**cfg.options, "kind": cfg.kind, "seed": str(opts["seed"]),
+              "check": "1" if cfg.check_enabled else "0"}
     payload = {
         "experiment": cfg.kind,
-        "config": resolved,
+        "config": config,
         "results": results,
         "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
     }
     write_csv(out + ".csv", fieldnames, rows)
     write_json(out + ".json", payload)
-    echo(f"workers: {cfg.workers}")
+    echo(f"workers: {opts.get('workers', 1)}")
     echo(f"wrote {out}.csv ({len(rows)} rows)")
     echo(f"wrote {out}.json")
     if not cfg.check_enabled:
         return 0
-    failures = 0
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        echo(f"{status} {name}: {detail}")
-        failures += 0 if ok else 1
+        echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    failures = sum(1 for _, ok, _ in checks if not ok)
     if failures:
         echo(f"CHECKS FAILED ({failures} of {len(checks)})")
         return 2

@@ -38,16 +38,14 @@ from __future__ import annotations
 import functools
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
-import scipy.integrate
 from scipy.signal import lfilter
 
-from ._quad import cosine_coefficient, spectral_integral
+from ._quad import cosine_coefficient
 from .errors import DomainError, SchemaError
 
 # ---------------------------------------------------------------------------
@@ -707,8 +705,6 @@ class FGN(Model):
     free_names = ("H",)
     scale_name = None
 
-    _norm_cache: dict[float, float] = {}
-
     def __init__(self, H: float):
         if not 0.0 < H < 1.0:
             raise DomainError("fgn requires 0 < H < 1")
@@ -743,20 +739,8 @@ class FGN(Model):
         return (2.0 - 2.0 * np.cos(lam_arr)) * out
 
     def _norm(self) -> float:
-        c = FGN._norm_cache.get(self.H)
-        if c is None:
-            # For some H the extrapolation against the origin pole bottoms
-            # out at roundoff and scipy warns while still returning ~1e-9
-            # accuracy; the value is pinned by closed-form r(u) checks, so
-            # the warning carries no information here.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-                total = spectral_integral(
-                    lambda lam: self._bracket(np.abs(lam)), long_memory=self.H != 0.5
-                )
-            c = 1.0 / total
-            FGN._norm_cache[self.H] = c
-        return c
+        """c(H) = sin(pi H) Gamma(2H+1) / (2 pi), which makes r(0) = 1."""
+        return math.sin(math.pi * self.H) * math.gamma(2.0 * self.H + 1.0) / (2.0 * math.pi)
 
     def density(self, lam):
         out = self._norm() * self._bracket(np.abs(_constants(lam).lam))

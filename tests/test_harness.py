@@ -10,10 +10,15 @@ is exactly deterministic because contamination by the zero trend is a
 bitwise copy, so its variance ratio is 1 and every check passes.
 """
 
+import argparse
 import csv
 import hashlib
 import json
 import logging
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,8 @@ from taperspec.cli import build_parser, main
 from taperspec.errors import (DegenerateSampleError, DomainError, SchemaError)
 from taperspec.models import make_rng
 from taperspec.taper import get_taper
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +149,15 @@ def test_load_config_file(tmp_path):
     (tmp_path / "nosec.ini").write_text("[other]\nkind = gof\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="experiment"):
         harness.load_config_file(str(tmp_path / "nosec.ini"))
+
+
+def test_load_config_file_accepts_every_preset():
+    presets = sorted((REPO / "acceptance").glob("*.ini"))
+    assert len(presets) == 14
+    for path in presets:
+        cfg = harness.load_config_file(str(path))
+        assert cfg.resolve()["seed"] == cfg.seed, path.name
+        cfg.merged_checks(cfg.options.get("mode"))  # every [check] value parses
 
 
 def test_csv_cells_and_line_endings(tmp_path):
@@ -264,15 +280,67 @@ _PINNED_CSV_SHA256 = {
     "wa": (["whittle", "--model", "arma{phi=[0.5,-0.2],theta=[0.3]}", "--taper", "tukey",
             "--T", "256", "--reps", "3", "--seed", "53"],
            "9a7ebf65e37a3b743b687ea41e9abdfd95bc9481195cec861d4409fe833c5290"),
+    # One --check run of each kind or gof mode the studies above leave out,
+    # recorded before option and check handling moved into declarative
+    # tables: their JSON pins every check's detail string and report order,
+    # failing checks included.
+    "pg": (["periodogram", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+            "--T", "64", "--seed", "3", "--check"],
+           "e728f3f3bee1986bf0382449a932ec30d511312af55fd71522e221215a1eea90"),
+    "fn": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "rect",
+            "--g", "cosine:2", "--T", "128", "--reps", "60", "--seed", "5", "--check"],
+           "d9739b9979e5e902b31dc4c45d80f43aa75e5fd01e819a60a8b3c77572698547"),
+    "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
+            "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+            "--T", "128", "--reps", "40", "--seed", "29", "--check"],
+           "0d12e4ed239720a2a5ac8cd58c79f3ad5e9ee246afe2b98c6397dc2fc79ac895"),
+    "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
+            "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+            "--T", "128", "--reps", "3", "--mc-draws", "2000", "--seed", "31", "--check"],
+           "a0df7a0d961c91b1927df2d8dfe5c0af89aa363a892def04bc3d373f7ae3e11b"),
+    "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
+            "--T", "64,128,256", "--check"],
+           "255912328a3c86791e9040d4b19ac8b17ede92ded87f2932104d08087f716363"),
+    "fj": (["fejer", "--taper", "linear", "--T", "16,64,256", "--T-smooth", "256",
+            "--check"],
+           "965f62b0fa31986de2feff50d19c659cb92a2fa3dab7538161309192f854d106"),
+    "rb": (["robustness", "--model", "ar1{theta=0.5,sigma2=1}",
+            "--trend", "power:1.0,0.6", "--target", "functional", "--taper", "tukey",
+            "--T", "64,128", "--reps", "20", "--report-reps", "60", "--seed", "33",
+            "--check"],
+           "27bb3946acabda5e0fab29cccc2a33c27c77f9545bb8bb05749caa91a786590b"),
 }
+
+# JSON sha256 of the same studies, recorded with the check-run digests.
+_PINNED_JSON_SHA256 = {
+    "gc": "d63f4e5a639f8084b2f8fc37254b80865b6de712fc3e7d5a108fbb352a8636e0",
+    "lm": "606bfd03460c34627104246a7d37df624e39a80e79e51cbff4b8c1ed84b60ab3",
+    "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
+    "sp": "f63bc839ab491b081cadd26ad70b93f203770f0da13d333361432f9f58606001",
+    "wa": "66006576f553d10453591cf8dfcdd0a696f08906c1e1306a40839e71d3f55500",
+    "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
+    "fn": "29d4d7b650b80a614289c0fe58909d6e93f6005e835cc3c9e651d96004e89ca7",
+    "gs": "88822491e97f3bba434b24717390817fe57f5df8db9d8e8942c5658aa3c5e498",
+    "gm": "883d044971bfef80b7a58ac7afabe82c56f82fbf5f868c2c96d92e6578fd42f4",
+    "tr": "2617ef24e8ce8b8f08269a5898f4d9472850a4f8d2877d1f3f81acccf6d8b614",
+    "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
+    "rb": "f94d10e2b38905725955ec7704905ee9185ad33541eb4ab57614223be1acb40a",
+}
+
+# These runs fail a check (mixed-nu KS law, two decreasing steps on a
+# three-size ladder, the linear taper's smoothing error at T = 256), so
+# --check exits 2; the failure detail strings are pinned with the rest.
+_PINNED_EXIT_CODE = {"gm": 2, "tr": 2, "fj": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_CSV_SHA256))
 def test_csv_bytes_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     argv, digest = _PINNED_CSV_SHA256[name]
-    assert main([*argv, "--out", name]) == 0
+    assert main([*argv, "--out", name]) == _PINNED_EXIT_CODE.get(name, 0)
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
+    assert (hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+            == _PINNED_JSON_SHA256[name])
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):
@@ -323,6 +391,10 @@ def test_gof_preset_with_check_overrides(tmp_path, monkeypatch):
     assert main(["run", "--config", "pre.ini", "--seed", "22",
                  "--out", "gs2"]) == 0
     assert json.loads((tmp_path / "gs2.json").read_text())["config"]["seed"] == "22"
+    # the null written differently is still the data model
+    assert main(["run", "--config", "pre.ini", "--reps", "2", "--out", "gs3",
+                 "--data-model", "ar1{sigma2=1.0,theta=0.50}"]) == 0
+    assert json.loads((tmp_path / "gs3.json").read_text())["results"]["null_matches_data"] is True
 
 
 def test_gof_power_run_rejects_wrong_null(tmp_path, monkeypatch):
@@ -389,6 +461,18 @@ def test_robustness_power_trend_gaps_shrink(tmp_path, monkeypatch):
 # exit codes
 
 
+def _exit_code(argv) -> int:
+    # argparse rejects an unknown flag by SystemExit; the rest return a code
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_WHITTLE_INI = ("[experiment]\nkind = whittle\nmodel = ar1{theta=0.5,sigma2=1}\n"
+                "T = 64\nreps = 2\n")
+
+
 def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["whittle", "--model", "ar1{theta=0.5}", "--T", "4"]) == 1
@@ -396,6 +480,72 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["gof", "--mode", "fancy",
                  "--model", "ar1{theta=0.5}", "--T", "64"]) == 1
     assert main(["simulate", "--T", "64"]) == 1  # model missing
+    # every key, flag and check name is checked against the kind's tables
+    (tmp_path / "wh.ini").write_text(_WHITTLE_INI, encoding="utf-8")
+    (tmp_path / "rep.ini").write_text(_WHITTLE_INI + "rep = 3\n", encoding="utf-8")
+    (tmp_path / "chk.ini").write_text(_WHITTLE_INI + "\n[check]\nvar_ratio_mn = 5\n",
+                                      encoding="utf-8")
+    (tmp_path / "sec.ini").write_text(_WHITTLE_INI + "\n[checks]\nvar_ratio_min = 5\n",
+                                      encoding="utf-8")
+    (tmp_path / "wk.ini").write_text(
+        "[experiment]\nkind = fejer\nT = 16,64\nworkers = 2\n", encoding="utf-8")
+    cases = [
+        (["run", "--config", "rep.ini"], "'rep'"),
+        (["run", "--config", "chk.ini"], "'var_ratio_mn'"),
+        (["run", "--config", "sec.ini"], "'checks'"),
+        (["run", "--config", "wk.ini"], "'workers'"),
+        (["fejer", "--reps", "5"], "--reps"),
+        (["robustness", "--model", "ar1{theta=0.5}", "--workers", "2"], "--workers"),
+        (["whittle", "--rep", "5"], "--rep"),  # no prefix matching of flags
+        (["run", "--config", "wh.ini", "--g", "cosine:1"], "field 'g'"),
+        (["run", "--config", "wh.ini", "--workers", "x"], "field 'workers'"),
+        (["trace-experiment", "--pair", "ar1xcos", "--g", "cosine:2"], "field 'pair'"),
+        (["robustness", "--model", "ar1{theta=0.5}", "--target", "mean"], "field 'target'"),
+    ]
+    for argv, field in cases:
+        assert _exit_code(argv) == 1, argv
+        assert field in capsys.readouterr().err, argv
+    assert not list(tmp_path.glob("*.csv"))  # nothing was written
+    # one worker is what the single-process kinds do anyway
+    (tmp_path / "w1.ini").write_text(
+        "[experiment]\nkind = trace-experiment\npair = ar1xcos\nT = 64,128\nworkers = 1\n",
+        encoding="utf-8")
+    assert main(["run", "--config", "w1.ini"]) == 0
+    assert main(["run", "--config", "w1.ini", "--workers", "1", "--out", "w1b"]) == 0
+
+
+def _readme_flag_table() -> dict:
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", text, flags=re.M)
+    return {kind: set(re.findall(r"`(--[A-Za-z-]+)`", cells)) for kind, cells in rows}
+
+
+def _subcommand_flags() -> dict:
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {kind: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"} for kind, sub in subs.choices.items()}
+
+
+def test_import_taperspec_leaves_the_cli_unloaded():
+    # the CLI is built from harness's tables, never the other way round, so a
+    # library import (which the bench times) pays for no argument parser
+    src = REPO / "src" / "taperspec"
+    assert [p.name for p in src.glob("*.py") if "argparse" in p.read_text()] == ["cli.py"]
+    code = (f"import sys; sys.path.insert(0, {str(src.parent)!r}); import taperspec; "
+            "print('taperspec.cli' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_flag_table_matches_the_parser():
+    table, flags = _readme_flag_table(), _subcommand_flags()
+    kinds = set(harness.KINDS)
+    assert {kind: table[kind] for kind in kinds} == {kind: flags[kind] for kind in kinds}
+    assert sum(len(flags[kind]) for kind in kinds) == 81
+    # run takes every flag, and --config
+    assert flags["run"] == set().union(*(flags[kind] for kind in kinds)) | {"--config"}
 
 
 def test_ini_workers_must_be_an_integer(tmp_path, monkeypatch, capsys):

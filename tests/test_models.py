@@ -107,13 +107,26 @@ def test_arfima_pdq_density_factors():
 
 
 def test_fgn_density_integrates_to_unit_variance():
-    # Normalization is fixed by Gauss-Kronrod; cross-check with an
+    # Normalization is the closed form c(H); cross-check with an
     # independent graded trapezoid rule.
     for H in (0.3, 0.5, 0.7):
         m = FGN(H)
         nodes = even_nodes(1 << 15, graded=H != 0.5)
         total = integrate_even(m.density(nodes), nodes)
         assert total == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_fgn_closed_form_constant_gives_unit_variance(H):
+    # c(H) = sin(pi H) Gamma(2H+1) / (2 pi) is exact for the full aliased
+    # sum; the density truncates it at |k| <= 100 plus an integral tail,
+    # so adaptive quadrature of the density must still give r(0) = 1.
+    from taperspec._quad import spectral_integral
+
+    m = FGN(H)
+    assert m._norm() == math.sin(math.pi * H) * math.gamma(2 * H + 1) / (2 * math.pi)
+    total = spectral_integral(m.density, long_memory=H != 0.5)
+    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fgn_covariances_against_density_quadrature():
