@@ -21,27 +21,26 @@ every taper: the factors of e(h) cancel.  A basis orthogonal to the score
 leaves nu = 1, and with the first p slots identically zero that
 reproduces a plain chi-square with m - p degrees of freedom.
 
-Mixture p-values come from a Monte Carlo draw with a fixed internal seed:
-simpler than characteristic-function inversion and the error is
-quantifiable (the half-width rides along in the result).  The variates do
-not depend on the data, so each process draws them once per law shape
-(unit dof, number of nu terms, draws, seed) and every replication weights
-the same read-only rows by its own nu.
+The reference law is computed, not sampled (`reference_pvalue`).  A nu
+within 1e-6 of 0 drops out and one within 1e-6 of 1 joins the unit
+terms; when nothing else remains the law is chi-square and the p-value
+is its survival function.  Otherwise it comes from Imhof's (1961)
+inversion of the characteristic function.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.integrate
 import scipy.stats
 
 from ._quad import spectral_integral
 from .errors import DomainError
-from .models import Model, make_rng
+from .models import Model
 from .spectrum import Periodogram, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 from .whittle import WhittleFit, whittle_estimate
@@ -50,7 +49,7 @@ logger = logging.getLogger(__name__)
 
 _GRAM_TOL = 1e-6
 _PARITY_NODES = 8193  # symmetric grid on which slots are classified zero/even/odd
-_MC_SEED = 170339
+_NU_TOL = 1e-6  # a mixture weight this close to 0 or 1 is taken as exactly that
 
 
 @dataclass(frozen=True)
@@ -275,10 +274,8 @@ def simple_test(series_or_pgram, taper: Taper, f0, basis: TestBasis,
     """S = |Phi|^2 against chi^2 with one dof per active slot."""
     phi = phi_vector(series_or_pgram, taper, f0, basis, oversample=oversample)
     s = float(np.dot(phi, phi))
-    dof = basis.m_active
-    p_value = float(scipy.stats.chi2.sf(s, dof))
-    threshold = float(scipy.stats.chi2.ppf(1.0 - alpha, dof))
-    return GofResult(statistic=s, p_value=p_value, reject=bool(s > threshold),
+    p_value, dof = reference_pvalue(s, basis.m_active)
+    return GofResult(statistic=s, p_value=p_value, reject=bool(p_value < alpha),
                      alpha=float(alpha),
                      law={"kind": "chisq", "dof": dof}, phi=phi)
 
@@ -317,29 +314,11 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
     return out
 
 
-def delta_vector(series_or_pgram, taper: Taper, model: Model,
-                 oversample: int = 4) -> np.ndarray:
-    """Delta_k = sqrt(T)/sqrt(4 pi e(h)) sum (I/f - 1) d_k ln f w.
-
-    First-order relation to the fitted parameters:
-    sqrt(T)(theta_hat - theta) ~ sqrt(e(h)/4pi) Gamma^{-1} Delta.
-    """
-    shifted = model.memory_class != "short"
-    pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
-    pts = pgram.grid.points
-    f_vals = _density_values(model, pgram.grid)
-    resid = pgram.values / f_vals - 1.0
-    names = model.free_names if model.free_names else (model.scale_name,)
-    rows = np.atleast_2d(model.score(pts))[:len(names)]
-    scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
-    return scale * (rows @ resid) * pgram.grid.weight
-
-
 def mixture_weights(gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
     """nu_k = 1 - eig_k(Gamma^{-1} b' b), clamped into [0, 1].
 
-    Clamping and degenerate nu = 1 weights are reported through the
-    module logger; the caller receives the clamped values.
+    Clamping is reported through the module logger; the caller receives
+    the clamped values.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -353,56 +332,77 @@ def mixture_weights(gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
         logger.warning("clamped %d mixture weight(s) into [0, 1]: %s",
                        clamped, np.array2string(nu, precision=6))
         nu = np.clip(nu, 0.0, 1.0)
-    if np.any(nu >= 1.0 - 1e-12):
-        logger.warning("degenerate mixture weight nu = 1 (basis orthogonal "
-                       "to the score); component keeps full weight")
     return nu
 
 
-@functools.lru_cache(maxsize=4)
-def _reference_draws(unit_dof: int, p: int, draws: int, seed: int) -> tuple:
-    """The mixture law's fixed-seed variates, drawn once per process.
+def _imhof_sf(s: float, dof: int, weights) -> float:
+    """P(chi^2_dof + sum_k w_k chi^2_1 > s) by Imhof's inversion formula.
 
-    Returns the chi^2(unit_dof) row (None when unit_dof is 0) and the p
-    rows of Z^2, read-only, in the stream order of the seed.
+    With theta(u) = (dof atan u + sum atan(w_k u)) / 2 and
+    rho(u) = (1 + u^2)^(dof/4) prod (1 + w_k^2 u^2)^(1/4),
+
+        P = 1/2 + (1/pi) int_0^inf sin(theta(u) - s u / 2) / (u rho(u)) du.
+
+    Up to a = pi / s, where s u / 2 reaches pi / 2, the integrand does not
+    oscillate: a plain rule takes [0, a], split at the powers of ten when
+    a is large.  On [a, inf) the sine is split into
+    sin(theta) cos(s u / 2) - cos(theta) sin(s u / 2), two Fourier
+    integrals for QUADPACK's QAWF.  (A split fixed at u = 1 fails at both
+    ends: for s near 0 QAWF's first cycle spans decades of the amplitude,
+    and for large s the head oscillates too often.)  The result is clipped
+    into [0, 1].
     """
-    rng = make_rng(seed)
-    chi = rng.chisquare(unit_dof, size=draws) if unit_dof > 0 else None
-    if chi is not None:
-        chi.setflags(write=False)
-    z2 = np.empty((p, draws))
-    for k in range(p):
-        z2[k] = rng.standard_normal(draws) ** 2
-    z2.setflags(write=False)
-    return chi, z2
+    if s <= 0.0:
+        return 1.0
+    w = tuple(float(v) for v in weights)
+
+    def theta(u):
+        return 0.5 * (dof * math.atan(u) + sum(math.atan(v * u) for v in w))
+
+    def amplitude(u):  # 1 / (u rho(u))
+        log_rho = 0.25 * (dof * math.log1p(u * u) + sum(math.log1p((v * u) ** 2) for v in w))
+        return math.exp(-log_rho) / u
+
+    quad = scipy.integrate.quad
+    a = math.pi / s
+    decades = tuple(10.0 ** k for k in range(1, math.ceil(math.log10(a)))) if a > 10.0 else None
+    head = quad(lambda u: math.sin(theta(u) - 0.5 * s * u) * amplitude(u), 0.0, a,
+                points=decades)[0]
+    tail_cos = quad(lambda u: math.sin(theta(u)) * amplitude(u), a, math.inf,
+                    weight="cos", wvar=0.5 * s)[0]
+    tail_sin = quad(lambda u: math.cos(theta(u)) * amplitude(u), a, math.inf,
+                    weight="sin", wvar=0.5 * s)[0]
+    return min(max(0.5 + (head + tail_cos - tail_sin) / math.pi, 0.0), 1.0)
 
 
-def _mixture_pvalue(s: float, unit_dof: int, nu: np.ndarray, draws: int,
-                    seed: int) -> tuple:
-    chi, z2 = _reference_draws(int(unit_dof), len(nu), int(draws), int(seed))
-    total = np.zeros(draws)
-    if chi is not None:
-        total += chi
-    for w, row in zip(nu, z2):
-        total += w * row
-    p = float(np.mean(total >= s))
-    half_width = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / draws) / draws)
-    return p, float(half_width)
+def reference_pvalue(s: float, unit_dof: int, nu=()) -> tuple:
+    """(P(X > s), dof) for X = chi^2(unit_dof) + sum_k nu_k chi^2_1.
+
+    A nu within 1e-6 of 0 drops out and one within 1e-6 of 1 joins the
+    unit terms.  When no other weight remains X is chi^2(dof) and the
+    p-value is its survival function; otherwise dof is None and the
+    p-value comes from `_imhof_sf`.
+    """
+    nu = np.asarray(nu, dtype=float)
+    ones = np.abs(nu - 1.0) < _NU_TOL
+    rest = nu[~ones & (np.abs(nu) >= _NU_TOL)]
+    dof = int(unit_dof) + int(np.sum(ones))
+    if rest.size == 0:
+        return float(scipy.stats.chi2.sf(s, dof)), dof
+    return _imhof_sf(s, dof, rest), None
 
 
 def composite_test(series, taper: Taper, model: Model, basis,
                    alpha: float = 0.05, kappa4: float = 0.0,
-                   oversample: int = 4, mc_draws: int = 200000,
-                   mc_seed: int = _MC_SEED, **fit_kwargs) -> GofResult:
+                   oversample: int = 4, **fit_kwargs) -> GofResult:
     """Goodness-of-fit with the null density fitted by tapered Whittle.
 
     `basis` is either a TestBasis or a callable mapping the fitted model
     to one (score-orthogonal constructions depend on theta_hat).  The
     reference law is the chi-square mixture with one unit term per
     surplus active slot and one nu-weighted term per fitted shape
-    parameter, sampled with a fixed internal seed independent of the data
-    streams (its variates are drawn once per process, see the module
-    docstring).
+    parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
+    dof, or None for a genuine mixture.
     """
     fit = whittle_estimate(series, taper, model, kappa4=kappa4,
                            oversample=oversample, **fit_kwargs)
@@ -424,9 +424,9 @@ def composite_test(series, taper: Taper, model: Model, basis,
     e_h = tapering_factor(taper)
     b_eff = math.sqrt(e_h) * b_matrix(fitted, test_basis, taper)
     nu = mixture_weights(gamma, b_eff)
-    p_value, half_width = _mixture_pvalue(s, m_active - p, nu, mc_draws, mc_seed)
-    law = {"kind": "mixture", "unit_dof": m_active - p, "nu": tuple(float(v) for v in nu),
-           "mc_draws": int(mc_draws), "mc_half_width": half_width}
+    p_value, dof = reference_pvalue(s, m_active - p, nu)
+    law = {"kind": "mixture" if dof is None else "chisq", "dof": dof,
+           "unit_dof": m_active - p, "nu": tuple(float(v) for v in nu)}
     return GofResult(statistic=s, p_value=p_value,
                      reject=bool(p_value < alpha), alpha=float(alpha),
                      law=law, phi=phi, fit=fit)

@@ -44,6 +44,7 @@ from .spectrum import Periodogram, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
+_NM_PENALTY = 1e300  # above every feasible criterion value
 
 # Families whose parameter box reaches long-memory points need the grid
 # shifted off the origin regardless of where the search starts.
@@ -299,8 +300,10 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
             best_vec = np.array([xopt])
         else:
             per_start = max(200, max_evals // 5)
+            # Nelder-Mead subtracts criterion values (inf - inf is nan), so an
+            # infeasible candidate scores the finite penalty; min() maps nan there too
             results = [scipy.optimize.minimize(
-                lambda v: shape_objective(v)[0], start,
+                lambda v: min(_NM_PENALTY, shape_objective(v)[0]), start,
                 method="Nelder-Mead", bounds=box,
                 options={"xatol": tol, "fatol": 1e-12, "maxfev": per_start})
                 for start in _nm_starts(box)]

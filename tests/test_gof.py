@@ -6,6 +6,8 @@ Closed-form oracles used below:
   - Score Gram matrix for AR(1): gamma = 1/(1 - theta^2).
   - Scalar mixture weight: nu = 1 - b'b / gamma (root of the determinant
     equation, cross-checked by brute-force scan).
+  - Reference law: chi2.sf wherever every weight is 0 or 1; a Monte Carlo
+    sum of freshly drawn chi-square variates for mixed weights.
 Monte Carlo tolerances were calibrated against pilot runs roughly three
 standard errors wide; seeds are fixed throughout.
 """
@@ -26,15 +28,15 @@ from taperspec.gof import (
     b_matrix,
     composite_test,
     cosine_basis,
-    delta_vector,
     gamma_matrix,
     make_basis,
     mixture_weights,
     phi_vector,
+    reference_pvalue,
     simple_test,
 )
 from taperspec import gof, spectrum, whittle
-from taperspec.gof import _mixture_pvalue, _reference_draws
+from taperspec.gof import _imhof_sf
 from taperspec.models import AR1, derive_seed, gaussian, make_rng, parse_model
 from taperspec.spectrum import Periodogram, canonical_grid
 from taperspec.taper import get_taper, tapering_factor
@@ -283,6 +285,21 @@ def test_b_matrix_zero_slot_rows():
 
 # ------------------------------------------------------------ delta
 
+def delta_vector(series_or_pgram, taper, model, oversample=4):
+    """Delta_k = sqrt(T)/sqrt(4 pi e(h)) sum (I/f - 1) d_k ln f w.
+
+    First-order relation to the fitted parameters:
+    sqrt(T)(theta_hat - theta) ~ sqrt(e(h)/4pi) Gamma^{-1} Delta.
+    """
+    shifted = model.memory_class != "short"
+    pgram = gof._periodogram_for(series_or_pgram, taper, shifted, oversample)
+    resid = pgram.values / gof._density_values(model, pgram.grid) - 1.0
+    names = model.free_names if model.free_names else (model.scale_name,)
+    rows = np.atleast_2d(model.score(pgram.grid.points))[:len(names)]
+    scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
+    return scale * (rows @ resid) * pgram.grid.weight
+
+
 def test_delta_matched_is_zero():
     pg = _synthetic_pgram(AR_HALF, 256)
     d = delta_vector(pg, TUKEY, AR_HALF)
@@ -325,11 +342,12 @@ def test_mixture_weights_identity_case():
     np.testing.assert_allclose(nu, [0.0, 0.0], atol=1e-12)
 
 
-def test_mixture_weights_zero_b_warns(caplog):
-    with caplog.at_level(logging.WARNING, logger="taperspec.gof"):
+def test_mixture_weights_zero_b_is_silent(caplog):
+    # nu = 1 is the plain chi-square case, nothing to report
+    with caplog.at_level(logging.DEBUG, logger="taperspec.gof"):
         nu = mixture_weights(np.eye(2), np.zeros((4, 2)))
     np.testing.assert_allclose(nu, [1.0, 1.0])
-    assert any("nu = 1" in rec.message for rec in caplog.records)
+    assert not caplog.records
 
 
 def test_mixture_weights_scalar_matches_det_scan():
@@ -361,15 +379,39 @@ def test_mixture_weights_singular_gamma():
 
 # ------------------------------------------------------- composite test
 
+# from where p is 1 to round-off to where it underflows: a split of the
+# Imhof integral fixed at u = 1 gets p = 0.75 for chi^2_2 at s = 1e-8
+_S_GRID = (1e-12, 1e-8, 1e-5, 0.01, 0.5, 1.0, 2.0, 3.0, 5.0, 7.81, 12.0, 20.0, 40.0,
+           1e3, 1e5)
+
+
+def _assert_imhof_is_chisq(dof, weights, total):
+    for s in _S_GRID:
+        assert abs(_imhof_sf(s, dof, weights) - scipy.stats.chi2.sf(s, total)) < 1e-9, s
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_mixture_pvalue_nu_zero_matches_chisq():
-    for s in (2.0, 7.0, 7.81, 12.0):
-        p, hw = _mixture_pvalue(s, 3, np.array([0.0]), 200000, 12345)
-        assert abs(p - scipy.stats.chi2(3).sf(s)) < 4e-3
-        assert hw > 0.0
+    # a zero weight adds no degree of freedom; folded, it drops out
+    for dof in (1, 2, 3, 5):
+        for weights in ((), (0.0,), (0.0, 0.0)):
+            _assert_imhof_is_chisq(dof, weights, dof)
+        for s in (2.0, 7.0, 7.81, 12.0):
+            assert reference_pvalue(s, dof, [0.0]) == (scipy.stats.chi2.sf(s, dof), dof)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_mixture_pvalue_nu_one_matches_chisq():
+    # a unit weight adds one degree of freedom; folded, it joins the unit terms
+    for dof in (1, 2, 3, 5):
+        for weights in ((1.0,), (1.0, 0.0), (1.0, 1.0)):
+            _assert_imhof_is_chisq(dof, weights, dof + weights.count(1.0))
+        for s in (2.0, 7.0, 7.81, 12.0):
+            assert reference_pvalue(s, dof, [1.0]) == (scipy.stats.chi2.sf(s, dof + 1), dof + 1)
 
 
 def _fresh_draw_pvalue(s, unit_dof, nu, draws, seed):
-    """The mixture p-value drawing its variates anew, as a reference."""
+    """The mixture p-value from freshly drawn variates, with its 95% half-width."""
     rng = make_rng(seed)
     total = np.zeros(draws)
     if unit_dof > 0:
@@ -381,40 +423,44 @@ def _fresh_draw_pvalue(s, unit_dof, nu, draws, seed):
 
 
 @pytest.mark.parametrize("unit_dof", [0, 2])
-@pytest.mark.parametrize("nu", [(1.0,), (0.25,), (0.0, 0.6)])
-def test_mixture_pvalue_reused_draws_match_fresh(unit_dof, nu):
-    for s in (0.5, 3.0, 7.5):
-        expected = _fresh_draw_pvalue(s, unit_dof, nu, 20000, 777)
-        for _ in range(2):  # the second call reads the cached draws
-            assert _mixture_pvalue(s, unit_dof, np.array(nu), 20000, 777) == expected
+@pytest.mark.parametrize("nu", [(0.25,), (0.6, 0.3), (0.9, 0.05)])
+def test_mixture_pvalue_matches_fresh_draws(unit_dof, nu):
+    for k, s in enumerate((0.5, 3.0, 7.5)):
+        mc, half_width = _fresh_draw_pvalue(s, unit_dof, nu, 400000, 777 + k)
+        p, dof = reference_pvalue(s, unit_dof, nu)
+        assert dof is None
+        assert abs(p - mc) <= 2.0 * half_width, (s, p, mc, half_width)
 
 
-def test_reference_draws_made_once_per_key(monkeypatch):
-    calls = []
-    monkeypatch.setattr(gof, "make_rng", lambda seed: calls.append(seed) or make_rng(seed))
-    _reference_draws.cache_clear()
-    try:
-        for nu in ((0.3,), (0.9,), (0.1, 0.2), (0.5, 0.5)):
-            for s in (1.0, 4.0):
-                _mixture_pvalue(s, 2, np.array(nu), 5000, 31)
-        _mixture_pvalue(1.0, 2, np.array([0.3]), 5000, 32)
-        assert calls == [31, 31, 32]  # keys (2, 1, 31), (2, 2, 31), (2, 1, 32)
-    finally:
-        _reference_draws.cache_clear()
+def test_reference_pvalue_folds_weights_within_tolerance():
+    for s in (0.5, 4.0, 9.0):
+        # within 1e-6 of 1 a weight joins the unit terms, within 1e-6 of 0 it drops
+        assert reference_pvalue(s, 2, [1.0 - 5e-7]) == (scipy.stats.chi2.sf(s, 3), 3)
+        assert reference_pvalue(s, 2, [5e-7, 1.0]) == (scipy.stats.chi2.sf(s, 3), 3)
+        assert reference_pvalue(s, 2) == (scipy.stats.chi2.sf(s, 2), 2)
+        # just outside, the law is a genuine mixture and Imhof takes over
+        p, dof = reference_pvalue(s, 2, [1.0 - 2e-6])
+        assert dof is None and p == _imhof_sf(s, 2, [1.0 - 2e-6])
+        assert abs(p - scipy.stats.chi2.sf(s, 3)) < 1e-5
 
 
-def test_reference_draws_are_read_only():
-    chi, z2 = _reference_draws(2, 2, 1000, 5)
-    assert chi.shape == (1000,) and z2.shape == (2, 1000)
-    assert not chi.flags.writeable and not z2.flags.writeable
-    chi0, z20 = _reference_draws(0, 1, 1000, 5)
-    assert chi0 is None and not z20.flags.writeable
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.9])
+def test_imhof_single_weight_is_a_scaled_chisq(nu):
+    # nu chi^2_1 exceeds s exactly when chi^2_1 exceeds s / nu
+    for s in _S_GRID:
+        assert abs(_imhof_sf(s, 0, (nu,)) - scipy.stats.chi2.sf(s / nu, 1)) < 1e-9
 
 
 def test_mixture_pvalue_deterministic():
-    p1, _ = _mixture_pvalue(5.0, 2, np.array([0.7]), 50000, 999)
-    p2, _ = _mixture_pvalue(5.0, 2, np.array([0.7]), 50000, 999)
-    assert p1 == p2
+    first = reference_pvalue(5.0, 2, np.array([0.7]))
+    assert reference_pvalue(5.0, 2, np.array([0.7])) == first
+    assert first == (_imhof_sf(5.0, 2, [0.7]), None)
+
+
+def test_imhof_edges():
+    assert _imhof_sf(0.0, 2, (0.5,)) == 1.0
+    assert _imhof_sf(-1.0, 0, (0.5,)) == 1.0
 
 
 def test_composite_law_is_chi2_three():
@@ -425,11 +471,11 @@ def test_composite_law_is_chi2_three():
     for r in range(300):
         x = AR_HALF.simulate(drv, 2048, seed=derive_seed(404101, r))
         result = composite_test(x, TUKEY, template,
-                                lambda mdl: ar_example_basis(mdl, 4),
-                                mc_draws=2000)
+                                lambda mdl: ar_example_basis(mdl, 4))
         stats.append(result.statistic)
     assert result.law["unit_dof"] == 2
     assert result.law["nu"][0] == pytest.approx(1.0, abs=1e-9)
+    assert result.law["dof"] == 3
     ks = scipy.stats.kstest(stats, scipy.stats.chi2(3).cdf)
     assert ks.statistic < 0.10, f"KS {ks.statistic:.4f}"
 
@@ -442,8 +488,7 @@ def test_composite_agrees_with_simple_when_score_orthogonal():
     for r in range(80):
         x = AR_HALF.simulate(drv, 4096, seed=derive_seed(707101, r))
         res_c = composite_test(x, TUKEY, template,
-                               lambda mdl: ar_example_basis(mdl, 4),
-                               mc_draws=2000)
+                               lambda mdl: ar_example_basis(mdl, 4))
         res_s = simple_test(x, TUKEY, AR_HALF, basis_true)
         s_comp.append(res_c.statistic)
         s_simp.append(res_s.statistic)
@@ -453,12 +498,11 @@ def test_composite_agrees_with_simple_when_score_orthogonal():
 def test_composite_result_fields():
     x = AR_HALF.simulate(gaussian(), 2048, seed=derive_seed(808101, 0))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
-                         lambda mdl: ar_example_basis(mdl, 4), mc_draws=20000)
+                         lambda mdl: ar_example_basis(mdl, 4))
     assert isinstance(res, GofResult)
-    assert res.law["kind"] == "mixture"
-    assert res.law["mc_draws"] == 20000
-    assert res.law["mc_half_width"] > 0.0
-    assert 0.0 <= res.p_value <= 1.0
+    assert res.law == {"kind": "chisq", "dof": 3, "unit_dof": 2, "nu": res.law["nu"]}
+    assert res.p_value == scipy.stats.chi2.sf(res.statistic, 3)
+    assert res.reject == (res.p_value < 0.05)
     assert res.fit is not None
     assert abs(res.fit.theta_hat[0] - 0.5) < 0.1
     assert res.phi.shape == (4,)
@@ -474,7 +518,7 @@ def test_composite_computes_information_once(monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 1))
     composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
-                   lambda mdl: ar_example_basis(mdl, 4), mc_draws=2000)
+                   lambda mdl: ar_example_basis(mdl, 4))
     assert calls == [1]
 
 
@@ -486,11 +530,23 @@ def test_composite_computes_one_periodogram(monkeypatch):
         monkeypatch.setattr(module, "tapered_periodogram", spy)
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 2))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
-                         lambda mdl: ar_example_basis(mdl, 4), mc_draws=2000)
+                         lambda mdl: ar_example_basis(mdl, 4))
     assert calls == [1]
     # the reused periodogram gives the projections of a fresh one
     fresh = phi_vector(x, TUKEY, res.fit.model, ar_example_basis(res.fit.model, 4))
     assert np.array_equal(res.phi, fresh)
+
+
+def test_composite_cosine_basis_takes_the_mixture_law():
+    # the cosine basis is not score-orthogonal: nu is strictly inside (0, 1)
+    x = AR_HALF.simulate(gaussian(), 1024, seed=derive_seed(808101, 3))
+    res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
+                         cosine_basis(3))
+    assert res.law["kind"] == "mixture" and res.law["dof"] is None
+    (nu,) = res.law["nu"]
+    assert 1e-6 < nu < 1.0 - 1e-6
+    assert res.p_value == _imhof_sf(res.statistic, 2, [nu])
+    assert res.reject == (res.p_value < 0.05)
 
 
 def test_composite_aborts_on_nonconvergence(monkeypatch):

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from taperspec import harness
 from taperspec.cli import build_parser, main
@@ -228,7 +229,7 @@ def test_estimate_functional_identity_and_determinism(tmp_path, monkeypatch):
 
 _COMPOSITE_GOF = ["gof", "--mode", "composite", "--basis", "ar-example:4",
                   "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
-                  "--T", "256", "--mc-draws", "2000"]
+                  "--T", "256"]
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
@@ -263,11 +264,16 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
 # Those changes must leave every output byte alone.  gc was re-recorded when
 # one-parameter fits moved to Fisher scoring and the AR(1) density lost its
 # cancellation near the origin: its statistic moved in the last 8 digits.
+# Re-recorded when the reference laws became exact: gc's p_value column
+# (chi2.sf for the Monte Carlo estimate; see test_exact_pvalues_move_within_
+# the_monte_carlo_half_width), gm's p-values (Imhof) and its KS check, which
+# now reads a number, and wa's iterations (Nelder-Mead scores an infeasible
+# candidate with a finite penalty, where it met inf before).
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "3c94c8c7ca9830647a796309adfdc003a1dd64c61b4f428331fb1ef62673baf8"),
+           "a46b23687b7905d075282f136ecc296bbc6ab31d6651a04f5354a9ccc4fbde96"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -279,7 +285,7 @@ _PINNED_CSV_SHA256 = {
            "2564c19ac3f062cff19db6ae3699c1d8b2f796437643f9530e4df4e5e449cb07"),
     "wa": (["whittle", "--model", "arma{phi=[0.5,-0.2],theta=[0.3]}", "--taper", "tukey",
             "--T", "256", "--reps", "3", "--seed", "53"],
-           "9a7ebf65e37a3b743b687ea41e9abdfd95bc9481195cec861d4409fe833c5290"),
+           "6cf49b7aa1503373495f2f206bae15e5bc8d5519da5f1987b29f06ae8236aad3"),
     # One --check run of each kind or gof mode the studies above leave out,
     # recorded before option and check handling moved into declarative
     # tables: their JSON pins every check's detail string and report order,
@@ -296,8 +302,8 @@ _PINNED_CSV_SHA256 = {
            "0d12e4ed239720a2a5ac8cd58c79f3ad5e9ee246afe2b98c6397dc2fc79ac895"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
-            "--T", "128", "--reps", "3", "--mc-draws", "2000", "--seed", "31", "--check"],
-           "a0df7a0d961c91b1927df2d8dfe5c0af89aa363a892def04bc3d373f7ae3e11b"),
+            "--T", "128", "--reps", "3", "--seed", "31", "--check"],
+           "adba880c192519978ea6d4e48056ef4d701b3ce5ce02d06bb79b4024c04a704e"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256", "--check"],
            "255912328a3c86791e9040d4b19ac8b17ede92ded87f2932104d08087f716363"),
@@ -321,15 +327,16 @@ _PINNED_JSON_SHA256 = {
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
     "fn": "29d4d7b650b80a614289c0fe58909d6e93f6005e835cc3c9e651d96004e89ca7",
     "gs": "88822491e97f3bba434b24717390817fe57f5df8db9d8e8942c5658aa3c5e498",
-    "gm": "883d044971bfef80b7a58ac7afabe82c56f82fbf5f868c2c96d92e6578fd42f4",
+    "gm": "6aedd4286a94f53d868cf7675cb59aae1dc1fb0ec22c5a0d7a1bcfbf66c116e2",
     "tr": "2617ef24e8ce8b8f08269a5898f4d9472850a4f8d2877d1f3f81acccf6d8b614",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f94d10e2b38905725955ec7704905ee9185ad33541eb4ab57614223be1acb40a",
 }
 
-# These runs fail a check (mixed-nu KS law, two decreasing steps on a
-# three-size ladder, the linear taper's smoothing error at T = 256), so
-# --check exits 2; the failure detail strings are pinned with the rest.
+# These runs fail a check (KS of three p-values, which is at least 1/6,
+# two decreasing steps on a three-size ladder, the linear taper's smoothing
+# error at T = 256), so --check exits 2; the failure detail strings are
+# pinned with the rest.
 _PINNED_EXIT_CODE = {"gm": 2, "tr": 2, "fj": 2}
 
 
@@ -349,11 +356,46 @@ def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):
     level, filters = gof_logger.level, list(gof_logger.filters)
     with caplog.at_level(logging.WARNING):
         assert main([*_COMPOSITE_GOF, "--reps", "2", "--out", "gc"]) == 0
-    # the ar-example basis makes nu = 1 in every replication; that
-    # expected warning is muted while the replications run
+    # the ar-example basis makes nu = 1 in every replication, which is
+    # the plain chi-square law and logs nothing
     assert not [r for r in caplog.records if r.name == "taperspec.gof"]
     assert gof_logger.level == level
     assert gof_logger.filters == filters
+
+
+# The gc study's p-values and their 95% Monte Carlo half-widths (200,000
+# draws) as the Monte Carlo reference law gave them; none of them rejected.
+_GC_MONTE_CARLO = ((0.355755, 0.002098176933092107), (0.882235, 0.0014126719870225359),
+                   (0.89834, 0.0013244528283163578), (0.395135, 0.002142609623037804))
+
+
+def test_exact_pvalues_move_within_the_monte_carlo_half_width(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256["gc"]
+    assert main([*argv, "--out", "gc"]) == 0
+    with open(tmp_path / "gc.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_GC_MONTE_CARLO)
+    for row, (p_mc, half_width) in zip(rows, _GC_MONTE_CARLO):
+        assert abs(float(row["p_value"]) - p_mc) <= half_width
+        assert row["reject"] == "0"
+
+
+def test_cosine_composite_check_reads_the_ks_of_the_pvalues(tmp_path, monkeypatch, capsys):
+    # a cosine basis gives a genuinely mixed law; its p-values are still
+    # uniform under the null, so the KS check has a number to compare
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gm.ini").write_text(
+        "[experiment]\nkind = gof\nmode = composite\nbasis = cosine:3\n"
+        "model = ar1{theta=0.5,sigma2=1}\nT = 256\nreps = 20\nseed = 37\nout = gm\n\n"
+        "[check]\nks_max = 0.5\n", encoding="utf-8")
+    assert main(["run", "--config", "gm.ini", "--check"]) == 0
+    assert "PASS ks_max: KS to chi-square" in capsys.readouterr().out
+    with open(tmp_path / "gm.csv", newline="", encoding="utf-8") as fh:
+        p_values = [float(r["p_value"]) for r in csv.DictReader(fh)]
+    res = json.loads((tmp_path / "gm.json").read_text())["results"]
+    assert res["effective_dof"] is None
+    assert res["ks_stat"] == scipy.stats.kstest(p_values, "uniform").statistic
 
 
 def test_whittle_runner_smoke(tmp_path, monkeypatch):
@@ -487,12 +529,17 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
                                       encoding="utf-8")
     (tmp_path / "sec.ini").write_text(_WHITTLE_INI + "\n[checks]\nvar_ratio_min = 5\n",
                                       encoding="utf-8")
+    (tmp_path / "mc.ini").write_text(
+        "[experiment]\nkind = gof\nmode = composite\nmodel = ar1{theta=0.5}\n"
+        "T = 64\nmc_draws = 2000\n", encoding="utf-8")
     (tmp_path / "wk.ini").write_text(
         "[experiment]\nkind = fejer\nT = 16,64\nworkers = 2\n", encoding="utf-8")
     cases = [
         (["run", "--config", "rep.ini"], "'rep'"),
         (["run", "--config", "chk.ini"], "'var_ratio_mn'"),
         (["run", "--config", "sec.ini"], "'checks'"),
+        (["run", "--config", "mc.ini"], "'mc_draws'"),  # the reference law is exact now
+        ([*_COMPOSITE_GOF, "--mc-draws", "2000"], "--mc-draws"),
         (["run", "--config", "wk.ini"], "'workers'"),
         (["fejer", "--reps", "5"], "--reps"),
         (["robustness", "--model", "ar1{theta=0.5}", "--workers", "2"], "--workers"),
@@ -543,7 +590,7 @@ def test_readme_flag_table_matches_the_parser():
     table, flags = _readme_flag_table(), _subcommand_flags()
     kinds = set(harness.KINDS)
     assert {kind: table[kind] for kind in kinds} == {kind: flags[kind] for kind in kinds}
-    assert sum(len(flags[kind]) for kind in kinds) == 81
+    assert sum(len(flags[kind]) for kind in kinds) == 80
     # run takes every flag, and --config
     assert flags["run"] == set().union(*(flags[kind] for kind in kinds)) | {"--config"}
 

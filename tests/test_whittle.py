@@ -483,3 +483,16 @@ def test_info_matrix_singular_score():
 def test_info_matrix_parameterless_model():
     with pytest.raises(DomainError):
         info_matrices(_Parameterless())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nelder_mead_meets_no_infinite_criterion():
+    # the three-parameter ARMA fits of the harness's whittle study: candidates
+    # outside the stationary region score a finite penalty, so Nelder-Mead never
+    # subtracts inf from inf, and the fits land on feasible minima
+    model = parse_model("arma{phi=[0.5,-0.2],theta=[0.3]}")
+    for rep in range(3):
+        x = model.simulate(gaussian(), 256, seed=derive_seed(53, rep))
+        fit = whittle_estimate(x, get_taper("tukey"), model)
+        assert fit.converged
+        assert math.isfinite(fit.objective_value) and fit.objective_value < 0.0
