@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.stats
+import scipy.special
 
 from ._quad import spectral_integral
 from .errors import DomainError
-from .models import Model
+from .models import Model, _constants
 from .spectrum import Periodogram, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 from .whittle import WhittleFit, whittle_estimate
@@ -64,8 +64,9 @@ class TestBasis:
     degree of freedom, which would silently wreck the chi-square
     calibration.
 
-    `evaluate` maps an array of frequencies to the (m, len(lam)) array of
-    all slots at once, so a construction can share work between slots.
+    `evaluate` maps a FrequencyConstants value to the (m, len(lam)) array
+    of all slots at once, so a construction can share work between slots
+    and, on a grid's shared constants, reuse its e^{i j lam} table.
     `degree` is the highest frequency j of an e^{i j lam} factor in any
     slot, the rest of each slot being smooth (see ar_example_basis); the
     population quadratures start fine enough to resolve it.  It is None
@@ -92,8 +93,9 @@ class TestBasis:
     def m_active(self) -> int:
         return len(self.active)
 
-    def values(self, lam: np.ndarray) -> np.ndarray:
-        return self.evaluate(np.asarray(lam, dtype=float))
+    def values(self, lam) -> np.ndarray:
+        """All slots at an array of frequencies or a FrequencyConstants value."""
+        return self.evaluate(_constants(lam))
 
 
 def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
@@ -110,7 +112,7 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
     if not functions:
         raise DomainError("basis needs at least one function")
 
-    def evaluate(lam):
+    def rows(lam):
         return np.vstack([np.broadcast_to(np.asarray(fn(lam), dtype=float),
                                           lam.shape) for fn in functions])
 
@@ -118,7 +120,7 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
         names = tuple(f"phi{j + 1}" for j in range(len(functions)))
     m = len(names)
     grid = np.linspace(-math.pi, math.pi, _PARITY_NODES)
-    vals = evaluate(grid)
+    vals = rows(grid)
     if not np.all(np.isfinite(vals)):
         raise DomainError("basis function not finite on [-pi, pi]")
     zero = np.max(np.abs(vals), axis=1) < 1e-12
@@ -134,7 +136,7 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
         pairs = [(i, j) for i in range(len(active)) for j in range(i, len(active))]
 
         def products(lam):
-            av = evaluate(lam)[active]
+            av = rows(lam)[active]
             return np.vstack([av[i] * av[j] for i, j in pairs])
 
         upper = spectral_integral(
@@ -148,7 +150,8 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
     if residual > _GRAM_TOL:
         raise DomainError(
             f"basis fails the orthonormality certificate: residual {residual:.3e}")
-    return TestBasis(evaluate=evaluate, names=tuple(names), parity=parity,
+    # the caller's functions see the plain frequency array
+    return TestBasis(evaluate=lambda c: rows(c.lam), names=tuple(names), parity=parity,
                      gram_residual=residual, degree=degree)
 
 
@@ -163,8 +166,8 @@ def cosine_basis(m: int) -> TestBasis:
         raise DomainError("cosine basis needs m >= 1")
     j = np.arange(1, m + 1, dtype=float)
 
-    def evaluate(lam):
-        return np.cos(np.outer(j, lam)) / math.sqrt(math.pi)
+    def evaluate(c):
+        return np.cos(np.outer(j, c.lam)) / math.sqrt(math.pi)
 
     names = tuple(f"cos{k}" for k in range(1, m + 1))
     return TestBasis(evaluate=evaluate, names=names, parity=("even",) * m,
@@ -205,12 +208,12 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     if m <= p:
         raise DomainError(f"need m > p = {p} basis slots")
 
-    def evaluate(lam):
-        # e^{i lam} and the AR ratio are shared by every slot
-        z = np.exp(1j * lam)
+    def evaluate(c):
+        # the AR ratio is shared by every slot, e^{i j lam} by every replication
+        z = c.exp_ij(1)
         ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
-        rows = [np.zeros_like(lam) for _ in range(p)]
-        rows += [np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi)
+        rows = [np.zeros_like(c.lam) for _ in range(p)]
+        rows += [np.real(c.exp_ij(j) * ratio) / math.sqrt(math.pi)
                  for j in range(p + 1, m + 1)]
         return np.vstack(rows)
 
@@ -262,11 +265,10 @@ def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
     """Normalized projections of I/f0 - 1 onto the basis."""
     shifted = isinstance(f0, Model) and f0.memory_class != "short"
     pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
-    pts = pgram.grid.points
     f_vals = _density_values(f0, pgram.grid)
     resid = pgram.values / f_vals - 1.0
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
-    return scale * (basis.values(pts) @ resid) * pgram.grid.weight
+    return scale * (basis.values(pgram.grid.constants) @ resid) * pgram.grid.weight
 
 
 def simple_test(series_or_pgram, taper: Taper, f0, basis: TestBasis,
@@ -388,7 +390,8 @@ def reference_pvalue(s: float, unit_dof: int, nu=()) -> tuple:
     rest = nu[~ones & (np.abs(nu) >= _NU_TOL)]
     dof = int(unit_dof) + int(np.sum(ones))
     if rest.size == 0:
-        return float(scipy.stats.chi2.sf(s, dof)), dof
+        # chi2.sf without the distribution machinery; 1 below the support
+        return float(scipy.special.chdtrc(dof, max(s, 0.0))), dof
     return _imhof_sf(s, dof, rest), None
 
 

@@ -258,7 +258,8 @@ CHECKS = {
         Check("size_min", {"simple": 0.03}, ">=", "rejection_rate", "rejection rate"),
         Check("size_max", {"simple": 0.07}, "<=", "rejection_rate", "rejection rate"),
         Check("rate_min", None, ">=", "rejection_rate", "rejection rate"),
-        Check("ks_max", {"composite": 0.05}, "<=", "ks_stat", "KS to chi-square")),
+        Check("ks_max", {"composite": 0.05}, "<=", "ks_stat",
+              "KS of p-values to U(0,1)")),
     "trace-experiment": (
         Check("final_delta_max", 0.01, "<=", "final_delta", "final delta"),
         Check("min_decreasing_steps", 3, ">=", "decreasing_steps", "decreasing steps"),

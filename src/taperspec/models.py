@@ -216,15 +216,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class FrequencyConstants:
     """Frequencies lam with the trigonometric constants the densities share.
 
-    cos(lam), e^{-i lam} and 2 sin(|lam|/2) are computed on first use and
-    then kept, read-only.  Every family's `density` reads them through
-    this value and wraps a plain array in a fresh one, so a search that
-    evaluates many candidates on one grid (`FrequencyGrid.constants`)
-    computes them once.  numpy reads the value as its frequency array.
+    cos(lam), e^{-i lam}, 2 sin(|lam|/2) and, per j, e^{i j lam} (the
+    table `exp_ij`) are computed on first use and then kept, read-only.
+    Every family's `density` and `TestBasis.values` read them through
+    this value and wrap a plain array in a fresh one, so the many
+    evaluations on one grid (`FrequencyGrid.constants`) compute them
+    once.  numpy reads the value as its frequency array.
     """
 
     def __init__(self, lam):
         self.lam = _as_lam(lam)
+        self._exp_ij = {}
+
+    def exp_ij(self, j: int) -> np.ndarray:
+        """e^{i j lam}, computed once per j."""
+        if j not in self._exp_ij:
+            self._exp_ij[j] = _frozen(np.exp(1j * j * self.lam))
+        return self._exp_ij[j]
 
     def __array__(self, dtype=None, copy=None):
         lam = self.lam if dtype is None else self.lam.astype(dtype, copy=False)

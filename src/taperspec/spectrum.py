@@ -58,12 +58,19 @@ class FrequencyGrid:
 
     @functools.cached_property
     def constants(self) -> FrequencyConstants:
-        """The points with their density constants, computed once per grid."""
+        """The points with their density constants, computed once per grid
+        (so once per process for a memoized `canonical_grid`)."""
         return FrequencyConstants(self.points)
 
 
+@functools.lru_cache(maxsize=8)
 def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
-    """Full-period grid with N = next power of two >= oversample * T."""
+    """Full-period grid with N = next power of two >= oversample * T.
+
+    Memoized per process: the grid is frozen and its arrays read-only, so
+    one grid and its cached `constants` serve every call with the same
+    arguments (and every forked worker).
+    """
     if T < 1:
         raise ValueError("T must be positive")
     if oversample not in _OVERSAMPLE_CHOICES:

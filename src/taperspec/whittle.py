@@ -18,7 +18,8 @@ Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per fit, on the grid
 (`FrequencyGrid.constants`); each candidate is built once, at unit scale
-from a template; and the unit weight is never materialized, since
+from a template, and its density evaluated once, for the criterion and
+the scoring step alike; and the unit weight is never materialized, since
 multiplying by 1 is exact and its sum is the grid size.
 
 The estimator's limit covariance is e(h) Gamma(theta) with
@@ -142,14 +143,13 @@ def whittle_objective(pgram: Periodogram, model: Model, theta=None,
     return float(total / (4.0 * math.pi))
 
 
-def _profile_scale(pgram: Periodogram, unit: Model, weight) -> tuple:
+def _profile_scale(pgram: Periodogram, f1: np.ndarray, weight) -> tuple:
     """Closed-form innovation-scale minimizer and the profiled criterion.
 
-    `unit` is the candidate at scale 1, f1.  For f = sigma2 f1:
-    sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the profiled value is
-    the plain criterion evaluated there.
+    `f1` is the candidate's density at scale 1 on the grid.  For
+    f = sigma2 f1: sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the
+    profiled value is the plain criterion evaluated there.
     """
-    f1 = _grid_density(unit, pgram.grid)
     w = _weight_values(weight, pgram.grid.points)
     denom = (pgram.grid.N if w is None else float(np.sum(w))) * pgram.grid.weight
     if denom <= 0.0:
@@ -180,16 +180,18 @@ def default_bounds(model: Model) -> list:
     return out
 
 
-def _scoring_step(pgram: Periodogram, s2: float, unit: Model, weight) -> float:
+def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model, weight) -> float:
     """Fisher-scoring step -g/H for the one shape parameter of `unit`.
 
     g = (1/4pi) sum_j (1 - I_j/f_j) s_j w_j dlam is the gradient of the
     profiled criterion at f = s2 f1 (s2 minimizes it, so by the envelope
     theorem it drops out) and H = (1/4pi) sum_j s_j^2 w_j dlam the grid
     version of `info_matrices`' W, s being the shape row of `model.score`.
+    `f1` is the unit density the criterion was evaluated at, or None for
+    a family without a scale, whose density is then evaluated here.
     A zero H, or any non-finite step, gives a zero step.
     """
-    f = s2 * _grid_density(unit, pgram.grid)
+    f = s2 * (_grid_density(unit, pgram.grid) if f1 is None else f1)
     s = np.atleast_2d(unit.score(pgram.grid.constants))[0]
     w = _weight_values(weight, pgram.grid.points)
     sw = s if w is None else s * w
@@ -270,20 +272,22 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
 
     def shape_objective(vec) -> tuple:
-        """(value, (s2, candidate)), s2 = 1 for a family without a scale."""
+        """(value, (s2, f1, candidate)): s2 = 1 and f1 = None for a family
+        without a scale, else the scale and the unit density on the grid."""
         try:
             cand = template.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
             if has_scale:
-                s2, val = _profile_scale(pgram, cand, weight)
-                return val, (s2, cand)
-            return whittle_objective(pgram, cand, weight=weight), (1.0, cand)
+                f1 = _grid_density(cand, pgram.grid)
+                s2, val = _profile_scale(pgram, f1, weight)
+                return val, (s2, f1, cand)
+            return whittle_objective(pgram, cand, weight=weight), (1.0, None, cand)
         except (DomainError, ValueError, FloatingPointError):
-            return math.inf, (None, None)
+            return math.inf, (None, None, None)
 
     if p == 0:
         if not has_scale:
             raise DomainError("model has no free parameters to fit")
-        s2, value = _profile_scale(pgram, template, weight)
+        s2, value = _profile_scale(pgram, _grid_density(template, pgram.grid), weight)
         fitted = model.with_params(**{model.scale_name: s2})
         theta = np.array([s2])
         fit_names = (model.scale_name,)
@@ -293,7 +297,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         if len(box) != p:
             raise DomainError(f"need {p} bounds pairs, got {len(box)}")
         if p == 1:
-            xopt, value, (s2, _), iterations, converged = _fisher_scoring(
+            xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
                 lambda t: shape_objective([t]),
                 lambda state: _scoring_step(pgram, *state, weight),
                 float(box[0][0]), float(box[0][1]), tol, max_evals)
@@ -311,7 +315,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
             best_vec = np.asarray(best.x, dtype=float)
             iterations = sum(r.nfev for r in results)
             converged = bool(best.success)
-            value, (s2, _) = shape_objective(best_vec)
+            value, (s2, _, _) = shape_objective(best_vec)
             if not math.isfinite(value):
                 raise DomainError("objective not finite at the reported minimum")
         fitted = model.with_free(best_vec)

@@ -132,17 +132,37 @@ def test_cosine_slots_match_their_formula_bitwise():
         assert np.array_equal(vals[j - 1], np.cos(j * lam) / math.sqrt(math.pi))
 
 
-def test_ar_example_slots_match_their_formula_bitwise():
-    theta = 0.7
-    lam = np.linspace(-math.pi, math.pi, 1001)
-    vals = ar_example_basis(AR1(theta=theta, sigma2=1.0), 4).values(lam)
+def _ar_example_reference(a, m, lam):
+    """The ar-example slots written out on plain frequencies."""
+    p = a.size - 1
     z = np.exp(1j * lam)
-    a = np.array([1.0, -theta])
     ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
-    assert np.array_equal(vals[0], np.zeros_like(lam))
-    for j in (2, 3, 4):
-        assert np.array_equal(
-            vals[j - 1], np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi))
+    rows = [np.zeros_like(lam) for _ in range(p)]
+    rows += [np.real(np.exp(1j * j * lam) * ratio) / math.sqrt(math.pi)
+             for j in range(p + 1, m + 1)]
+    return np.vstack(rows)
+
+
+def test_ar_example_slots_match_their_formula_bitwise():
+    lam = np.linspace(-math.pi, math.pi, 1001)
+    vals = ar_example_basis(AR1(theta=0.7, sigma2=1.0), 4).values(lam)
+    assert np.array_equal(vals, _ar_example_reference(np.array([1.0, -0.7]), 4, lam))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("m", [3, 4, 8])
+@pytest.mark.parametrize("spec", ["ar1{theta=-0.7}", "ar1{theta=0.5}", "ar1{theta=0.999}",
+                                  "arma{phi=[0.5,-0.2]}"])
+def test_ar_example_on_grid_constants_matches_raw_points(spec, m, shifted):
+    # phi_vector evaluates the basis on the grid's shared constants, whose
+    # e^{i j lam} table every replication reuses; the bits must not move
+    model = parse_model(spec)
+    grid = canonical_grid(200, oversample=2, shifted=shifted)
+    basis = ar_example_basis(model, m)
+    want = _ar_example_reference(gof._ar_poly(model), m, grid.points)
+    assert np.array_equal(basis.values(grid.points), want)
+    assert np.array_equal(basis.values(grid.constants), want)
+    assert np.array_equal(basis.values(grid.constants), want)  # read from the table
 
 
 def test_make_basis_rejects_odd_function():
@@ -410,6 +430,15 @@ def test_mixture_pvalue_nu_one_matches_chisq():
             assert reference_pvalue(s, dof, [1.0]) == (scipy.stats.chi2.sf(s, dof + 1), dof + 1)
 
 
+def test_chisq_branch_matches_the_chi2_survival_function_bitwise():
+    s_grid = np.concatenate(([0.0, 1e-300, 1e-12, 1e5], np.logspace(-8, 5, 300),
+                             np.linspace(0.0, 60.0, 241)))
+    for dof in range(1, 13):
+        for s in s_grid:
+            assert reference_pvalue(float(s), dof) == (scipy.stats.chi2.sf(s, dof), dof)
+    assert reference_pvalue(-1.0, 2) == (1.0, 2)  # below the support, as chi2.sf
+
+
 def _fresh_draw_pvalue(s, unit_dof, nu, draws, seed):
     """The mixture p-value from freshly drawn variates, with its 95% half-width."""
     rng = make_rng(seed)
@@ -547,6 +576,28 @@ def test_composite_cosine_basis_takes_the_mixture_law():
     assert 1e-6 < nu < 1.0 - 1e-6
     assert res.p_value == _imhof_sf(res.statistic, 2, [nu])
     assert res.reject == (res.p_value < 0.05)
+
+
+def _cosine_make_basis(m, seen):
+    """cosine_basis(m) rebuilt from plain callables that record their argument."""
+    def slot(j):
+        return lambda lam: seen.append(lam) or np.cos(j * lam) / math.sqrt(math.pi)
+    return make_basis([slot(float(j)) for j in range(1, m + 1)], degree=m)
+
+
+def test_phi_vector_and_composite_accept_a_make_basis_basis():
+    seen = []
+    basis = _cosine_make_basis(3, seen)
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 4))
+    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, basis),
+                          phi_vector(x, TUKEY, AR_HALF, cosine_basis(3)))
+    null = parse_model("ar1{theta=0.0,sigma2=1.0}")
+    res = composite_test(x, TUKEY, null, basis)
+    ref = composite_test(x, TUKEY, null, cosine_basis(3))
+    assert np.array_equal(res.phi, ref.phi) and res.law == ref.law
+    assert res.p_value == ref.p_value
+    # the caller's functions only ever see plain float frequency arrays
+    assert seen and all(type(lam) is np.ndarray and lam.dtype == float for lam in seen)
 
 
 def test_composite_aborts_on_nonconvergence(monkeypatch):

@@ -207,6 +207,16 @@ def test_unit_polynomial_factors_skipped_bitwise(m):
     assert np.array_equal(m.density(lam), top * num / (2.0 * math.pi * den))
 
 
+def test_exp_table_is_computed_once_per_j(monkeypatch):
+    c = FrequencyConstants(np.linspace(-math.pi, math.pi, 64))
+    calls = []
+    real_exp = np.exp
+    monkeypatch.setattr(models.np, "exp", lambda x: calls.append(x) or real_exp(x))
+    tables = [c.exp_ij(j) for j in (1, 4, 2, 1, 4, 2, 1)]
+    assert len(calls) == 3
+    assert tables[0] is tables[3] is tables[6] and tables[1] is tables[4]
+
+
 def test_density_constants_match_the_plain_formulas_bitwise():
     lam = -math.pi + 2.0 * math.pi * (np.arange(256) + 0.5) / 256
     c = FrequencyConstants(lam)
@@ -217,6 +227,9 @@ def test_density_constants_match_the_plain_formulas_bitwise():
         assert not arr.flags.writeable
     assert c.cos is c.cos  # computed once, then kept
     assert np.asarray(c, dtype=float) is lam
+    for j in range(-2, 9):
+        assert np.array_equal(c.exp_ij(j), np.exp(1j * j * lam))
+        assert not c.exp_ij(j).flags.writeable
     ar = AR1(theta=0.6, sigma2=1.3)
     assert np.array_equal(
         ar.density(c),

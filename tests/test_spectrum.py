@@ -1,5 +1,6 @@
 """Frequency grids, tapered DFT, and periodogram identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,26 @@ def test_canonical_grid_oversample_choices():
         assert g.N & (g.N - 1) == 0
     with pytest.raises(ValueError):
         canonical_grid(48, oversample=3)
+
+
+def test_canonical_grid_is_memoized_read_only():
+    g = canonical_grid(300, oversample=2, shifted=True)
+    again = canonical_grid(300, oversample=2, shifted=True)
+    assert again is g and again.constants is g.constants
+    assert canonical_grid(300, oversample=2) is not g
+    fresh = canonical_grid.__wrapped__(300, oversample=2, shifted=True)
+    assert np.array_equal(fresh.points, g.points) and fresh.weight == g.weight
+    assert not g.points.flags.writeable
+    with pytest.raises(ValueError):
+        g.points[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.weight = 1.0
+    # a bad argument raises on every call; nothing is cached for it
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive"):
+            canonical_grid(0)
+        with pytest.raises(ValueError, match="oversample"):
+            canonical_grid(48, oversample=3)
 
 
 def test_shifted_grid_avoids_origin_and_endpoints():

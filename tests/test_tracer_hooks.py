@@ -1,0 +1,88 @@
+"""The benchmark's tracer hooks still find the functions they wrap.
+
+`bench/tracing.py` patches taperspec functions by module and name from
+outside the package; a renamed or moved function makes the traced
+benchmark fail.  The file is loaded here read-only, without putting
+`bench/` on the import path, and must leave every output byte alone.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from taperspec.cli import main  # loads the harness and every traced module
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing",
+                                                  REPO / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def _owner_and_name(mod_name, attr):
+    owner = sys.modules[f"taperspec.{mod_name}"]
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, name
+
+
+def _bound(tracing) -> dict:
+    """(module, attribute) -> the object each traced target binds now."""
+    out = {}
+    for mod_name, attr in (t[1:3] for t in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS):
+        owner, name = _owner_and_name(mod_name, attr)
+        assert name in vars(owner), f"taperspec.{mod_name}.{attr} is gone"
+        out[mod_name, attr] = vars(owner)[name]
+    return out
+
+
+def test_every_traced_target_resolves(tracing):
+    bound = _bound(tracing)
+    assert len(bound) > 20 and all(callable(fn) for fn in bound.values())
+
+
+def test_tracer_installs_and_restores_every_target(tracing):
+    before = _bound(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = _bound(tracing)
+    finally:
+        tracer.uninstall()
+    assert all(wrapped[t] is not before[t] for t in before)
+    assert _bound(tracing) == before
+
+
+_COMPOSITE = ["gof", "--mode", "composite", "--basis", "ar-example:4",
+              "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+              "--T", "512", "--reps", "2", "--seed", "59", "--out", "gc"]
+
+
+def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monkeypatch):
+    def run(label):
+        (tmp_path / label).mkdir()
+        monkeypatch.chdir(tmp_path / label)
+        assert main(_COMPOSITE) == 0
+
+    run("plain")
+    with tracing.Tracer() as tracer:
+        run("traced")
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / "plain" / f"gc{ext}").read_bytes()
+                == (tmp_path / "traced" / f"gc{ext}").read_bytes()), ext
+    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.b_matrix",
+                 "gof.basis_build", "gof.composite_test"):
+        assert tracer.counts[name] == 2, name
+    assert tracer.counts["whittle.objective"] > 2

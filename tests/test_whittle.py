@@ -106,7 +106,7 @@ def test_unit_weight_path_matches_explicit_ones_bitwise():
         f1 = unit.density(pts)
         s2 = float(np.sum(vals / f1 * w) * gw / (float(np.sum(w)) * gw))
         value = np.sum((np.log(s2 * f1) + vals / (s2 * f1)) * w)
-        assert whittle._profile_scale(pg, unit, None) == (
+        assert whittle._profile_scale(pg, whittle._grid_density(unit, pg.grid), None) == (
             s2, float(value * gw / (4.0 * math.pi)))
         total = np.sum((np.log(f1) + vals / f1) * w) * gw
         assert whittle_objective(pg, unit) == float(total / (4.0 * math.pi))
@@ -190,6 +190,18 @@ def test_ar1_fit_evaluates_the_criterion_a_few_times(monkeypatch):
     fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
     assert fit.converged
     assert len(calls) == fit.iterations <= 6
+
+
+def test_ar1_fit_evaluates_each_candidate_density_once(monkeypatch):
+    # the scoring step reads the unit density the criterion was evaluated at
+    calls = []
+    real = whittle._grid_density
+    monkeypatch.setattr(whittle, "_grid_density",
+                        lambda *a: calls.append(a) or real(*a))
+    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
+    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    assert fit.converged and fit.iterations > 1
+    assert len(calls) == fit.iterations
 
 
 def test_scoring_out_of_evaluations_is_not_converged():
