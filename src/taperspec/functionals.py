@@ -30,7 +30,7 @@ where c_h(u) = sum_t h(t/T) h((t+|u|)/T) and C_T = 2 pi sum_t h^2(t/T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,9 +56,26 @@ class GeneratingFunction:
     degree: int | None = None
     bounded_variation: bool = True
     label: str = ""
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, lam):
         return self.eval(lam)
+
+    def on_grid(self, grid: FrequencyGrid) -> np.ndarray:
+        """g at the grid's points as floats (kept per canonical grid size)."""
+        if not grid.canonical:
+            return np.asarray(self.eval(grid.points), dtype=float)
+        return self._keep(("grid", grid.N, grid.shifted), lambda: self.eval(grid.points))
+
+    def coefficients(self, max_lag: int) -> np.ndarray:
+        """ghat(u) for u = 0..max_lag (kept per max_lag)."""
+        return self._keep(("fourier", max_lag), lambda: self.fourier(np.arange(max_lag + 1)))
+
+    def _keep(self, key, make) -> np.ndarray:
+        if key not in self._kept:
+            self._kept[key] = np.array(np.atleast_1d(make()), dtype=float)
+            self._kept[key].setflags(write=False)
+        return self._kept[key]
 
 
 def cosine(u: int) -> GeneratingFunction:
@@ -183,8 +200,7 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
 
 def plugin_estimate(pgram: Periodogram, g: GeneratingFunction) -> float:
     """J_T = sum_j I(lambda_j) g(lambda_j) w_j on the periodogram's grid."""
-    gvals = np.asarray(g.eval(pgram.grid.points), dtype=float)
-    return float(np.sum(pgram.values * gvals) * pgram.grid.weight)
+    return float(np.sum(pgram.values * g.on_grid(pgram.grid)) * pgram.grid.weight)
 
 
 def _lagged_products(y: np.ndarray, max_lag: int) -> np.ndarray:
@@ -209,7 +225,7 @@ def quadratic_form(series, taper: Taper, g: GeneratingFunction) -> float:
     y = taper.values(T) * x
     max_lag = T - 1 if g.degree is None else min(g.degree, T - 1)
     c = _lagged_products(y, max_lag)
-    ghat = np.atleast_1d(g.fourier(np.arange(max_lag + 1)))
+    ghat = g.coefficients(max_lag)
     return float(ghat[0] * c[0] + 2.0 * np.dot(ghat[1:], c[1:]))
 
 

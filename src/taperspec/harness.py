@@ -23,6 +23,7 @@ form in the JSON; key order is sorted; no timestamps anywhere.  With
 from __future__ import annotations
 
 import configparser
+import collections
 import csv
 import dataclasses
 import functools
@@ -414,8 +415,28 @@ def load_config_file(path: str) -> ExperimentConfig:
 
 # Model objects and bases hold closures, which do not pickle; workers get
 # the resolved options, all primitives (spec strings, ids, numbers), and
-# resolve them locally: models are parsed again, tapers come from the shared
-# get_taper instances (inherited, with their cached moments, by forked workers).
+# look the study up by them in `resolve_study`.  The runner resolves it
+# before the replications start, so forked workers inherit it with every
+# constant it has cached.
+
+
+Study = collections.namedtuple("Study", "model data_model taper g driver basis")
+
+
+def resolve_study(o: dict) -> Study:
+    """The objects resolved options `o` name, parsed once per process; the
+    data model is the model unless `o` names one, g and the simple-mode gof
+    basis are None where the kind does not read them."""
+    return _study(o["model"], o.get("data_model"), o["taper"], o.get("g"), o["driver"],
+                  o["basis"] if o.get("mode") == "simple" else None)
+
+
+@functools.lru_cache(maxsize=8)
+def _study(model, data_model, taper, g, driver, basis) -> Study:
+    null = parse_model(model)
+    return Study(null, parse_model(data_model) if data_model else null,
+                 resolve_taper(taper), None if g is None else parse_g(g),
+                 resolve_driver(driver), None if basis is None else _build_basis(basis, null))
 
 
 def _map_reps(kind: str, payload: dict, reps: int, workers: int) -> list:
@@ -428,27 +449,22 @@ def _map_reps(kind: str, payload: dict, reps: int, workers: int) -> list:
 
 
 def _rep_functional(payload: dict, rep: int) -> dict:
-    model = parse_model(payload["model"])
-    taper = resolve_taper(payload["taper"])
-    g = parse_g(payload["g"])
-    driver = resolve_driver(payload["driver"])
+    s = resolve_study(payload)
     seed = derive_seed(payload["seed"], rep)
-    series = model.simulate(driver, payload["T"], seed)
-    pgram = tapered_periodogram(series, taper, oversample=payload["oversample"])
-    j_hat = plugin_estimate(pgram, g)
-    q_hat = quadratic_form(series, taper, g)
+    series = s.model.simulate(s.driver, payload["T"], seed)
+    pgram = tapered_periodogram(series, s.taper, oversample=payload["oversample"])
+    j_hat = plugin_estimate(pgram, s.g)
+    q_hat = quadratic_form(series, s.taper, s.g)
     rel = abs(j_hat * pgram.c_norm - q_hat) / max(abs(q_hat), 1e-300)
     return {"rep": rep, "seed": seed, "j_plugin": j_hat, "q_form": q_hat,
             "identity_rel_err": rel}
 
 
 def _rep_whittle(payload: dict, rep: int) -> dict:
-    model = parse_model(payload["model"])
-    taper = resolve_taper(payload["taper"])
-    driver = resolve_driver(payload["driver"])
+    s = resolve_study(payload)
     seed = derive_seed(payload["seed"], rep)
-    series = model.simulate(driver, payload["T"], seed)
-    fit = whittle_estimate(series, taper, model, kappa4=driver.kappa4,
+    series = s.model.simulate(s.driver, payload["T"], seed)
+    fit = whittle_estimate(series, s.taper, s.model, kappa4=s.driver.kappa4,
                            oversample=payload["oversample"])
     row = {"rep": rep, "seed": seed}
     row.update((f"hat_{name}", float(val)) for name, val in zip(fit.names, fit.theta_hat))
@@ -458,11 +474,6 @@ def _rep_whittle(payload: dict, rep: int) -> dict:
     row["iterations"] = int(fit.iterations)
     row["objective"] = float(fit.objective_value)
     return row
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_basis(basis_spec: str, model_spec: str):
-    return _build_basis(basis_spec, parse_model(model_spec))
 
 
 def _build_basis(basis_spec: str, model: Model):
@@ -480,21 +491,16 @@ def _build_basis(basis_spec: str, model: Model):
 
 
 def _rep_gof(payload: dict, rep: int) -> dict:
-    null_model = parse_model(payload["model"])
-    data_model = (parse_model(payload["data_model"]) if payload["data_model"]
-                  else null_model)
-    taper = resolve_taper(payload["taper"])
-    driver = resolve_driver(payload["driver"])
+    s = resolve_study(payload)
     seed = derive_seed(payload["seed"], rep)
-    series = data_model.simulate(driver, payload["T"], seed)
+    series = s.data_model.simulate(s.driver, payload["T"], seed)
     if payload["mode"] == "simple":
-        basis = _simple_basis(payload["basis"], null_model.describe())
-        res = gof.simple_test(series, taper, null_model, basis, alpha=payload["alpha"],
+        res = gof.simple_test(series, s.taper, s.model, s.basis, alpha=payload["alpha"],
                               oversample=payload["oversample"])
     else:
-        res = gof.composite_test(series, taper, null_model,
+        res = gof.composite_test(series, s.taper, s.model,
                                  lambda mdl: _build_basis(payload["basis"], mdl),
-                                 alpha=payload["alpha"], kappa4=driver.kappa4,
+                                 alpha=payload["alpha"], kappa4=s.driver.kappa4,
                                  oversample=payload["oversample"])
     return {"rep": rep, "seed": seed, "statistic": float(res.statistic),
             "p_value": float(res.p_value), "reject": int(res.reject),
@@ -557,10 +563,7 @@ def _run_periodogram(o: dict):
 
 
 def _run_functional(o: dict):
-    model = parse_model(o["model"])
-    taper = resolve_taper(o["taper"])
-    g = parse_g(o["g"])
-    driver = resolve_driver(o["driver"])
+    model, _, taper, g, driver, _ = resolve_study(o)
     T, reps = o["T"], o["reps"]
     per_rep = _map_reps("estimate-functional", o, reps, o["workers"])
     rows = [{"experiment": "estimate-functional", "T": T, **r} for r in per_rep]
@@ -599,9 +602,7 @@ def _run_functional(o: dict):
 
 
 def _run_whittle(o: dict):
-    model = parse_model(o["model"])
-    taper = resolve_taper(o["taper"])
-    driver = resolve_driver(o["driver"])
+    model, _, taper, _, driver, _ = resolve_study(o)
     T, reps = o["T"], o["reps"]
     if not model.free_names:
         raise SchemaError("field 'model': whittle needs at least one free parameter")
@@ -639,8 +640,7 @@ def _run_whittle(o: dict):
 
 def _run_gof(o: dict):
     mode, T, reps = o["mode"], o["T"], o["reps"]
-    model = parse_model(o["model"])
-    data_model = parse_model(o["data_model"]) if o["data_model"] else model
+    model, data_model, *_ = resolve_study(o)
     per_rep = _map_reps("gof", o, reps, o["workers"])
     laws = [r.pop("law") for r in per_rep]
     rows = [{"experiment": "gof", "T": T, **r} for r in per_rep]

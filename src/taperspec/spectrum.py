@@ -62,15 +62,13 @@ class FrequencyGrid:
         (so once per process for a memoized `canonical_grid`)."""
         return FrequencyConstants(self.points)
 
+    @functools.cached_property
+    def shift_phase(self) -> np.ndarray:
+        """e^{-i pi t / N} for t = 1..N, the half-bin shift of the FFT path."""
+        return np.exp(-1j * math.pi * np.arange(1, self.N + 1) / self.N)
 
-@functools.lru_cache(maxsize=8)
-def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
-    """Full-period grid with N = next power of two >= oversample * T.
 
-    Memoized per process: the grid is frozen and its arrays read-only, so
-    one grid and its cached `constants` serve every call with the same
-    arguments (and every forked worker).
-    """
+def _build_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
     if T < 1:
         raise ValueError("T must be positive")
     if oversample not in _OVERSAMPLE_CHOICES:
@@ -83,37 +81,55 @@ def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> Freque
     return FrequencyGrid(points, 2.0 * math.pi / n, shifted=shifted, canonical=True, T=T)
 
 
+_grid_memo = functools.lru_cache(maxsize=8)(_build_grid)
+
+
+def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
+    """Full-period grid with N = next power of two >= oversample * T.
+
+    Memoized per process on the argument values, however they are passed:
+    the grid is frozen and its arrays read-only, so one grid and its cached
+    constants serve every call (and every forked worker).
+    """
+    return _grid_memo(T, oversample, bool(shifted))
+
+
+canonical_grid.__wrapped__ = _build_grid
+canonical_grid.cache_info = _grid_memo.cache_info
+
+
 def _values_of(series) -> np.ndarray:
     if isinstance(series, TimeSeries):
         return series.values
     return np.asarray(series, dtype=float)
 
 
+def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarray:
+    """`tapered_dft` on a canonical grid, not yet rotated if it is unshifted."""
+    n, T = grid.N, x.shape[0]
+    y = taper.signed_values(T) * x
+    if grid.shifted:
+        y = y * grid.shift_phase[:T]
+    a = np.zeros(n, dtype=y.dtype)
+    if T < n:
+        a[1:T + 1] = y
+    else:
+        a[1:T] = y[:-1]
+        a[0] = y[-1]
+    return np.fft.fft(a)
+
+
 def tapered_dft(series, taper: Taper, grid) -> np.ndarray:
     """d(lambda_j) for all grid points (FFT path on canonical grids)."""
     x = _values_of(series)
     T = x.shape[0]
-    h = taper.values(T)
     if isinstance(grid, FrequencyGrid) and grid.canonical:
-        n = grid.N
-        t = np.arange(1, T + 1)
-        y = h * x * np.where(t % 2 == 0, 1.0, -1.0)
-        if grid.shifted:
-            y = y * np.exp(-1j * math.pi * t / n)
-        a = np.zeros(n, dtype=y.dtype)
-        if T < n:
-            a[1:T + 1] = y
-        else:
-            a[1:T] = y[:-1]
-            a[0] = y[-1]
-        out = np.fft.fft(a)
-        if not grid.shifted:
-            out = np.roll(out, -1)
-        return out
+        out = _canonical_fft(x, taper, grid)
+        return out if grid.shifted else np.roll(out, -1)
     lam = grid.points if isinstance(grid, FrequencyGrid) else np.atleast_1d(
         np.asarray(grid, dtype=float)
     )
-    y = h * x
+    y = taper.values(T) * x
     t = np.arange(1, T + 1, dtype=float)
     out = np.empty(lam.shape[0], dtype=complex)
     step = max(1, (8 << 20) // (16 * T))
@@ -140,9 +156,11 @@ def tapered_periodogram(series, taper: Taper, grid: FrequencyGrid | None = None,
     T = x.shape[0]
     if grid is None:
         grid = canonical_grid(T, oversample=oversample)
-    h2_sum = float(np.sum(taper.values(T) ** 2))
-    c_norm = 2.0 * math.pi * h2_sum
-    d = tapered_dft(x, taper, grid)
+    c_norm = 2.0 * math.pi * taper.sum_of_powers(2, T)
+    d = _canonical_fft(x, taper, grid) if grid.canonical else tapered_dft(x, taper, grid)
     vals = (d.real**2 + d.imag**2) / c_norm
+    if grid.canonical and not grid.shifted:
+        # |d|^2 is elementwise, so the FFT's rotation moves to the real array
+        vals = np.concatenate((vals[1:], vals[:1]))
     vals.setflags(write=False)
     return Periodogram(vals, grid, taper.id, T, c_norm)

@@ -49,8 +49,9 @@ class Taper:
     Notes
     -----
     Moments H_k for k <= 8 are cached after first use; higher orders are
-    recomputed on demand.  Values h(t/T) are cached per T so that repeated
-    periodogram calls share the same array.
+    recomputed on demand.  Values h(t/T), the signed values h(t/T)(-1)^t
+    and the sums of powers are cached per T so that repeated periodogram
+    calls share them.
     """
 
     def __init__(self, taper_id: str, fn: Callable, bounded_variation: bool = True):
@@ -59,6 +60,8 @@ class Taper:
         self._fn = _vectorize(fn)
         self._moments: dict[int, float] = {}
         self._values: dict[int, np.ndarray] = {}
+        self._signed: dict[int, np.ndarray] = {}
+        self._sums: dict[tuple, float] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -101,9 +104,21 @@ class Taper:
             self._values[T] = got
         return got
 
+    def signed_values(self, T: int) -> np.ndarray:
+        """h(t/T) (-1)^t for t = 1..T, the taper of the FFT path (cached per T)."""
+        got = self._signed.get(T)
+        if got is None:
+            t = np.arange(1, T + 1)
+            got = self.values(T) * np.where(t % 2 == 0, 1.0, -1.0)
+            got.setflags(write=False)
+            self._signed[T] = got
+        return got
+
     def sum_of_powers(self, k: int, T: int) -> float:
-        """H_{k,T}(0) = sum_{t=1}^T h^k(t/T)."""
-        return float(np.sum(self.values(T) ** k))
+        """H_{k,T}(0) = sum_{t=1}^T h^k(t/T) (cached per k and T)."""
+        if (k, T) not in self._sums:
+            self._sums[k, T] = float(np.sum(self.values(T) ** k))
+        return self._sums[k, T]
 
 
 def _vectorize(fn: Callable) -> Callable:

@@ -18,7 +18,7 @@ from taperspec.functionals import (
     true_functional,
 )
 from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian
-from taperspec.spectrum import canonical_grid, tapered_periodogram
+from taperspec.spectrum import FrequencyGrid, canonical_grid, tapered_periodogram
 from taperspec.taper import fejer_kernel, get_taper, tapering_factor
 
 TAPER_NAMES = ("rect", "linear", "tukey")
@@ -207,6 +207,46 @@ def test_plugin_estimate_is_consistent():
         ts = m.simulate(gaussian(), T, seed=derive_seed(77, rep))
         vals[rep] = plugin_estimate(tapered_periodogram(ts, tp), cosine(1))
     assert np.mean(vals) == pytest.approx(2.0 / 3.0, abs=0.03)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("g", [cosine(0), cosine(3), indicator(1.0), indicator(math.pi)],
+                         ids=["cosine0", "cosine3", "indicator1", "indicatorpi"])
+def test_estimators_match_their_inline_formulas_bitwise(g, shifted):
+    # the kept grid values and Fourier coefficients give the bits that
+    # evaluating g afresh in every call gave
+    tp = get_taper("tukey")
+    for T, oversample in ((200, 4), (256, 1)):
+        grid = canonical_grid(T, oversample, shifted)
+        for seed in range(2):
+            ts = AR1(theta=0.4).simulate(gaussian(), T, seed=seed)
+            pg = tapered_periodogram(ts, tp, grid=grid)
+            gvals = np.asarray(g.eval(grid.points), dtype=float)
+            assert plugin_estimate(pg, g) == float(np.sum(pg.values * gvals) * grid.weight)
+            y = tp.values(T) * ts.values
+            max_lag = T - 1 if g.degree is None else min(g.degree, T - 1)
+            c = np.array([float(np.dot(y[: T - u], y[u:])) for u in range(max_lag + 1)])
+            if max_lag > 64:  # the FFT route of _lagged_products
+                n = 1 << int(math.ceil(math.log2(2 * T)))
+                spec = np.fft.rfft(y, n)
+                c = np.fft.irfft(spec.real**2 + spec.imag**2, n)[: max_lag + 1]
+            ghat = np.atleast_1d(g.fourier(np.arange(max_lag + 1)))
+            assert quadratic_form(ts, tp, g) == float(ghat[0] * c[0]
+                                                      + 2.0 * np.dot(ghat[1:], c[1:]))
+        assert g.on_grid(grid) is g.on_grid(canonical_grid(T, oversample, shifted))
+        assert not g.on_grid(grid).flags.writeable
+
+
+def test_grid_values_are_kept_per_grid_size_not_per_grid():
+    g = indicator(0.7)
+    a = g.on_grid(canonical_grid(512, 4))
+    assert g.on_grid(canonical_grid(1024, 2)) is a  # same N = 2048, same points
+    assert g.on_grid(canonical_grid(512, 4, shifted=True)) is not a
+    assert g.coefficients(9) is g.coefficients(9)
+    assert np.array_equal(g.coefficients(9), g.fourier(np.arange(10)))
+    off = FrequencyGrid(np.array([0.1, 0.5, 2.0]), 0.1)  # not canonical: never kept
+    assert np.array_equal(g.on_grid(off), g.eval(off.points))
+    assert g.on_grid(off) is not g.on_grid(off)
 
 
 # ------------------------------------------------------------- smoothing bias

@@ -12,6 +12,7 @@ bitwise copy, so its variance ratio is 1 and every check passes.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -256,6 +257,39 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
                     == (tmp_path / "3" / f"{name}{ext}").read_bytes()), name + ext
 
 
+def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, monkeypatch,
+                                                                    request):
+    # the study is parsed once, by the runner, and its replications share
+    # it; g meets the grid's points once in 20 replications
+    monkeypatch.chdir(tmp_path)
+    harness._study.cache_clear()
+    request.addfinalizer(harness._study.cache_clear)  # drop the counting g
+    parsed, grid_evals = [], []
+    grid = harness.canonical_grid(256, 4)
+    parse_model, parse_g = harness.parse_model, harness.parse_g
+
+    def counting_parse_model(spec):
+        parsed.append(spec)
+        return parse_model(spec)
+
+    def counting_parse_g(spec):
+        g = parse_g(spec)
+
+        def ev(lam):
+            grid_evals.append(lam is grid.points)
+            return g.eval(lam)
+        return dataclasses.replace(g, eval=ev)
+
+    monkeypatch.setattr(harness, "parse_model", counting_parse_model)
+    monkeypatch.setattr(harness, "parse_g", counting_parse_g)
+    argv = ["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--g", "cosine:2",
+            "--T", "256", "--reps", "20", "--seed", "7", "--out", "f"]
+    assert main(argv) == 0
+    assert len(parsed) <= 2
+    assert grid_evals.count(True) == 1
+    assert "shift_phase" not in vars(grid)  # the unshifted grid needs no phase
+
+
 _REPLICATED_PRESETS = sorted(
     p.stem for p in (REPO / "acceptance").glob("*.ini")
     if harness.KINDS[harness.load_config_file(p).kind].rep is not None)
@@ -334,6 +368,14 @@ _PINNED_CSV_SHA256 = {
             "--T", "64,128", "--reps", "20", "--report-reps", "60", "--seed", "33",
             "--check"],
            "27bb3946acabda5e0fab29cccc2a33c27c77f9545bb8bb05749caa91a786590b"),
+    # Recorded before the functional replication kept its study constants
+    # (g on the grid, Fourier coefficients, signed taper): a g that is not
+    # band-limited takes every lag of the quadratic form through the FFT,
+    # and oversample 1 makes N == T, the wrap branch of the DFT.
+    "fi": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}",
+            "--g", "indicator:1.0", "--taper", "linear", "--oversample", "1",
+            "--T", "256", "--reps", "20", "--seed", "61"],
+           "b23c88f6ed68d404d9db8e27f1ebc2e1a91b41b9bf416c79f6f2e12367651e58"),
 }
 
 # JSON sha256 of the same studies, recorded with the check-run digests; gc
@@ -353,6 +395,7 @@ _PINNED_JSON_SHA256 = {
     "tr": "2617ef24e8ce8b8f08269a5898f4d9472850a4f8d2877d1f3f81acccf6d8b614",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f94d10e2b38905725955ec7704905ee9185ad33541eb4ab57614223be1acb40a",
+    "fi": "18d34f5f1a50bbcab3757e2f38e3b14c0f90309060a15a48bb601d37d992f799",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,

@@ -1,6 +1,7 @@
 """Frequency grids, tapered DFT, and periodogram identities."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -52,6 +53,87 @@ def test_canonical_grid_is_memoized_read_only():
             canonical_grid(0)
         with pytest.raises(ValueError, match="oversample"):
             canonical_grid(48, oversample=3)
+
+
+def test_canonical_grid_memo_keys_on_the_values():
+    # every call form of one grid is one cache entry and one object
+    before = canonical_grid.cache_info()
+    g = canonical_grid(72, 4)
+    assert canonical_grid(72, oversample=4) is g
+    assert canonical_grid(72, oversample=4, shifted=False) is g
+    assert canonical_grid(72) is g
+    assert canonical_grid(T=72, shifted=0) is g
+    after = canonical_grid.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
+    assert canonical_grid(72, 4, True) is canonical_grid(72, shifted=True)
+    assert canonical_grid(72, 4, True) is not g
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive"):
+            canonical_grid(-3, oversample=4, shifted=True)
+        with pytest.raises(ValueError, match="oversample"):
+            canonical_grid(72, 5)
+
+
+def _former_periodogram(x, taper, grid):
+    """The periodogram as it was computed before its study constants were
+    cached: DFT rotated as complex, sign, phase and sum of squares rebuilt."""
+    T = x.shape[0]
+    h = taper.values(T)
+    n = grid.N
+    t = np.arange(1, T + 1)
+    y = h * x * np.where(t % 2 == 0, 1.0, -1.0)
+    if grid.shifted:
+        y = y * np.exp(-1j * math.pi * t / n)
+    a = np.zeros(n, dtype=y.dtype)
+    if T < n:
+        a[1:T + 1] = y
+    else:
+        a[1:T] = y[:-1]
+        a[0] = y[-1]
+    d = np.fft.fft(a)
+    if not grid.shifted:
+        d = np.roll(d, -1)
+    c_norm = 2.0 * math.pi * float(np.sum(h ** 2))
+    return d, (d.real**2 + d.imag**2) / c_norm, c_norm
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("name", TAPER_NAMES)
+@pytest.mark.parametrize("T,oversample", [(101, 4), (250, 2), (97, 8), (128, 1), (512, 1)])
+def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, oversample):
+    # T odd, T even, and T == N (oversample 1 at a power of two: the wrap branch)
+    taper = get_taper(name)
+    grid = canonical_grid(T, oversample, shifted)
+    x = AR1(theta=0.6).simulate(gaussian(), T, seed=T + oversample).values
+    d_old, vals_old, c_old = _former_periodogram(x, taper, grid)
+    for _ in range(2):  # the second call reads every cached constant
+        pg = tapered_periodogram(x, taper, grid=grid)
+        assert pg.values.tobytes() == vals_old.tobytes()
+        assert pg.c_norm == c_old
+        assert tapered_dft(x, taper, grid).tobytes() == d_old.tobytes()
+    assert not pg.values.flags.writeable
+
+
+def test_shift_phase_is_built_once_per_grid(monkeypatch):
+    built = []
+    phase = FrequencyGrid.__dict__["shift_phase"]
+
+    def counted(grid):
+        built.append(grid)
+        return phase.func(grid)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(FrequencyGrid, "shift_phase")
+    monkeypatch.setattr(FrequencyGrid, "shift_phase", prop)
+    grid = canonical_grid.__wrapped__(300, 2, True)  # fresh, not memoized
+    taper = get_taper("tukey")
+    for seed in range(20):
+        x = AR1(theta=0.3).simulate(gaussian(), 300, seed=seed)
+        tapered_periodogram(x, taper, grid=grid)
+    assert built == [grid]
+    unshifted = canonical_grid.__wrapped__(300, 2, False)
+    tapered_periodogram(x, taper, grid=unshifted)
+    assert built == [grid] and "shift_phase" not in vars(unshifted)
 
 
 def test_shifted_grid_avoids_origin_and_endpoints():

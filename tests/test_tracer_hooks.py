@@ -86,3 +86,27 @@ def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monke
                  "gof.basis_build", "gof.composite_test"):
         assert tracer.counts[name] == 2, name
     assert tracer.counts["whittle.objective"] > 2
+
+
+_FUNCTIONAL = ["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
+               "--g", "cosine:1", "--T", "512", "--reps", "3", "--seed", "61", "--out", "fn"]
+
+
+def test_traced_functional_study_sees_every_layer_once_per_replication(tracing, tmp_path,
+                                                                       monkeypatch):
+    # the study's constants are resolved once, but each replication still
+    # goes through every traced layer of the estimator
+    def run(label):
+        (tmp_path / label).mkdir()
+        monkeypatch.chdir(tmp_path / label)
+        assert main(_FUNCTIONAL) == 0
+
+    run("plain")
+    with tracing.Tracer() as tracer:
+        run("traced")
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / "plain" / f"fn{ext}").read_bytes()
+                == (tmp_path / "traced" / f"fn{ext}").read_bytes()), ext
+    for name in ("functionals.plugin_estimate", "functionals.quadratic_form",
+                 "spectrum.tapered_periodogram", tracing.SIMULATE_SPAN):
+        assert tracer.counts[name] == 3, name
