@@ -1,8 +1,8 @@
 """Internal quadrature helpers.
 
 Three tools live here: a recursive adaptive Simpson rule for one-off
-scalar integrals (taper moments, normalization constants), the
-population integral `spectral_integral` of an even function over
+scalar integrals (the moments of a custom taper; the built-in tapers
+have closed forms), the population integral `spectral_integral` of an even function over
 [-pi, pi], and the cosine coefficients `cosine_coefficient`.
 
 `spectral_integral` has two paths.  A short-memory integrand is smooth

@@ -12,8 +12,11 @@ fgn           f = c(H) |1-e^{-i lam}|^2 sum_k |lam + 2pi k|^{-(2H+1)}
 The pure fractional family is normalized so its density is exactly
 (2 sin(lam/2))^{-2d}; its simulator therefore scales unit-variance
 innovations by sqrt(2pi).  The mixed arfima_pdq family instead follows the
-rational convention with sigma2/2pi included.  fGn is normalized to unit
-variance (integral of f equals r(0) = 1).
+rational convention with sigma2/2pi included; its covariance
+r(u) = (sigma2/2pi) sum_m c(m) r_d(u - m) convolves the unit-variance arma
+and the arfima0d0 ones (Hosking 1981), and no covariance is cached.  fGn is
+normalized to unit variance (integral of f equals r(0) = 1); its density sums
+every alias in closed form with Hurwitz zeta functions (Beran 1994, 2.3).
 
 All spectral densities are even functions on [-pi, pi].  Scores are
 gradients of log f with respect to the family's parameter vector, in the
@@ -44,8 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.fft
 from scipy.signal import lfilter
+from scipy.special import zeta
 
-from ._quad import cosine_coefficient
 from .errors import DomainError, SchemaError
 
 # ---------------------------------------------------------------------------
@@ -387,17 +390,16 @@ def _burn_in(rho: float) -> int:
     return max(500, int(math.ceil(50.0 / (1.0 - rho))))
 
 
-def _arma_psi(a: np.ndarray, b: np.ndarray, rho: float, tol: float = 1e-16) -> np.ndarray:
-    """MA(infinity) weights of b/a, truncated once the geometric tail is below tol."""
-    if a.size == 1:
-        return b.copy()
-    if rho > 0:
-        L = max(b.size, int(math.ceil(math.log(tol) / math.log(rho))) + a.size)
-    else:
+def _arma_acov(a: np.ndarray, b: np.ndarray, rho: float, tol: float = 1e-16) -> np.ndarray:
+    """Autocovariance c(0..L-1) of b/a under unit-variance noise (0 past L - 1), from
+    the MA(infinity) weights psi, truncated once their geometric tail is below tol."""
+    psi = b
+    if a.size > 1:
         L = b.size
-    impulse = np.zeros(L)
-    impulse[0] = 1.0
-    return lfilter(b, a, impulse)
+        if rho > 0:
+            L = max(b.size, int(math.ceil(math.log(tol) / math.log(rho))) + a.size)
+        psi = lfilter(b, a, np.eye(1, L)[0])
+    return np.correlate(psi, psi, mode="full")[psi.size - 1:]
 
 
 class AR1(Model):
@@ -490,8 +492,7 @@ class ARMA(Model):
         return np.vstack(rows)
 
     def covariance(self, u):
-        psi = _arma_psi(self._a, self._b, self._rho)
-        acov = np.correlate(psi, psi, mode="full")[psi.size - 1:]
+        acov = _arma_acov(self._a, self._b, self._rho)
         u_arr = np.abs(np.atleast_1d(np.asarray(u)).astype(int))
         out = np.where(u_arr < acov.size, self.sigma2 * acov[np.minimum(u_arr, acov.size - 1)], 0.0)
         return _maybe_scalar(out, u)
@@ -641,7 +642,6 @@ class ArfimaPDQ(Model):
         self.free_names = ("d",) + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
             f"theta{i+1}" for i in range(len(theta))
         )
-        self._cov_cache: dict[int, float] = {}
 
     def with_params(self, **updates):
         return ArfimaPDQ(**_arma_updates(self.params(), updates, self.family))
@@ -657,7 +657,7 @@ class ArfimaPDQ(Model):
 
     @functools.cached_property
     def _rho(self) -> float:
-        """AR spectral radius, for the burn-in."""
+        """AR spectral radius, for the burn-in and the MA(infinity) length."""
         return _spectral_radius(self._a)
 
     def density(self, lam):
@@ -675,16 +675,13 @@ class ArfimaPDQ(Model):
         return np.vstack(rows)
 
     def covariance(self, u):
+        """(sigma2/2pi) sum_{|m| < L} c(m) r_d(u - m), every lag in one convolution."""
         u_arr = np.abs(np.atleast_1d(np.asarray(u)).astype(int))
-        long_mem = self.memory_class != "short"
-        cache = self._cov_cache
-        out = np.empty(u_arr.size)
-        for i, k in enumerate(u_arr):
-            k = int(k)
-            if k not in cache:
-                cache[k] = cosine_coefficient(self.density, k, long_memory=long_mem)
-            out[i] = cache[k]
-        return _maybe_scalar(out, u)
+        c = _arma_acov(self._a, self._b, self._rho)
+        r = ARFIMA0d0(self.d).covariance(np.arange(u_arr.max(initial=0) + c.size))
+        # r_d at lags 1-L..top+L-1, c at 1-L..L-1 (L = c.size): "valid" gives u = 0..top
+        out = np.convolve(np.r_[r[c.size - 1:0:-1], r], np.r_[c[:0:-1], c], mode="valid")
+        return _maybe_scalar(self.sigma2 / (2.0 * math.pi) * out[u_arr], u)
 
     def simulate(self, driver, T, seed):
         rng = make_rng(seed)
@@ -704,8 +701,6 @@ class ArfimaPDQ(Model):
 # ---------------------------------------------------------------------------
 # fractional Gaussian noise
 
-_FGN_K = 100
-
 
 class FGN(Model):
     family = "fgn"
@@ -721,37 +716,26 @@ class FGN(Model):
             "long" if H > 0.5 else ("intermediate" if H < 0.5 else "short")
         )
 
-    def _bracket(self, lam_arr: np.ndarray) -> np.ndarray:
-        """|1-e^{-i lam}|^2 sum_{|k|<=100} |lam+2pi k|^{-(2H+1)} + tail.
+    def _bracket(self, c: FrequencyConstants) -> np.ndarray:
+        """|1-e^{-i lam}|^2 sum_k |lam+2pi k|^{-s}, s = 2H+1: with x = |lam|/2pi
+        the sum is (2pi)^{-s} [zeta(s, x) + zeta(s, 1-x)] (Hurwitz zeta).
 
         At lam = 0 the k = 0 term makes this 0 * inf; its limit there,
         lam^{1-2H}, is +inf for H > 1/2, 0 for H < 1/2 and 1 at H = 1/2.
         """
-        origin = lam_arr == 0.0
-        if origin.any():
-            out = np.empty(lam_arr.size)
-            out[~origin] = self._bracket(lam_arr[~origin])
-            out[origin] = math.inf if self.H > 0.5 else float(self.H == 0.5)
-            return out
-        expo = 2.0 * self.H + 1.0
-        out = np.empty(lam_arr.size)
-        k = np.arange(-_FGN_K, _FGN_K + 1, dtype=float)
-        step = max(1, (4 << 20) // (8 * k.size))
-        for i in range(0, lam_arr.size, step):
-            block = lam_arr[i:i + step, None]
-            core = np.sum(np.abs(block + 2.0 * math.pi * k[None, :]) ** (-expo), axis=1)
-            edge = 2.0 * math.pi * (_FGN_K + 0.5)
-            tail = ((edge + block[:, 0]) ** (-expo + 1.0)
-                    + (edge - block[:, 0]) ** (-expo + 1.0)) / (2.0 * math.pi * (expo - 1.0))
-            out[i:i + step] = core + tail
-        return (2.0 - 2.0 * np.cos(lam_arr)) * out
+        s, x = 2.0 * self.H + 1.0, np.abs(c.lam) / (2.0 * math.pi)
+        out = np.full(x.shape, math.inf if self.H > 0.5 else float(self.H == 0.5))
+        off = x != 0.0
+        out[off] = (c.two_sin_half[off] ** 2 * (2.0 * math.pi) ** -s
+                    * (zeta(s, x[off]) + zeta(s, 1.0 - x[off])))
+        return out
 
     def _norm(self) -> float:
         """c(H) = sin(pi H) Gamma(2H+1) / (2 pi), which makes r(0) = 1."""
         return math.sin(math.pi * self.H) * math.gamma(2.0 * self.H + 1.0) / (2.0 * math.pi)
 
     def density(self, lam):
-        out = self._norm() * self._bracket(np.abs(_constants(lam).lam))
+        out = self._norm() * self._bracket(_constants(lam))
         return _maybe_scalar(out, lam)
 
     def score(self, lam):

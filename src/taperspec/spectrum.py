@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries
 from .taper import Taper
 
@@ -151,12 +152,15 @@ class Periodogram:
 
 def tapered_periodogram(series, taper: Taper, grid: FrequencyGrid | None = None,
                         oversample: int = 4) -> Periodogram:
-    """I(lambda) = |d(lambda)|^2 / (2 pi sum h^2) on the given or default grid."""
+    """I(lambda) = |d(lambda)|^2 / (2 pi sum h^2) on the given or default grid;
+    DomainError if the taper vanishes on the sample (sum h^2 = 0)."""
     x = _values_of(series)
     T = x.shape[0]
     if grid is None:
         grid = canonical_grid(T, oversample=oversample)
     c_norm = 2.0 * math.pi * taper.sum_of_powers(2, T)
+    if c_norm == 0.0:
+        raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^2 = 0 at T = {T}")
     d = _canonical_fft(x, taper, grid) if grid.canonical else tapered_dft(x, taper, grid)
     vals = (d.real**2 + d.imag**2) / c_norm
     if grid.canonical and not grid.shifted:

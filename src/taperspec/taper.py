@@ -10,11 +10,11 @@ the discrete sums H_{k,T}(lambda) = sum_{t=1}^T h^k(t/T) e^{-i lambda t},
 and the induced Fejer-type kernels of order 2 and 3.  All discrete sums
 run over t = 1..T.
 
-Built-in tapers (CLI names in parentheses):
+Built-in tapers (CLI names in parentheses), with their moments in closed form:
 
-* rectangular ("rect"):   h = 1
-* linear ("linear"):      h(t) = 1 - t
-* Tukey-Hanning ("tukey"): h(t) = (1 - cos(pi t)) / 2
+* rectangular ("rect"):    h = 1,                         H_k = 1
+* linear ("linear"):       h(t) = 1 - t,                  H_k = 1/(k+1)
+* Tukey-Hanning ("tukey"): h(t) = (1 - cos(pi t)) / 2,    H_k = C(2k,k)/4^k
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import InvalidTaperError, UnsupportedArityError
 
 _MOMENT_TOL = 1e-12
 _VALIDATION_GRID = 4096
-_CACHED_MOMENT_MAX = 8
 
 
 class Taper:
@@ -48,10 +47,10 @@ class Taper:
 
     Notes
     -----
-    Moments H_k for k <= 8 are cached after first use; higher orders are
-    recomputed on demand.  Values h(t/T), the signed values h(t/T)(-1)^t
-    and the sums of powers are cached per T so that repeated periodogram
-    calls share them.
+    Every moment H_k is kept once computed: a built-in taper's in closed
+    form, a custom taper's by adaptive Simpson quadrature.  Values h(t/T),
+    the signed values h(t/T)(-1)^t and the sums of powers are cached per T
+    so that repeated periodogram calls share them.
     """
 
     def __init__(self, taper_id: str, fn: Callable, bounded_variation: bool = True):
@@ -81,17 +80,18 @@ class Taper:
         return f"Taper({self.id!r})"
 
     def moment(self, k: int) -> float:
-        """H_k = int_0^1 h^k, by adaptive Simpson quadrature."""
+        """H_k = int_0^1 h^k, computed once per k."""
         if k < 1 or k != int(k):
             raise ValueError("moment order must be a positive integer")
         k = int(k)
-        if k in self._moments:
-            return self._moments[k]
+        if k not in self._moments:
+            self._moments[k] = self._compute_moment(k)
+        return self._moments[k]
+
+    def _compute_moment(self, k: int) -> float:
+        """H_k by adaptive Simpson quadrature; a built-in taper has a closed form."""
         fn = self._fn
-        val = adaptive_simpson(lambda t: float(fn(t)) ** k, 0.0, 1.0, _MOMENT_TOL)
-        if k <= _CACHED_MOMENT_MAX:
-            self._moments[k] = val
-        return val
+        return adaptive_simpson(lambda t: float(fn(t)) ** k, 0.0, 1.0, _MOMENT_TOL)
 
     def values(self, T: int) -> np.ndarray:
         """Sampled taper h(t/T) for t = 1..T (cached per T)."""
@@ -132,8 +132,18 @@ def _vectorize(fn: Callable) -> Callable:
     return np.vectorize(fn, otypes=[float])
 
 
+class _BuiltinTaper(Taper):
+    """A built-in taper, whose moments H_k are closed forms in k."""
+
+    _FORMULAS = {"rect": lambda k: 1.0, "linear": lambda k: 1.0 / (k + 1),
+                 "tukey": lambda k: math.comb(2 * k, k) / 4**k}
+
+    def _compute_moment(self, k: int) -> float:
+        return self._FORMULAS[self.id](k)
+
+
 def taper_moment(taper: Taper, k: int) -> float:
-    """H_k of the given taper (adaptive quadrature, cached for k <= 8)."""
+    """H_k of the given taper (closed form for the built-ins, kept per k)."""
     return taper.moment(k)
 
 
@@ -202,15 +212,16 @@ def fejer_kernel(taper: Taper, k: int, T: int, u) -> np.ndarray:
 
 
 def rectangular() -> Taper:
-    return Taper("rect", lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    return _BuiltinTaper("rect", lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def linear() -> Taper:
-    return Taper("linear", lambda t: 1.0 - np.asarray(t, dtype=float))
+    return _BuiltinTaper("linear", lambda t: 1.0 - np.asarray(t, dtype=float))
 
 
 def tukey_hanning() -> Taper:
-    return Taper("tukey", lambda t: 0.5 * (1.0 - np.cos(math.pi * np.asarray(t, dtype=float))))
+    return _BuiltinTaper("tukey",
+                         lambda t: 0.5 * (1.0 - np.cos(math.pi * np.asarray(t, dtype=float))))
 
 
 def custom(taper_id: str, fn: Callable, bounded_variation: bool = True) -> Taper:

@@ -321,12 +321,16 @@ def test_every_replicated_preset_is_worker_count_invariant(tmp_path, monkeypatch
 # (chi2.sf for the Monte Carlo estimate; see test_exact_pvalues_move_within_
 # the_monte_carlo_half_width), gm's p-values (Imhof) and its KS check, which
 # now reads a number, and wa's iterations (Nelder-Mead scores an infeasible
-# candidate with a finite penalty, where it met inf before).
+# candidate with a finite penalty, where it met inf before).  gc, gm, gs and
+# tr re-recorded when the built-in taper moments became closed forms: e(h)
+# of the Tukey taper moved from 1.9444444444444677 to 35/18, so the gof
+# statistics moved in the last 2 digits (see test_gc_statistics_move_within_
+# the_quadrature_tolerance) and the trace limits, which read H_{2m}, with them.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "a46b23687b7905d075282f136ecc296bbc6ab31d6651a04f5354a9ccc4fbde96"),
+           "e803678b10f22e1687b7c9e223eb3599d473a1fdc619cf79d5336bf852df19d2"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -352,14 +356,14 @@ _PINNED_CSV_SHA256 = {
     "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "40", "--seed", "29", "--check"],
-           "0d12e4ed239720a2a5ac8cd58c79f3ad5e9ee246afe2b98c6397dc2fc79ac895"),
+           "f8565e433f545e31851dab1c80585cfe6a14d27dfc25765f1aabef5f7fcc3752"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "adba880c192519978ea6d4e48056ef4d701b3ce5ce02d06bb79b4024c04a704e"),
+           "342166fc074ac2d6b2b86f744d45fb88ec15055c2e8a982ac423f0cb0ab5ee5b"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256", "--check"],
-           "255912328a3c86791e9040d4b19ac8b17ede92ded87f2932104d08087f716363"),
+           "b2e71a69eed50605ddc772b60ffeb714102b295eabb5da9bcedd1e77175f1152"),
     "fj": (["fejer", "--taper", "linear", "--T", "16,64,256", "--T-smooth", "256",
             "--check"],
            "965f62b0fa31986de2feff50d19c659cb92a2fa3dab7538161309192f854d106"),
@@ -381,21 +385,27 @@ _PINNED_CSV_SHA256 = {
 # JSON sha256 of the same studies, recorded with the check-run digests; gc
 # and gm re-recorded when the ks_max check detail was relabelled "KS of
 # p-values to U(0,1)" (the statistic is the KS distance of the p-values to
-# the uniform law), the only bytes that moved.
+# the uniform law), the only bytes that moved.  Re-recorded for closed-form
+# taper moments, an exact ARFIMA(p,d,q) covariance and the exact fGn
+# density: gc, gm, gs and tr with their CSVs; fi, lm, rb and wa for the
+# tapering factor and the theory the Tukey and linear moments feed; sp for
+# lag0_theory, the convolution identity in place of QUADPACK (within 2e-10,
+# see test_models.py::test_arfima_pdq_lag0_moves_within_the_former_
+# quadrature_tolerance).  pg, fn, fj and sf did not move.
 _PINNED_JSON_SHA256 = {
-    "gc": "002c48169d14ab35c416910d7eb6e6bac0f321580093d1f2186832c7f7cbe9aa",
-    "lm": "606bfd03460c34627104246a7d37df624e39a80e79e51cbff4b8c1ed84b60ab3",
+    "gc": "9ed43bb6b5c2113357269914bfb2ab3cb1ceec4da222b74c93eec91a34f6f7c5",
+    "lm": "1b48a5b4f08586360e72e48264630aa118ef0f00f9150eacc4a20fdd5085223d",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
-    "sp": "f63bc839ab491b081cadd26ad70b93f203770f0da13d333361432f9f58606001",
-    "wa": "66006576f553d10453591cf8dfcdd0a696f08906c1e1306a40839e71d3f55500",
+    "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
+    "wa": "259615460018fb4f3ef4ec7faf6d297cf2fbab6ed572c209980c45d62186a213",
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
     "fn": "29d4d7b650b80a614289c0fe58909d6e93f6005e835cc3c9e651d96004e89ca7",
-    "gs": "88822491e97f3bba434b24717390817fe57f5df8db9d8e8942c5658aa3c5e498",
-    "gm": "e55570c8e4cf99cf4940c1fe908a980aeee14996b9328d05356b6d29516a908a",
-    "tr": "2617ef24e8ce8b8f08269a5898f4d9472850a4f8d2877d1f3f81acccf6d8b614",
+    "gs": "d9f600b0fbf5cd39743dd194ee3543a06aca06521fb350501e81ea399f4ed6de",
+    "gm": "0324fba23197875d8026a984575b4d32d70ba4c85e3f27a2fac55be7a9421e65",
+    "tr": "11637bedca597fbcb7f0c31cb4feebe6d677049bc11309c9f6d2b20daf4a7cb7",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
-    "rb": "f94d10e2b38905725955ec7704905ee9185ad33541eb4ab57614223be1acb40a",
-    "fi": "18d34f5f1a50bbcab3757e2f38e3b14c0f90309060a15a48bb601d37d992f799",
+    "rb": "c5a9c7d58554b6a6c242278e5ba827f2302cab06e24032d38d1921e0979c1cc6",
+    "fi": "23be9922fef107f6a32633826cf0befa118e71bc0556c2b166743161791f8da9",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,
@@ -413,6 +423,25 @@ def test_csv_bytes_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
     assert (hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
             == _PINNED_JSON_SHA256[name])
+
+
+# The gc study's statistics as the adaptive Simpson taper moments gave them
+# (each moment to 1e-12 absolute); the closed forms may move them only at
+# that order.
+_GC_SIMPSON_STATISTICS = (3.2493803729568111, 0.66258439788276513,
+                          0.59325408111354894, 2.9839511185934318)
+
+
+def test_gc_statistics_move_within_the_quadrature_tolerance(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256["gc"]
+    assert main([*argv, "--out", "gc"]) == 0
+    with open(tmp_path / "gc.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_GC_SIMPSON_STATISTICS)
+    for row, before in zip(rows, _GC_SIMPSON_STATISTICS):
+        assert float(row["statistic"]) == pytest.approx(before, rel=1e-12)
+        assert row["reject"] == "0"
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):

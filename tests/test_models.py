@@ -119,14 +119,32 @@ def test_fgn_density_integrates_to_unit_variance():
 @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_fgn_closed_form_constant_gives_unit_variance(H):
     # c(H) = sin(pi H) Gamma(2H+1) / (2 pi) is exact for the full aliased
-    # sum; the density truncates it at |k| <= 100 plus an integral tail,
-    # so adaptive quadrature of the density must still give r(0) = 1.
+    # sum, which the density sums in closed form, so adaptive quadrature
+    # of the density must give r(0) = 1.
     from taperspec._quad import spectral_integral
 
     m = FGN(H)
     assert m._norm() == math.sin(math.pi * H) * math.gamma(2 * H + 1) / (2 * math.pi)
     total = spectral_integral(m.density, long_memory=H != 0.5)
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9, 0.95])
+def test_fgn_density_integrates_to_one_within_the_quadrature_tolerance(H):
+    # the former |k| <= 100 cut-off left 2.5e-7 at H = 0.1, and its
+    # 2 - 2 cos(lam) cancellation stalled QUADPACK's extrapolation at the
+    # pole for H >= 0.9 (an IntegrationWarning, 1e-8 off)
+    from taperspec._quad import spectral_integral
+
+    assert abs(spectral_integral(FGN(H).density, long_memory=H != 0.5) - 1.0) <= 1e-9
+
+
+def test_fgn_at_one_half_is_white_noise():
+    # sum_k (lam + 2 pi k)^{-2} = 1 / (2 sin(lam/2))^2, so f = 1 / 2pi
+    lam = np.linspace(1e-3, math.pi, 4001)
+    f = FGN(0.5).density(np.concatenate((-lam, lam)))
+    assert np.max(np.abs(f - 1.0 / (2.0 * math.pi))) <= 1e-13
 
 
 def test_fgn_covariances_against_density_quadrature():
@@ -385,7 +403,27 @@ def test_arfima_pdq_covariance_oracle():
         for j in range(L + 1):
             for k in range(L + 1):
                 total += psi[j] * psi[k] * r_u[abs(v + j - k)]
-        assert m.covariance(v) == pytest.approx(s2 * total, rel=1e-6)
+        assert m.covariance(v) == pytest.approx(s2 * total, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [-0.45, 0.2, 0.45])
+@pytest.mark.parametrize("phi,theta", [((), ()), ((0.4,), ()), ((), (0.3,)),
+                                       ((0.5, -0.2), (0.3,))], ids=["00", "10", "01", "21"])
+def test_arfima_pdq_covariance_matches_density_quadrature(d, phi, theta):
+    # the convolution identity against QAWO quadrature of the density
+    from taperspec._quad import cosine_coefficient
+
+    m = ArfimaPDQ(d=d, phi=phi, theta=theta, sigma2=1.3)
+    u = np.arange(9)
+    quad = [cosine_coefficient(m.density, int(k), long_memory=True) for k in u]
+    assert np.max(np.abs(m.covariance(u) - quad)) <= 1e-9
+    assert m.covariance(-4) == m.covariance(4) == m.covariance(u)[4]
+
+
+def test_arfima_pdq_lag0_moves_within_the_former_quadrature_tolerance():
+    # the sp study's lag0_theory as QUADPACK (epsabs 1e-10) gave it
+    m = parse_model("arfima_pdq{d=0.2,phi=[0.4],theta=[-0.3]}")
+    assert abs(m.covariance(0) - 1.1920007896220413) <= 2e-10
 
 
 def test_fgn_covariance_closed_form():

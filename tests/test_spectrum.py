@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from taperspec.errors import DomainError
 from taperspec.models import AR1, WhiteNoise, gaussian
 from taperspec.spectrum import FrequencyGrid, canonical_grid, tapered_dft, tapered_periodogram
 from taperspec.taper import get_taper
@@ -235,3 +236,12 @@ def test_periodogram_accepts_timeseries_and_array():
     a = tapered_periodogram(ts, tp).values
     b = tapered_periodogram(ts.values, tp).values
     assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_periodogram_refuses_a_taper_that_vanishes_on_the_sample():
+    # the linear taper is h(1) = 0 at T = 1, so sum h^2 = 0 and no
+    # normalization exists
+    with pytest.raises(DomainError, match="'linear' vanishes on the sample"):
+        tapered_periodogram(np.ones(1), get_taper("linear"))
+    assert tapered_periodogram(np.ones(2), get_taper("linear")).c_norm > 0.0

@@ -9,6 +9,7 @@ Closed-form oracles used below (h on [0,1], H_k = int h^k):
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,42 @@ def test_moments_match_closed_forms(name):
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
 def test_tapering_factor(name):
     assert tapering_factor(get_taper(name)) == pytest.approx(CLOSED_FORM[name]["e"], abs=1e-10)
+
+
+def test_builtin_moments_are_the_closed_forms():
+    # rect 1, linear 1/(k+1), Tukey-Hanning C(2k,k)/4^k (Wallis' integral);
+    # the Tukey values are dyadic, so they are exact doubles
+    for k in range(1, 9):
+        assert taper_moment(get_taper("rect"), k) == 1.0
+        assert taper_moment(get_taper("tukey"), k) == float(Fraction(math.comb(2 * k, k), 4**k))
+        linear = float(Fraction(1, k + 1))
+        assert abs(taper_moment(get_taper("linear"), k) - linear) <= math.ulp(linear)
+
+
+def test_tukey_tapering_factor_is_exactly_35_over_18():
+    assert tapering_factor(get_taper("tukey")) == 35 / 18
+
+
+def test_tapering_factor_moves_within_the_former_quadrature_tolerance():
+    # e(h) as adaptive Simpson (absolute tolerance 1e-12 per moment) gave it
+    assert tapering_factor(get_taper("tukey")) == pytest.approx(1.9444444444444677, rel=1e-11)
+    assert tapering_factor(get_taper("linear")) == pytest.approx(1.8, rel=1e-11)
+
+
+def test_custom_taper_keeps_every_moment(monkeypatch):
+    tp = taper.custom("parabola", lambda t: np.asarray(t) * (1.0 - np.asarray(t)))
+    orders = range(1, 13)
+    first = [tp.moment(k) for k in orders]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("moment integrated twice")
+
+    monkeypatch.setattr(taper, "adaptive_simpson", no_quadrature)
+    assert [tp.moment(k) for k in orders] == first
+    # int (t(1-t))^k = k!^2 / (2k+1)!, the Beta function B(k+1, k+1)
+    for k, val in zip(orders, first):
+        exact = math.factorial(k) ** 2 / math.factorial(2 * k + 1)
+        assert val == pytest.approx(exact, abs=1e-11)
 
 
 def test_tapering_factor_at_least_one():

@@ -110,3 +110,26 @@ def test_traced_functional_study_sees_every_layer_once_per_replication(tracing, 
     for name in ("functionals.plugin_estimate", "functionals.quadratic_form",
                  "spectrum.tapered_periodogram", tracing.SIMULATE_SPAN):
         assert tracer.counts[name] == 3, name
+
+
+def test_moment_quadratures_count_custom_tapers_only(tracing, tmp_path, monkeypatch):
+    # the built-in tapers carry closed-form moments, so a study that builds
+    # its taper and reads e(h) under the tracer runs no quadrature; a custom
+    # taper still integrates, and the bench counter must still see it
+    from taperspec import harness, taper
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(taper, "_INSTANCES", {})
+    harness._study.cache_clear()
+    try:
+        with tracing.Tracer() as tracer:
+            assert main(_FUNCTIONAL) == 0
+    finally:
+        harness._study.cache_clear()
+    assert tracer.counts["taper.Taper"] == 1
+    assert tracer.counts["taper.tapering_factor"] >= 1
+    assert tracer.counts["taper.moment.quadratures"] == 0
+
+    with tracing.Tracer() as tracer:
+        taper.custom("parabola", lambda t: t * (1.0 - t))
+    assert tracer.counts["taper.moment.quadratures"] > 0
