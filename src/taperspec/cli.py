@@ -36,10 +36,10 @@ def build_parser() -> _Parser:
             sub.add_argument("--config", required=True, help="INI preset path")
         for name, default in options.items():
             text = harness.OPTIONS[name].help
-            if isinstance(default, tuple):  # a ladder of sample sizes
-                default = ",".join(map(str, default))
-            if default is not None:
-                text += f" ({default})" if default is harness.REQUIRED else f" (default {default})"
+            if default is harness.REQUIRED:
+                text += f" ({default})"
+            elif isinstance(default, (str, int, float)):  # not derived from other options
+                text += f" (default {default})"
             sub.add_argument("--" + name.replace("_", "-"), dest=name, help=text)
         sub.add_argument("--check", action="store_true",
                          help="audit aggregate metrics against thresholds; exit 2 on failure")

@@ -395,9 +395,18 @@ def reference_pvalue(s: float, unit_dof: int, nu=()) -> tuple:
     return _imhof_sf(s, dof, rest), None
 
 
+def require_surplus(basis: TestBasis, model: Model) -> TestBasis:
+    """`basis`, if it has more active slots than the parameters a composite
+    test fits to `model` (its free ones, else its scale)."""
+    p = len(model.free_names) or 1
+    if basis.m_active <= p:
+        raise DomainError(f"basis has {basis.m_active} active slots; need more than {p}")
+    return basis
+
+
 def composite_test(series, taper: Taper, model: Model, basis,
                    alpha: float = 0.05, kappa4: float = 0.0,
-                   oversample: int = 4, **fit_kwargs) -> GofResult:
+                   oversample: int = 4) -> GofResult:
     """Goodness-of-fit with the null density fitted by tapered Whittle.
 
     `basis` is either a TestBasis or a callable mapping the fitted model
@@ -407,12 +416,11 @@ def composite_test(series, taper: Taper, model: Model, basis,
     parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
     dof, or None for a genuine mixture.
     """
-    fit = whittle_estimate(series, taper, model, kappa4=kappa4,
-                           oversample=oversample, **fit_kwargs)
+    fit = whittle_estimate(series, taper, model, kappa4=kappa4, oversample=oversample)
     if not fit.converged:
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
-    test_basis = basis(fitted) if callable(basis) else basis
+    test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
     # the fit's periodogram serves unless the fitted memory class moves the grid
     same_grid = fit.periodogram.grid.shifted == (fitted.memory_class != "short")
     phi = phi_vector(fit.periodogram if same_grid else series, taper, fitted,
@@ -421,8 +429,6 @@ def composite_test(series, taper: Taper, model: Model, basis,
     names = fitted.free_names if fitted.free_names else (fitted.scale_name,)
     p = len(names)
     m_active = test_basis.m_active
-    if m_active <= p:
-        raise DomainError(f"basis has {m_active} active slots; need more than {p}")
     gamma = gamma_matrix(fitted, names=names)
     e_h = tapering_factor(taper)
     b_eff = math.sqrt(e_h) * b_matrix(fitted, test_basis, taper)

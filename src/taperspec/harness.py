@@ -1,12 +1,14 @@
 """Experiment harness: option schema, seeded replication engine, CSV/JSON reports.
 
-Three tables describe every experiment kind: `OPTIONS` (type, bound and
-help of each option), `KINDS` (the options a kind reads, with defaults)
-and `CHECKS` (a kind's threshold audits, in report order).  The CLI is
-built from them, and an `ExperimentConfig` (kind plus string options from
-CLI flags, an INI file, or both; flags win) is checked against them before
-anything runs: a key the kind does not read, or a bad value, is a schema
-error that exits 1 before any file is written.  A run writes
+Three tables describe every experiment kind: `OPTIONS` (help, type and
+bound of each option, and the object it builds), `KINDS` (the options a
+kind reads, with defaults) and `CHECKS` (a kind's threshold audits, in
+report order).  The CLI is built from them, and an `ExperimentConfig`
+(kind plus string options from CLI flags, an INI file, or both; flags win)
+is checked against them before anything runs: a key the kind does not
+read, or a bad value, is a schema error that names its field and exits 1
+before any file is written.  Each option is parsed once, by its `OPTIONS`
+row, and runners and replications read the parsed objects.  A run writes
 
     <out>.csv   per-replication (or per-T) rows, RFC 4180, header, UTF-8
     <out>.json  aggregate metrics, checks, and the options given plus kind, seed, check
@@ -23,7 +25,6 @@ form in the JSON; key order is sorted; no timestamps anywhere.  With
 from __future__ import annotations
 
 import configparser
-import collections
 import csv
 import dataclasses
 import functools
@@ -38,47 +39,33 @@ import numpy as np
 import scipy.stats
 
 from . import gof, robustness, toeplitz
-from .errors import (DegenerateSampleError, DomainError, InvalidTaperError,
-                     SchemaError)
+from .errors import DegenerateSampleError, DomainError, SchemaError, TaperspecError
 from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           fejer_smoothing_error, indicator, plugin_estimate,
                           quadratic_form, true_functional)
 from .models import Model, derive_seed, get_driver, parse_model
-from .spectrum import canonical_grid, tapered_periodogram
+from .spectrum import OVERSAMPLE_CHOICES, canonical_grid, tapered_periodogram
 from .taper import Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
 
 # ---------------------------------------------------------------------------
-# small resolvers shared by every runner
+# the object parsers of the options table; `parse_option` names the field
+# in their errors
 
 
 def resolve_taper(taper_id: str) -> Taper:
     """The shared built-in taper instance (its moments are computed once)."""
-    try:
-        return get_taper(taper_id)
-    except InvalidTaperError as exc:
-        raise SchemaError(f"field 'taper': {exc}") from None
-
-
-def resolve_driver(name: str):
-    try:
-        return get_driver("centered_exponential" if name == "exponential" else name)
-    except SchemaError as exc:
-        raise SchemaError(f"field 'driver': {exc}") from None
+    return get_taper(taper_id)
 
 
 def parse_g(spec: str) -> GeneratingFunction:
     """cosine:u or indicator:mu."""
     kind, _, arg = spec.partition(":")
-    try:
-        if kind == "cosine":
-            return cosine(int(arg or "1"))
-        if kind == "indicator":
-            return indicator(float(arg))
-    except (ValueError, DomainError) as exc:
-        raise SchemaError(f"field 'g': bad argument in {spec!r}: {exc}") from None
-    raise SchemaError(
-        f"field 'g': unknown generator {spec!r}; expected cosine:u or indicator:mu")
+    if kind == "cosine":
+        return cosine(int(arg or "1"))
+    if kind == "indicator":
+        return indicator(float(arg))
+    raise SchemaError(f"unknown generator {spec!r}; expected cosine:u or indicator:mu")
 
 
 def parse_trend(spec: str) -> robustness.Trend:
@@ -86,15 +73,29 @@ def parse_trend(spec: str) -> robustness.Trend:
     kind, _, arg = spec.partition(":")
     if kind == "zero":
         return robustness.zero_trend()
-    if kind == "power":
-        try:
-            c, beta = (float(p) for p in arg.split(","))
-            return robustness.power_decay(c, beta)
-        except (ValueError, DomainError) as exc:
-            raise SchemaError(
-                f"field 'trend': expected power:c,beta, got {spec!r}: {exc}") from None
-    raise SchemaError(
-        f"field 'trend': unknown kind {spec!r}; expected zero or power:c,beta")
+    if kind == "power" and arg.count(",") == 1:
+        c, beta = arg.split(",")
+        return robustness.power_decay(float(c), float(beta))
+    raise SchemaError(f"bad trend {spec!r}; expected zero or power:c,beta")
+
+
+def _build_basis(basis_spec: str, model: Model):
+    kind, _, arg = basis_spec.partition(":")
+    if kind == "cosine":
+        return gof.cosine_basis(int(arg or "3"))
+    if kind == "ar-example":
+        return gof.ar_example_basis(model, int(arg or "3"))
+    raise SchemaError(f"unknown basis {basis_spec!r}; expected cosine:m or ar-example:m")
+
+
+def _parse_basis(spec: str, o: dict):
+    """The simple test's basis for the null model, or the composite test's as a
+    function of the fitted model, built once for the null to check it."""
+    basis = _build_basis(spec, o["model"])
+    if o["mode"] == "simple":
+        return basis
+    gof.require_surplus(basis, o["model"])
+    return lambda model: _build_basis(spec, model)
 
 
 def parse_t_list(text: str) -> tuple:
@@ -123,12 +124,12 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, fieldnames, rows) -> None:
+def write_csv(path: str, rows) -> None:
+    """The rows under a header of the first row's keys; every row has the same keys."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(row[k]) for k in fieldnames])
+        writer.writerow(rows[0])
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
 
 
 def _plain(obj):
@@ -188,36 +189,54 @@ def normality_diagnostics(sample) -> dict:
 
 @dataclass(frozen=True)
 class Option:
-    """One experiment option; its CLI flag is --name with _ written as -."""
+    """One experiment option; its CLI flag is --name with _ written as -.
+
+    Its text is read as `type` and bounded: at least `minimum`, strictly
+    between `minimum` and `maximum` when both are set, or one of `choices`.
+    `build(value, options parsed before it)` makes the object a runner reads.
+    """
 
     help: str
     type: type = str  # str, int or float
-    minimum: int | None = None
+    minimum: float | None = None
+    maximum: float | None = None
     choices: tuple = ()
+    build: Callable | None = None
 
 
 _TRACE_PAIRS = {"ar1xcos": ("ar1{theta=0.5,sigma2=1.0}", "cosine:1")}
 
+# The builds look parse_model, resolve_taper, parse_g and _build_basis up by
+# name when they run, so a wrapper or test double put in this module is seen.
 OPTIONS = {
-    "model": Option("model spec, e.g. ar1{theta=0.5,sigma2=1}"),
-    "data_model": Option("model generating the data when it differs from the null"),
-    "pair": Option("named model and generator pair", choices=tuple(_TRACE_PAIRS)),
-    "g": Option("generator: cosine:u or indicator:mu"),
-    "taper": Option("taper id: rect, linear, or tukey"),
-    "driver": Option("innovation driver: gaussian, exponential, laplace"),
+    "model": Option("model spec, e.g. ar1{theta=0.5,sigma2=1}",
+                    build=lambda text, o: parse_model(text)),
+    "data_model": Option("model generating the data when it differs from the null",
+                         build=lambda text, o: parse_model(text)),
+    "pair": Option("named model and generator pair", choices=tuple(_TRACE_PAIRS),
+                   build=lambda text, o: (parse_model(_TRACE_PAIRS[text][0]),
+                                          parse_g(_TRACE_PAIRS[text][1]))),
+    "g": Option("generator: cosine:u or indicator:mu", build=lambda text, o: parse_g(text)),
+    "taper": Option("taper id: rect, linear, or tukey",
+                    build=lambda text, o: resolve_taper(text)),
+    "driver": Option("innovation driver: gaussian, exponential, laplace",
+                     build=lambda text, o: get_driver(
+                         "centered_exponential" if text == "exponential" else text)),
     "T": Option("sample size; a comma list for the ladder kinds", int, 8),
     "T_smooth": Option("sample size for the smoothing-error evaluation", int, 8),
     "reps": Option("replication count", int, 1),
     "report_T": Option("sample size for the distribution report (default: max T)", int, 8),
     "report_reps": Option("replications for the distribution report (default: reps)", int, 2),
-    "oversample": Option("frequency grid oversampling factor (2, 4, or 8)", int),
+    "oversample": Option("frequency grid oversampling factor (1, 2, 4, or 8)", int,
+                         choices=OVERSAMPLE_CHOICES),
     "mode": Option("test variant", choices=("simple", "composite")),
-    "basis": Option("test basis: cosine:m or ar-example:m"),
-    "alpha": Option("test level", float),
-    "delta": Option("tail cutoff in (0, pi)", float),
-    "trend": Option("zero or power:c,beta"),
+    "basis": Option("test basis: cosine:m or ar-example:m",
+                    build=lambda text, o: _parse_basis(text, o)),
+    "alpha": Option("test level in (0, 1)", float, 0.0, 1.0),
+    "delta": Option("tail cutoff in (0, pi)", float, 0.0, math.pi),
+    "trend": Option("zero or power:c,beta", build=lambda text, o: parse_trend(text)),
     "target": Option("estimate under contamination", choices=("functional", "whittle")),
-    "seed": Option("master seed", int),
+    "seed": Option("master seed", int, 0),
     "out": Option("output base path for <out>.csv and <out>.json (default: the kind)"),
     "workers": Option("replication processes (default: the preset's, else 1)", int, 1),
 }
@@ -280,19 +299,27 @@ CHECKS = {
 }
 
 
-def parse_option(name: str, raw):
-    """One option's value from its raw text, checked against its table row."""
+def parse_option(name: str, raw, o: dict | None = None):
+    """One option's value from its raw text, checked against its table row; `o`
+    holds the options parsed before it (a basis is checked against the null)."""
     opt = OPTIONS[name]
-    if opt.choices and raw not in opt.choices:
-        raise SchemaError(f"field {name!r}: expected {' or '.join(opt.choices)}, got {raw!r}")
     try:
         val = opt.type(raw)
     except (TypeError, ValueError):
         noun = "integer" if opt.type is int else "number"
         raise SchemaError(f"field {name!r}: expected {noun}, got {raw!r}") from None
-    if opt.minimum is not None and val < opt.minimum:
+    if opt.choices and val not in opt.choices:
+        raise SchemaError(
+            f"field {name!r}: expected {' or '.join(map(str, opt.choices))}, got {raw!r}")
+    if opt.maximum is not None and not opt.minimum < val < opt.maximum:
+        raise SchemaError(
+            f"field {name!r}: must lie in ({opt.minimum:g}, {opt.maximum:g}), got {val}")
+    if opt.maximum is None and opt.minimum is not None and val < opt.minimum:
         raise SchemaError(f"field {name!r}: must be >= {opt.minimum}, got {val}")
-    return val
+    try:
+        return val if opt.build is None else opt.build(val, o)
+    except (TaperspecError, ValueError) as exc:
+        raise SchemaError(f"field {name!r}: {exc}") from None
 
 
 def evaluate_checks(kind: str, thresholds: dict, results: dict) -> list:
@@ -357,20 +384,11 @@ class ExperimentConfig:
     def out_base(self) -> str:
         return self.options.get("out") or self.kind.replace("-", "_")
 
-    def resolve(self) -> dict:
-        """Every option the kind reads, parsed, with the table's defaults filled in."""
-        kind = KINDS[self.kind]
-        resolved = {}
-        for name, default in kind.options.items():
-            raw = self.workers if name == "workers" else self.options.get(name)
-            if raw is None and default is REQUIRED:
-                raise SchemaError(f"field {name!r}: required for this experiment")
-            if raw is None:
-                resolved[name] = default
-            else:
-                resolved[name] = (parse_t_list(raw) if name == "T" and kind.ladder
-                                  else parse_option(name, raw))
-        return resolved
+    def resolve(self) -> Resolved:
+        """Every option the kind reads, parsed, with the table's defaults filled in;
+        parsed once per process for the same kind and options."""
+        given = self.options if self.workers is None else {**self.options, "workers": self.workers}
+        return _resolve(self.kind, tuple(sorted(given.items())))
 
     def merged_checks(self, mode: str | None = None) -> dict:
         """Enabled thresholds: the table's defaults (per gof mode) under [check] overrides."""
@@ -413,60 +431,61 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # replication engine
 
-# Model objects and bases hold closures, which do not pickle; workers get
-# the resolved options, all primitives (spec strings, ids, numbers), and
-# look the study up by them in `resolve_study`.  The runner resolves it
-# before the replications start, so forked workers inherit it with every
-# constant it has cached.
 
+class Resolved(dict):
+    """A kind's options parsed to what its runner reads, defaults filled in;
+    `text` keeps the text each was parsed from.  It pickles as the options
+    given, which a worker process resolves through its own `_resolve` memo:
+    a forked one finds the parent's objects there, with their cached constants.
+    """
 
-Study = collections.namedtuple("Study", "model data_model taper g driver basis")
-
-
-def resolve_study(o: dict) -> Study:
-    """The objects resolved options `o` name, parsed once per process; the
-    data model is the model unless `o` names one, g and the simple-mode gof
-    basis are None where the kind does not read them."""
-    return _study(o["model"], o.get("data_model"), o["taper"], o.get("g"), o["driver"],
-                  o["basis"] if o.get("mode") == "simple" else None)
+    def __reduce__(self):
+        return _resolve, self.key
 
 
 @functools.lru_cache(maxsize=8)
-def _study(model, data_model, taper, g, driver, basis) -> Study:
-    null = parse_model(model)
-    return Study(null, parse_model(data_model) if data_model else null,
-                 resolve_taper(taper), None if g is None else parse_g(g),
-                 resolve_driver(driver), None if basis is None else _build_basis(basis, null))
+def _resolve(kind: str, given: tuple) -> Resolved:
+    o = Resolved()
+    o.key, o.text = (kind, given), {}
+    given = dict(given)
+    for name, default in KINDS[kind].options.items():
+        raw = given.get(name, default)
+        raw = raw(o) if callable(raw) else raw
+        if raw is REQUIRED:
+            raise SchemaError(f"field {name!r}: required for this experiment")
+        o.text[name] = raw
+        o[name] = (None if raw is None
+                   else parse_t_list(raw) if name == "T" and KINDS[kind].ladder
+                   else parse_option(name, raw, o))
+    return o
 
 
-def _map_reps(kind: str, payload: dict, reps: int, workers: int) -> list:
+def _map_reps(kind: str, o: Resolved, reps: int, workers: int) -> list:
     rep_fn = KINDS[kind].rep
-    tasks = [(payload, r) for r in range(reps)]
+    tasks = [(o, r) for r in range(reps)]
     if workers <= 1 or reps == 1:
         return [rep_fn(*t) for t in tasks]
     with multiprocessing.Pool(processes=min(workers, reps)) as pool:
         return pool.starmap(rep_fn, tasks)  # starmap() preserves task order
 
 
-def _rep_functional(payload: dict, rep: int) -> dict:
-    s = resolve_study(payload)
-    seed = derive_seed(payload["seed"], rep)
-    series = s.model.simulate(s.driver, payload["T"], seed)
-    pgram = tapered_periodogram(series, s.taper, oversample=payload["oversample"])
-    j_hat = plugin_estimate(pgram, s.g)
-    q_hat = quadratic_form(series, s.taper, s.g)
+def _rep_functional(o: dict, rep: int) -> dict:
+    seed = derive_seed(o["seed"], rep)
+    series = o["model"].simulate(o["driver"], o["T"], seed)
+    pgram = tapered_periodogram(series, o["taper"], oversample=o["oversample"])
+    j_hat = plugin_estimate(pgram, o["g"])
+    q_hat = quadratic_form(series, o["taper"], o["g"])
     rel = abs(j_hat * pgram.c_norm - q_hat) / max(abs(q_hat), 1e-300)
-    return {"rep": rep, "seed": seed, "j_plugin": j_hat, "q_form": q_hat,
-            "identity_rel_err": rel}
+    return {"experiment": "estimate-functional", "seed": seed, "T": o["T"], "rep": rep,
+            "j_plugin": j_hat, "q_form": q_hat, "identity_rel_err": rel}
 
 
-def _rep_whittle(payload: dict, rep: int) -> dict:
-    s = resolve_study(payload)
-    seed = derive_seed(payload["seed"], rep)
-    series = s.model.simulate(s.driver, payload["T"], seed)
-    fit = whittle_estimate(series, s.taper, s.model, kappa4=s.driver.kappa4,
-                           oversample=payload["oversample"])
-    row = {"rep": rep, "seed": seed}
+def _rep_whittle(o: dict, rep: int) -> dict:
+    seed = derive_seed(o["seed"], rep)
+    series = o["model"].simulate(o["driver"], o["T"], seed)
+    fit = whittle_estimate(series, o["taper"], o["model"], kappa4=o["driver"].kappa4,
+                           oversample=o["oversample"])
+    row = {"experiment": "whittle", "seed": seed, "T": o["T"], "rep": rep}
     row.update((f"hat_{name}", float(val)) for name, val in zip(fit.names, fit.theta_hat))
     if fit.sigma2_hat is not None:
         row["sigma2_hat"] = float(fit.sigma2_hat)
@@ -476,50 +495,32 @@ def _rep_whittle(payload: dict, rep: int) -> dict:
     return row
 
 
-def _build_basis(basis_spec: str, model: Model):
-    kind, _, arg = basis_spec.partition(":")
-    try:
-        m = int(arg or "3")
-    except ValueError:
-        raise SchemaError(f"field 'basis': bad size in {basis_spec!r}") from None
-    if kind == "cosine":
-        return gof.cosine_basis(m)
-    if kind == "ar-example":
-        return gof.ar_example_basis(model, m)
-    raise SchemaError(
-        f"field 'basis': unknown basis {basis_spec!r}; expected cosine:m or ar-example:m")
-
-
-def _rep_gof(payload: dict, rep: int) -> dict:
-    s = resolve_study(payload)
-    seed = derive_seed(payload["seed"], rep)
-    series = s.data_model.simulate(s.driver, payload["T"], seed)
-    if payload["mode"] == "simple":
-        res = gof.simple_test(series, s.taper, s.model, s.basis, alpha=payload["alpha"],
-                              oversample=payload["oversample"])
+def _rep_gof(o: dict, rep: int) -> dict:
+    seed = derive_seed(o["seed"], rep)
+    series = (o["data_model"] or o["model"]).simulate(o["driver"], o["T"], seed)
+    if o["mode"] == "simple":
+        res = gof.simple_test(series, o["taper"], o["model"], o["basis"], alpha=o["alpha"],
+                              oversample=o["oversample"])
     else:
-        res = gof.composite_test(series, s.taper, s.model,
-                                 lambda mdl: _build_basis(payload["basis"], mdl),
-                                 alpha=payload["alpha"], kappa4=s.driver.kappa4,
-                                 oversample=payload["oversample"])
-    return {"rep": rep, "seed": seed, "statistic": float(res.statistic),
-            "p_value": float(res.p_value), "reject": int(res.reject),
-            "law": res.law}
+        res = gof.composite_test(series, o["taper"], o["model"], o["basis"], alpha=o["alpha"],
+                                 kappa4=o["driver"].kappa4, oversample=o["oversample"])
+    return {"experiment": "gof", "seed": seed, "T": o["T"], "rep": rep,
+            "statistic": float(res.statistic), "p_value": float(res.p_value),
+            "reject": int(res.reject), "law": res.law}
 
 
 # ---------------------------------------------------------------------------
 # runners: one per experiment kind
 #
-# Each takes the resolved options and returns (fieldnames, rows, results);
-# `run_experiment` audits the results against the kind's checks.
+# Each takes the resolved options and returns (rows, results), each row a
+# dict in column order; `run_experiment` audits the results against the
+# kind's checks.
 
 
 def _run_simulate(o: dict):
-    model = parse_model(o["model"])
-    driver = resolve_driver(o["driver"])
-    T, reps = o["T"], o["reps"]
+    model, T, reps = o["model"], o["T"], o["reps"]
     seeds = [derive_seed(o["seed"], r) for r in range(reps)]
-    paths = [model.simulate(driver, T, seed) for seed in seeds]
+    paths = [model.simulate(o["driver"], T, seed) for seed in seeds]
     rows = [{"experiment": "simulate", "seed": seed, "T": T, "rep": r, "t": t,
              "value": float(v)}
             for r, (seed, path) in enumerate(zip(seeds, paths))
@@ -532,17 +533,13 @@ def _run_simulate(o: dict):
         "lag0_theory": float(model.covariance(0)),
         "provenance": paths[0].provenance,
     }
-    fieldnames = ["experiment", "seed", "T", "rep", "t", "value"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_periodogram(o: dict):
-    model = parse_model(o["model"])
-    taper = resolve_taper(o["taper"])
-    driver = resolve_driver(o["driver"])
-    T = o["T"]
+    model, taper, T = o["model"], o["taper"], o["T"]
     seed = derive_seed(o["seed"], 0)
-    series = model.simulate(driver, T, seed)
+    series = model.simulate(o["driver"], T, seed)
     shifted = model.memory_class != "short"
     grid = canonical_grid(T, oversample=o["oversample"], shifted=shifted)
     pgram = tapered_periodogram(series, taper, grid=grid)
@@ -558,17 +555,15 @@ def _run_periodogram(o: dict):
     results = {"T": T, "N": grid.N, "c_norm": pgram.c_norm,
                "parseval_grid_sum": lhs, "parseval_time_sum": rhs,
                "parseval_rel_err": rel, "shifted_grid": shifted}
-    fieldnames = ["experiment", "seed", "T", "lambda", "value"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_functional(o: dict):
-    model, _, taper, g, driver, _ = resolve_study(o)
+    model, taper, g, driver = o["model"], o["taper"], o["g"], o["driver"]
     T, reps = o["T"], o["reps"]
-    per_rep = _map_reps("estimate-functional", o, reps, o["workers"])
-    rows = [{"experiment": "estimate-functional", "T": T, **r} for r in per_rep]
+    rows = _map_reps("estimate-functional", o, reps, o["workers"])
 
-    j_vals = np.array([r["j_plugin"] for r in per_rep])
+    j_vals = np.array([r["j_plugin"] for r in rows])
     truth = true_functional(model, g)
     sigma2_full = asymptotic_variance(model, g, taper, kappa4=driver.kappa4)
     sigma2_gauss = (sigma2_full if driver.kappa4 == 0.0
@@ -591,30 +586,26 @@ def _run_functional(o: dict):
         "var_ratio": t_var / sigma2_full if sigma2_full else float("nan"),
         "kappa4_gap_se": (abs(t_var - sigma2_gauss) / tvar_se
                           if tvar_se and math.isfinite(tvar_se) else float("nan")),
-        "identity_rel_max": float(max(r["identity_rel_err"] for r in per_rep)),
+        "identity_rel_max": float(max(r["identity_rel_err"] for r in rows)),
     }
     if reps >= 50:
         z = np.sqrt(T) * (j_vals - truth) / math.sqrt(sigma2_full)
         results["normality"] = normality_diagnostics(z)
-    fieldnames = ["experiment", "seed", "T", "rep", "j_plugin", "q_form",
-                  "identity_rel_err"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_whittle(o: dict):
-    model, _, taper, _, driver, _ = resolve_study(o)
-    T, reps = o["T"], o["reps"]
+    model, T, reps = o["model"], o["T"], o["reps"]
     if not model.free_names:
         raise SchemaError("field 'model': whittle needs at least one free parameter")
-    per_rep = _map_reps("whittle", o, reps, o["workers"])
-    rows = [{"experiment": "whittle", "T": T, **r} for r in per_rep]
+    rows = _map_reps("whittle", o, reps, o["workers"])
 
     names = model.free_names
     theta0 = model.free_vector()
-    hats = np.array([[r[f"hat_{n}"] for n in names] for r in per_rep])
-    conv = float(np.mean([r["converged"] for r in per_rep]))
-    e_h = tapering_factor(taper)
-    theory_var = float(e_h * info_matrices(model, kappa4=driver.kappa4).gamma[0, 0])
+    hats = np.array([[r[f"hat_{n}"] for n in names] for r in rows])
+    conv = float(np.mean([r["converged"] for r in rows]))
+    e_h = tapering_factor(o["taper"])
+    theory_var = float(e_h * info_matrices(model, kappa4=o["driver"].kappa4).gamma[0, 0])
     first = hats[:, 0]
     t_var = float(T * np.var(first, ddof=1)) if reps > 1 else float("nan")
     results = {
@@ -631,26 +622,20 @@ def _run_whittle(o: dict):
     if reps >= 50:
         z = np.sqrt(T) * (first - theta0[0]) / math.sqrt(theory_var)
         results["normality"] = normality_diagnostics(z)
-    fieldnames = (["experiment", "seed", "T", "rep"]
-                  + [f"hat_{n}" for n in names]
-                  + (["sigma2_hat"] if model.scale_name is not None else [])
-                  + ["converged", "iterations", "objective"])
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_gof(o: dict):
     mode, T, reps = o["mode"], o["T"], o["reps"]
-    model, data_model, *_ = resolve_study(o)
-    per_rep = _map_reps("gof", o, reps, o["workers"])
-    laws = [r.pop("law") for r in per_rep]
-    rows = [{"experiment": "gof", "T": T, **r} for r in per_rep]
+    rows = _map_reps("gof", o, reps, o["workers"])
+    laws = [r.pop("law") for r in rows]
 
-    stats = np.array([r["statistic"] for r in per_rep])
-    rate = float(np.mean([r["reject"] for r in per_rep]))
+    stats = np.array([r["statistic"] for r in rows])
+    rate = float(np.mean([r["reject"] for r in rows]))
     results = {
         "mode": mode, "reps": reps, "T": T, "alpha": o["alpha"],
-        "basis": o["basis"],
-        "null_matches_data": data_model.describe() == model.describe(),
+        "basis": o.text["basis"],
+        "null_matches_data": (o["data_model"] or o["model"]).describe() == o["model"].describe(),
         "rejection_rate": rate,
         "rate_half_width": 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / reps) / reps),
         "mean_statistic": float(np.mean(stats)),
@@ -665,26 +650,19 @@ def _run_gof(o: dict):
         results["effective_dof"] = dofs.pop() if len(dofs) == 1 else None
     # each p-value is the reference law's survival function at the statistic,
     # so under that law the p-values are uniform, whether the law is a mixture or not
-    ks = scipy.stats.kstest([r["p_value"] for r in per_rep], "uniform")
+    ks = scipy.stats.kstest([r["p_value"] for r in rows], "uniform")
     results["ks_stat"] = float(ks.statistic)
     results["ks_pvalue"] = float(ks.pvalue)
-    fieldnames = ["experiment", "seed", "T", "rep", "statistic", "p_value", "reject"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_trace(o: dict):
-    pair = o["pair"]
-    if pair is not None:
-        if o["model"] is not None or o["g"] is not None:
-            raise SchemaError("field 'pair': replaces --model and --g; give one or the other")
-        model_spec, g_spec = _TRACE_PAIRS[pair]
-    else:
-        model_spec, g_spec = o["model"], o["g"]
-        if model_spec is None or g_spec is None:
-            raise SchemaError("trace-experiment needs --pair or both --model and --g")
-    model = parse_model(model_spec)
-    g = parse_g(g_spec)
-    taper = resolve_taper(o["taper"])
+    if o["pair"] is not None and (o["model"] is not None or o["g"] is not None):
+        raise SchemaError("field 'pair': replaces --model and --g; give one or the other")
+    model, g = o["pair"] or (o["model"], o["g"])
+    if model is None or g is None:
+        raise SchemaError("trace-experiment needs --pair or both --model and --g")
+    taper = o["taper"]
     limit = toeplitz.trace_limit([model, g], taper)
     rows = []
     for T in o["T"]:
@@ -700,18 +678,11 @@ def _run_trace(o: dict):
         "steps": len(deltas) - 1,
         "all_positive": bool(all(d > 0 for d in deltas)),
     }
-    fieldnames = ["experiment", "seed", "T", "trace_scaled", "limit", "delta"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_fejer(o: dict):
-    taper = resolve_taper(o["taper"])
-    delta = o["delta"]
-    if not 0.0 < delta < math.pi:
-        raise SchemaError(f"field 'delta': must lie in (0, pi), got {delta}")
-    model = parse_model(o["model"])
-    g = parse_g(o["g"])
-    t_smooth = o["T_smooth"]
+    taper, delta, t_smooth = o["taper"], o["delta"], o["T_smooth"]
     rows = []
     for T in o["T"]:
         # full-period trapezoid with > 2T+1 points integrates the order-2
@@ -725,7 +696,7 @@ def _run_fejer(o: dict):
                      "normalization": norm, "norm_abs_err": abs(norm - 1.0),
                      "tail_mass": tail})
     tails = [r["tail_mass"] for r in rows]
-    delta2 = fejer_smoothing_error(model, g, taper, t_smooth)
+    delta2 = fejer_smoothing_error(o["model"], o["g"], taper, t_smooth)
     results = {
         "T_values": list(o["T"]), "delta": delta,
         "norm_max_err": max(r["norm_abs_err"] for r in rows), "tail_masses": tails,
@@ -733,34 +704,23 @@ def _run_fejer(o: dict):
         "T_smooth": t_smooth, "delta2": delta2,
         "sqrt_t_delta2": math.sqrt(t_smooth) * delta2,
     }
-    fieldnames = ["experiment", "seed", "T", "normalization", "norm_abs_err",
-                  "tail_mass"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 def _run_robustness(o: dict):
-    model = parse_model(o["model"])
-    trend = parse_trend(o["trend"])
-    taper = resolve_taper(o["taper"])
-    g = parse_g(o["g"])
-    driver = resolve_driver(o["driver"])
-    t_values, reps, master = o["T"], o["reps"], o["seed"]
-    report_t = max(t_values) if o["report_T"] is None else o["report_T"]
-    report_reps = parse_option("report_reps", reps if o["report_reps"] is None
-                               else o["report_reps"])
-    ladder = robustness.gap_ladder(model, trend, taper, g, T_values=t_values,
-                                   reps=reps, master_seed=master, driver=driver)
+    model, trend, taper, g, master = o["model"], o["trend"], o["taper"], o["g"], o["seed"]
+    ladder = robustness.gap_ladder(model, trend, taper, g, T_values=o["T"], reps=o["reps"],
+                                   master_seed=master, driver=o["driver"])
     report = robustness.robustness_report(
-        model, trend, taper, target=o["target"], g=g, T=report_t, reps=report_reps,
-        master_seed=derive_seed(master, 10_000), driver=driver,
-        kappa4=driver.kappa4)
+        model, trend, taper, target=o["target"], g=g, T=o["report_T"], reps=o["report_reps"],
+        master_seed=derive_seed(master, 10_000), driver=o["driver"])
     rows = [{"experiment": "robustness", "seed": master, "T": T,
              "median_gap": mg, "gap_se": se}
             for T, mg, se in zip(ladder.T_values, ladder.median_gaps, ladder.gap_ses)]
     results = {
         **dataclasses.asdict(ladder),
         "trend": trend.label, "target": o["target"],
-        "report_T": report_t, "report_reps": report_reps,
+        "report_T": o["report_T"], "report_reps": o["report_reps"],
         "clean_bias": report.clean_bias,
         "contaminated_bias": report.contaminated_bias,
         "clean_variance": report.clean_variance,
@@ -772,8 +732,7 @@ def _run_robustness(o: dict):
         "normality_pvalue_contaminated": report.normality_pvalue_contaminated,
         "median_gap_report": report.median_gap,
     }
-    fieldnames = ["experiment", "seed", "T", "median_gap", "gap_se"]
-    return fieldnames, rows, results
+    return rows, results
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +744,10 @@ REQUIRED = "required"  # a kinds-table default for an option that has none
 @dataclass(frozen=True)
 class Kind:
     summary: str
-    run: Callable  # resolved options -> (fieldnames, rows, results)
-    options: dict  # option name -> default, REQUIRED, or None where the runner derives it
+    run: Callable  # resolved options -> (rows, results)
+    # option name -> default text or number, REQUIRED, None (unset), or a
+    # function of the options parsed before it that gives the default
+    options: dict
     ladder: bool  # T is a comma list of sample sizes
     rep: Callable | None  # one replication, for kinds that spread them over `workers`
 
@@ -816,14 +777,15 @@ KINDS = {
                  driver="gaussian"),
     "trace-experiment": _kind("tapered trace against its limit", _run_trace, ladder=True,
                               pair=None, model=None, g=None, taper="tukey",
-                              T=(64, 128, 256, 512, 1024)),
+                              T="64,128,256,512,1024"),
     "fejer": _kind("kernel normalization and tail mass ladder", _run_fejer, ladder=True,
-                   taper="tukey", T=(16, 64, 256, 1024), delta=0.5,
+                   taper="tukey", T="16,64,256,1024", delta=0.5,
                    model="ar1{theta=0.5,sigma2=1.0}", g="cosine:1", T_smooth=2048),
     "robustness": _kind("trend contamination study", _run_robustness, ladder=True,
                         model=REQUIRED, trend="power:1.0,0.6", target="functional",
-                        taper="tukey", g="cosine:1", T=(512, 2048, 8192), reps=200,
-                        report_T=None, report_reps=None, driver="gaussian"),
+                        taper="tukey", g="cosine:1", T="512,2048,8192", reps=200,
+                        report_T=lambda o: max(o["T"]), report_reps=lambda o: o["reps"],
+                        driver="gaussian"),
 }
 
 
@@ -835,7 +797,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Run one experiment; write <out>.csv and <out>.json; return exit code."""
     opts = cfg.resolve()
     thresholds = cfg.merged_checks(opts.get("mode"))
-    fieldnames, rows, results = KINDS[cfg.kind].run(opts)
+    rows, results = KINDS[cfg.kind].run(opts)
     checks = evaluate_checks(cfg.kind, thresholds, results)
     out = cfg.out_base
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -847,7 +809,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         "results": results,
         "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
     }
-    write_csv(out + ".csv", fieldnames, rows)
+    write_csv(out + ".csv", rows)
     write_json(out + ".json", payload)
     echo(f"workers: {opts.get('workers', 1)}")
     echo(f"wrote {out}.csv ({len(rows)} rows)")

@@ -162,22 +162,22 @@ class RobustnessReport:
 def robustness_report(model: Model, trend: Trend, taper: Taper,
                       target: str = "functional", g: GeneratingFunction | None = None,
                       T: int = 2048, reps: int = 200, master_seed: int = 0,
-                      driver=None, kappa4: float = 0.0,
-                      **fit_kwargs) -> RobustnessReport:
+                      driver=None) -> RobustnessReport:
     """Compare an estimator on clean X versus contaminated Y = X + M.
 
     target "functional": plug-in J(I) against the true functional, with
     the asymptotic standard deviation from the variance formula.
     target "whittle": the first free parameter of the tapered Whittle
     fit.  Both samples are sqrt(T)-scaled deviations from the truth;
-    the same X drives each pair.
+    the same X drives each pair; the driver's kappa4 enters the
+    asymptotic variance and the fits.
     """
     if target not in ("functional", "whittle"):
         raise DomainError(f"unknown robustness target: {target!r}")
     if target == "functional" and g is None:
         raise DomainError("functional target needs a generating function g")
     driver = driver if driver is not None else gaussian()
-    kappa4 = float(kappa4) if kappa4 else getattr(driver, "kappa4", 0.0)
+    kappa4 = driver.kappa4
 
     if target == "functional":
         truth = true_functional(model, g)
@@ -200,10 +200,8 @@ def robustness_report(model: Model, trend: Trend, taper: Taper,
             est_x = plugin_estimate(tapered_periodogram(x, taper), g)
             est_y = plugin_estimate(tapered_periodogram(y, taper), g)
         else:
-            est_x = whittle_estimate(x, taper, model, kappa4=kappa4,
-                                     **fit_kwargs).theta_hat[0]
-            est_y = whittle_estimate(y, taper, model, kappa4=kappa4,
-                                     **fit_kwargs).theta_hat[0]
+            est_x = whittle_estimate(x, taper, model, kappa4=kappa4).theta_hat[0]
+            est_y = whittle_estimate(y, taper, model, kappa4=kappa4).theta_hat[0]
         clean[r] = root_t * (est_x - truth)
         cont[r] = root_t * (est_y - truth)
         gaps[r] = abs(cont[r] - clean[r])

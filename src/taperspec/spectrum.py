@@ -36,7 +36,7 @@ from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries
 from .taper import Taper
 
-_OVERSAMPLE_CHOICES = (1, 2, 4, 8)
+OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class FrequencyGrid:
 def _build_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
     if T < 1:
         raise ValueError("T must be positive")
-    if oversample not in _OVERSAMPLE_CHOICES:
-        raise ValueError(f"oversample must be one of {_OVERSAMPLE_CHOICES}")
+    if oversample not in OVERSAMPLE_CHOICES:
+        raise ValueError(f"oversample must be one of {OVERSAMPLE_CHOICES}")
     n = 1 << max(1, int(math.ceil(math.log2(oversample * T))))
     j = np.arange(n, dtype=float)
     offset = 0.5 if shifted else 1.0

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .errors import InvalidTaperError, UnsupportedArityError
+from .errors import DomainError, InvalidTaperError, UnsupportedArityError
 
 _MOMENT_TOL = 1e-12
 _VALIDATION_GRID = 4096
@@ -188,27 +188,32 @@ def fejer_kernel(taper: Taper, k: int, T: int, u) -> np.ndarray:
     ------
     UnsupportedArityError
         If k is not 2 or 3.
+    DomainError
+        If the taper vanishes on the sample (sum h^k = 0).
     """
+    if k not in (2, 3):
+        raise UnsupportedArityError(f"Fejer kernel order must be 2 or 3, got {k}")
+    h_k = taper.sum_of_powers(k, T)
+    if h_k == 0.0:
+        raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^{k} = 0 at T = {T}")
     if k == 2:
         lam = np.asarray(u, dtype=float)
         h1 = np.atleast_1d(dirichlet_kernel(taper, 1, T, lam.ravel()))
-        norm = 2.0 * math.pi * taper.sum_of_powers(2, T)
+        norm = 2.0 * math.pi * h_k
         vals = np.abs(h1) ** 2 / norm
         if lam.ndim == 0:
             return float(vals[0])
         return vals.reshape(lam.shape)
-    if k == 3:
-        pts = np.asarray(u, dtype=float)
-        if pts.shape[-1] != 2:
-            raise ValueError("order-3 kernel requires points with trailing dimension 2")
-        flat = pts.reshape(-1, 2)
-        a = dirichlet_kernel(taper, 1, T, flat[:, 0])
-        b = dirichlet_kernel(taper, 1, T, flat[:, 1])
-        c = dirichlet_kernel(taper, 1, T, -flat[:, 0] - flat[:, 1])
-        norm = (2.0 * math.pi) ** 2 * taper.sum_of_powers(3, T)
-        out = np.atleast_1d(a) * np.atleast_1d(b) * np.atleast_1d(c) / norm
-        return out.reshape(pts.shape[:-1])
-    raise UnsupportedArityError(f"Fejer kernel order must be 2 or 3, got {k}")
+    pts = np.asarray(u, dtype=float)
+    if pts.shape[-1] != 2:
+        raise ValueError("order-3 kernel requires points with trailing dimension 2")
+    flat = pts.reshape(-1, 2)
+    a = dirichlet_kernel(taper, 1, T, flat[:, 0])
+    b = dirichlet_kernel(taper, 1, T, flat[:, 1])
+    c = dirichlet_kernel(taper, 1, T, -flat[:, 0] - flat[:, 1])
+    norm = (2.0 * math.pi) ** 2 * h_k
+    out = np.atleast_1d(a) * np.atleast_1d(b) * np.atleast_1d(c) / norm
+    return out.reshape(pts.shape[:-1])
 
 
 def rectangular() -> Taper:

@@ -71,9 +71,9 @@ def test_parse_g_variants():
     assert harness.parse_g("cosine:2").degree == 2
     assert harness.parse_g("indicator:1.0").kind == "indicator"
     with pytest.raises(SchemaError, match="'g'"):
-        harness.parse_g("hann:3")
-    with pytest.raises(SchemaError):
-        harness.parse_g("cosine:x")
+        harness.parse_option("g", "hann:3")
+    with pytest.raises(SchemaError, match="'g'"):
+        harness.parse_option("g", "cosine:x")
 
 
 def test_parse_trend_variants():
@@ -81,11 +81,11 @@ def test_parse_trend_variants():
     tr = harness.parse_trend("power:2.0,0.6")
     assert tr.c == 2.0 and tr.beta == 0.6
     with pytest.raises(SchemaError, match="trend"):
-        harness.parse_trend("power:1.0")
+        harness.parse_option("trend", "power:1.0")
     with pytest.raises(SchemaError, match="trend"):
-        harness.parse_trend("power:1.0,0.1")  # decay too slow to be admissible
-    with pytest.raises(SchemaError):
-        harness.parse_trend("ramp:1")
+        harness.parse_option("trend", "power:1.0,0.1")  # decay too slow to be admissible
+    with pytest.raises(SchemaError, match="trend"):
+        harness.parse_option("trend", "ramp:1")
 
 
 def test_parse_t_list():
@@ -99,10 +99,10 @@ def test_parse_t_list():
 
 
 def test_resolvers_reject_unknown_ids():
-    with pytest.raises(SchemaError, match="taper"):
-        harness.resolve_taper("kaiser")
-    with pytest.raises(SchemaError, match="driver"):
-        harness.resolve_driver("cauchy")
+    with pytest.raises(SchemaError, match="field 'taper'"):
+        harness.parse_option("taper", "kaiser")
+    with pytest.raises(SchemaError, match="field 'driver'"):
+        harness.parse_option("driver", "cauchy")
 
 
 def test_resolve_taper_returns_shared_instance():
@@ -164,10 +164,9 @@ def test_load_config_file_accepts_every_preset():
 
 def test_csv_cells_and_line_endings(tmp_path):
     path = tmp_path / "t.csv"
-    harness.write_csv(str(path), ["a", "b", "c"],
-                      [{"a": 0.1, "b": True, "c": 7}])
+    harness.write_csv(str(path), [{"a": 0.1, "b": True, "c": 7}, {"a": 2, "b": False, "c": "x"}])
     raw = path.read_bytes()
-    assert raw == b"a,b,c\r\n0.10000000000000001,1,7\r\n"
+    assert raw == b"a,b,c\r\n0.10000000000000001,1,7\r\n2,0,x\r\n"
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["a"] == "0.10000000000000001"
@@ -259,11 +258,11 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
 
 def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, monkeypatch,
                                                                     request):
-    # the study is parsed once, by the runner, and its replications share
-    # it; g meets the grid's points once in 20 replications
+    # the study is parsed once, when its options are resolved, and its
+    # replications share it; g meets the grid's points once in 20 replications
     monkeypatch.chdir(tmp_path)
-    harness._study.cache_clear()
-    request.addfinalizer(harness._study.cache_clear)  # drop the counting g
+    harness._resolve.cache_clear()
+    request.addfinalizer(harness._resolve.cache_clear)  # drop the counting g
     parsed, grid_evals = [], []
     grid = harness.canonical_grid(256, 4)
     parse_model, parse_g = harness.parse_model, harness.parse_g
@@ -653,6 +652,47 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
         encoding="utf-8")
     assert main(["run", "--config", "w1.ini"]) == 0
     assert main(["run", "--config", "w1.ini", "--workers", "1", "--out", "w1b"]) == 0
+
+
+def _out_of_range(opt) -> str:
+    """A value that the row's bound or choices reject."""
+    if opt.choices:
+        return next(str(v) for v in range(10) if v not in opt.choices) if opt.type is int else "x"
+    return repr(opt.maximum) if opt.maximum is not None else str(opt.minimum - 1)
+
+
+def _bounded_option_cases():
+    # each bounded row, out of range, under the first kind that reads it
+    for name, opt in harness.OPTIONS.items():
+        if opt.minimum is None and not opt.choices:
+            continue
+        kind = next(k for k, spec in harness.KINDS.items() if name in spec.options)
+        given = [f"--{n}={v}" for n, v in (("model", "ar1{theta=0.5}"), ("T", "64"))
+                 if harness.KINDS[kind].options.get(n) is harness.REQUIRED and n != name]
+        flag = f"--{name.replace('_', '-')}={_out_of_range(opt)}"
+        yield pytest.param([kind, *given, flag], name, id=name)
+
+
+_GOF_AR = ["gof", "--model", "ar1{theta=0.5}", "--T", "64", "--reps", "2"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    *_bounded_option_cases(),
+    pytest.param([*_GOF_AR, "--alpha", "1.5"], "alpha", id="alpha-1.5"),
+    pytest.param(["simulate", "--model", "ar1{theta=2}", "--T", "64"], "model",
+                 id="nonstationary-model"),
+    pytest.param([*_GOF_AR, "--data-model", "foo"], "data_model", id="unknown-data-model"),
+    pytest.param([*_GOF_AR, "--basis", "ar-example:1"], "basis", id="basis-without-surplus"),
+    pytest.param([*_GOF_AR, "--mode", "composite", "--basis", "cosine:1"], "basis",
+                 id="composite-basis-without-surplus"),
+])
+def test_bad_value_exits_one_naming_the_field(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 1  # any other exception fails the test with its traceback
+    out, err = capsys.readouterr()
+    assert f"field {field!r}" in err
+    assert "Traceback" not in out + err
+    assert not list(tmp_path.iterdir())  # nothing was written
 
 
 def _readme_flag_table() -> dict:

@@ -161,6 +161,16 @@ def test_fejer_rejects_unsupported_order():
         fejer_kernel(get_taper("rect"), 4, 16, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, u", [(2, [0.0, 1.0]), (3, [[0.0, 1.0]])])
+def test_fejer_refuses_a_taper_that_vanishes_on_the_sample(k, u):
+    # the linear taper is h(1) = 0 at T = 1, so sum h^k = 0 and no
+    # normalization exists
+    with pytest.raises(errors.DomainError, match="'linear' vanishes on the sample"):
+        fejer_kernel(get_taper("linear"), k, 1, u)
+    assert np.all(np.isfinite(fejer_kernel(get_taper("linear"), k, 2, u)))
+
+
 def test_custom_taper_rejects_negative():
     with pytest.raises(errors.InvalidTaperError):
         taper.custom("bad", lambda t: np.cos(3.0 * math.pi * np.asarray(t)))

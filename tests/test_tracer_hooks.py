@@ -120,12 +120,12 @@ def test_moment_quadratures_count_custom_tapers_only(tracing, tmp_path, monkeypa
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(taper, "_INSTANCES", {})
-    harness._study.cache_clear()
+    harness._resolve.cache_clear()
     try:
         with tracing.Tracer() as tracer:
             assert main(_FUNCTIONAL) == 0
     finally:
-        harness._study.cache_clear()
+        harness._resolve.cache_clear()
     assert tracer.counts["taper.Taper"] == 1
     assert tracer.counts["taper.tapering_factor"] >= 1
     assert tracer.counts["taper.moment.quadratures"] == 0
