@@ -25,7 +25,11 @@ The reference law is computed, not sampled (`reference_pvalue`).  A nu
 within 1e-6 of 0 drops out and one within 1e-6 of 1 joins the unit
 terms; when nothing else remains the law is chi-square and the p-value
 is its survival function.  Otherwise it comes from Imhof's (1961)
-inversion of the characteristic function.
+inversion of the characteristic function.  A basis that is
+score-orthogonal by construction (`TestBasis.score_orthogonal`, set by
+`ar_example_basis`) has b = 0, so the composite test takes nu = 1
+without computing Gamma, b or the eigenvalues: the law is chi-square
+with one degree of freedom per active slot.
 """
 
 from __future__ import annotations
@@ -71,6 +75,9 @@ class TestBasis:
     slot, the rest of each slot being smooth (see ar_example_basis); the
     population quadratures start fine enough to resolve it.  It is None
     when unknown, which makes them run at their finest level only.
+    `score_orthogonal` marks a construction whose every slot is
+    orthogonal to the score of the model it was built for, so that its
+    cross matrix b vanishes identically (see ar_example_basis).
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
@@ -80,6 +87,7 @@ class TestBasis:
     parity: tuple
     gram_residual: float
     degree: int | None = None
+    score_orthogonal: bool = False
 
     @property
     def m(self) -> int:
@@ -199,8 +207,10 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     argument shows every slot with j > p is orthogonal both to the
     other slots and to the AR score, so the cross matrix b vanishes and
     the composite statistic keeps a plain chi-square limit with one
-    degree of freedom per active slot.  Being orthonormal by
-    construction, it skips the certificate (the tests certify it).
+    degree of freedom per active slot.  Being orthonormal and
+    score-orthogonal by construction, it skips the certificate and is
+    marked `score_orthogonal`, which spares the composite test its
+    population quadratures (the tests certify both properties).
     """
     a = _ar_poly(model)
     p = a.size - 1
@@ -220,7 +230,7 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     names = ("zero",) * p + tuple(f"re_psi{j}" for j in range(p + 1, m + 1))
     return TestBasis(evaluate=evaluate, names=names,
                      parity=("zero",) * p + ("even",) * (m - p),
-                     gram_residual=0.0, degree=m)
+                     gram_residual=0.0, degree=m, score_orthogonal=True)
 
 
 @dataclass(frozen=True)
@@ -414,7 +424,9 @@ def composite_test(series, taper: Taper, model: Model, basis,
     reference law is the chi-square mixture with one unit term per
     surplus active slot and one nu-weighted term per fitted shape
     parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
-    dof, or None for a genuine mixture.
+    dof, or None for a genuine mixture.  The weights come from Gamma and
+    b, except that a score-orthogonal basis built for the fitted model
+    (`basis` a callable) has b = 0, and every weight is 1.
     """
     fit = whittle_estimate(series, taper, model, kappa4=kappa4, oversample=oversample)
     if not fit.converged:
@@ -429,10 +441,11 @@ def composite_test(series, taper: Taper, model: Model, basis,
     names = fitted.free_names if fitted.free_names else (fitted.scale_name,)
     p = len(names)
     m_active = test_basis.m_active
-    gamma = gamma_matrix(fitted, names=names)
-    e_h = tapering_factor(taper)
-    b_eff = math.sqrt(e_h) * b_matrix(fitted, test_basis, taper)
-    nu = mixture_weights(gamma, b_eff)
+    if callable(basis) and test_basis.score_orthogonal:
+        nu = np.ones(p)
+    else:
+        b_eff = math.sqrt(tapering_factor(taper)) * b_matrix(fitted, test_basis, taper)
+        nu = mixture_weights(gamma_matrix(fitted, names=names), b_eff)
     p_value, dof = reference_pvalue(s, m_active - p, nu)
     law = {"kind": "mixture" if dof is None else "chisq", "dof": dof,
            "unit_dof": m_active - p, "nu": tuple(float(v) for v in nu)}

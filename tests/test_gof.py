@@ -12,6 +12,7 @@ Monte Carlo tolerances were calibrated against pilot runs roughly three
 standard errors wide; seeds are fixed throughout.
 """
 
+import dataclasses
 import logging
 import math
 import types
@@ -73,10 +74,21 @@ def test_ar_example_basis_structure():
 
 
 def test_ar_example_basis_score_orthogonal():
-    for theta in (0.5, 0.9, 0.99):
-        model = AR1(theta=theta, sigma2=1.0)
-        b = b_matrix(model, ar_example_basis(model, 4), TUKEY)
-        assert np.max(np.abs(b)) <= 1e-12, theta
+    # the premise of the composite test's nu = 1 shortcut, over the AR domain:
+    # b vanishes to round-off, and the weights it gives are exactly 1
+    nulls = [(AR1(theta=theta, sigma2=1.0), 4) for theta in (-0.95, 0.0, 0.5, 0.9, 0.99)]
+    nulls += [(parse_model("arma{phi=[0.5,-0.2]}"), m) for m in (3, 5)]
+    nulls += [(parse_model("arma{phi=[0.9,-0.5,0.2],sigma2=2}"), 6)]
+    for model, m in nulls:
+        basis = ar_example_basis(model, m)
+        assert basis.score_orthogonal
+        b = b_matrix(model, basis, TUKEY)
+        assert np.max(np.abs(b)) <= 1e-12, (model.describe(), m)
+        names = model.free_names if model.free_names else (model.scale_name,)
+        nu = mixture_weights(gamma_matrix(model, names=names),
+                             math.sqrt(tapering_factor(TUKEY)) * b)
+        assert np.array_equal(nu, np.ones(len(names))), (model.describe(), m)
+    assert not cosine_basis(3).score_orthogonal
 
 
 def test_ar_example_basis_rejects_bad_shapes():
@@ -538,17 +550,50 @@ def test_composite_result_fields():
     assert res.phi[0] == 0.0
 
 
-def test_composite_computes_information_once(monkeypatch):
-    import taperspec.whittle as whittle_mod
+def _count_population_calls(monkeypatch) -> dict:
+    calls = {"info": 0, "b": 0}
 
-    calls = []
-    real = whittle_mod.info_matrices
-    monkeypatch.setattr(whittle_mod, "info_matrices",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    def counted(key, real):
+        return lambda *a, **k: calls.__setitem__(key, calls[key] + 1) or real(*a, **k)
+
+    monkeypatch.setattr(whittle, "info_matrices", counted("info", whittle.info_matrices))
+    monkeypatch.setattr(gof, "b_matrix", counted("b", gof.b_matrix))
+    return calls
+
+
+def test_composite_computes_information_once(monkeypatch):
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 1))
-    composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
-                   lambda mdl: ar_example_basis(mdl, 4))
-    assert calls == [1]
+    # the fixed ar-example basis is score-orthogonal at theta = 0.5, not at the fit
+    for basis in (cosine_basis(3), ar_example_basis(AR_HALF, 4)):
+        calls = _count_population_calls(monkeypatch)
+        res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"), basis)
+        assert calls == {"info": 1, "b": 1}, basis.names
+        assert res.law["nu"] != (1.0,)
+
+
+def test_score_orthogonal_composite_computes_no_information(monkeypatch):
+    # an ar-example basis built for the fitted model has b = 0 by construction
+    calls = _count_population_calls(monkeypatch)
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 1))
+    res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
+                         lambda mdl: ar_example_basis(mdl, 4))
+    assert calls == {"info": 0, "b": 0}
+    assert res.law["nu"] == (1.0,) and res.law["dof"] == 3
+
+
+@pytest.mark.parametrize("data, null, m", [
+    ("ar1{theta=0.5,sigma2=1.0}", "ar1{theta=0.0,sigma2=1.0}", 4),
+    ("arma{phi=[0.5,-0.2]}", "arma{phi=[0.0,0.0]}", 5),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_orthogonal_shortcut_matches_the_quadrature_path(data, null, m, seed):
+    x = parse_model(data).simulate(gaussian(), 512, seed=derive_seed(808103, seed))
+    fast = composite_test(x, TUKEY, parse_model(null), lambda mdl: ar_example_basis(mdl, m))
+    slow = composite_test(x, TUKEY, parse_model(null), lambda mdl: dataclasses.replace(
+        ar_example_basis(mdl, m), score_orthogonal=False))
+    assert fast.statistic == slow.statistic and fast.p_value == slow.p_value
+    assert fast.reject == slow.reject and fast.law == slow.law
+    assert fast.law["dof"] == fast.law["unit_dof"] + len(fast.law["nu"])  # chi-square
 
 
 def test_composite_computes_one_periodogram(monkeypatch):

@@ -65,16 +65,18 @@ def test_tracer_installs_and_restores_every_target(tracing):
     assert _bound(tracing) == before
 
 
-_COMPOSITE = ["gof", "--mode", "composite", "--basis", "ar-example:4",
+_COMPOSITE = ["gof", "--mode", "composite",
               "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
               "--T", "512", "--reps", "2", "--seed", "59", "--out", "gc"]
 
 
-def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monkeypatch):
+def _traced_composite(tracing, tmp_path, monkeypatch, basis):
+    """Counts of a traced two-replication composite study whose bytes match
+    the untraced run's."""
     def run(label):
         (tmp_path / label).mkdir()
         monkeypatch.chdir(tmp_path / label)
-        assert main(_COMPOSITE) == 0
+        assert main([*_COMPOSITE, "--basis", basis]) == 0
 
     run("plain")
     with tracing.Tracer() as tracer:
@@ -82,10 +84,26 @@ def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monke
     for ext in (".csv", ".json"):
         assert ((tmp_path / "plain" / f"gc{ext}").read_bytes()
                 == (tmp_path / "traced" / f"gc{ext}").read_bytes()), ext
-    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.b_matrix",
-                 "gof.basis_build", "gof.composite_test"):
+    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.basis_build",
+                 "gof.composite_test"):
         assert tracer.counts[name] == 2, name
     assert tracer.counts["whittle.objective"] > 2
+    return tracer.counts
+
+
+def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monkeypatch):
+    # the ar-example basis is score-orthogonal: no replication computes b or Gamma
+    counts = _traced_composite(tracing, tmp_path, monkeypatch, "ar-example:4")
+    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices",
+                 "quad.spectral_integral"):
+        assert counts[name] == 0, name
+
+
+def test_traced_cosine_composite_counts_its_population_quadratures(tracing, tmp_path,
+                                                                   monkeypatch):
+    counts = _traced_composite(tracing, tmp_path, monkeypatch, "cosine:3")
+    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices"):
+        assert counts[name] == 2, name
 
 
 _FUNCTIONAL = ["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
