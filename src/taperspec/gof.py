@@ -25,11 +25,9 @@ The reference law is computed, not sampled (`reference_pvalue`).  A nu
 within 1e-6 of 0 drops out and one within 1e-6 of 1 joins the unit
 terms; when nothing else remains the law is chi-square and the p-value
 is its survival function.  Otherwise it comes from Imhof's (1961)
-inversion of the characteristic function.  A basis that is
-score-orthogonal by construction (`TestBasis.score_orthogonal`, set by
-`ar_example_basis`) has b = 0, so the composite test takes nu = 1
-without computing Gamma, b or the eigenvalues: the law is chi-square
-with one degree of freedom per active slot.
+inversion of the characteristic function.  A score-orthogonal basis built
+for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
+composite test takes nu = 1 and computes neither Gamma nor b.
 """
 
 from __future__ import annotations
@@ -75,9 +73,7 @@ class TestBasis:
     slot, the rest of each slot being smooth (see ar_example_basis); the
     population quadratures start fine enough to resolve it.  It is None
     when unknown, which makes them run at their finest level only.
-    `score_orthogonal` marks a construction whose every slot is
-    orthogonal to the score of the model it was built for, so that its
-    cross matrix b vanishes identically (see ar_example_basis).
+    `score_orthogonal` marks b = 0 for the model it was built for.
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
@@ -207,10 +203,8 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     argument shows every slot with j > p is orthogonal both to the
     other slots and to the AR score, so the cross matrix b vanishes and
     the composite statistic keeps a plain chi-square limit with one
-    degree of freedom per active slot.  Being orthonormal and
-    score-orthogonal by construction, it skips the certificate and is
-    marked `score_orthogonal`, which spares the composite test its
-    population quadratures (the tests certify both properties).
+    degree of freedom per active slot.  Orthonormal and score-orthogonal
+    by construction, it skips the certificate (the tests certify both).
     """
     a = _ar_poly(model)
     p = a.size - 1
@@ -424,9 +418,7 @@ def composite_test(series, taper: Taper, model: Model, basis,
     reference law is the chi-square mixture with one unit term per
     surplus active slot and one nu-weighted term per fitted shape
     parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
-    dof, or None for a genuine mixture.  The weights come from Gamma and
-    b, except that a score-orthogonal basis built for the fitted model
-    (`basis` a callable) has b = 0, and every weight is 1.
+    dof, or None for a genuine mixture.
     """
     fit = whittle_estimate(series, taper, model, kappa4=kappa4, oversample=oversample)
     if not fit.converged:
@@ -441,7 +433,7 @@ def composite_test(series, taper: Taper, model: Model, basis,
     names = fitted.free_names if fitted.free_names else (fitted.scale_name,)
     p = len(names)
     m_active = test_basis.m_active
-    if callable(basis) and test_basis.score_orthogonal:
+    if callable(basis) and test_basis.score_orthogonal:  # built for `fitted`: b = 0
         nu = np.ones(p)
     else:
         b_eff = math.sqrt(tapering_factor(taper)) * b_matrix(fitted, test_basis, taper)

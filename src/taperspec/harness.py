@@ -797,6 +797,9 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Run one experiment; write <out>.csv and <out>.json; return exit code."""
     opts = cfg.resolve()
     thresholds = cfg.merged_checks(opts.get("mode"))
+    steps = thresholds.get("min_decreasing_steps") if cfg.check_enabled else None
+    if steps is not None and len(opts["T"]) - 1 < steps:  # a check it cannot pass
+        raise SchemaError(f"field 'T': too few sizes for {steps:g} decreasing steps")
     rows, results = KINDS[cfg.kind].run(opts)
     checks = evaluate_checks(cfg.kind, thresholds, results)
     out = cfg.out_base

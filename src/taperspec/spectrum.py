@@ -21,7 +21,10 @@ The tapered DFT is d(lambda) = sum_{t=1}^T h(t/T) X_t e^{-i lambda t}, and
 the periodogram I(lambda) = |d(lambda)|^2 / C_T with the exact
 normalization C_T = 2 pi sum_{t=1}^T h^2(t/T).  On a full canonical grid
 the weighted periodogram sum reproduces the tapered sample energy exactly
-(Parseval): sum_j I_j w = sum_t h_t^2 X_t^2 / sum_t h_t^2.
+(Parseval): sum_j I_j w = sum_t h_t^2 X_t^2 / sum_t h_t^2.  On the
+unshifted grid, symmetric about 0, the FFT input is real: a real FFT gives
+bins 0..N/2 and Hermitian symmetry the rest, so I is exactly even (the
+shifted grid's half-bin phase keeps the complex FFT).
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _values_of(series) -> np.ndarray:
 
 
 def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarray:
-    """`tapered_dft` on a canonical grid, not yet rotated if it is unshifted."""
+    """`tapered_dft` on a canonical grid in FFT order, bins 0..N/2 only if unshifted."""
     n, T = grid.N, x.shape[0]
     y = taper.signed_values(T) * x
     if grid.shifted:
@@ -117,16 +120,22 @@ def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarr
     else:
         a[1:T] = y[:-1]
         a[0] = y[-1]
-    return np.fft.fft(a)
+    return np.fft.fft(a) if grid.shifted else np.fft.rfft(a)
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """Unshifted grid order of FFT bins 0..N/2 of a real input (bin N - k = conj bin k)."""
+    return np.concatenate((half[1:], np.conj(half[-2:0:-1]), half[:1]))
 
 
 def tapered_dft(series, taper: Taper, grid) -> np.ndarray:
-    """d(lambda_j) for all grid points (FFT path on canonical grids)."""
+    """d(lambda_j) for all grid points (FFT path on canonical grids; exactly
+    Hermitian, d(-lambda) = conj d(lambda), on an unshifted one)."""
     x = _values_of(series)
     T = x.shape[0]
     if isinstance(grid, FrequencyGrid) and grid.canonical:
         out = _canonical_fft(x, taper, grid)
-        return out if grid.shifted else np.roll(out, -1)
+        return out if grid.shifted else _unfold(out)
     lam = grid.points if isinstance(grid, FrequencyGrid) else np.atleast_1d(
         np.asarray(grid, dtype=float)
     )
@@ -163,8 +172,6 @@ def tapered_periodogram(series, taper: Taper, grid: FrequencyGrid | None = None,
         raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^2 = 0 at T = {T}")
     d = _canonical_fft(x, taper, grid) if grid.canonical else tapered_dft(x, taper, grid)
     vals = (d.real**2 + d.imag**2) / c_norm
-    if grid.canonical and not grid.shifted:
-        # |d|^2 is elementwise, so the FFT's rotation moves to the real array
-        vals = np.concatenate((vals[1:], vals[:1]))
+    vals = _unfold(vals) if grid.canonical and not grid.shifted else vals
     vals.setflags(write=False)
     return Periodogram(vals, grid, taper.id, T, c_norm)

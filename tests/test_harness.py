@@ -325,11 +325,18 @@ def test_every_replicated_preset_is_worker_count_invariant(tmp_path, monkeypatch
 # of the Tukey taper moved from 1.9444444444444677 to 35/18, so the gof
 # statistics moved in the last 2 digits (see test_gc_statistics_move_within_
 # the_quadrature_tolerance) and the trace limits, which read H_{2m}, with them.
+# gc, gm, gs, fn, fi, pg, rb and wa re-recorded when the unshifted
+# periodogram came from one real FFT unfolded by Hermitian symmetry: every
+# value moved by FFT round-off (see test_spectrum.py::test_periodogram_
+# matches_the_former_formula_bitwise), the statistics and estimates built on
+# it by at most 1e-14 relative, and wa's Nelder-Mead iteration counts with
+# them.  tr moved to a four-size ladder when a ladder too short for its
+# decreasing-steps check became a schema error.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "e803678b10f22e1687b7c9e223eb3599d473a1fdc619cf79d5336bf852df19d2"),
+           "ee84b019390c7d918907fe40a44befd020aea0f302449f6c8f38f93354cba3f2"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -341,28 +348,28 @@ _PINNED_CSV_SHA256 = {
            "2564c19ac3f062cff19db6ae3699c1d8b2f796437643f9530e4df4e5e449cb07"),
     "wa": (["whittle", "--model", "arma{phi=[0.5,-0.2],theta=[0.3]}", "--taper", "tukey",
             "--T", "256", "--reps", "3", "--seed", "53"],
-           "6cf49b7aa1503373495f2f206bae15e5bc8d5519da5f1987b29f06ae8236aad3"),
+           "98fca0a4306fc33e8d15f1a63dd4e38ac786bfe7aa9c40919d3e83a6be0100b8"),
     # One --check run of each kind or gof mode the studies above leave out,
     # recorded before option and check handling moved into declarative
     # tables: their JSON pins every check's detail string and report order,
     # failing checks included.
     "pg": (["periodogram", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "64", "--seed", "3", "--check"],
-           "e728f3f3bee1986bf0382449a932ec30d511312af55fd71522e221215a1eea90"),
+           "901fed98fea409335fab8a75b39ea3cf332f3f71ac9f6184d6ef8d579fc81aae"),
     "fn": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "rect",
             "--g", "cosine:2", "--T", "128", "--reps", "60", "--seed", "5", "--check"],
-           "d9739b9979e5e902b31dc4c45d80f43aa75e5fd01e819a60a8b3c77572698547"),
+           "45128557768775daa5c5858a79c6b99eb69d22a400420d800eb69794c169730a"),
     "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "40", "--seed", "29", "--check"],
-           "f8565e433f545e31851dab1c80585cfe6a14d27dfc25765f1aabef5f7fcc3752"),
+           "1e1161fd34689dd216b1175392f9d9481e79bbf001be4c0e43b3298b090b4831"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "342166fc074ac2d6b2b86f744d45fb88ec15055c2e8a982ac423f0cb0ab5ee5b"),
+           "e46601868e726760ec1973b582ff839ddbb9ea5557b68dde78a658a10a5051ed"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
-            "--T", "64,128,256", "--check"],
-           "b2e71a69eed50605ddc772b60ffeb714102b295eabb5da9bcedd1e77175f1152"),
+            "--T", "64,128,256,512", "--check"],
+           "5edaf5b5c1cf86528a3661f3eac8e7b5f119d65f9c7c7080dd267dc228db1eca"),
     "fj": (["fejer", "--taper", "linear", "--T", "16,64,256", "--T-smooth", "256",
             "--check"],
            "965f62b0fa31986de2feff50d19c659cb92a2fa3dab7538161309192f854d106"),
@@ -370,7 +377,7 @@ _PINNED_CSV_SHA256 = {
             "--trend", "power:1.0,0.6", "--target", "functional", "--taper", "tukey",
             "--T", "64,128", "--reps", "20", "--report-reps", "60", "--seed", "33",
             "--check"],
-           "27bb3946acabda5e0fab29cccc2a33c27c77f9545bb8bb05749caa91a786590b"),
+           "ae0cec37ab836cfd387003eb170f0aef9c19bbbe8e030048d8699f7cc5c9ea2f"),
     # Recorded before the functional replication kept its study constants
     # (g on the grid, Fourier coefficients, signed taper): a g that is not
     # band-limited takes every lag of the quadratic form through the FFT,
@@ -378,7 +385,7 @@ _PINNED_CSV_SHA256 = {
     "fi": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}",
             "--g", "indicator:1.0", "--taper", "linear", "--oversample", "1",
             "--T", "256", "--reps", "20", "--seed", "61"],
-           "b23c88f6ed68d404d9db8e27f1ebc2e1a91b41b9bf416c79f6f2e12367651e58"),
+           "00aaeaf12c8f1760721d7ac582e971c495fb9262d75dc8b923c80b02c3197dc4"),
 }
 
 # JSON sha256 of the same studies, recorded with the check-run digests; gc
@@ -390,28 +397,29 @@ _PINNED_CSV_SHA256 = {
 # tapering factor and the theory the Tukey and linear moments feed; sp for
 # lag0_theory, the convolution identity in place of QUADPACK (within 2e-10,
 # see test_models.py::test_arfima_pdq_lag0_moves_within_the_former_
-# quadrature_tolerance).  pg, fn, fj and sf did not move.
+# quadrature_tolerance).  pg, fn, fj and sf did not move.  Re-recorded with
+# the real-FFT periodogram: gc, gm, gs, fn, fi and rb with their CSVs (pg and
+# wa kept theirs), and tr for its new ladder.
 _PINNED_JSON_SHA256 = {
-    "gc": "9ed43bb6b5c2113357269914bfb2ab3cb1ceec4da222b74c93eec91a34f6f7c5",
+    "gc": "19431a09cc3c833ace8e98faf0402a91f02a3d851384572dfec862e2477f7f11",
     "lm": "1b48a5b4f08586360e72e48264630aa118ef0f00f9150eacc4a20fdd5085223d",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
     "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
     "wa": "259615460018fb4f3ef4ec7faf6d297cf2fbab6ed572c209980c45d62186a213",
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
-    "fn": "29d4d7b650b80a614289c0fe58909d6e93f6005e835cc3c9e651d96004e89ca7",
-    "gs": "d9f600b0fbf5cd39743dd194ee3543a06aca06521fb350501e81ea399f4ed6de",
-    "gm": "0324fba23197875d8026a984575b4d32d70ba4c85e3f27a2fac55be7a9421e65",
-    "tr": "11637bedca597fbcb7f0c31cb4feebe6d677049bc11309c9f6d2b20daf4a7cb7",
+    "fn": "6ba8942feadd990c0fb7c8a6c38e622a2caf2bcbe926ebe57779be79c87911d2",
+    "gs": "636b994ffa4676f973521c76b0d5eb086423ecf1a159f4f51f35a0469cefc6df",
+    "gm": "d098a1ac4a0469bc68fb2c20ee2e496380ec4d613280880323ae92b8db657b2b",
+    "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
-    "rb": "c5a9c7d58554b6a6c242278e5ba827f2302cab06e24032d38d1921e0979c1cc6",
-    "fi": "23be9922fef107f6a32633826cf0befa118e71bc0556c2b166743161791f8da9",
+    "rb": "23cbb506ff400bb10c24a45a38e2d0b1f86708b57ffb119e4fa7a4554a6f21a7",
+    "fi": "f314c9a28e7742926b19263782d998fe8954a9cd93fedda41a3d460d88461e44",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,
-# two decreasing steps on a three-size ladder, the linear taper's smoothing
-# error at T = 256), so --check exits 2; the failure detail strings are
-# pinned with the rest.
-_PINNED_EXIT_CODE = {"gm": 2, "tr": 2, "fj": 2}
+# the linear taper's smoothing error at T = 256), so --check exits 2; the
+# failure detail strings are pinned with the rest.
+_PINNED_EXIT_CODE = {"gm": 2, "fj": 2}
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_CSV_SHA256))
@@ -554,6 +562,11 @@ def test_trace_experiment_check(tmp_path, monkeypatch):
     assert res["final_delta"] < 0.01
     assert res["decreasing_steps"] == 4
     assert res["all_positive"] is True
+    # a shorter ladder is refused only by the threshold in force
+    (tmp_path / "tr3.ini").write_text(
+        "[experiment]\nkind = trace-experiment\npair = ar1xcos\nT = 64,128,256\n\n"
+        "[check]\nmin_decreasing_steps = 2\n", encoding="utf-8")
+    assert main(["run", "--config", "tr3.ini", "--check", "--out", "tr3"]) == 0
 
 
 def test_fejer_check(tmp_path, monkeypatch):
@@ -685,6 +698,9 @@ _GOF_AR = ["gof", "--model", "ar1{theta=0.5}", "--T", "64", "--reps", "2"]
     pytest.param([*_GOF_AR, "--basis", "ar-example:1"], "basis", id="basis-without-surplus"),
     pytest.param([*_GOF_AR, "--mode", "composite", "--basis", "cosine:1"], "basis",
                  id="composite-basis-without-surplus"),
+    # two steps cannot pass the default min_decreasing_steps = 3
+    pytest.param(["trace-experiment", "--pair", "ar1xcos", "--T", "64,128,256", "--check"],
+                 "T", id="ladder-shorter-than-its-check"),
 ])
 def test_bad_value_exits_one_naming_the_field(tmp_path, monkeypatch, capsys, argv, field):
     monkeypatch.chdir(tmp_path)
