@@ -28,6 +28,12 @@ is its survival function.  Otherwise it comes from Imhof's (1961)
 inversion of the characteristic function.  A score-orthogonal basis built
 for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
 composite test takes nu = 1 and computes neither Gamma nor b.
+
+Both built-in bases are harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi),
+with u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  So
+each Phi_j is one complex dot product of the grid's e^{i j lam} table with
+u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
+(`TestBasis.evaluate`) are built only for the population quadratures.
 """
 
 from __future__ import annotations
@@ -59,16 +65,18 @@ class TestBasis:
     """Orthonormal test functions with their numeric certificate.
 
     Identically-zero slots are legal (they carry no statistic mass and no
-    degree of freedom) and are excluded from the Gram check; `parity`
-    marks each slot "even" or "zero".  Odd functions are rejected at
-    construction: the periodogram is even in lambda, so an odd slot
-    projects to exactly zero for every sample while still claiming a
-    degree of freedom, which would silently wreck the chi-square
-    calibration.
+    degree of freedom) as long as one slot is active, and are excluded
+    from the Gram check; `parity` marks each slot "even" or "zero".  Odd
+    functions are rejected at construction: the periodogram is even in
+    lambda, so an odd slot projects to exactly zero for every sample while
+    still claiming a degree of freedom, which would silently wreck the
+    chi-square calibration.
 
-    `evaluate` maps a FrequencyConstants value to the (m, len(lam)) array
-    of all slots at once, so a construction can share work between slots
-    and, on a grid's shared constants, reuse its e^{i j lam} table.
+    `project(c, r)` maps a FrequencyConstants value c and a vector r on
+    its frequencies to the m sums sum_k phi_j(lam_k) r_k that `phi_vector`
+    takes, without building the slots (see the module docstring).
+    `evaluate` maps c to the (m, len(lam)) array of all slots at once,
+    for the population quadratures and `values`.
     `degree` is the highest frequency j of an e^{i j lam} factor in any
     slot, the rest of each slot being smooth (see ar_example_basis); the
     population quadratures start fine enough to resolve it.  It is None
@@ -79,6 +87,7 @@ class TestBasis:
     __test__ = False  # data container; keeps pytest from collecting it
 
     evaluate: object
+    project: object
     names: tuple
     parity: tuple
     gram_residual: float
@@ -136,27 +145,26 @@ def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
                 "odd functions project to zero against the even periodogram")
     parity = tuple("zero" if zero[j] else "even" for j in range(m))
     active = [j for j in range(m) if parity[j] != "zero"]
-    if active:
-        pairs = [(i, j) for i in range(len(active)) for j in range(i, len(active))]
+    if not active:
+        raise DomainError("basis has no active slot")
+    pairs = [(i, j) for i in range(len(active)) for j in range(i, len(active))]
 
-        def products(lam):
-            av = rows(lam)[active]
-            return np.vstack([av[i] * av[j] for i, j in pairs])
+    def products(lam):
+        av = rows(lam)[active]
+        return np.vstack([av[i] * av[j] for i, j in pairs])
 
-        upper = spectral_integral(
-            products, degree=None if degree is None else 2 * degree)
-        gram = np.empty((len(active), len(active)))
-        for (i, j), val in zip(pairs, np.atleast_1d(upper)):
-            gram[i, j] = gram[j, i] = val
-        residual = float(np.max(np.abs(gram - np.eye(len(active)))))
-    else:
-        residual = 0.0
+    upper = spectral_integral(products, degree=None if degree is None else 2 * degree)
+    gram = np.empty((len(active), len(active)))
+    for (i, j), val in zip(pairs, np.atleast_1d(upper)):
+        gram[i, j] = gram[j, i] = val
+    residual = float(np.max(np.abs(gram - np.eye(len(active)))))
     if residual > _GRAM_TOL:
         raise DomainError(
             f"basis fails the orthonormality certificate: residual {residual:.3e}")
     # the caller's functions see the plain frequency array
-    return TestBasis(evaluate=lambda c: rows(c.lam), names=tuple(names), parity=parity,
-                     gram_residual=residual, degree=degree)
+    return TestBasis(evaluate=lambda c: rows(c.lam), project=lambda c, r: rows(c.lam) @ r,
+                     names=tuple(names), parity=parity, gram_residual=residual,
+                     degree=degree)
 
 
 def cosine_basis(m: int) -> TestBasis:
@@ -174,8 +182,14 @@ def cosine_basis(m: int) -> TestBasis:
         return np.cos(np.outer(j, c.lam)) / math.sqrt(math.pi)
 
     names = tuple(f"cos{k}" for k in range(1, m + 1))
-    return TestBasis(evaluate=evaluate, names=names, parity=("even",) * m,
-                     gram_residual=0.0, degree=m)
+    return TestBasis(evaluate=evaluate, project=lambda c, r: _harmonic(c, r, 1, m),
+                     names=names, parity=("even",) * m, gram_residual=0.0, degree=m)
+
+
+def _harmonic(c, v, first: int, m: int) -> np.ndarray:
+    """Re(sum_k e^{i j lam_k} v_k) / sqrt(pi) for j = first..m, from c's table."""
+    v = np.asarray(v, dtype=complex)
+    return np.array([np.real(c.exp_ij(j) @ v) for j in range(first, m + 1)]) / math.sqrt(math.pi)
 
 
 def _ar_poly(model: Model) -> np.ndarray:
@@ -212,17 +226,23 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     if m <= p:
         raise DomainError(f"need m > p = {p} basis slots")
 
+    def ratio(c):
+        # a has real coefficients, so a(e^{-i lam}) = conj(a(e^{i lam}))
+        q = np.polyval(a[::-1], c.exp_ij(1))
+        return np.conj(q) / q
+
     def evaluate(c):
         # the AR ratio is shared by every slot, e^{i j lam} by every replication
-        z = c.exp_ij(1)
-        ratio = np.polyval(a[::-1], np.conj(z)) / np.polyval(a[::-1], z)
+        u = ratio(c)
         rows = [np.zeros_like(c.lam) for _ in range(p)]
-        rows += [np.real(c.exp_ij(j) * ratio) / math.sqrt(math.pi)
-                 for j in range(p + 1, m + 1)]
+        rows += [np.real(c.exp_ij(j) * u) / math.sqrt(math.pi) for j in range(p + 1, m + 1)]
         return np.vstack(rows)
 
+    def project(c, r):
+        return np.concatenate((np.zeros(p), _harmonic(c, ratio(c) * r, p + 1, m)))
+
     names = ("zero",) * p + tuple(f"re_psi{j}" for j in range(p + 1, m + 1))
-    return TestBasis(evaluate=evaluate, names=names,
+    return TestBasis(evaluate=evaluate, project=project, names=names,
                      parity=("zero",) * p + ("even",) * (m - p),
                      gram_residual=0.0, degree=m, score_orthogonal=True)
 
@@ -272,7 +292,7 @@ def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
     f_vals = _density_values(f0, pgram.grid)
     resid = pgram.values / f_vals - 1.0
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
-    return scale * (basis.values(pgram.grid.constants) @ resid) * pgram.grid.weight
+    return scale * basis.project(pgram.grid.constants, resid) * pgram.grid.weight
 
 
 def simple_test(series_or_pgram, taper: Taper, f0, basis: TestBasis,

@@ -219,12 +219,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class FrequencyConstants:
     """Frequencies lam with the trigonometric constants the densities share.
 
-    cos(lam), e^{-i lam}, 2 sin(|lam|/2) and, per j, e^{i j lam} (the
-    table `exp_ij`) are computed on first use and then kept, read-only.
-    Every family's `density` and `TestBasis.values` read them through
-    this value and wrap a plain array in a fresh one, so the many
-    evaluations on one grid (`FrequencyGrid.constants`) compute them
-    once.  numpy reads the value as its frequency array.
+    cos(lam), e^{-i lam}, 2 sin(|lam|/2) with its square and, per j,
+    e^{i j lam} (the table `exp_ij`) are computed on first use and then
+    kept, read-only.  Every family's `density` and the `TestBasis`
+    projections and values read them through this value and wrap a plain
+    array in a fresh one, so the many evaluations on one grid
+    (`FrequencyGrid.constants`) compute them once.  numpy reads the value
+    as its frequency array.
     """
 
     def __init__(self, lam):
@@ -254,6 +255,12 @@ class FrequencyConstants:
     def two_sin_half(self) -> np.ndarray:
         """2 sin(|lam|/2) = |1 - e^{-i lam}|."""
         return _frozen(2.0 * np.sin(np.abs(self.lam) / 2.0))
+
+    @functools.cached_property
+    def two_sin_half_sq(self) -> np.ndarray:
+        """(2 sin(|lam|/2))^2 = |1 - e^{-i lam}|^2."""
+        # not through two_sin_half, which the short-memory densities never keep
+        return _frozen((2.0 * np.sin(np.abs(self.lam) / 2.0)) ** 2)
 
 
 def _constants(lam) -> FrequencyConstants:
@@ -418,16 +425,17 @@ class AR1(Model):
 
     def _denom(self, c: FrequencyConstants) -> np.ndarray:
         """|1 - theta e^{-i lam}|^2, written without cancellation near lam = 0."""
-        return (1.0 - self.theta) ** 2 + self.theta * c.two_sin_half**2
+        return (1.0 - self.theta) ** 2 + self.theta * c.two_sin_half_sq
 
     def density(self, lam):
         return _maybe_scalar(self.sigma2 / (2.0 * math.pi * self._denom(_constants(lam))), lam)
 
     def score(self, lam):
         c = _constants(lam)
-        row_theta = 2.0 * (c.cos - self.theta) / self._denom(c)
-        row_sigma = np.full(c.lam.size, 1.0 / self.sigma2)
-        return np.vstack([row_theta, row_sigma])
+        out = np.empty((2, c.lam.size))
+        out[0] = 2.0 * (c.cos - self.theta) / self._denom(c)
+        out[1] = 1.0 / self.sigma2
+        return out
 
     def covariance(self, u):
         u_arr = np.abs(np.atleast_1d(np.asarray(u)).astype(float))

@@ -124,8 +124,10 @@ def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarr
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
-    """Unshifted grid order of FFT bins 0..N/2 of a real input (bin N - k = conj bin k)."""
-    return np.concatenate((half[1:], np.conj(half[-2:0:-1]), half[:1]))
+    """Unshifted grid order of FFT bins 0..N/2 of a real input (bin N - k = conj bin k);
+    real bins (a periodogram's) are mirrored as they are."""
+    tail = half[-2:0:-1]
+    return np.concatenate((half[1:], np.conj(tail) if np.iscomplexobj(half) else tail, half[:1]))
 
 
 def tapered_dft(series, taper: Taper, grid) -> np.ndarray:

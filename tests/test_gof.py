@@ -193,6 +193,96 @@ def test_make_basis_rejects_unnormalized():
         make_basis([lambda lam: np.cos(np.asarray(lam))])
 
 
+def test_make_basis_rejects_a_basis_without_an_active_slot():
+    # no slot would carry a degree of freedom: chi^2(0) has no p-value
+    with pytest.raises(DomainError, match="no active slot"):
+        make_basis([lambda lam: 0 * lam])
+
+
+# ---------------------------------------------------------- projections
+
+# project(c, r) sums phi_j(lam_k) r_k in another order than values(c) @ r:
+# the built-in bases read e^{i j lam} off the table (not cos(j lam)), fold
+# the AR ratio into r and divide by sqrt(pi) once, after the sum.  Each term
+# carries a few units of round-off of |phi_j r_k|, so a slot may move by at
+# most _PROJECTION_ULPS eps sum_k |phi_j(lam_k) r_k|, and a zero slot not at
+# all; phi_vector's scaling adds a rounding of the same order.
+_PROJECTION_ULPS = 8
+
+
+def _projection_tolerance(basis, c, r):
+    return _PROJECTION_ULPS * np.finfo(float).eps * (np.abs(basis.values(c)) @ np.abs(r))
+
+
+def _phi_tolerance(pgram, f0, basis, taper=TUKEY):
+    """_projection_tolerance carried through phi_vector's normalization."""
+    resid = pgram.values / gof._density_values(f0, pgram.grid) - 1.0
+    scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
+    return scale * pgram.grid.weight * _projection_tolerance(
+        basis, pgram.grid.constants, resid)
+
+
+def _exponential_residuals(grid, seed):
+    """I/f - 1 with I/f standard exponential, as at a true null."""
+    return make_rng(seed).standard_exponential(grid.N) - 1.0
+
+
+_BUILT_IN_BASES = {
+    **{f"cosine:{m}": cosine_basis(m) for m in (1, 3, 6)},
+    **{f"ar1({theta})": ar_example_basis(AR1(theta=theta, sigma2=1.0), 4)
+       for theta in (-0.9, 0.0, 0.5, 0.99)},
+    "ar2": ar_example_basis(parse_model("arma{phi=[0.5,-0.2]}"), 5),
+}
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("name", sorted(_BUILT_IN_BASES))
+def test_projection_matches_the_slot_array(name, shifted):
+    basis = _BUILT_IN_BASES[name]
+    grid = canonical_grid(1000, oversample=4, shifted=shifted)
+    r = _exponential_residuals(grid, 17)
+    got = basis.project(grid.constants, r)
+    want = basis.values(grid.constants) @ r
+    assert got.shape == (basis.m,)
+    assert np.all(np.abs(got - want) <= _projection_tolerance(basis, grid.constants, r))
+    for j in range(basis.m):
+        if basis.parity[j] == "zero":
+            assert got[j] == 0.0
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_make_basis_projection_is_the_slot_array_bitwise(shifted):
+    basis = _cosine_make_basis(3, [])
+    grid = canonical_grid(1000, oversample=4, shifted=shifted)
+    r = _exponential_residuals(grid, 19)
+    assert np.array_equal(basis.project(grid.constants, r),
+                          basis.values(grid.constants) @ r)
+
+
+def _refuse(c):
+    raise AssertionError("built every basis slot on the grid")
+
+
+@pytest.mark.parametrize("basis", [cosine_basis(3), ar_example_basis(AR_HALF, 4)],
+                         ids=["cosine", "ar-example"])
+def test_phi_vector_never_builds_the_slot_array(basis):
+    # the built-in projections read the e^{i j lam} table; evaluate is only
+    # for the population quadratures
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
+    guarded = dataclasses.replace(basis, evaluate=_refuse)
+    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, guarded),
+                          phi_vector(x, TUKEY, AR_HALF, basis))
+
+
+def test_ar_example_composite_never_builds_the_slot_array():
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 6))
+    null = parse_model("ar1{theta=0.0,sigma2=1.0}")
+    res = composite_test(x, TUKEY, null, lambda mdl: dataclasses.replace(
+        ar_example_basis(mdl, 4), evaluate=_refuse))
+    ref = composite_test(x, TUKEY, null, lambda mdl: ar_example_basis(mdl, 4))
+    assert np.array_equal(res.phi, ref.phi) and res.p_value == ref.p_value
+
+
 # ----------------------------------------------------------- phi vector
 
 def test_phi_zero_for_matched_periodogram():
@@ -631,16 +721,22 @@ def _cosine_make_basis(m, seen):
 
 
 def test_phi_vector_and_composite_accept_a_make_basis_basis():
+    # cosine_basis(3) projects through the e^{i j lam} table and the rebuilt
+    # basis through its slots, so the two agree within the projection bound
     seen = []
     basis = _cosine_make_basis(3, seen)
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 4))
-    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, basis),
-                          phi_vector(x, TUKEY, AR_HALF, cosine_basis(3)))
+    pgram = gof._periodogram_for(x, TUKEY, False, 4)
+    assert np.all(np.abs(phi_vector(x, TUKEY, AR_HALF, basis)
+                         - phi_vector(x, TUKEY, AR_HALF, cosine_basis(3)))
+                  <= _phi_tolerance(pgram, AR_HALF, basis))
     null = parse_model("ar1{theta=0.0,sigma2=1.0}")
     res = composite_test(x, TUKEY, null, basis)
     ref = composite_test(x, TUKEY, null, cosine_basis(3))
-    assert np.array_equal(res.phi, ref.phi) and res.law == ref.law
-    assert res.p_value == ref.p_value
+    assert np.all(np.abs(res.phi - ref.phi)
+                  <= _phi_tolerance(res.fit.periodogram, res.fit.model, basis))
+    assert res.law == ref.law
+    assert abs(res.p_value - ref.p_value) <= 1e-12
     # the caller's functions only ever see plain float frequency arrays
     assert seen and all(type(lam) is np.ndarray and lam.dtype == float for lam in seen)
 

@@ -331,12 +331,15 @@ def test_every_replicated_preset_is_worker_count_invariant(tmp_path, monkeypatch
 # matches_the_former_formula_bitwise), the statistics and estimates built on
 # it by at most 1e-14 relative, and wa's Nelder-Mead iteration counts with
 # them.  tr moved to a four-size ladder when a ladder too short for its
-# decreasing-steps check became a schema error.
+# decreasing-steps check became a schema error.  gc, gm and gs re-recorded
+# when the built-in bases projected through the grid's e^{ij lam} table:
+# the statistics and p-values moved at round-off (see test_gof_rows_move_at_
+# round_off_from_the_slot_array); no other pin moved.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "ee84b019390c7d918907fe40a44befd020aea0f302449f6c8f38f93354cba3f2"),
+           "c36bf669e1eec7e2a639a463f73bd97673d9ee8b5f3a981d7f1abb42bbd29f59"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -362,11 +365,11 @@ _PINNED_CSV_SHA256 = {
     "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "40", "--seed", "29", "--check"],
-           "1e1161fd34689dd216b1175392f9d9481e79bbf001be4c0e43b3298b090b4831"),
+           "92768658097647c0d016f9f83c6345e4689acb36182b63023b6f62d5afb1c282"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "e46601868e726760ec1973b582ff839ddbb9ea5557b68dde78a658a10a5051ed"),
+           "940f6f7fbb0ebcba1a84e1b55597c5992663bd1ed31c2515c2a5e12f08984939"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256,512", "--check"],
            "5edaf5b5c1cf86528a3661f3eac8e7b5f119d65f9c7c7080dd267dc228db1eca"),
@@ -399,9 +402,10 @@ _PINNED_CSV_SHA256 = {
 # see test_models.py::test_arfima_pdq_lag0_moves_within_the_former_
 # quadrature_tolerance).  pg, fn, fj and sf did not move.  Re-recorded with
 # the real-FFT periodogram: gc, gm, gs, fn, fi and rb with their CSVs (pg and
-# wa kept theirs), and tr for its new ladder.
+# wa kept theirs), and tr for its new ladder.  Re-recorded with the table
+# projections: gc and gm with their CSVs (gs's JSON did not move).
 _PINNED_JSON_SHA256 = {
-    "gc": "19431a09cc3c833ace8e98faf0402a91f02a3d851384572dfec862e2477f7f11",
+    "gc": "45cf5d3b1216324f71eb2a698ad1c02ebab259953b1843b359fd22fe32b4138f",
     "lm": "1b48a5b4f08586360e72e48264630aa118ef0f00f9150eacc4a20fdd5085223d",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
     "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
@@ -409,7 +413,7 @@ _PINNED_JSON_SHA256 = {
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
     "fn": "6ba8942feadd990c0fb7c8a6c38e622a2caf2bcbe926ebe57779be79c87911d2",
     "gs": "636b994ffa4676f973521c76b0d5eb086423ecf1a159f4f51f35a0469cefc6df",
-    "gm": "d098a1ac4a0469bc68fb2c20ee2e496380ec4d613280880323ae92b8db657b2b",
+    "gm": "2abafd7e649ecd5e0c2e9f31512cce82819e9b88dac823cc1a84d96e66c0cf56",
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "23cbb506ff400bb10c24a45a38e2d0b1f86708b57ffb119e4fa7a4554a6f21a7",
@@ -449,6 +453,83 @@ def test_gc_statistics_move_within_the_quadrature_tolerance(tmp_path, monkeypatc
     for row, before in zip(rows, _GC_SIMPSON_STATISTICS):
         assert float(row["statistic"]) == pytest.approx(before, rel=1e-12)
         assert row["reject"] == "0"
+
+
+# The gof studies' (statistic, p_value, reject) rows as the projections gave
+# them when phi_vector still built every basis slot on the grid.  Reading
+# them off the e^{ij lam} table changes only the summation order: each
+# statistic may move at round-off (1e-12 relative), each p-value by at most
+# the law's density times that shift (s f(s) < 1, so 1e-12), and no
+# decision may flip.
+_GOF_SLOT_ARRAY_ROWS = {
+    "gc": (
+        (3.2493803729568467, 0.35475032049727684, 0),
+        (0.66258439788277113, 0.88196715230525813, 0),
+        (0.59325408111355549, 0.89797494614016138, 0),
+        (2.9839511185934651, 0.39410622259378081, 0),
+    ),
+    "gm": (
+        (0.42522347723768411, 0.83146329948532061, 0),
+        (5.6029463559807944, 0.061799092261403732, 0),
+        (2.0214199888593343, 0.36470937631483807, 0),
+    ),
+    "gs": (
+        (0.73376340029510467, 0.86523516901578135, 0),
+        (1.7525523137118431, 0.62531409969851603, 0),
+        (7.5147513316937573, 0.057180636133743128, 0),
+        (1.0978760127603735, 0.77758684720042603, 0),
+        (8.6066413228589091, 0.03500484424654187, 1),
+        (2.7179279218638843, 0.43718922445482922, 0),
+        (10.068080390617537, 0.017996204227964073, 1),
+        (0.22953794926099164, 0.97268562817200377, 0),
+        (3.2429461993305759, 0.35566273604190263, 0),
+        (0.74310673846550546, 0.86302096439025833, 0),
+        (4.841736917413507, 0.18375959407823078, 0),
+        (4.0344702971456012, 0.25776593707648549, 0),
+        (0.91017511441327181, 0.82297165127127492, 0),
+        (1.2530424724832654, 0.7403126300272751, 0),
+        (0.73697187422748511, 0.86447523196720555, 0),
+        (2.0035413113718676, 0.57167201747953378, 0),
+        (7.0333178285372009, 0.070843367871980326, 0),
+        (3.4572932415159019, 0.32634343075034861, 0),
+        (2.7539007315182542, 0.43114500509869369, 0),
+        (1.1109150895073989, 0.77443981250877947, 0),
+        (2.4554551469079584, 0.48339514871759737, 0),
+        (1.1251451353775708, 0.77100767636770529, 0),
+        (1.7638665707627752, 0.62282936048016335, 0),
+        (4.9070912042451011, 0.17872817640474667, 0),
+        (2.9395181302574129, 0.40104460192333946, 0),
+        (4.5546344634041089, 0.20746848234110182, 0),
+        (0.31105980368968172, 0.95793518561661783, 0),
+        (1.8740151697420175, 0.59896233615458461, 0),
+        (0.18848120247272601, 0.97942704980191764, 0),
+        (2.0293561169883354, 0.5663361439955974, 0),
+        (4.0413253209203601, 0.25703617982571436, 0),
+        (4.7751367281346004, 0.18902291133684804, 0),
+        (3.2134134261080218, 0.35987682731641996, 0),
+        (0.1813051905272369, 0.98054931510087306, 0),
+        (0.16953853021707221, 0.98235019972649729, 0),
+        (2.9685485256448678, 0.39649983809625011, 0),
+        (1.5610855493449574, 0.66824523704560135, 0),
+        (1.2092791785235821, 0.75077965254242274, 0),
+        (0.070911270483852457, 0.99508332465261629, 0),
+        (3.0991240766097436, 0.37659325506869012, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOF_SLOT_ARRAY_ROWS))
+def test_gof_rows_move_at_round_off_from_the_slot_array(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256[name]
+    assert main([*argv, "--out", name]) == _PINNED_EXIT_CODE.get(name, 0)
+    with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_GOF_SLOT_ARRAY_ROWS[name])
+    for row, (statistic, p_value, reject) in zip(rows, _GOF_SLOT_ARRAY_ROWS[name]):
+        assert float(row["statistic"]) == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert abs(float(row["p_value"]) - p_value) <= 1e-12
+        assert row["reject"] == str(reject)
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):
