@@ -17,8 +17,8 @@ from .models import (AR1, ARFIMA0d0, ARMA, FGN, ArfimaPDQ, Model, NoiseDriver,
                      TimeSeries, WhiteNoise, centered_exponential, derive_seed,
                      gaussian, get_driver, laplace, make_rng, parse_model)
 from .robustness import (GapLadder, RobustnessReport, Trend, contaminate,
-                         custom_trend, functional_gap, gap_ladder,
-                         power_decay, robustness_report, zero_trend)
+                         custom_trend, gap_ladder, power_decay,
+                         robustness_report, zero_trend)
 from .spectrum import (FrequencyGrid, Periodogram, canonical_grid, tapered_dft,
                        tapered_periodogram)
 from .taper import (Taper, dirichlet_kernel, fejer_kernel, get_taper, linear,
@@ -43,7 +43,7 @@ __all__ = [
     "centered_exponential", "composite_test", "contaminate", "cosine",
     "cosine_basis", "covariance_estimate", "custom_trend", "default_bounds",
     "derive_seed", "dirichlet_kernel", "errors", "fejer_kernel",
-    "fejer_smoothing_error", "functional_gap", "functionals", "gamma_matrix",
+    "fejer_smoothing_error", "functionals", "gamma_matrix",
     "gap_ladder", "gaussian", "get_driver", "get_taper", "gof", "harness",
     "indicator",
     "info_matrices", "laplace", "linear", "load_config_file", "make_basis",

@@ -54,7 +54,6 @@ class GeneratingFunction:
     eval: Callable
     fourier: Callable
     degree: int | None = None
-    bounded_variation: bool = True
     label: str = ""
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -126,7 +125,7 @@ def indicator(mu: float) -> GeneratingFunction:
 
 
 def custom(fn: Callable, fourier: Callable | None = None, degree: int | None = None,
-           bounded_variation: bool = True, label: str = "custom") -> GeneratingFunction:
+           label: str = "custom") -> GeneratingFunction:
     """Wrap an even weight function; missing Fourier coefficients are
     computed by quadrature and cached per lag."""
     cache: dict[int, float] = {}
@@ -147,8 +146,7 @@ def custom(fn: Callable, fourier: Callable | None = None, degree: int | None = N
                 out[i] = cache[k]
             return out if np.ndim(t) else float(out[0])
 
-    return GeneratingFunction("custom", _eval, four, degree=degree,
-                              bounded_variation=bounded_variation, label=label)
+    return GeneratingFunction("custom", _eval, four, degree=degree, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,6 @@ def custom(fn: Callable, fourier: Callable | None = None, degree: int | None = N
 
 def true_functional(model: Model, g: GeneratingFunction) -> float:
     """J = int_{-pi}^{pi} f(lam) g(lam) dlam."""
-    long_mem = model.memory_class != "short"
     if g.degree is not None:
         lags = np.arange(g.degree + 1)
         r = np.atleast_1d(model.covariance(lags))
@@ -170,14 +167,13 @@ def true_functional(model: Model, g: GeneratingFunction) -> float:
                       limit=400, epsabs=1e-11, epsrel=1e-11)
         return val
     return spectral_integral(lambda lam: model.density(lam) * np.asarray(g.eval(lam)),
-                             long_memory=long_mem)
+                             long_memory=model.long_memory)
 
 
 def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
                         kappa4: float = 0.0) -> float:
     """Limit of T Var(J_T): 4 pi e(h) int f^2 g^2 + kappa4 e(h) (int f g)^2."""
     e_h = tapering_factor(taper)
-    long_mem = model.memory_class != "short"
     if g.kind == "indicator":
         from scipy.integrate import quad
 
@@ -188,7 +184,7 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
     else:
         f2g2 = spectral_integral(
             lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
-            long_memory=long_mem,
+            long_memory=model.long_memory,
             degree=None if g.degree is None else 2 * g.degree,
         )
     j = true_functional(model, g)

@@ -194,7 +194,7 @@ def _harmonic(c, v, first: int, m: int) -> np.ndarray:
 
 def _ar_poly(model: Model) -> np.ndarray:
     """Coefficients (1, -phi_1, ..., -phi_p) of a pure AR model."""
-    if hasattr(model, "theta") and hasattr(model, "sigma2") and model.family == "ar1":
+    if model.family == "ar1":
         return np.array([1.0, -float(model.theta)])
     if model.family == "arma":
         if len(model.theta) != 0:
@@ -287,7 +287,7 @@ def _periodogram_for(series_or_pgram, taper: Taper, shifted: bool,
 def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
                oversample: int = 4) -> np.ndarray:
     """Normalized projections of I/f0 - 1 onto the basis."""
-    shifted = isinstance(f0, Model) and f0.memory_class != "short"
+    shifted = isinstance(f0, Model) and f0.long_memory
     pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
     f_vals = _density_values(f0, pgram.grid)
     resid = pgram.values / f_vals - 1.0
@@ -321,9 +321,7 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
     quadrature of a single score evaluation (singularity-aware when the
     model carries long memory).
     """
-    names = model.free_names if model.free_names else (model.scale_name,)
-    p = len(names)
-    long_mem = model.memory_class != "short"
+    p = len(model.fitted_names)
     scale = 1.0 / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     active = basis.active
     out = np.zeros((basis.m, p))
@@ -335,7 +333,7 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
         s = np.atleast_2d(model.score(lam))
         return np.vstack([phi[j] * s[k] for j in active for k in range(p)])
 
-    vals = spectral_integral(integrand, long_memory=long_mem, degree=basis.degree)
+    vals = spectral_integral(integrand, long_memory=model.long_memory, degree=basis.degree)
     out[list(active)] = scale * vals.reshape(len(active), p)
     return out
 
@@ -422,7 +420,7 @@ def reference_pvalue(s: float, unit_dof: int, nu=()) -> tuple:
 def require_surplus(basis: TestBasis, model: Model) -> TestBasis:
     """`basis`, if it has more active slots than the parameters a composite
     test fits to `model` (its free ones, else its scale)."""
-    p = len(model.free_names) or 1
+    p = len(model.fitted_names)
     if basis.m_active <= p:
         raise DomainError(f"basis has {basis.m_active} active slots; need more than {p}")
     return basis
@@ -445,12 +443,12 @@ def composite_test(series, taper: Taper, model: Model, basis,
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
     test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
-    # the fit's periodogram serves unless the fitted memory class moves the grid
-    same_grid = fit.periodogram.grid.shifted == (fitted.memory_class != "short")
+    # the fit's periodogram serves unless the fitted point's memory moves the grid
+    same_grid = fit.periodogram.grid.shifted == fitted.long_memory
     phi = phi_vector(fit.periodogram if same_grid else series, taper, fitted,
                      test_basis, oversample=oversample)
     s = float(np.dot(phi, phi))
-    names = fitted.free_names if fitted.free_names else (fitted.scale_name,)
+    names = fitted.fitted_names
     p = len(names)
     m_active = test_basis.m_active
     if callable(basis) and test_basis.score_orthogonal:  # built for `fitted`: b = 0

@@ -540,7 +540,7 @@ def _run_periodogram(o: dict):
     model, taper, T = o["model"], o["taper"], o["T"]
     seed = derive_seed(o["seed"], 0)
     series = model.simulate(o["driver"], T, seed)
-    shifted = model.memory_class != "short"
+    shifted = model.long_memory
     grid = canonical_grid(T, oversample=o["oversample"], shifted=shifted)
     pgram = tapered_periodogram(series, taper, grid=grid)
     rows = [{"experiment": "periodogram", "seed": seed, "T": T,
@@ -709,6 +709,8 @@ def _run_fejer(o: dict):
 
 def _run_robustness(o: dict):
     model, trend, taper, g, master = o["model"], o["trend"], o["taper"], o["g"], o["seed"]
+    if o["reps"] < 2:
+        raise SchemaError("field 'reps': the gap ladder's standard errors need at least 2")
     ladder = robustness.gap_ladder(model, trend, taper, g, T_values=o["T"], reps=o["reps"],
                                    master_seed=master, driver=o["driver"])
     report = robustness.robustness_report(
@@ -718,19 +720,9 @@ def _run_robustness(o: dict):
              "median_gap": mg, "gap_se": se}
             for T, mg, se in zip(ladder.T_values, ladder.median_gaps, ladder.gap_ses)]
     results = {
-        **dataclasses.asdict(ladder),
+        **dataclasses.asdict(ladder), **dataclasses.asdict(report),
         "trend": trend.label, "target": o["target"],
         "report_T": o["report_T"], "report_reps": o["report_reps"],
-        "clean_bias": report.clean_bias,
-        "contaminated_bias": report.contaminated_bias,
-        "clean_variance": report.clean_variance,
-        "contaminated_variance": report.contaminated_variance,
-        "variance_ratio": report.variance_ratio,
-        "ks_two_sample_stat": report.ks_two_sample_stat,
-        "ks_two_sample_pvalue": report.ks_two_sample_pvalue,
-        "normality_pvalue_clean": report.normality_pvalue_clean,
-        "normality_pvalue_contaminated": report.normality_pvalue_contaminated,
-        "median_gap_report": report.median_gap,
     }
     return rows, results
 

@@ -28,7 +28,7 @@ or laplace (scale 1/sqrt(2), kappa4 = 3).  Randomness comes from
 counter-based Philox streams; use `derive_seed(master, rep)` to key one
 stream per Monte Carlo replication.
 
-The fractional families simulate by FFT convolution with the MA weights
+The two ARFIMA families simulate by FFT convolution with the MA weights
 of (1-B)^{-d}, truncated at 2^20.  Two bounded, read-only caches keep
 what every path of a study reuses: the weights per d (up to 8 MB each,
 at most 8 values of d) and their real FFT per (d, FFT length)
@@ -132,16 +132,26 @@ class TimeSeries:
 class Model:
     """Common interface for all families.
 
-    Subclasses set `family`, `param_names`, `memory_class`, `free_names`
-    (parameters a fitter optimizes) and `scale_name` (the multiplicative
-    variance parameter profiled out in closed form, or None).
+    Subclasses set `family`, `param_names`, `free_names` (parameters a
+    fitter optimizes), `scale_name` (the multiplicative variance parameter
+    profiled out in closed form, or None) and `fractional` (the family has
+    a memory parameter, d or H, so a fit searches long-memory points and
+    takes the grid shifted off the origin).  A fractional instance sets
+    `long_memory` when its density has a pole or a zero at the origin
+    (d != 0, or H != 1/2), which no other family has.
     """
 
     family: str = ""
     param_names: tuple = ()
-    memory_class: str = "short"
     free_names: tuple = ()
     scale_name: str | None = None
+    fractional: bool = False
+    long_memory: bool = False
+
+    @property
+    def fitted_names(self) -> tuple:
+        """The parameters a fit reports: the free ones, else the scale."""
+        return self.free_names or (self.scale_name,)
 
     def params(self) -> dict:
         return {name: getattr(self, name) for name in self.param_names}
@@ -453,33 +463,40 @@ class AR1(Model):
 
 
 class ARMA(Model):
+    """ARMA(p, q); a subclass puts its own free parameters, `lead_names`,
+    before the coefficients and takes them first in its constructor."""
+
     family = "arma"
     param_names = ("phi", "theta", "sigma2")
     scale_name = "sigma2"
+    lead_names: tuple = ()
 
     def __init__(self, phi=(), theta=(), sigma2: float = 1.0):
         phi = tuple(float(v) for v in np.atleast_1d(np.asarray(phi, dtype=float))) if np.size(phi) else ()
         theta = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
         if sigma2 <= 0:
-            raise DomainError("arma requires sigma2 > 0")
+            raise DomainError(f"{self.family} requires sigma2 > 0")
         self._a, self._b = _check_arma(phi, theta)
         self.phi = phi
         self.theta = theta
         self.sigma2 = float(sigma2)
-        self.free_names = tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
+        self.free_names = self.lead_names + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
             f"theta{i+1}" for i in range(len(theta))
         )
 
     def with_params(self, **updates):
-        return ARMA(**_arma_updates(self.params(), updates, self.family))
+        return type(self)(**_arma_updates(self.params(), updates, self.family))
 
     def free_vector(self):
-        return np.array(self.phi + self.theta, dtype=float)
+        lead = tuple(getattr(self, name) for name in self.lead_names)
+        return np.array(lead + self.phi + self.theta, dtype=float)
 
     def with_free(self, vec):
         vec = np.asarray(vec, dtype=float)
-        p = len(self.phi)
-        return ARMA(phi=tuple(vec[:p]), theta=tuple(vec[p:]), sigma2=self.sigma2)
+        k = len(self.lead_names)
+        p = k + len(self.phi)
+        return type(self)(*vec[:k], phi=tuple(vec[k:p]), theta=tuple(vec[p:]),
+                          sigma2=self.sigma2)
 
     @functools.cached_property
     def _rho(self) -> float:
@@ -587,17 +604,33 @@ def _frac_r0(d: float) -> float:
     return 2.0 * math.pi * math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
 
 
+def _frac_noise(model: Model, driver: NoiseDriver, L: int, T: int, seed: int) -> tuple:
+    """L values of (1-B)^{-d} applied to unit-variance draws, d = model.d, and the
+    provenance of a path of length T with the MA truncation K and its tail fraction.
+
+    K + L draws are taken, the first K only feeding the filter.
+    """
+    psi, tail_frac = _frac_psi(model.d)
+    K = psi.size - 1
+    xi = driver.sample(make_rng(seed), L + K)
+    prov = model._base_provenance(driver, T, seed)
+    prov["ma_truncation"] = K
+    prov["ma_tail_fraction"] = tail_frac
+    return _frac_filter(xi, model.d, L), prov
+
+
 class ARFIMA0d0(Model):
     family = "arfima0d0"
     param_names = ("d",)
     free_names = ("d",)
     scale_name = None
+    fractional = True
 
     def __init__(self, d: float):
         if not -0.5 < d < 0.5:
             raise DomainError("arfima0d0 requires -1/2 < d < 1/2")
         self.d = float(d)
-        self.memory_class = "long" if d > 0 else ("intermediate" if d < 0 else "short")
+        self.long_memory = self.d != 0.0
 
     def density(self, lam):
         with np.errstate(divide="ignore"):
@@ -618,55 +651,24 @@ class ARFIMA0d0(Model):
         return _maybe_scalar(r[u_arr], u)
 
     def simulate(self, driver, T, seed):
-        rng = make_rng(seed)
-        psi, tail_frac = _frac_psi(self.d)
-        K = psi.size - 1
-        xi = driver.sample(rng, T + K)
-        x = math.sqrt(2.0 * math.pi) * _frac_filter(xi, self.d, T)
-        prov = self._base_provenance(driver, T, seed)
-        prov["ma_truncation"] = K
-        prov["ma_tail_fraction"] = tail_frac
-        return TimeSeries(x, prov)
+        frac, prov = _frac_noise(self, driver, T, T, seed)
+        return TimeSeries(math.sqrt(2.0 * math.pi) * frac, prov)
 
 
-class ArfimaPDQ(Model):
+class ArfimaPDQ(ARMA):
+    """The ARMA filter b/a applied to fractional noise (Hosking 1981)."""
+
     family = "arfima_pdq"
     param_names = ("d", "phi", "theta", "sigma2")
-    scale_name = "sigma2"
+    lead_names = ("d",)
+    fractional = True
 
     def __init__(self, d: float, phi=(), theta=(), sigma2: float = 1.0):
         if not -0.5 < d < 0.5:
             raise DomainError("arfima_pdq requires -1/2 < d < 1/2")
-        if sigma2 <= 0:
-            raise DomainError("arfima_pdq requires sigma2 > 0")
-        phi = tuple(float(v) for v in np.atleast_1d(np.asarray(phi, dtype=float))) if np.size(phi) else ()
-        theta = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
-        self._a, self._b = _check_arma(phi, theta)
         self.d = float(d)
-        self.phi = phi
-        self.theta = theta
-        self.sigma2 = float(sigma2)
-        self.memory_class = "long" if d > 0 else ("intermediate" if d < 0 else "short")
-        self.free_names = ("d",) + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
-            f"theta{i+1}" for i in range(len(theta))
-        )
-
-    def with_params(self, **updates):
-        return ArfimaPDQ(**_arma_updates(self.params(), updates, self.family))
-
-    def free_vector(self):
-        return np.array((self.d,) + self.phi + self.theta, dtype=float)
-
-    def with_free(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        p = len(self.phi)
-        return ArfimaPDQ(d=float(vec[0]), phi=tuple(vec[1:1 + p]),
-                         theta=tuple(vec[1 + p:]), sigma2=self.sigma2)
-
-    @functools.cached_property
-    def _rho(self) -> float:
-        """AR spectral radius, for the burn-in and the MA(infinity) length."""
-        return _spectral_radius(self._a)
+        self.long_memory = self.d != 0.0
+        super().__init__(phi, theta, sigma2)
 
     def density(self, lam):
         c = _constants(lam)
@@ -692,17 +694,10 @@ class ArfimaPDQ(Model):
         return _maybe_scalar(self.sigma2 / (2.0 * math.pi) * out[u_arr], u)
 
     def simulate(self, driver, T, seed):
-        rng = make_rng(seed)
-        psi, tail_frac = _frac_psi(self.d)
-        K = psi.size - 1
         burn = _burn_in(self._rho)
-        xi = driver.sample(rng, T + burn + K)
-        frac = _frac_filter(xi, self.d, T + burn)
+        frac, prov = _frac_noise(self, driver, T + burn, T, seed)
         x = lfilter(self._b, self._a, math.sqrt(self.sigma2) * frac)[burn:]
-        prov = self._base_provenance(driver, T, seed)
         prov["burn_in"] = burn
-        prov["ma_truncation"] = K
-        prov["ma_tail_fraction"] = tail_frac
         return TimeSeries(x, prov)
 
 
@@ -715,14 +710,13 @@ class FGN(Model):
     param_names = ("H",)
     free_names = ("H",)
     scale_name = None
+    fractional = True
 
     def __init__(self, H: float):
         if not 0.0 < H < 1.0:
             raise DomainError("fgn requires 0 < H < 1")
         self.H = float(H)
-        self.memory_class = (
-            "long" if H > 0.5 else ("intermediate" if H < 0.5 else "short")
-        )
+        self.long_memory = self.H != 0.5
 
     def _bracket(self, c: FrequencyConstants) -> np.ndarray:
         """|1-e^{-i lam}|^2 sum_k |lam+2pi k|^{-s}, s = 2H+1: with x = |lam|/2pi

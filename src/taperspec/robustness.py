@@ -11,7 +11,8 @@ which is what the negative-control ladder is meant to expose.
 
 Everything here is paired: the clean and contaminated estimates in one
 replication share the identical realization of X, so differences isolate
-the trend effect rather than Monte Carlo noise.
+the trend effect rather than Monte Carlo noise.  One paired loop serves
+both the gap ladder and the distribution report.
 """
 
 from __future__ import annotations
@@ -89,13 +90,21 @@ def contaminate(series: TimeSeries, trend: Trend) -> TimeSeries:
     return TimeSeries(values=y, provenance=prov)
 
 
-def functional_gap(series: TimeSeries, trend: Trend, taper: Taper,
-                   g: GeneratingFunction) -> float:
-    """sqrt(T) |J(I_Y) - J(I_X)| for the same underlying realization."""
-    contaminated = contaminate(series, trend)
-    j_clean = plugin_estimate(tapered_periodogram(series, taper), g)
-    j_cont = plugin_estimate(tapered_periodogram(contaminated, taper), g)
-    return math.sqrt(series.T) * abs(j_cont - j_clean)
+def _paired(model: Model, trend: Trend, estimate, T: int, reps: int,
+            master_seed: int, driver) -> tuple:
+    """Estimates on clean X and on contaminated Y = X + M, one X per pair;
+    replication r draws X from derive_seed(master_seed, r)."""
+    clean = np.empty(reps)
+    cont = np.empty(reps)
+    for r in range(reps):
+        x = model.simulate(driver, int(T), seed=derive_seed(master_seed, r))
+        clean[r] = estimate(x)
+        cont[r] = estimate(contaminate(x, trend))
+    return clean, cont
+
+
+def _plugin(taper: Taper, g: GeneratingFunction):
+    return lambda series: plugin_estimate(tapered_periodogram(series, taper), g)
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,8 @@ class GapLadder:
 def gap_ladder(model: Model, trend: Trend, taper: Taper, g: GeneratingFunction,
                T_values=(512, 2048, 8192), reps: int = 300,
                master_seed: int = 0, driver=None) -> GapLadder:
-    """Monte Carlo medians of the functional gap over increasing T.
+    """Monte Carlo medians of the functional gap sqrt(T) |J(I_Y) - J(I_X)|
+    over increasing T, the i-th size keyed by master_seed + i.
 
     Nonincreasing is judged with one-standard-error slack (normal
     approximation for the sample median); a violation is reported in
@@ -121,10 +131,8 @@ def gap_ladder(model: Model, trend: Trend, taper: Taper, g: GeneratingFunction,
     driver = driver if driver is not None else gaussian()
     medians, ses = [], []
     for i, T in enumerate(T_values):
-        gaps = np.empty(reps)
-        for r in range(reps):
-            x = model.simulate(driver, int(T), seed=derive_seed(master_seed + i, r))
-            gaps[r] = functional_gap(x, trend, taper, g)
+        clean, cont = _paired(model, trend, _plugin(taper, g), T, reps, master_seed + i, driver)
+        gaps = math.sqrt(T) * np.abs(cont - clean)
         medians.append(float(np.median(gaps)))
         ses.append(1.2533 * float(np.std(gaps, ddof=1)) / math.sqrt(reps))
     ok = all(medians[i + 1] <= medians[i] + ses[i] + ses[i + 1]
@@ -139,14 +147,9 @@ def gap_ladder(model: Model, trend: Trend, taper: Taper, g: GeneratingFunction,
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """Side-by-side clean vs contaminated Monte Carlo summary."""
+    """Side-by-side clean vs contaminated Monte Carlo summary; each field is
+    named as its key in the results of a robustness run."""
 
-    target: str
-    model_label: str
-    trend_label: str
-    taper_id: str
-    T: int
-    reps: int
     clean_bias: float
     contaminated_bias: float
     clean_variance: float
@@ -156,7 +159,7 @@ class RobustnessReport:
     ks_two_sample_pvalue: float
     normality_pvalue_clean: float
     normality_pvalue_contaminated: float
-    median_gap: float
+    median_gap_report: float
 
 
 def robustness_report(model: Model, trend: Trend, taper: Taper,
@@ -182,38 +185,26 @@ def robustness_report(model: Model, trend: Trend, taper: Taper,
     if target == "functional":
         truth = true_functional(model, g)
         sigma = math.sqrt(asymptotic_variance(model, g, taper, kappa4=kappa4))
+        estimate = _plugin(taper, g)
     else:
-        names = model.free_names if model.free_names else (model.scale_name,)
-        info = info_matrices(model, kappa4=kappa4, names=names)
+        info = info_matrices(model, kappa4=kappa4)
         truth = float(model.free_vector()[0]) if model.free_names else float(
             getattr(model, model.scale_name))
         sigma = math.sqrt(tapering_factor(taper) * info.gamma[0, 0])
 
-    root_t = math.sqrt(T)
-    clean = np.empty(reps)
-    cont = np.empty(reps)
-    gaps = np.empty(reps)
-    for r in range(reps):
-        x = model.simulate(driver, int(T), seed=derive_seed(master_seed, r))
-        y = contaminate(x, trend)
-        if target == "functional":
-            est_x = plugin_estimate(tapered_periodogram(x, taper), g)
-            est_y = plugin_estimate(tapered_periodogram(y, taper), g)
-        else:
-            est_x = whittle_estimate(x, taper, model, kappa4=kappa4).theta_hat[0]
-            est_y = whittle_estimate(y, taper, model, kappa4=kappa4).theta_hat[0]
-        clean[r] = root_t * (est_x - truth)
-        cont[r] = root_t * (est_y - truth)
-        gaps[r] = abs(cont[r] - clean[r])
+        def estimate(series):
+            return whittle_estimate(series, taper, model, kappa4=kappa4).theta_hat[0]
 
+    est_x, est_y = _paired(model, trend, estimate, T, reps, master_seed, driver)
+    root_t = math.sqrt(T)
+    clean = root_t * (est_x - truth)
+    cont = root_t * (est_y - truth)
     ks2 = scipy.stats.ks_2samp(clean, cont, method="asymp")
     norm_clean = scipy.stats.kstest(clean / sigma, scipy.stats.norm.cdf)
     norm_cont = scipy.stats.kstest(cont / sigma, scipy.stats.norm.cdf)
     var_clean = float(np.var(clean, ddof=1))
     var_cont = float(np.var(cont, ddof=1))
     return RobustnessReport(
-        target=target, model_label=model.describe(), trend_label=trend.label,
-        taper_id=taper.id, T=int(T), reps=int(reps),
         clean_bias=float(np.mean(clean)), contaminated_bias=float(np.mean(cont)),
         clean_variance=var_clean, contaminated_variance=var_cont,
         variance_ratio=var_cont / var_clean,
@@ -221,4 +212,4 @@ def robustness_report(model: Model, trend: Trend, taper: Taper,
         ks_two_sample_pvalue=float(ks2.pvalue),
         normality_pvalue_clean=float(norm_clean.pvalue),
         normality_pvalue_contaminated=float(norm_cont.pvalue),
-        median_gap=float(np.median(gaps)))
+        median_gap_report=float(np.median(np.abs(cont - clean))))

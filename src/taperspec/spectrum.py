@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries
-from .taper import Taper
+from .taper import Taper, phase_sum
 
 OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
@@ -134,20 +134,13 @@ def tapered_dft(series, taper: Taper, grid) -> np.ndarray:
     """d(lambda_j) for all grid points (FFT path on canonical grids; exactly
     Hermitian, d(-lambda) = conj d(lambda), on an unshifted one)."""
     x = _values_of(series)
-    T = x.shape[0]
     if isinstance(grid, FrequencyGrid) and grid.canonical:
         out = _canonical_fft(x, taper, grid)
         return out if grid.shifted else _unfold(out)
     lam = grid.points if isinstance(grid, FrequencyGrid) else np.atleast_1d(
         np.asarray(grid, dtype=float)
     )
-    y = taper.values(T) * x
-    t = np.arange(1, T + 1, dtype=float)
-    out = np.empty(lam.shape[0], dtype=complex)
-    step = max(1, (8 << 20) // (16 * T))
-    for i in range(0, lam.shape[0], step):
-        out[i:i + step] = np.exp(-1j * np.outer(lam[i:i + step], t)) @ y
-    return out
+    return phase_sum(taper.values(x.shape[0]) * x, lam)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ class Taper:
     fn : callable
         Vectorized or scalar evaluation of h.  Must be nonnegative and
         finite on [0, 1] and must not vanish almost everywhere.
-    bounded_variation : bool
-        Declared smoothness class.  Only recorded; no statistic here
-        branches on it, but downstream error bounds assume it.
 
     Notes
     -----
@@ -53,9 +50,8 @@ class Taper:
     so that repeated periodogram calls share them.
     """
 
-    def __init__(self, taper_id: str, fn: Callable, bounded_variation: bool = True):
+    def __init__(self, taper_id: str, fn: Callable):
         self.id = taper_id
-        self.bounded_variation = bounded_variation
         self._fn = _vectorize(fn)
         self._moments: dict[int, float] = {}
         self._values: dict[int, np.ndarray] = {}
@@ -153,20 +149,23 @@ def tapering_factor(taper: Taper) -> float:
     return taper.moment(4) / (h2 * h2)
 
 
-def dirichlet_kernel(taper: Taper, k: int, T: int, lam) -> np.ndarray:
-    """H_{k,T}(lambda) = sum_{t=1}^T h^k(t/T) exp(-i lambda t).
+def phase_sum(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_{t=1}^T w_t exp(-i lambda t) for each lambda of a 1-d array.
 
-    Vectorized over lambda; chunked so the (len(lam), T) phase matrix
-    never exceeds ~8M entries.
+    Chunked so the (len(lam), T) phase matrix never exceeds ~8M entries.
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    hk = taper.values(T) ** k
+    T = w.shape[0]
     t = np.arange(1, T + 1, dtype=float)
-    out = np.empty(lam_arr.shape[0], dtype=complex)
+    out = np.empty(lam.shape[0], dtype=complex)
     step = max(1, (8 << 20) // (16 * T))
-    for i in range(0, lam_arr.shape[0], step):
-        block = lam_arr[i:i + step]
-        out[i:i + step] = np.exp(-1j * np.outer(block, t)) @ hk
+    for i in range(0, lam.shape[0], step):
+        out[i:i + step] = np.exp(-1j * np.outer(lam[i:i + step], t)) @ w
+    return out
+
+
+def dirichlet_kernel(taper: Taper, k: int, T: int, lam) -> np.ndarray:
+    """H_{k,T}(lambda) = sum_{t=1}^T h^k(t/T) exp(-i lambda t), vectorized over lambda."""
+    out = phase_sum(taper.values(T) ** k, np.atleast_1d(np.asarray(lam, dtype=float)))
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return out[0]
     return out
@@ -229,9 +228,9 @@ def tukey_hanning() -> Taper:
                          lambda t: 0.5 * (1.0 - np.cos(math.pi * np.asarray(t, dtype=float))))
 
 
-def custom(taper_id: str, fn: Callable, bounded_variation: bool = True) -> Taper:
+def custom(taper_id: str, fn: Callable) -> Taper:
     """Wrap a user-supplied taper function, validating it on a 4096-point grid."""
-    return Taper(taper_id, fn, bounded_variation=bounded_variation)
+    return Taper(taper_id, fn)
 
 
 _REGISTRY: dict[str, Callable[[], Taper]] = {

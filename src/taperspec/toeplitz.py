@@ -95,10 +95,6 @@ def _density_fn(psi):
     raise DomainError("generator must be a model, a generating function, or a callable")
 
 
-def _is_long_memory(psi) -> bool:
-    return isinstance(psi, Model) and psi.memory_class != "short"
-
-
 def build_matrix(psi, taper: Taper, T: int) -> TaperedToeplitzMatrix:
     """Assemble the dense T x T tapered Toeplitz matrix of psi."""
     T = int(T)
@@ -132,7 +128,7 @@ def trace_product(matrices) -> float:
 
 def _product_integral(psi_list) -> float:
     fns = [_density_fn(p) for p in psi_list]
-    long_mem = any(_is_long_memory(p) for p in psi_list)
+    long_mem = any(isinstance(p, Model) and p.long_memory for p in psi_list)
 
     def integrand(lam):
         out = np.ones_like(np.asarray(lam, dtype=float))

@@ -5,8 +5,9 @@ The fitted criterion is
     U_T(theta) = (1/4pi) sum_j [ln f(lam_j, theta) + I(lam_j)/f(lam_j, theta)]
                  w(lam_j) w_j
 
-over a canonical frequency grid (shifted off the origin for long-memory
-families), with w an optional weight function, identically 1 by default.
+over a canonical frequency grid (shifted off the origin for the
+fractional families, `Model.fractional`), with w an optional weight
+function, identically 1 by default.
 A multiplicative innovation scale is profiled out in closed form, so the
 numeric search runs over shape parameters only: one by projected Fisher
 scoring, with the gradient and expected Hessian of the profiled criterion
@@ -46,10 +47,6 @@ from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
 _NM_PENALTY = 1e300  # above every feasible criterion value
-
-# Families whose parameter box reaches long-memory points need the grid
-# shifted off the origin regardless of where the search starts.
-_SHIFTED_FAMILIES = frozenset({"arfima0d0", "arfima_pdq", "fgn"})
 
 
 @dataclass(frozen=True)
@@ -261,12 +258,10 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
     x = np.asarray(series.values if hasattr(series, "values") else series,
                    dtype=float)
     T = x.size
-    shifted = (model.memory_class != "short"
-               or model.family in _SHIFTED_FAMILIES)
-    grid = canonical_grid(T, oversample=oversample, shifted=shifted)
+    # a fractional family's box reaches long-memory points wherever it starts
+    grid = canonical_grid(T, oversample=oversample, shifted=model.fractional)
     pgram = tapered_periodogram(x, taper, grid=grid)
-    names = model.free_names
-    p = len(names)
+    p = len(model.free_names)
     has_scale = model.scale_name is not None
     # candidates are built at unit scale, so each is built once
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
@@ -290,7 +285,6 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         s2, value = _profile_scale(pgram, _grid_density(template, pgram.grid), weight)
         fitted = model.with_params(**{model.scale_name: s2})
         theta = np.array([s2])
-        fit_names = (model.scale_name,)
         iterations, converged = 1, True
     else:
         box = list(bounds) if bounds is not None else default_bounds(model)
@@ -322,10 +316,9 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         if has_scale:
             fitted = fitted.with_params(**{model.scale_name: s2})
         theta = best_vec
-        fit_names = names
 
     return WhittleFit(
-        theta_hat=theta, names=fit_names, objective_value=float(value),
+        theta_hat=theta, names=model.fitted_names, objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
@@ -355,7 +348,7 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
     score evaluation.
     """
     if names is None:
-        names = model.free_names if model.free_names else (model.scale_name,)
+        names = model.fitted_names
         if names == (None,):
             raise DomainError("model exposes no parameters")
     idx = _score_index(model, tuple(names))
@@ -372,7 +365,7 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
         return np.vstack(rows)
 
     # a caller's weight may oscillate at any frequency; the score alone is smooth
-    vals = spectral_integral(integrand, long_memory=model.memory_class != "short",
+    vals = spectral_integral(integrand, long_memory=model.long_memory,
                              degree=0 if weight is None else None)
     v = vals[:p]
 

@@ -100,6 +100,13 @@ def test_ar_example_basis_rejects_bad_shapes():
         ar_example_basis(parse_model("arma{phi=[0.5],theta=[0.3],sigma2=1.0}"), 4)
 
 
+def test_ar_example_basis_refuses_an_arfima_pdq_null():
+    # ArfimaPDQ is an ARMA subclass with phi and no theta, yet not an AR model
+    null = parse_model("arfima_pdq{d=0.2,phi=[0.5],sigma2=1.0}")
+    with pytest.raises(DomainError, match="AR family"):
+        ar_example_basis(null, 4)
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.99, 0.999])
 def test_ar_example_basis_accepted_near_unit_root(theta):
     # orthonormal by construction; the certificate's quadrature must see it
@@ -413,7 +420,7 @@ def delta_vector(series_or_pgram, taper, model, oversample=4):
     First-order relation to the fitted parameters:
     sqrt(T)(theta_hat - theta) ~ sqrt(e(h)/4pi) Gamma^{-1} Delta.
     """
-    shifted = model.memory_class != "short"
+    shifted = model.long_memory
     pgram = gof._periodogram_for(series_or_pgram, taper, shifted, oversample)
     resid = pgram.values / gof._density_values(model, pgram.grid) - 1.0
     names = model.free_names if model.free_names else (model.scale_name,)

@@ -686,6 +686,15 @@ def test_robustness_power_trend_gaps_shrink(tmp_path, monkeypatch):
     assert res["trend"] == "power_decay(c=1,beta=0.6)"
 
 
+def test_robustness_refuses_a_single_rep_ladder(tmp_path, monkeypatch, capsys):
+    # one replication per size leaves the ladder's standard errors undefined
+    monkeypatch.chdir(tmp_path)
+    assert main(["robustness", "--model", "ar1{theta=0.5,sigma2=1}", "--T", "64,128",
+                 "--reps", "1", "--report-reps", "2", "--out", "r1"]) == 1
+    assert "field 'reps'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

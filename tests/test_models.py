@@ -660,6 +660,50 @@ def test_arma_with_params_sets_whole_vectors_and_single_coefficients():
         ARMA().with_params(foo=1.0)
 
 
+def test_arfima_pdq_rebuilds_as_its_own_family():
+    m = ArfimaPDQ(d=0.2, phi=(0.4,), theta=(0.3,), sigma2=2.0)
+    moved = m.with_params(phi1=0.1)
+    assert type(moved) is ArfimaPDQ
+    assert (moved.d, moved.phi, moved.theta, moved.sigma2) == (0.2, (0.1,), (0.3,), 2.0)
+    free = m.with_free([0.1, -0.2, 0.5])
+    assert type(free) is ArfimaPDQ
+    assert (free.d, free.phi, free.theta, free.sigma2) == (0.1, (-0.2,), (0.5,), 2.0)
+    assert np.array_equal(m.free_vector(), [0.2, 0.4, 0.3])
+    assert type(ARMA(phi=(0.5,)).with_free([0.1])) is ARMA
+
+
+# (model, fractional, long_memory, fitted_names), every family with its edge cases
+_FACTS = [
+    (WhiteNoise(), False, False, ("sigma2",)),
+    (AR1(theta=0.5), False, False, ("theta",)),
+    (ARMA(), False, False, ("sigma2",)),
+    (ARMA(phi=(0.5,), theta=(0.3,)), False, False, ("phi1", "theta1")),
+    (ARFIMA0d0(d=0.3), True, True, ("d",)),
+    (ARFIMA0d0(d=0.0), True, False, ("d",)),
+    (ARFIMA0d0(d=-0.3), True, True, ("d",)),
+    (ArfimaPDQ(d=0.2, phi=(0.4,)), True, True, ("d", "phi1")),
+    (ArfimaPDQ(d=0.0, theta=(0.3,)), True, False, ("d", "theta1")),
+    (ArfimaPDQ(d=-0.2), True, True, ("d",)),
+    (FGN(H=0.7), True, True, ("H",)),
+    (FGN(H=0.5), True, False, ("H",)),
+    (FGN(H=0.3), True, True, ("H",)),
+]
+
+
+@pytest.mark.parametrize("model, fractional, long_memory, fitted_names", _FACTS,
+                         ids=[row[0].describe() for row in _FACTS])
+def test_model_facts(model, fractional, long_memory, fitted_names):
+    assert model.fractional is fractional
+    assert model.long_memory is long_memory
+    assert model.fitted_names == fitted_names
+    # a Whittle fit shifts its grid iff fractional, which must cover every pole
+    assert model.fractional or not model.long_memory
+
+
+def test_model_facts_cover_every_family():
+    assert {type(row[0]) for row in _FACTS} == set(models._FAMILIES.values())
+
+
 # ------------------------------------------------------------------ grammar
 
 def test_parse_model_round_trip():

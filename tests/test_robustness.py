@@ -19,7 +19,6 @@ from taperspec.models import derive_seed, gaussian, parse_model
 from taperspec.robustness import (
     contaminate,
     custom_trend,
-    functional_gap,
     gap_ladder,
     power_decay,
     robustness_report,
@@ -80,9 +79,11 @@ def test_contaminate_roundtrip_linearity():
     assert "neg(" in back.provenance["trend"]
 
 
-def test_functional_gap_zero_trend():
-    x = AR_HALF.simulate(gaussian(), 512, seed=44)
-    assert functional_gap(x, zero_trend(), TUKEY, G_COS1) == 0.0
+def test_gap_ladder_zero_trend_gaps_are_zero():
+    ladder = gap_ladder(AR_HALF, zero_trend(), TUKEY, G_COS1,
+                        T_values=(512,), reps=3, master_seed=44)
+    assert ladder.median_gaps == (0.0,)
+    assert ladder.gap_ses == (0.0,)
 
 
 def test_gap_ladder_ar1_shrinks():
@@ -118,7 +119,7 @@ def test_report_zero_trend_functional():
     rep = robustness_report(AR_HALF, zero_trend(), TUKEY, target="functional",
                             g=G_COS1, T=1024, reps=100, master_seed=14)
     assert rep.ks_two_sample_stat == 0.0
-    assert rep.median_gap == 0.0
+    assert rep.median_gap_report == 0.0
     assert rep.variance_ratio == pytest.approx(1.0)
     assert rep.normality_pvalue_clean == rep.normality_pvalue_contaminated
 
@@ -136,9 +137,6 @@ def test_report_functional_contaminated_stays_normal():
 def test_report_whittle_target():
     rep = robustness_report(AR_HALF, power_decay(1.0, 0.6), TUKEY,
                             target="whittle", T=2048, reps=120, master_seed=16)
-    assert rep.target == "whittle"
-    assert rep.taper_id == "tukey"
-    assert rep.T == 2048 and rep.reps == 120
     assert abs(rep.clean_bias) < 0.4
     assert abs(rep.contaminated_bias) < 0.4
     assert 0.8 < rep.variance_ratio < 1.25
