@@ -35,3 +35,7 @@ class DegenerateSampleError(TaperspecError, ValueError):
 
 class SchemaError(TaperspecError, ValueError):
     """Configuration file or CLI invocation violates the expected schema."""
+
+
+class ReplicationError(TaperspecError, RuntimeError):
+    """A replication of a study raised; the message names its index and seed."""

@@ -172,7 +172,15 @@ def true_functional(model: Model, g: GeneratingFunction) -> float:
 
 def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
                         kappa4: float = 0.0) -> float:
-    """Limit of T Var(J_T): 4 pi e(h) int f^2 g^2 + kappa4 e(h) (int f g)^2."""
+    """Limit of T Var(J_T): 4 pi e(h) int f^2 g^2 + kappa4 e(h) (int f g)^2.
+
+    A cosine or indicator g is 1 at the origin, where f ~ |lam|^beta
+    (`Model.origin_exponent`), so int f^2 g^2 diverges when 2 beta <= -1:
+    d >= 1/4, or H >= 3/4, raises DomainError.  A custom g is integrated as given.
+    """
+    if g.kind in ("cosine", "indicator") and 2.0 * model.origin_exponent <= -1.0:
+        raise DomainError(f"int f^2 g^2 diverges for {model.describe()} and {g.label}: "
+                          f"f^2 ~ |lam|^{2.0 * model.origin_exponent:g} at the origin")
     e_h = tapering_factor(taper)
     if g.kind == "indicator":
         from scipy.integrate import quad

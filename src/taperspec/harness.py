@@ -30,7 +30,6 @@ import dataclasses
 import functools
 import json
 import math
-import multiprocessing
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ import numpy as np
 import scipy.stats
 
 from . import gof, robustness, toeplitz
+from ._engine import map_reps
 from .errors import DegenerateSampleError, DomainError, SchemaError, TaperspecError
 from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           fejer_smoothing_error, indicator, plugin_estimate,
@@ -434,19 +434,13 @@ def load_config_file(path: str) -> ExperimentConfig:
 
 class Resolved(dict):
     """A kind's options parsed to what its runner reads, defaults filled in;
-    `text` keeps the text each was parsed from.  It pickles as the options
-    given, which a worker process resolves through its own `_resolve` memo:
-    a forked one finds the parent's objects there, with their cached constants.
-    """
-
-    def __reduce__(self):
-        return _resolve, self.key
+    `text` keeps the text each was parsed from.  Forked workers inherit it."""
 
 
 @functools.lru_cache(maxsize=8)
 def _resolve(kind: str, given: tuple) -> Resolved:
     o = Resolved()
-    o.key, o.text = (kind, given), {}
+    o.text = {}
     given = dict(given)
     for name, default in KINDS[kind].options.items():
         raw = given.get(name, default)
@@ -461,12 +455,16 @@ def _resolve(kind: str, given: tuple) -> Resolved:
 
 
 def _map_reps(kind: str, o: Resolved, reps: int, workers: int) -> list:
-    rep_fn = KINDS[kind].rep
-    tasks = [(o, r) for r in range(reps)]
-    if workers <= 1 or reps == 1:
-        return [rep_fn(*t) for t in tasks]
-    with multiprocessing.Pool(processes=min(workers, reps)) as pool:
-        return pool.starmap(rep_fn, tasks)  # starmap() preserves task order
+    return map_reps(functools.partial(KINDS[kind].rep, o), reps, workers, o["seed"])
+
+
+def _variance_limit(o: dict, kappa4: float) -> float:
+    """asymptotic_variance of the study's functional; where it diverges, a
+    refusal of the `model` option.  Runners call it before any replication."""
+    try:
+        return asymptotic_variance(o["model"], o["g"], o["taper"], kappa4=kappa4)
+    except DomainError as exc:
+        raise SchemaError(f"field 'model': {exc}") from None
 
 
 def _rep_functional(o: dict, rep: int) -> dict:
@@ -559,15 +557,14 @@ def _run_periodogram(o: dict):
 
 
 def _run_functional(o: dict):
-    model, taper, g, driver = o["model"], o["taper"], o["g"], o["driver"]
+    model, g, driver = o["model"], o["g"], o["driver"]
     T, reps = o["T"], o["reps"]
+    sigma2_full = _variance_limit(o, driver.kappa4)
+    sigma2_gauss = sigma2_full if driver.kappa4 == 0.0 else _variance_limit(o, 0.0)
     rows = _map_reps("estimate-functional", o, reps, o["workers"])
 
     j_vals = np.array([r["j_plugin"] for r in rows])
     truth = true_functional(model, g)
-    sigma2_full = asymptotic_variance(model, g, taper, kappa4=driver.kappa4)
-    sigma2_gauss = (sigma2_full if driver.kappa4 == 0.0
-                    else asymptotic_variance(model, g, taper, kappa4=0.0))
     t_var = float(T * np.var(j_vals, ddof=1)) if reps > 1 else float("nan")
     # MC error of a sample variance: var(s^2) ~ s^4 (2/(R-1) + g2/R).
     if reps > 3:
@@ -711,11 +708,13 @@ def _run_robustness(o: dict):
     model, trend, taper, g, master = o["model"], o["trend"], o["taper"], o["g"], o["seed"]
     if o["reps"] < 2:
         raise SchemaError("field 'reps': the gap ladder's standard errors need at least 2")
+    if o["target"] == "functional":
+        _variance_limit(o, o["driver"].kappa4)  # the report computes it after the ladder
     ladder = robustness.gap_ladder(model, trend, taper, g, T_values=o["T"], reps=o["reps"],
-                                   master_seed=master, driver=o["driver"])
+                                   master_seed=master, driver=o["driver"], workers=o["workers"])
     report = robustness.robustness_report(
         model, trend, taper, target=o["target"], g=g, T=o["report_T"], reps=o["report_reps"],
-        master_seed=derive_seed(master, 10_000), driver=o["driver"])
+        master_seed=derive_seed(master, 10_000), driver=o["driver"], workers=o["workers"])
     rows = [{"experiment": "robustness", "seed": master, "T": T,
              "median_gap": mg, "gap_se": se}
             for T, mg, se in zip(ladder.T_values, ladder.median_gaps, ladder.gap_ses)]
@@ -741,13 +740,12 @@ class Kind:
     # function of the options parsed before it that gives the default
     options: dict
     ladder: bool  # T is a comma list of sample sizes
-    rep: Callable | None  # one replication, for kinds that spread them over `workers`
+    rep: Callable | None  # one replication of the kinds that `_map_reps` spreads over workers
 
 
 def _kind(summary: str, run: Callable, ladder: bool = False, rep: Callable | None = None,
           **defaults) -> Kind:
-    workers = {} if rep is None else {"workers": 1}
-    return Kind(summary, run, {**defaults, **workers, "seed": 0, "out": None}, ladder, rep)
+    return Kind(summary, run, {**defaults, "seed": 0, "out": None}, ladder, rep)
 
 
 KINDS = {
@@ -759,14 +757,14 @@ KINDS = {
     "estimate-functional": _kind("plug-in spectral functional study", _run_functional,
                                  rep=_rep_functional, model=REQUIRED, taper="tukey",
                                  g="cosine:1", T=REQUIRED, reps=200, oversample=4,
-                                 driver="gaussian"),
+                                 driver="gaussian", workers=1),
     "whittle": _kind("tapered Whittle fit study", _run_whittle, rep=_rep_whittle,
                      model=REQUIRED, taper="tukey", T=REQUIRED, reps=200, oversample=4,
-                     driver="gaussian"),
+                     driver="gaussian", workers=1),
     "gof": _kind("frequency-domain goodness-of-fit study", _run_gof, rep=_rep_gof,
                  mode="simple", model=REQUIRED, data_model=None, basis="cosine:3",
                  taper="tukey", T=REQUIRED, reps=500, alpha=0.05, oversample=4,
-                 driver="gaussian"),
+                 driver="gaussian", workers=1),
     "trace-experiment": _kind("tapered trace against its limit", _run_trace, ladder=True,
                               pair=None, model=None, g=None, taper="tukey",
                               T="64,128,256,512,1024"),
@@ -777,7 +775,7 @@ KINDS = {
                         model=REQUIRED, trend="power:1.0,0.6", target="functional",
                         taper="tukey", g="cosine:1", T="512,2048,8192", reps=200,
                         report_T=lambda o: max(o["T"]), report_reps=lambda o: o["reps"],
-                        driver="gaussian"),
+                        driver="gaussian", workers=1),
 }
 
 

@@ -137,8 +137,9 @@ class Model:
     profiled out in closed form, or None) and `fractional` (the family has
     a memory parameter, d or H, so a fit searches long-memory points and
     takes the grid shifted off the origin).  A fractional instance sets
-    `long_memory` when its density has a pole or a zero at the origin
-    (d != 0, or H != 1/2), which no other family has.
+    `origin_exponent` beta, with f(lam) ~ |lam|^beta at the origin: -2d
+    for the ARFIMA families, 1 - 2H for fGn and 0 for every other family.
+    It has `long_memory` when beta != 0, a pole or a zero at the origin.
     """
 
     family: str = ""
@@ -146,7 +147,11 @@ class Model:
     free_names: tuple = ()
     scale_name: str | None = None
     fractional: bool = False
-    long_memory: bool = False
+    origin_exponent: float = 0.0
+
+    @property
+    def long_memory(self) -> bool:
+        return self.origin_exponent != 0.0
 
     @property
     def fitted_names(self) -> tuple:
@@ -630,7 +635,7 @@ class ARFIMA0d0(Model):
         if not -0.5 < d < 0.5:
             raise DomainError("arfima0d0 requires -1/2 < d < 1/2")
         self.d = float(d)
-        self.long_memory = self.d != 0.0
+        self.origin_exponent = -2.0 * self.d
 
     def density(self, lam):
         with np.errstate(divide="ignore"):
@@ -667,7 +672,7 @@ class ArfimaPDQ(ARMA):
         if not -0.5 < d < 0.5:
             raise DomainError("arfima_pdq requires -1/2 < d < 1/2")
         self.d = float(d)
-        self.long_memory = self.d != 0.0
+        self.origin_exponent = -2.0 * self.d
         super().__init__(phi, theta, sigma2)
 
     def density(self, lam):
@@ -716,7 +721,7 @@ class FGN(Model):
         if not 0.0 < H < 1.0:
             raise DomainError("fgn requires 0 < H < 1")
         self.H = float(H)
-        self.long_memory = self.H != 0.5
+        self.origin_exponent = 1.0 - 2.0 * self.H
 
     def _bracket(self, c: FrequencyConstants) -> np.ndarray:
         """|1-e^{-i lam}|^2 sum_k |lam+2pi k|^{-s}, s = 2H+1: with x = |lam|/2pi

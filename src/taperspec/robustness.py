@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
+from ._engine import map_reps
 from .errors import DomainError
 from .functionals import (GeneratingFunction, asymptotic_variance,
                           plugin_estimate, true_functional)
@@ -91,15 +92,14 @@ def contaminate(series: TimeSeries, trend: Trend) -> TimeSeries:
 
 
 def _paired(model: Model, trend: Trend, estimate, T: int, reps: int,
-            master_seed: int, driver) -> tuple:
+            master_seed: int, driver, workers: int) -> tuple:
     """Estimates on clean X and on contaminated Y = X + M, one X per pair;
     replication r draws X from derive_seed(master_seed, r)."""
-    clean = np.empty(reps)
-    cont = np.empty(reps)
-    for r in range(reps):
+    def pair(r):
         x = model.simulate(driver, int(T), seed=derive_seed(master_seed, r))
-        clean[r] = estimate(x)
-        cont[r] = estimate(contaminate(x, trend))
+        return estimate(x), estimate(contaminate(x, trend))
+
+    clean, cont = np.array(map_reps(pair, reps, workers, master_seed), dtype=float).T.copy()
     return clean, cont
 
 
@@ -120,18 +120,20 @@ class GapLadder:
 
 def gap_ladder(model: Model, trend: Trend, taper: Taper, g: GeneratingFunction,
                T_values=(512, 2048, 8192), reps: int = 300,
-               master_seed: int = 0, driver=None) -> GapLadder:
+               master_seed: int = 0, driver=None, workers: int = 1) -> GapLadder:
     """Monte Carlo medians of the functional gap sqrt(T) |J(I_Y) - J(I_X)|
     over increasing T, the i-th size keyed by master_seed + i.
 
     Nonincreasing is judged with one-standard-error slack (normal
     approximation for the sample median); a violation is reported in
     `flag`, not raised, so out-of-theory trends can be run as controls.
+    Replications run over `workers` processes, with the same results.
     """
     driver = driver if driver is not None else gaussian()
     medians, ses = [], []
     for i, T in enumerate(T_values):
-        clean, cont = _paired(model, trend, _plugin(taper, g), T, reps, master_seed + i, driver)
+        clean, cont = _paired(model, trend, _plugin(taper, g), T, reps, master_seed + i,
+                              driver, workers)
         gaps = math.sqrt(T) * np.abs(cont - clean)
         medians.append(float(np.median(gaps)))
         ses.append(1.2533 * float(np.std(gaps, ddof=1)) / math.sqrt(reps))
@@ -165,7 +167,7 @@ class RobustnessReport:
 def robustness_report(model: Model, trend: Trend, taper: Taper,
                       target: str = "functional", g: GeneratingFunction | None = None,
                       T: int = 2048, reps: int = 200, master_seed: int = 0,
-                      driver=None) -> RobustnessReport:
+                      driver=None, workers: int = 1) -> RobustnessReport:
     """Compare an estimator on clean X versus contaminated Y = X + M.
 
     target "functional": plug-in J(I) against the true functional, with
@@ -173,7 +175,8 @@ def robustness_report(model: Model, trend: Trend, taper: Taper,
     target "whittle": the first free parameter of the tapered Whittle
     fit.  Both samples are sqrt(T)-scaled deviations from the truth;
     the same X drives each pair; the driver's kappa4 enters the
-    asymptotic variance and the fits.
+    asymptotic variance and the fits.  Replications run over `workers`
+    processes, with the same results.
     """
     if target not in ("functional", "whittle"):
         raise DomainError(f"unknown robustness target: {target!r}")
@@ -195,7 +198,7 @@ def robustness_report(model: Model, trend: Trend, taper: Taper,
         def estimate(series):
             return whittle_estimate(series, taper, model, kappa4=kappa4).theta_hat[0]
 
-    est_x, est_y = _paired(model, trend, estimate, T, reps, master_seed, driver)
+    est_x, est_y = _paired(model, trend, estimate, T, reps, master_seed, driver, workers)
     root_t = math.sqrt(T)
     clean = root_t * (est_x - truth)
     cont = root_t * (est_y - truth)

@@ -17,7 +17,9 @@ from taperspec.functionals import (
     spectral_function_estimate,
     true_functional,
 )
-from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian
+from taperspec.errors import DomainError
+from taperspec.models import (AR1, ARFIMA0d0, FGN, ArfimaPDQ, WhiteNoise, derive_seed,
+                              gaussian)
 from taperspec.spectrum import FrequencyGrid, canonical_grid, tapered_periodogram
 from taperspec.taper import fejer_kernel, get_taper, tapering_factor
 
@@ -182,6 +184,32 @@ def test_variance_spectral_function_white_noise():
     m = WhiteNoise(sigma2=1.0)
     got = asymptotic_variance(m, indicator(math.pi), get_taper("rect"))
     assert got == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("model, converges", [
+    (ARFIMA0d0(0.24), True), (ARFIMA0d0(0.25), False), (ARFIMA0d0(0.3), False),
+    (ArfimaPDQ(0.24, phi=(0.4,)), True), (ArfimaPDQ(0.25, phi=(0.4,)), False),
+    (FGN(0.74), True), (FGN(0.75), False), (FGN(0.8), False),
+])
+@pytest.mark.parametrize("g", [cosine(1), indicator(1.0)], ids=["cosine", "indicator"])
+def test_variance_limit_refused_where_it_diverges(model, converges, g):
+    # f ~ |lam|^beta at the origin (beta = -2d, or 1 - 2H) and g is bounded away
+    # from 0 there, so int f^2 g^2 converges iff 2 beta > -1.  Quadrature of the
+    # divergent integral returned a negative variance (-246.5 at d = 0.3).
+    tukey = get_taper("tukey")
+    if converges:
+        assert asymptotic_variance(model, g, tukey) > 0.0
+    else:
+        with pytest.raises(DomainError, match="diverges"):
+            asymptotic_variance(model, g, tukey)
+
+
+def test_variance_limit_integrates_a_custom_g_as_given():
+    # g = sin^2 vanishes like lam^2 at the origin, so f^2 g^2 ~ |lam|^2.8 there
+    with pytest.raises(DomainError, match=r"f\^2 ~ \|lam\|\^-1.2"):
+        asymptotic_variance(ARFIMA0d0(0.3), cosine(1), get_taper("tukey"))
+    vanishing = custom(lambda lam: np.sin(lam) ** 2, label="sin^2")
+    assert asymptotic_variance(ARFIMA0d0(0.3), vanishing, get_taper("tukey")) > 0.0
 
 
 def test_variance_spectral_function_monte_carlo():

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -28,7 +29,7 @@ import scipy.stats
 from taperspec import harness
 from taperspec.cli import build_parser, main
 from taperspec.errors import (DegenerateSampleError, DomainError, SchemaError)
-from taperspec.models import make_rng
+from taperspec.models import AR1, make_rng
 from taperspec.taper import get_taper
 
 REPO = Path(__file__).resolve().parents[1]
@@ -232,28 +233,97 @@ _COMPOSITE_GOF = ["gof", "--mode", "composite", "--basis", "ar-example:4",
                   "--T", "256"]
 
 
+_MODEL = ["--model", "ar1{theta=0.5,sigma2=1}"]
+_FUNCTIONAL = ["estimate-functional", *_MODEL, "--taper", "rect", "--g", "cosine:1",
+               "--T", "128"]
+
+
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
     # Forked workers inherit process-level state (shared tapers with their
     # cached moments), so every replication engine is compared here.  Each
     # worker count writes into its own directory under the same --out, as
     # the JSON records --out.
-    model = ["--model", "ar1{theta=0.5,sigma2=1}"]
     cases = {
-        "fn": ["estimate-functional", *model, "--taper", "rect",
-               "--g", "cosine:1", "--T", "128", "--reps", "12", "--seed", "17"],
-        "wh": ["whittle", *model, "--taper", "tukey", "--T", "128",
-               "--reps", "6", "--seed", "18"],
-        "gc": [*_COMPOSITE_GOF, "--reps", "4", "--seed", "19"],
+        "fn": ([*_FUNCTIONAL, "--reps", "12", "--seed", "17"], "3"),
+        "wh": (["whittle", *_MODEL, "--taper", "tukey", "--T", "128",
+                "--reps", "6", "--seed", "18"], "3"),
+        "gc": ([*_COMPOSITE_GOF, "--reps", "4", "--seed", "19"], "3"),
+        "rb": (["robustness", *_MODEL, "--T", "64,128", "--reps", "5",
+                "--report-reps", "7", "--seed", "20"], "3"),
+        "rw": (["robustness", *_MODEL, "--target", "whittle", "--T", "64,128",
+                "--reps", "4", "--seed", "21"], "2"),
+        # unequal shares: the parent runs reps 0 and 3, one child 1 and 4, the other 2
+        "uneven": ([*_FUNCTIONAL, "--reps", "5", "--seed", "22"], "3"),
+        # more workers than replications: one child, none idle
+        "few": ([*_FUNCTIONAL, "--reps", "2", "--seed", "23"], "4"),
     }
-    for workers in ("1", "3"):
-        (tmp_path / workers).mkdir()
-        monkeypatch.chdir(tmp_path / workers)
-        for name, base in cases.items():
-            assert main([*base, "--out", name, "--workers", workers]) == 0
-    for name in cases:
+    for name, (argv, workers) in cases.items():
+        for count in ("1", workers):
+            (tmp_path / name / count).mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / name / count)
+            assert main([*argv, "--out", name, "--workers", count]) == 0
         for ext in (".csv", ".json"):
-            assert ((tmp_path / "1" / f"{name}{ext}").read_bytes()
-                    == (tmp_path / "3" / f"{name}{ext}").read_bytes()), name + ext
+            assert ((tmp_path / name / "1" / f"{name}{ext}").read_bytes()
+                    == (tmp_path / name / workers / f"{name}{ext}").read_bytes()), name + ext
+
+
+def _intercept_functional_reps(monkeypatch, before):
+    """estimate-functional replications that call before(rep) first."""
+    spec = harness.KINDS["estimate-functional"]
+
+    def rep_fn(o, rep):
+        before(rep)
+        return spec.rep(o, rep)
+
+    monkeypatch.setitem(harness.KINDS, "estimate-functional",
+                        dataclasses.replace(spec, rep=rep_fn))
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_a_failing_replication_ends_the_run_naming_it(tmp_path, monkeypatch, capsys, workers):
+    # rep 3 runs in the parent under 1 and 3 workers and in a child under 2;
+    # rep 4 fails too, so every process has a failure to report
+    def fail(rep):
+        if rep in (3, 4):
+            raise RuntimeError(f"no estimate at rep {rep}")
+
+    _intercept_functional_reps(monkeypatch, fail)
+    monkeypatch.chdir(tmp_path)
+    assert main([*_FUNCTIONAL, "--reps", "8", "--seed", "5", "--workers", workers]) == 1
+    seed = harness.derive_seed(5, 3)
+    assert capsys.readouterr().err == (f"taperspec: error: replication 3 (seed {seed}) "
+                                       "failed: RuntimeError: no estimate at rep 3\n")
+    assert not list(tmp_path.iterdir())  # nothing was written
+
+
+def test_a_worker_that_dies_ends_the_run(tmp_path, monkeypatch, capsys):
+    # rep 1 is the child's under two workers; the parent never reaches os._exit
+    def die(rep):
+        if rep == 1:
+            os._exit(7)
+
+    _intercept_functional_reps(monkeypatch, die)
+    monkeypatch.chdir(tmp_path)
+    assert main([*_FUNCTIONAL, "--reps", "4", "--workers", "2"]) == 1
+    assert "replication worker exited with code 7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_failing_robustness_replication_names_its_seed(tmp_path, monkeypatch, capsys):
+    # the ladder's i-th size keys its replications by seed + i
+    real = AR1.simulate
+
+    def failing(self, driver, T, seed):
+        if T == 128 and seed == harness.derive_seed(31, 1):
+            raise DomainError("no path")
+        return real(self, driver, T, seed)
+
+    monkeypatch.setattr(AR1, "simulate", failing)
+    monkeypatch.chdir(tmp_path)
+    argv = ["robustness", *_MODEL, "--T", "64,128", "--reps", "4", "--seed", "30"]
+    assert main([*argv, "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"replication 1 (seed {harness.derive_seed(31, 1)}) failed: DomainError: no path" in err
 
 
 def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, monkeypatch,
@@ -291,7 +361,7 @@ def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, mo
 
 _REPLICATED_PRESETS = sorted(
     p.stem for p in (REPO / "acceptance").glob("*.ini")
-    if harness.KINDS[harness.load_config_file(p).kind].rep is not None)
+    if "workers" in harness.KINDS[harness.load_config_file(p).kind].options)
 
 
 @pytest.mark.parametrize("preset", _REPLICATED_PRESETS)
@@ -686,6 +756,28 @@ def test_robustness_power_trend_gaps_shrink(tmp_path, monkeypatch):
     assert res["trend"] == "power_decay(c=1,beta=0.6)"
 
 
+@pytest.mark.parametrize("model, refused", [
+    ("arfima{d=0.24}", False), ("arfima{d=0.25}", True), ("arfima{d=0.3}", True),
+    ("fgn{H=0.74}", False), ("fgn{H=0.75}", True), ("fgn{H=0.8}", True),
+])
+def test_divergent_variance_limit_exits_one_naming_the_model(tmp_path, monkeypatch, capsys,
+                                                              model, refused):
+    # at d = 0.3 this command wrote sigma2_theory -246.5 and exited 0
+    monkeypatch.chdir(tmp_path)
+    argv = ["estimate-functional", "--model", model, "--g", "cosine:1", "--taper", "tukey",
+            "--T", "512", "--reps", "20" if refused else "2", "--seed", "3"]
+    if not refused:
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "estimate_functional.json").read_text())[
+            "results"]["sigma2_theory"] > 0.0
+        return
+    assert main(argv) == 1
+    assert "field 'model': int f^2 g^2 diverges" in capsys.readouterr().err
+    assert main(["robustness", "--model", model, "--T", "64,128", "--reps", "2"]) == 1
+    assert "field 'model'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # refused before any replication or file
+
+
 def test_robustness_refuses_a_single_rep_ladder(tmp_path, monkeypatch, capsys):
     # one replication per size leaves the ladder's standard errors undefined
     monkeypatch.chdir(tmp_path)
@@ -738,7 +830,6 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
         ([*_COMPOSITE_GOF, "--mc-draws", "2000"], "--mc-draws"),
         (["run", "--config", "wk.ini"], "'workers'"),
         (["fejer", "--reps", "5"], "--reps"),
-        (["robustness", "--model", "ar1{theta=0.5}", "--workers", "2"], "--workers"),
         (["whittle", "--rep", "5"], "--rep"),  # no prefix matching of flags
         (["run", "--config", "wh.ini", "--g", "cosine:1"], "field 'g'"),
         (["run", "--config", "wh.ini", "--workers", "x"], "field 'workers'"),
@@ -830,7 +921,7 @@ def test_readme_flag_table_matches_the_parser():
     table, flags = _readme_flag_table(), _subcommand_flags()
     kinds = set(harness.KINDS)
     assert {kind: table[kind] for kind in kinds} == {kind: flags[kind] for kind in kinds}
-    assert sum(len(flags[kind]) for kind in kinds) == 80
+    assert sum(len(flags[kind]) for kind in kinds) == 81
     # run takes every flag, and --config
     assert flags["run"] == set().union(*(flags[kind] for kind in kinds)) | {"--config"}
 
