@@ -61,10 +61,12 @@ class GeneratingFunction:
         return self.eval(lam)
 
     def on_grid(self, grid: FrequencyGrid) -> np.ndarray:
-        """g at the grid's points as floats (kept per canonical grid size)."""
+        """g at the grid's points, folded onto its nodes (`FrequencyGrid.fold`),
+        as floats (kept per canonical grid size)."""
         if not grid.canonical:
             return np.asarray(self.eval(grid.points), dtype=float)
-        return self._keep(("grid", grid.N, grid.shifted), lambda: self.eval(grid.points))
+        return self._keep(("grid", grid.N, grid.shifted),
+                          lambda: grid.fold(np.asarray(self.eval(grid.points), dtype=float)))
 
     def coefficients(self, max_lag: int) -> np.ndarray:
         """ghat(u) for u = 0..max_lag (kept per max_lag)."""
@@ -203,8 +205,10 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
 # estimators
 
 def plugin_estimate(pgram: Periodogram, g: GeneratingFunction) -> float:
-    """J_T = sum_j I(lambda_j) g(lambda_j) w_j on the periodogram's grid."""
-    return float(np.sum(pgram.values * g.on_grid(pgram.grid)) * pgram.grid.weight)
+    """J_T = sum_j I(lambda_j) g(lambda_j) w_j on the periodogram's grid, as
+    a sum over its nodes with g folded (exact for any g, even or not)."""
+    grid = pgram.grid
+    return float(grid.sum(pgram.node_values, g.on_grid(grid)) * grid.weight)
 
 
 def _lagged_products(y: np.ndarray, max_lag: int) -> np.ndarray:

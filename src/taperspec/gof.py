@@ -29,6 +29,13 @@ inversion of the characteristic function.  A score-orthogonal basis built
 for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
 composite test takes nu = 1 and computes neither Gamma nor b.
 
+Every active slot is even (`make_basis` rejects an odd part, and both
+built-in bases are even by construction), and so is I/f0 - 1.  On the
+unshifted grid each Phi_j is therefore the folded sum over its N/2 + 1
+nodes in [0, pi], the residual carrying the fold weights (1, 2, ..., 2, 1)
+(`FrequencyGrid.fold_weights`); the shifted grid of a long-memory null
+keeps all N points at unit weight and its bits (see `spectrum`).
+
 Both built-in bases are harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi),
 with u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  So
 each Phi_j is one complex dot product of the grid's e^{i j lam} table with
@@ -264,10 +271,11 @@ class GofResult:
 
 
 def _density_values(f0, grid) -> np.ndarray:
+    """f0 on the grid's nodes."""
     if isinstance(f0, Model):
         vals = np.asarray(f0.density(grid.constants), dtype=float)
     else:
-        vals = np.asarray(f0(grid.points), dtype=float)
+        vals = np.asarray(f0(grid.nodes), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise DomainError("null density is not positive and finite on the grid")
     return vals
@@ -289,10 +297,12 @@ def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
     """Normalized projections of I/f0 - 1 onto the basis."""
     shifted = isinstance(f0, Model) and f0.long_memory
     pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
-    f_vals = _density_values(f0, pgram.grid)
-    resid = pgram.values / f_vals - 1.0
+    grid = pgram.grid
+    resid = pgram.node_values / _density_values(f0, grid) - 1.0
+    if grid.folded:
+        resid = resid * grid.fold_weights
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
-    return scale * basis.project(pgram.grid.constants, resid) * pgram.grid.weight
+    return scale * basis.project(grid.constants, resid) * grid.weight
 
 
 def simple_test(series_or_pgram, taper: Taper, f0, basis: TestBasis,

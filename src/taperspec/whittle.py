@@ -7,21 +7,26 @@ The fitted criterion is
 
 over a canonical frequency grid (shifted off the origin for the
 fractional families, `Model.fractional`), with w an optional weight
-function, identically 1 by default.
+function, identically 1 by default.  The summand is even in lam, so on
+the unshifted grid the sum runs over its N/2 + 1 nodes in [0, pi] with
+fold weights (1, 2, ..., 2, 1), and a weight w enters as
+w(lam) + w(-lam) (`FrequencyGrid.fold`): the same sum with half the
+density, log and ratio work.  The shifted grid keeps all N points at unit
+weight, so the long-memory fits keep their bits (see `spectrum`).
 A multiplicative innovation scale is profiled out in closed form, so the
 numeric search runs over shape parameters only: one by projected Fisher
-scoring, with the gradient and expected Hessian of the profiled criterion
-in closed form from `model.score` (the periodogram is fixed during a
+scoring, with the gradient and Hessian of the profiled criterion in
+closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
 Nelder-Mead from five deterministic starts.
 
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
-2 sin(|lam|/2)) are computed once per fit, on the grid
+2 sin(|lam|/2)) are computed once per grid, on its nodes
 (`FrequencyGrid.constants`); each candidate is built once, at unit scale
 from a template, and its density evaluated once, for the criterion and
-the scoring step alike; and the unit weight is never materialized, since
-multiplying by 1 is exact and its sum is the grid size.
+the scoring step alike; and the unit weight is never materialized: the
+grid sums the unweighted terms under its own fold weights.
 
 The estimator's limit covariance is e(h) Gamma(theta) with
 Gamma = W^{-1} (A + B) W^{-1}, where W, A, B are quadratures of products
@@ -47,6 +52,7 @@ from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
 _NM_PENALTY = 1e300  # above every feasible criterion value
+_OBSERVED_BAND = 2.0  # see _scoring_step
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,13 @@ def _weight_values(weight, points: np.ndarray) -> np.ndarray | None:
     return vals
 
 
-def _weighted_sum(terms: np.ndarray, w: np.ndarray | None) -> float:
-    return np.sum(terms) if w is None else np.sum(terms * w)
+def _node_weights(weight, grid) -> np.ndarray | None:
+    """w folded onto the grid's nodes (`FrequencyGrid.fold`), None for the unit weight."""
+    return None if weight is None else grid.fold(_weight_values(weight, grid.points))
 
 
 def _grid_density(model: Model, grid) -> np.ndarray:
-    """f on the grid, through the grid's shared frequency constants."""
+    """f on the grid's nodes, through the grid's shared frequency constants."""
     f = np.asarray(model.density(grid.constants), dtype=float)
     lo, hi = f.min(), f.max()  # nan propagates into both
     if not (lo > 0.0 and hi < math.inf):
@@ -134,28 +141,29 @@ def whittle_objective(pgram: Periodogram, model: Model, theta=None,
     """U_T at the model point (or at `theta` substituted into it)."""
     if theta is not None:
         model = model.with_free(np.asarray(theta, dtype=float))
-    f = _grid_density(model, pgram.grid)
-    w = _weight_values(weight, pgram.grid.points)
-    total = _weighted_sum(np.log(f) + pgram.values / f, w) * pgram.grid.weight
-    return float(total / (4.0 * math.pi))
+    grid = pgram.grid
+    f = _grid_density(model, grid)
+    total = grid.sum(np.log(f) + pgram.node_values / f, _node_weights(weight, grid))
+    return float(total * grid.weight / (4.0 * math.pi))
 
 
 def _profile_scale(pgram: Periodogram, f1: np.ndarray, weight) -> tuple:
     """Closed-form innovation-scale minimizer and the profiled criterion.
 
-    `f1` is the candidate's density at scale 1 on the grid.  For
+    `f1` is the candidate's density at scale 1 on the grid's nodes.  For
     f = sigma2 f1: sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the
     profiled value is the plain criterion evaluated there.
     """
-    w = _weight_values(weight, pgram.grid.points)
-    denom = (pgram.grid.N if w is None else float(np.sum(w))) * pgram.grid.weight
+    grid = pgram.grid
+    w = _node_weights(weight, grid)
+    denom = (grid.N if w is None else float(np.sum(w))) * grid.weight
     if denom <= 0.0:
         raise DomainError("weight function integrates to zero on the grid")
-    s2 = float(_weighted_sum(pgram.values / f1, w) * pgram.grid.weight / denom)
+    s2 = float(grid.sum(pgram.node_values / f1, w) * grid.weight / denom)
     s2 = max(s2, _F_FLOOR)
     f = s2 * f1
-    value = _weighted_sum(np.log(f) + pgram.values / f, w)
-    value = float(value * pgram.grid.weight / (4.0 * math.pi))
+    value = grid.sum(np.log(f) + pgram.node_values / f, w)
+    value = float(value * grid.weight / (4.0 * math.pi))
     return s2, value
 
 
@@ -186,14 +194,28 @@ def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model, weight) -> flo
     version of `info_matrices`' W, s being the shape row of `model.score`.
     `f1` is the unit density the criterion was evaluated at, or None for
     a family without a scale, whose density is then evaluated here.
+
+    Without a scale to absorb the scatter of I/f, the expected H converges
+    only linearly, so H is the observed (1/4pi) sum_j (I_j/f_j) s_j^2 w_j dlam
+    instead (the exact Hessian when the score does not depend on the
+    parameter, as for `arfima0d0`), as long as it lies within a factor
+    `_OBSERVED_BAND` of the expected one.  Further out the candidate is far
+    from the data, its local curvature says little about the way to the
+    minimum, and the expected H, the curvature there, takes the longer step.
     A zero H, or any non-finite step, gives a zero step.
     """
-    f = s2 * (_grid_density(unit, pgram.grid) if f1 is None else f1)
-    s = np.atleast_2d(unit.score(pgram.grid.constants))[0]
-    w = _weight_values(weight, pgram.grid.points)
-    sw = s if w is None else s * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = -np.sum((1.0 - pgram.values / f) * sw) / np.sum(s * sw)
+    grid = pgram.grid
+    f = s2 * (_grid_density(unit, grid) if f1 is None else f1)
+    s = np.atleast_2d(unit.score(grid.constants))[0]
+    w = _node_weights(weight, grid)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = pgram.node_values / f
+        h = grid.sum(s * s, w)
+        if f1 is None:
+            observed = grid.sum(ratio * s * s, w)
+            if h / _OBSERVED_BAND <= observed <= h * _OBSERVED_BAND:
+                h = observed
+        step = -grid.sum((1.0 - ratio) * s, w) / h
     return float(step) if np.isfinite(step) else 0.0
 
 

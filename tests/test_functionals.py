@@ -249,8 +249,8 @@ def test_estimators_match_their_inline_formulas_bitwise(g, shifted):
         for seed in range(2):
             ts = AR1(theta=0.4).simulate(gaussian(), T, seed=seed)
             pg = tapered_periodogram(ts, tp, grid=grid)
-            gvals = np.asarray(g.eval(grid.points), dtype=float)
-            assert plugin_estimate(pg, g) == float(np.sum(pg.values * gvals) * grid.weight)
+            gvals = grid.fold(np.asarray(g.eval(grid.points), dtype=float))
+            assert plugin_estimate(pg, g) == float(np.sum(pg.node_values * gvals) * grid.weight)
             y = tp.values(T) * ts.values
             max_lag = T - 1 if g.degree is None else min(g.degree, T - 1)
             c = np.array([float(np.dot(y[: T - u], y[u:])) for u in range(max_lag + 1)])

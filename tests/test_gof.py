@@ -50,8 +50,8 @@ RECT = get_taper("rect")
 
 def _synthetic_pgram(model, T, factor=1.0, oversample=4):
     grid = canonical_grid(T, oversample=oversample)
-    vals = factor * model.density(grid.points)
-    return Periodogram(values=vals, grid=grid, taper_id="synthetic", T=T,
+    vals = factor * model.density(grid.nodes)
+    return Periodogram(node_values=vals, grid=grid, taper_id="synthetic", T=T,
                        c_norm=1.0)
 
 
@@ -180,6 +180,8 @@ def test_ar_example_on_grid_constants_matches_raw_points(spec, m, shifted):
     basis = ar_example_basis(model, m)
     want = _ar_example_reference(gof._ar_poly(model), m, grid.points)
     assert np.array_equal(basis.values(grid.points), want)
+    # the constants sit on the grid's nodes, [0, pi] when it is unshifted
+    want = _ar_example_reference(gof._ar_poly(model), m, grid.nodes)
     assert np.array_equal(basis.values(grid.constants), want)
     assert np.array_equal(basis.values(grid.constants), want)  # read from the table
 
@@ -223,15 +225,17 @@ def _projection_tolerance(basis, c, r):
 
 def _phi_tolerance(pgram, f0, basis, taper=TUKEY):
     """_projection_tolerance carried through phi_vector's normalization."""
-    resid = pgram.values / gof._density_values(f0, pgram.grid) - 1.0
+    resid = pgram.node_values / gof._density_values(f0, pgram.grid) - 1.0
+    if pgram.grid.folded:
+        resid = resid * pgram.grid.fold_weights
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * pgram.grid.weight * _projection_tolerance(
         basis, pgram.grid.constants, resid)
 
 
 def _exponential_residuals(grid, seed):
-    """I/f - 1 with I/f standard exponential, as at a true null."""
-    return make_rng(seed).standard_exponential(grid.N) - 1.0
+    """I/f - 1 on the grid's nodes, with I/f standard exponential, as at a true null."""
+    return make_rng(seed).standard_exponential(grid.nodes.size) - 1.0
 
 
 _BUILT_IN_BASES = {
@@ -422,9 +426,12 @@ def delta_vector(series_or_pgram, taper, model, oversample=4):
     """
     shifted = model.long_memory
     pgram = gof._periodogram_for(series_or_pgram, taper, shifted, oversample)
-    resid = pgram.values / gof._density_values(model, pgram.grid) - 1.0
+    grid = pgram.grid
+    resid = pgram.node_values / gof._density_values(model, grid) - 1.0
+    if grid.folded:
+        resid = resid * grid.fold_weights
     names = model.free_names if model.free_names else (model.scale_name,)
-    rows = np.atleast_2d(model.score(pgram.grid.points))[:len(names)]
+    rows = np.atleast_2d(model.score(grid.nodes))[:len(names)]
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * (rows @ resid) * pgram.grid.weight
 

@@ -404,12 +404,16 @@ def test_every_replicated_preset_is_worker_count_invariant(tmp_path, monkeypatch
 # decreasing-steps check became a schema error.  gc, gm and gs re-recorded
 # when the built-in bases projected through the grid's e^{ij lam} table:
 # the statistics and p-values moved at round-off (see test_gof_rows_move_at_
-# round_off_from_the_slot_array); no other pin moved.
+# round_off_from_the_slot_array); no other pin moved.  gc, gm, gs, wa, fn,
+# fi and rb re-recorded when the unshifted grid folded its even sums onto
+# [0, pi]: statistics, p-values, plug-in values and wa's criterion moved at
+# round-off and wa's Nelder-Mead iteration counts with them (see test_folded_
+# sums_move_the_studies_at_round_off); lm, sf, sp and pg did not move.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "c36bf669e1eec7e2a639a463f73bd97673d9ee8b5f3a981d7f1abb42bbd29f59"),
+           "68ec8097ffeac4858c77300e436ef8d59d661682c2e53976378bb7b80486f37f"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -421,7 +425,7 @@ _PINNED_CSV_SHA256 = {
            "2564c19ac3f062cff19db6ae3699c1d8b2f796437643f9530e4df4e5e449cb07"),
     "wa": (["whittle", "--model", "arma{phi=[0.5,-0.2],theta=[0.3]}", "--taper", "tukey",
             "--T", "256", "--reps", "3", "--seed", "53"],
-           "98fca0a4306fc33e8d15f1a63dd4e38ac786bfe7aa9c40919d3e83a6be0100b8"),
+           "9e5c554d960a4bf6bb14250dff547e2112edee297918663556e87e4dcc7105b0"),
     # One --check run of each kind or gof mode the studies above leave out,
     # recorded before option and check handling moved into declarative
     # tables: their JSON pins every check's detail string and report order,
@@ -431,15 +435,15 @@ _PINNED_CSV_SHA256 = {
            "901fed98fea409335fab8a75b39ea3cf332f3f71ac9f6184d6ef8d579fc81aae"),
     "fn": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "rect",
             "--g", "cosine:2", "--T", "128", "--reps", "60", "--seed", "5", "--check"],
-           "45128557768775daa5c5858a79c6b99eb69d22a400420d800eb69794c169730a"),
+           "570a761ca5d0199c4918c598c3ed29898f829255e72f072d41a0c2793449ca5b"),
     "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "40", "--seed", "29", "--check"],
-           "92768658097647c0d016f9f83c6345e4689acb36182b63023b6f62d5afb1c282"),
+           "daf7141685021235eaf8f8f10e0603d8c5821f3da8a8974b2039290f1564acad"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "940f6f7fbb0ebcba1a84e1b55597c5992663bd1ed31c2515c2a5e12f08984939"),
+           "2215ea1e7cfde259ef26ebd1b9b5373d09dc21d443fda898eb6e899d7e0c1307"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256,512", "--check"],
            "5edaf5b5c1cf86528a3661f3eac8e7b5f119d65f9c7c7080dd267dc228db1eca"),
@@ -450,7 +454,7 @@ _PINNED_CSV_SHA256 = {
             "--trend", "power:1.0,0.6", "--target", "functional", "--taper", "tukey",
             "--T", "64,128", "--reps", "20", "--report-reps", "60", "--seed", "33",
             "--check"],
-           "ae0cec37ab836cfd387003eb170f0aef9c19bbbe8e030048d8699f7cc5c9ea2f"),
+           "dae49522135712174e6f98c334afc854346d7f46632b2c41a2ca72aa815b52d6"),
     # Recorded before the functional replication kept its study constants
     # (g on the grid, Fourier coefficients, signed taper): a g that is not
     # band-limited takes every lag of the quadratic form through the FFT,
@@ -458,7 +462,7 @@ _PINNED_CSV_SHA256 = {
     "fi": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}",
             "--g", "indicator:1.0", "--taper", "linear", "--oversample", "1",
             "--T", "256", "--reps", "20", "--seed", "61"],
-           "00aaeaf12c8f1760721d7ac582e971c495fb9262d75dc8b923c80b02c3197dc4"),
+           "ae11cdd98af61dbdf176642df3634795b012b5f48a6d9d97506243504b8a42f7"),
 }
 
 # JSON sha256 of the same studies, recorded with the check-run digests; gc
@@ -474,20 +478,22 @@ _PINNED_CSV_SHA256 = {
 # the real-FFT periodogram: gc, gm, gs, fn, fi and rb with their CSVs (pg and
 # wa kept theirs), and tr for its new ladder.  Re-recorded with the table
 # projections: gc and gm with their CSVs (gs's JSON did not move).
+# Re-recorded with the folded grid sums: gc, fn, fi and rb (the JSONs of gm,
+# gs and wa did not move).
 _PINNED_JSON_SHA256 = {
-    "gc": "45cf5d3b1216324f71eb2a698ad1c02ebab259953b1843b359fd22fe32b4138f",
+    "gc": "0c25a26f282ef84c80e6dc9dac20f4ba9d28be6d529a072e33dc336834ae3cd9",
     "lm": "1b48a5b4f08586360e72e48264630aa118ef0f00f9150eacc4a20fdd5085223d",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
     "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
     "wa": "259615460018fb4f3ef4ec7faf6d297cf2fbab6ed572c209980c45d62186a213",
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
-    "fn": "6ba8942feadd990c0fb7c8a6c38e622a2caf2bcbe926ebe57779be79c87911d2",
+    "fn": "14f2687fc606c06aad03e01befe288dc77c303301e67b51293a30bc4aa8783bb",
     "gs": "636b994ffa4676f973521c76b0d5eb086423ecf1a159f4f51f35a0469cefc6df",
     "gm": "2abafd7e649ecd5e0c2e9f31512cce82819e9b88dac823cc1a84d96e66c0cf56",
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
-    "rb": "23cbb506ff400bb10c24a45a38e2d0b1f86708b57ffb119e4fa7a4554a6f21a7",
-    "fi": "f314c9a28e7742926b19263782d998fe8954a9cd93fedda41a3d460d88461e44",
+    "rb": "f9677018c267b7f092d0430f25c95667f73a90014c5988a4d7d07a7611391fce",
+    "fi": "0b197be5ddde045443cb7659c4005e910af87d5411d7b536132e13ea0c8bbd30",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,
@@ -600,6 +606,214 @@ def test_gof_rows_move_at_round_off_from_the_slot_array(tmp_path, monkeypatch, n
         assert float(row["statistic"]) == pytest.approx(statistic, rel=1e-12, abs=0.0)
         assert abs(float(row["p_value"]) - p_value) <= 1e-12
         assert row["reject"] == str(reject)
+
+
+# Columns of the pinned studies as they were before the unshifted grid folded
+# its even sums onto [0, pi] (gc, gm, gs: statistic, p_value, reject; wa:
+# hat_phi1, hat_phi2, hat_theta1, sigma2_hat, objective; fn, fi: j_plugin,
+# q_form, identity_rel_err; rb: median_gap, gap_se).  The fold changes only
+# how the same terms are summed: each sum may move at round-off, 1e-12
+# relative, and every decision must stand.  wa's estimates come from a
+# Nelder-Mead search whose path follows round-off: they may move by its
+# tolerance `tol` (1e-7); its criterion value, a minimum, only at round-off.
+_FOLD_REL = 1e-12
+_NM_TOL = 1e-7
+_BEFORE_THE_FOLD = {
+    "gc": (
+        (3.2493803729568516, 0.35475032049727634, 0),
+        (0.66258439788277135, 0.88196715230525813, 0),
+        (0.59325408111355515, 0.89797494614016149, 0),
+        (2.9839511185934677, 0.39410622259378048, 0),
+    ),
+    "gm": (
+        (0.42522347723768422, 0.83146329948532061, 0),
+        (5.6029463559807926, 0.061799092261403898, 0),
+        (2.0214199888593352, 0.36470937631483791, 0),
+    ),
+    "gs": (
+        (0.73376340029510445, 0.86523516901578135, 0),
+        (1.7525523137118444, 0.62531409969851581, 0),
+        (7.5147513316937635, 0.057180636133742919, 0),
+        (1.0978760127603731, 0.77758684720042615, 0),
+        (8.6066413228589145, 0.035004844246541759, 1),
+        (2.7179279218638865, 0.43718922445482911, 0),
+        (10.068080390617537, 0.017996204227964073, 1),
+        (0.22953794926099164, 0.97268562817200377, 0),
+        (3.2429461993305742, 0.35566273604190246, 0),
+        (0.74310673846550557, 0.86302096439025833, 0),
+        (4.8417369174135079, 0.18375959407823039, 0),
+        (4.0344702971456057, 0.25776593707648537, 0),
+        (0.9101751144132717, 0.82297165127127481, 0),
+        (1.2530424724832649, 0.7403126300272751, 0),
+        (0.73697187422748422, 0.86447523196720577, 0),
+        (2.0035413113718681, 0.57167201747953356, 0),
+        (7.0333178285372, 0.070843367871980353, 0),
+        (3.4572932415159006, 0.32634343075034761, 0),
+        (2.7539007315182547, 0.43114500509869369, 0),
+        (1.1109150895073989, 0.77443981250877947, 0),
+        (2.4554551469079597, 0.48339514871759715, 0),
+        (1.1251451353775712, 0.77100767636770517, 0),
+        (1.7638665707627754, 0.62282936048016335, 0),
+        (4.9070912042450985, 0.17872817640474714, 0),
+        (2.9395181302574134, 0.40104460192333935, 0),
+        (4.5546344634041089, 0.20746848234110182, 0),
+        (0.3110598036896815, 0.95793518561661783, 0),
+        (1.8740151697420178, 0.59896233615458438, 0),
+        (0.18848120247272598, 0.97942704980191764, 0),
+        (2.0293561169883363, 0.5663361439955974, 0),
+        (4.0413253209203583, 0.25703617982571503, 0),
+        (4.7751367281346022, 0.18902291133684798, 0),
+        (3.2134134261080223, 0.35987682731641918, 0),
+        (0.18130519052723679, 0.98054931510087306, 0),
+        (0.16953853021707219, 0.98235019972649729, 0),
+        (2.968548525644866, 0.39649983809625011, 0),
+        (1.5610855493449578, 0.66824523704560113, 0),
+        (1.2092791785235826, 0.75077965254242274, 0),
+        (0.070911270483852484, 0.99508332465261629, 0),
+        (3.0991240766097459, 0.37659325506869212, 0),
+    ),
+    "wa": (
+        (0.94732351835622253, -0.4214135605719414, -0.036844615139643141, 1.0022118103247104, -0.41783384926813061),
+        (0.85987821233679873, -0.41076639065242077, -0.0048936550021497424, 1.0353078561642612, -0.40158911917542095),
+        (0.43282988571800818, -0.24022770177486633, 0.4368207116899992, 1.0302208585866166, -0.4040519306707403),
+    ),
+    "fn": (
+        (0.30025090506191027, 241.47610561950293, 4.707995328562813e-16),
+        (0.53122318810977265, 427.23503748664587, 0),
+        (0.2706985247180223, 217.70867112748397, 3.9164782849316647e-16),
+        (0.39404254229729108, 316.90781595725178, 1.7936893947884113e-16),
+        (0.63277233214614992, 508.90570497669779, 3.3509205126759669e-16),
+        (0.29789838442209321, 239.58409626027935, 1.1862936594725901e-16),
+        (0.17540634800562696, 141.07015533759804, 0),
+        (0.59508522978649081, 478.59593885620075, 3.56313630637935e-16),
+        (0.33576963753069522, 270.04196520062459, 0),
+        (0.25789204444537872, 207.40908857570662, 2.7406426232888797e-16),
+        (0.53086835347795314, 426.94966254326954, 2.6627691200035638e-16),
+        (0.80765128968878885, 649.55170773724683, 1.7502353756816543e-16),
+        (0.38528783658748017, 309.86686385682748, 0),
+        (0.51438116389723099, 413.68987792499416, 1.3740587308040025e-16),
+        (0.29242085248471456, 235.17880369214558, 2.4170298499867084e-16),
+        (0.49088532395236512, 394.7934022358516, 4.3194809137298701e-16),
+        (0.17835694675653568, 143.44316765364178, 3.9627832953370265e-16),
+        (0.28062426511032673, 225.691425200547, 2.5186344058174807e-16),
+        (0.32392936621332402, 260.51945399751082, 2.1819260707244969e-16),
+        (0.45891807689240904, 369.08381669497561, 3.0802444479859436e-16),
+        (0.38597850125288524, 310.42232933879382, 1.8311639817240503e-16),
+        (0.70481435553148886, 566.84533797948154, 0),
+        (0.51001319956812463, 410.17695257524377, 4.1574802170568468e-16),
+        (0.23391472521595255, 188.1253842700574, 0),
+        (0.44913833996016078, 361.21848557167516, 0),
+        (0.38982617501502859, 313.51681218668102, 0),
+        (0.28875673225522613, 232.23194335426905, 2.4477002620648774e-16),
+        (0.38121275813971645, 306.58949130916756, 0),
+        (0.19135874609002085, 153.89983511464041, 1.8467667239040637e-16),
+        (0.26749457233425933, 215.13189973003577, 5.2845179103740131e-16),
+        (0.62027516709837904, 498.85488848907482, 2.2789560720944169e-16),
+        (0.25592042329121095, 205.82341675910618, 0),
+        (0.20656038337120899, 166.12571722795045, 0),
+        (0.23985904531515193, 192.90609015274052, 1.4733443308036604e-16),
+        (0.32813128060086244, 263.89883406046215, 2.1539852217681476e-16),
+        (0.26204641753829172, 210.75023366088209, 1.3485968170330639e-16),
+        (0.40114659801761315, 322.62123656823576, 3.5238485516613157e-16),
+        (0.14021852732656087, 112.77043080865364, 0),
+        (0.12154165962571629, 97.749602556226932, 0),
+        (0.5946652253664837, 478.25815125930598, 0),
+        (0.21572006894917975, 173.49237346371243, 1.6382108828748416e-16),
+        (0.33415399579463295, 268.74258901915994, 0),
+        (0.29595090416577419, 238.017839705716, 0),
+        (0.29168683791911515, 234.58847415181546, 3.6346682674627969e-16),
+        (0.17410508620970175, 140.0236185059882, 4.0595593420103673e-16),
+        (0.1005868430486602, 80.896739115381877, 1.7566659510135832e-16),
+        (0.46019473178042852, 370.11056347702254, 1.5358496749400941e-16),
+        (0.3737754577935547, 300.60805946787661, 1.890947932714438e-16),
+        (0.31238064057736248, 251.2314177437479, 3.3938879562500069e-16),
+        (0.13179486419477215, 105.99571894660113, 0),
+        (0.41258020545703938, 331.81668927498299, 0),
+        (0.020113089993856328, 16.17590675601652, 1.7570396429141596e-15),
+        (0.43411813189541459, 349.13851749190638, 0),
+        (0.41623697100498414, 334.75763462700178, 1.6980469743175496e-16),
+        (0.44957462290222083, 361.56936513280459, 4.7163911831907612e-16),
+        (0.87023902201043513, 699.88774871427825, 0),
+        (0.31882082300000791, 256.41091976915897, 6.6506628007866684e-16),
+        (0.30087101704285885, 241.97482926590331, 0),
+        (0.43520140232577348, 350.00973526492828, 1.6240525086475744e-16),
+        (0.14975914681802707, 120.44345227555561, 0),
+    ),
+    "fi": (
+        (0.36900211839191893, 190.38960086762927, 0.033083366767470833),
+        (0.42393800404091453, 210.88389412280878, 0.07154070020337748),
+        (0.42973836975220203, 222.9414363831003, 0.027455615952832725),
+        (0.46806198871629529, 251.38317888022979, 0.0075311312219991742),
+        (0.55441026259134674, 295.57549588146082, 0.00020130121426488015),
+        (0.51911469574084135, 269.48228277914495, 0.026792858044314295),
+        (0.34709748389916983, 183.03523599615644, 0.010802937121663934),
+        (0.64497672105563664, 336.49379641899469, 0.021684280157132599),
+        (0.41096118841647244, 219.02347214532182, 0.00013789372969276762),
+        (0.54104177924384433, 281.18417555782162, 0.025627507018168533),
+        (0.35115250821212118, 187.54566624958653, 0.0019817682740654076),
+        (0.37080831811606801, 196.80033212927219, 0.004322920125390063),
+        (0.3879119834635042, 206.59982626468621, 0.00081309084795079133),
+        (0.39440174585238702, 196.67054488373643, 0.068929938513600811),
+        (0.59542368555011316, 313.03699469137325, 0.013865101495056632),
+        (0.58795888315127021, 311.12732773793357, 0.0072992965168670399),
+        (0.31665036231352367, 167.74300675076373, 0.0062022847948727342),
+        (0.3965337135428722, 210.83502434812101, 0.0025062572930516884),
+        (0.58712299921816691, 288.59658444758384, 0.084395332373615434),
+        (0.43294477938739734, 230.29836837459158, 0.0020545844213405223),
+    ),
+    "rb": (
+        (0.24995081634158978, 0.058829328202720341),
+        (0.21018529189628693, 0.066754190819662731),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEFORE_THE_FOLD))
+def test_folded_sums_move_the_studies_at_round_off(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256[name]
+    assert main([*argv, "--out", name]) == _PINNED_EXIT_CODE.get(name, 0)
+    with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_BEFORE_THE_FOLD[name])
+    for row, before in zip(rows, _BEFORE_THE_FOLD[name]):
+        if name in ("gc", "gm", "gs"):
+            statistic, p_value, reject = before
+            assert float(row["statistic"]) == pytest.approx(statistic, rel=_FOLD_REL, abs=0.0)
+            assert float(row["p_value"]) == pytest.approx(p_value, rel=_FOLD_REL, abs=0.0)
+            assert row["reject"] == str(reject)
+        elif name == "wa":
+            *estimates, objective = before
+            got = [float(row[k]) for k in ("hat_phi1", "hat_phi2", "hat_theta1", "sigma2_hat")]
+            assert np.all(np.abs(np.array(got) - estimates) <= _NM_TOL)
+            assert float(row["objective"]) == pytest.approx(objective, rel=_FOLD_REL, abs=0.0)
+            assert row["converged"] == "1"
+        elif name in ("fn", "fi"):
+            j_plugin, q_form, identity_rel_err = before
+            assert float(row["j_plugin"]) == pytest.approx(j_plugin, rel=_FOLD_REL, abs=0.0)
+            assert float(row["q_form"]) == q_form  # the time route is not a grid sum
+            assert abs(float(row["identity_rel_err"]) - identity_rel_err) <= _FOLD_REL
+        else:
+            for key, value in zip(("median_gap", "gap_se"), before):
+                assert float(row[key]) == pytest.approx(value, rel=_FOLD_REL, abs=0.0)
+
+
+# The bench's long-memory workload (bench/workloads.py) compares its study 0
+# against bench/reference.json within 1e-6 relative, finer than the Whittle
+# search resolves, so any change to the bits of the shifted-grid criterion
+# can fail it.  Study 0 of workload seed 0 is this run; its CSV must keep the
+# recorded digest.
+_LONG_MEMORY_STUDY_0 = ["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--driver",
+                        "gaussian", "--taper", "tukey", "--T", "2048", "--reps", "2",
+                        "--seed", "0"]
+
+
+def test_long_memory_bench_study_keeps_its_reference_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open(REPO / "bench" / "reference.json", encoding="utf-8") as fh:
+        digest = json.load(fh)["long-memory"]["by_seed"]["0"]["csv_sha256"]
+    assert main([*_LONG_MEMORY_STUDY_0, "--out", "lm0"]) == 0
+    assert hashlib.sha256((tmp_path / "lm0.csv").read_bytes()).hexdigest() == digest
 
 
 def test_gof_run_leaves_logger_state_alone(tmp_path, monkeypatch, caplog):

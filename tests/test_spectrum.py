@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taperspec.errors import DomainError
-from taperspec.models import AR1, WhiteNoise, gaussian
+from taperspec.models import AR1, WhiteNoise, gaussian, make_rng
 from taperspec.spectrum import FrequencyGrid, canonical_grid, tapered_dft, tapered_periodogram
 from taperspec.taper import get_taper
 
@@ -24,7 +26,7 @@ def test_canonical_grid_layout():
     assert np.all(np.diff(pts) > 0)
     assert pts[0] > -math.pi
     assert pts[-1] == pytest.approx(math.pi)
-    assert float(np.sum(g.weights)) == pytest.approx(2.0 * math.pi)
+    assert float(np.sum(g.fold_weights)) * g.weight == pytest.approx(2.0 * math.pi)
 
 
 def test_canonical_grid_oversample_choices():
@@ -73,6 +75,60 @@ def test_canonical_grid_memo_keys_on_the_values():
             canonical_grid(-3, oversample=4, shifted=True)
         with pytest.raises(ValueError, match="oversample"):
             canonical_grid(72, 5)
+
+
+def _mirrored(grid, on_nodes):
+    """An even function given on the nodes of a folded grid, on every point."""
+    h = grid.N // 2 - 1  # index of lam = 0
+    return np.concatenate((on_nodes[1:h + 1][::-1], on_nodes))
+
+
+def test_folded_grid_nodes_and_weights():
+    for T, oversample in ((1, 1), (100, 4), (97, 8)):
+        g = canonical_grid(T, oversample)
+        assert g.folded and g.nodes.size == g.N // 2 + 1
+        assert g.nodes[0] == 0.0 and g.nodes[-1] == pytest.approx(math.pi)
+        # -lam_j and the node lam_j agree up to the rounding of the points
+        assert np.allclose(_mirrored(g, g.nodes), np.abs(g.points), rtol=0.0, atol=1e-15)
+        assert g.fold_weights[0] == g.fold_weights[-1] == 1.0
+        assert np.all(g.fold_weights[1:-1] == 2.0) and np.sum(g.fold_weights) == g.N
+        assert not g.fold_weights.flags.writeable
+    off = canonical_grid(100, 4, shifted=True)
+    assert not off.folded and off.nodes is off.points and off.fold_weights is None
+    w = np.linspace(-1.0, 2.0, off.N)
+    assert off.fold(w) is w
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 700), oversample=st.sampled_from((1, 2, 4, 8)),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_sum_is_the_full_grid_sum(T, oversample, seed):
+    # an even function summed over the nodes with the fold weights, and
+    # times a weight that is not even folded as w(lam) + w(-lam), gives the
+    # full-grid sum up to summation round-off: a few ulps times N of the
+    # sum of magnitudes
+    grid = canonical_grid(T, oversample)
+    rng = make_rng(seed)
+    x = rng.standard_normal(grid.nodes.size) * np.exp(rng.uniform(-3.0, 3.0))
+    full = _mirrored(grid, x)
+    w = rng.uniform(-1.0, 2.0, grid.N)
+    ulps = 4 * np.finfo(float).eps * grid.N
+    assert abs(grid.sum(x) - np.sum(full)) <= ulps * np.sum(np.abs(full))
+    assert abs(grid.sum(x, grid.fold(w)) - np.sum(full * w)) <= ulps * np.sum(np.abs(full * w))
+    assert abs(grid.sum(x, grid.fold_weights) - np.sum(full)) <= ulps * np.sum(np.abs(full))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_periodogram_keeps_its_node_values_and_mirrors_the_rest(shifted):
+    ts = AR1(theta=0.6).simulate(gaussian(), 300, seed=8)
+    grid = canonical_grid(300, 2, shifted)
+    pg = tapered_periodogram(ts, get_taper("tukey"), grid=grid)
+    assert pg.node_values.size == grid.nodes.size and not pg.node_values.flags.writeable
+    if shifted:
+        assert pg.values is pg.node_values
+    else:
+        assert np.array_equal(pg.values, _mirrored(grid, pg.node_values))
+    assert pg.values is pg.values  # mirrored once
 
 
 def _former_periodogram(x, taper, grid):

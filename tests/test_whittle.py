@@ -181,6 +181,59 @@ def test_scoring_agrees_with_recorded_estimates(truth, seed, taper, start,
     assert abs(fit.theta_hat[0] - expected) <= 1e-7
 
 
+def _asymmetric_weight(lam):
+    lam = np.asarray(lam, float)
+    return 1.0 + 0.5 * np.cos(lam) + 0.4 * np.sin(3.0 * lam)
+
+
+# Scoring fits on the unshifted grid as they were before it folded its even
+# sums onto [0, pi] (T, seed, taper, weight, theta_hat); each fit starts from
+# the truth.  Folding changes only how the same terms are summed, and scoring
+# converges quadratically, so theta_hat may move at round-off only; a weight
+# that is not even folds as w(lam) + w(-lam) and keeps its sum.
+_SCORING_BEFORE_THE_FOLD = [
+    ("ar1{theta=0.5}", 512, 3, "tukey", None, 0.566888387669675),
+    ("ar1{theta=-0.8}", 256, 4, "rect", None, -0.7553627502016983),
+    ("arma{phi=[0.6],theta=[]}", 1024, 5, "linear", None, 0.644656094783734),
+    ("arma{theta=[0.4]}", 300, 6, "tukey", None, 0.4422871039330296),
+    ("ar1{theta=0.95}", 4096, 7, "tukey", None, 0.9514875619429861),
+    ("ar1{theta=0.5}", 1024, 79, "rect", _cosine_weight, 0.5056358836745967),
+    ("ar1{theta=0.5}", 1024, 79, "tukey", _asymmetric_weight, 0.5115510414596407),
+    ("arma{theta=[0.4]}", 512, 8, "tukey", _asymmetric_weight, 0.35958783856983134),
+]
+
+
+@pytest.mark.parametrize("spec,T,seed,taper,weight,before", _SCORING_BEFORE_THE_FOLD)
+def test_folded_scoring_fits_move_at_round_off(spec, T, seed, taper, weight, before):
+    model = parse_model(spec)
+    ts = model.simulate(gaussian(), T, seed=seed)
+    fit = whittle_estimate(ts, get_taper(taper), model, weight=weight)
+    assert fit.converged
+    assert abs(fit.theta_hat[0] - before) <= 1e-12
+
+
+# Fits of families without a scale under the expected-information step
+# (T, seed, taper, theta_hat, criterion evaluations).  The observed
+# information makes the steps near the minimum Newton steps (exact ones
+# for arfima0d0, whose score does not depend on d), so the searches take
+# no more evaluations and land within the search tolerance of these.
+_SCALE_FREE_BEFORE = [
+    ("arfima0d0{d=0.3}", 1024, 71, "tukey", 0.28401748646735747, 13),
+    ("fgn{H=0.6}", 1024, 9, "tukey", 0.5391407186166194, 10),
+]
+
+
+@pytest.mark.parametrize("spec,T,seed,taper,before,evaluations", _SCALE_FREE_BEFORE)
+def test_scale_free_fits_take_observed_information_steps(spec, T, seed, taper, before,
+                                                         evaluations):
+    model = parse_model(spec)
+    ts = model.simulate(gaussian(), T, seed=seed)
+    fit = whittle_estimate(ts, get_taper(taper), model)
+    assert fit.converged
+    assert fit.iterations <= evaluations
+    assert abs(fit.theta_hat[0] - before) <= 1e-7
+
+
 def test_ar1_fit_evaluates_the_criterion_a_few_times(monkeypatch):
     calls = []
     real = whittle._profile_scale
