@@ -15,8 +15,8 @@ density, log and ratio work.  The shifted grid keeps all N points at unit
 weight, so the long-memory fits keep their bits (see `spectrum`).
 A multiplicative innovation scale is profiled out in closed form, so the
 numeric search runs over shape parameters only: one by projected Fisher
-scoring, with the gradient and Hessian of the profiled criterion in
-closed form from `model.score` (the periodogram is fixed during a
+scoring, with the gradient and expected Hessian of the profiled criterion
+in closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
 Nelder-Mead from five deterministic starts.
 
@@ -52,7 +52,6 @@ from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
 _NM_PENALTY = 1e300  # above every feasible criterion value
-_OBSERVED_BAND = 2.0  # see _scoring_step
 
 
 @dataclass(frozen=True)
@@ -194,28 +193,14 @@ def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model, weight) -> flo
     version of `info_matrices`' W, s being the shape row of `model.score`.
     `f1` is the unit density the criterion was evaluated at, or None for
     a family without a scale, whose density is then evaluated here.
-
-    Without a scale to absorb the scatter of I/f, the expected H converges
-    only linearly, so H is the observed (1/4pi) sum_j (I_j/f_j) s_j^2 w_j dlam
-    instead (the exact Hessian when the score does not depend on the
-    parameter, as for `arfima0d0`), as long as it lies within a factor
-    `_OBSERVED_BAND` of the expected one.  Further out the candidate is far
-    from the data, its local curvature says little about the way to the
-    minimum, and the expected H, the curvature there, takes the longer step.
     A zero H, or any non-finite step, gives a zero step.
     """
     grid = pgram.grid
     f = s2 * (_grid_density(unit, grid) if f1 is None else f1)
     s = np.atleast_2d(unit.score(grid.constants))[0]
     w = _node_weights(weight, grid)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = pgram.node_values / f
-        h = grid.sum(s * s, w)
-        if f1 is None:
-            observed = grid.sum(ratio * s * s, w)
-            if h / _OBSERVED_BAND <= observed <= h * _OBSERVED_BAND:
-                h = observed
-        step = -grid.sum((1.0 - ratio) * s, w) / h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -grid.sum((1.0 - pgram.node_values / f) * s, w) / grid.sum(s * s, w)
     return float(step) if np.isfinite(step) else 0.0
 
 

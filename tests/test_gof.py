@@ -38,7 +38,14 @@ from taperspec.gof import (
 )
 from taperspec import gof, spectrum, whittle
 from taperspec.gof import _imhof_sf
-from taperspec.models import AR1, derive_seed, gaussian, make_rng, parse_model
+from taperspec.models import (
+    AR1,
+    FrequencyConstants,
+    derive_seed,
+    gaussian,
+    make_rng,
+    parse_model,
+)
 from taperspec.spectrum import Periodogram, canonical_grid
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import whittle_estimate
@@ -225,9 +232,7 @@ def _projection_tolerance(basis, c, r):
 
 def _phi_tolerance(pgram, f0, basis, taper=TUKEY):
     """_projection_tolerance carried through phi_vector's normalization."""
-    resid = pgram.node_values / gof._density_values(f0, pgram.grid) - 1.0
-    if pgram.grid.folded:
-        resid = resid * pgram.grid.fold_weights
+    resid = gof._null_residual(pgram, f0)
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * pgram.grid.weight * _projection_tolerance(
         basis, pgram.grid.constants, resid)
@@ -332,6 +337,34 @@ def test_phi_density_guard():
         phi_vector(pg, TUKEY, lambda lam: np.zeros_like(np.asarray(lam)), basis)
     with pytest.raises(DomainError):
         phi_vector(pg, TUKEY, lambda lam: -AR_HALF.density(lam), basis)
+    # a callable null is checked on every grid point, not only on [0, pi]
+    with pytest.raises(DomainError):
+        phi_vector(pg, TUKEY, lambda lam: np.where(lam < 0.0, -1.0, AR_HALF.density(lam)),
+                   basis)
+
+
+def _lopsided_null(lam):
+    """AR_HALF's density tilted by 1 + sin(lam)/2: positive but not even."""
+    lam = np.asarray(lam, dtype=float)
+    return AR_HALF.density(lam) * (1.0 + 0.5 * np.sin(lam))
+
+
+def test_phi_callable_null_sums_over_every_grid_point():
+    x = AR_HALF.simulate(gaussian(), 256, seed=derive_seed(303102, 0))
+    basis = cosine_basis(3)
+    pg = spectrum.tapered_periodogram(x, TUKEY, canonical_grid(256))
+    grid = pg.grid
+    scale = math.sqrt(pg.T) / math.sqrt(4.0 * math.pi * tapering_factor(TUKEY))
+    c_all = FrequencyConstants(grid.points)
+    r_all = pg.values / _lopsided_null(grid.points) - 1.0
+    want = scale * grid.weight * (basis.values(c_all) @ r_all)
+    got = phi_vector(pg, TUKEY, _lopsided_null, basis)
+    tol = scale * grid.weight * _projection_tolerance(basis, c_all, r_all)
+    assert np.all(np.abs(got - want) <= tol)
+    # doubling the residual on [0, pi] instead would miss the tilt
+    r_half = (pg.node_values / _lopsided_null(grid.nodes) - 1.0) * grid.fold_weights
+    doubled = scale * grid.weight * basis.project(grid.constants, r_half)
+    assert np.all(np.abs(doubled - want) > 1e3 * tol)
 
 
 # ----------------------------------------------------------- simple test
@@ -427,9 +460,7 @@ def delta_vector(series_or_pgram, taper, model, oversample=4):
     shifted = model.long_memory
     pgram = gof._periodogram_for(series_or_pgram, taper, shifted, oversample)
     grid = pgram.grid
-    resid = pgram.node_values / gof._density_values(model, grid) - 1.0
-    if grid.folded:
-        resid = resid * grid.fold_weights
+    resid = gof._null_residual(pgram, model)
     names = model.free_names if model.free_names else (model.scale_name,)
     rows = np.atleast_2d(model.score(grid.nodes))[:len(names)]
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
