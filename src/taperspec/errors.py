@@ -22,7 +22,7 @@ class SizeGuardError(TaperspecError, ValueError):
 
 
 class DivergenceError(TaperspecError, RuntimeError):
-    """Optimizer failed to locate a minimum within its evaluation budget."""
+    """A population integral diverges: its integrand ~ |lam|^beta with beta <= -1."""
 
 
 class SingularInformationError(TaperspecError, RuntimeError):

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError
@@ -162,14 +163,12 @@ def true_functional(model: Model, g: GeneratingFunction) -> float:
         ghat = np.atleast_1d(g.fourier(lags))
         return float((r[0] * ghat[0] + 2.0 * np.sum(r[1:] * ghat[1:])) / (2.0 * math.pi))
     if g.kind == "indicator":
-        from scipy.integrate import quad
-
         mu = float(g.fourier(0))
         val, _ = quad(lambda x: float(model.density(x)), 0.0, mu,
                       limit=400, epsabs=1e-11, epsrel=1e-11)
         return val
     return spectral_integral(lambda lam: model.density(lam) * np.asarray(g.eval(lam)),
-                             long_memory=model.long_memory)
+                             exponent=model.origin_exponent if model.long_memory else None)
 
 
 def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
@@ -178,23 +177,24 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
 
     A cosine or indicator g is 1 at the origin, where f ~ |lam|^beta
     (`Model.origin_exponent`), so int f^2 g^2 diverges when 2 beta <= -1:
-    d >= 1/4, or H >= 3/4, raises DomainError.  A custom g is integrated as given.
+    d >= 1/4, or H >= 3/4, raises DomainError.  A custom g is integrated as
+    given, with exponent 2 beta while that is integrable and 0 otherwise;
+    for 2 beta <= -1 only a g that vanishes at the origin gives a finite integral.
     """
     if g.kind in ("cosine", "indicator") and 2.0 * model.origin_exponent <= -1.0:
         raise DomainError(f"int f^2 g^2 diverges for {model.describe()} and {g.label}: "
                           f"f^2 ~ |lam|^{2.0 * model.origin_exponent:g} at the origin")
     e_h = tapering_factor(taper)
     if g.kind == "indicator":
-        from scipy.integrate import quad
-
         mu = float(g.fourier(0))
         part, _ = quad(lambda x: float(model.density(x)) ** 2, 0.0, mu,
                        limit=400, epsabs=1e-11, epsrel=1e-11)
         f2g2 = 0.5 * part
     else:
+        beta2 = 2.0 * model.origin_exponent
         f2g2 = spectral_integral(
             lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
-            long_memory=model.long_memory,
+            exponent=(beta2 if beta2 > -1.0 else 0.0) if model.long_memory else None,
             degree=None if g.degree is None else 2 * g.degree,
         )
     j = true_functional(model, g)

@@ -337,8 +337,8 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
     """b_jk = (4 pi e(h))^{-1/2} int phi_j d_k ln f dlam.
 
     Zero slots contribute zero rows; the rest go through one multi-row
-    quadrature of a single score evaluation (singularity-aware when the
-    model carries long memory).
+    quadrature of a single score evaluation (exponent 0 for long memory:
+    the score is log-singular and the basis bounded).
     """
     p = len(model.fitted_names)
     scale = 1.0 / math.sqrt(4.0 * math.pi * tapering_factor(taper))
@@ -352,7 +352,8 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
         s = np.atleast_2d(model.score(lam))
         return np.vstack([phi[j] * s[k] for j in active for k in range(p)])
 
-    vals = spectral_integral(integrand, long_memory=model.long_memory, degree=basis.degree)
+    vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None,
+                             degree=basis.degree)
     out[list(active)] = scale * vals.reshape(len(active), p)
     return out
 

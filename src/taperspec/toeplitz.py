@@ -11,11 +11,14 @@ Normalized traces of products of such matrices converge, as T grows, to
 
 where H_{2m} is the (2m)-th moment of the taper.  Each factor of the
 product contributes the taper twice per summation index, which is why the
-moment order is 2m and not m.  The module also carries the exact law of
-the tapered quadratic form Q = x' B^h(g) x under a Gaussian series with
-density f: its cumulants are traces of powers of Sigma_f B^h(g), where
-Sigma_f is the plain (untapered) covariance matrix, and its distribution
-is the eigenvalue mixture sum_j lam_j xi_j^2.
+moment order is 2m and not m.  The limit needs sum beta_i > -1 for psi_i ~
+|lam|^{beta_i} at the origin (Avram, PTRF 79, 1988); `trace_limit` reads
+the exponents of its models and raises DivergenceError otherwise.  The
+module also carries the exact law of the tapered quadratic form
+Q = x' B^h(g) x under a Gaussian series with density f: its cumulants are
+traces of powers of Sigma_f B^h(g), where Sigma_f is the plain (untapered)
+covariance matrix, and its distribution is the eigenvalue mixture
+sum_j lam_j xi_j^2.
 
 Everything here is dense and guarded by hard size limits; the point is
 desk-scale verification of limit theorems, not production linear algebra.
@@ -24,13 +27,12 @@ desk-scale verification of limit theorems, not production linear algebra.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
+from ._quad import cosine_coefficient, spectral_integral
 from .errors import DivergenceError, DomainError, SizeGuardError
 from .functionals import GeneratingFunction
 from .models import Model, make_rng
@@ -79,8 +81,6 @@ def _fourier_coefficients(psi, T: int) -> np.ndarray:
     if isinstance(psi, GeneratingFunction):
         return np.asarray(psi.fourier(lags), dtype=float)
     if callable(psi):
-        from ._quad import cosine_coefficient
-
         return np.array([cosine_coefficient(psi, int(u)) for u in lags])
     raise DomainError("generator must be a model, a generating function, or a callable")
 
@@ -127,29 +127,25 @@ def trace_product(matrices) -> float:
 
 
 def _product_integral(psi_list) -> float:
+    """int prod_i psi_i.  With long memory, Gauss panels would straddle the jump
+    of an indicator(mu) factor: the product goes over [0, mu] by lam = mu x / pi."""
     fns = [_density_fn(p) for p in psi_list]
-    long_mem = any(isinstance(p, Model) and p.long_memory for p in psi_list)
+    models = [p for p in psi_list if isinstance(p, Model)]
+    exponent = (sum(m.origin_exponent for m in models)
+                if any(m.long_memory for m in models) else None)
+    scale = min((float(p.fourier(0)) for p in psi_list if exponent is not None and
+                 isinstance(p, GeneratingFunction) and p.kind == "indicator"),
+                default=math.pi) / math.pi
 
     def integrand(lam):
-        out = np.ones_like(np.asarray(lam, dtype=float))
+        lam = scale * np.asarray(lam, dtype=float)  # exact when scale is 1
+        out = np.full_like(lam, scale)
         for fn in fns:
             out = out * np.asarray(fn(lam), dtype=float)
         return out
 
-    from ._quad import spectral_integral
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val = spectral_integral(integrand, long_memory=long_mem)
-    # The quadrature reports suspected divergence through its warning
-    # channel while still returning a (meaningless) extrapolated value.
-    # Conservative reading: any divergence flag rejects the product.
-    flagged = any(
-        issubclass(w.category, scipy.integrate.IntegrationWarning)
-        and "divergent" in str(w.message)
-        for w in caught
-    )
-    if flagged or not np.isfinite(val):
+    val = spectral_integral(integrand, exponent=exponent)
+    if not np.isfinite(val):
         raise DivergenceError("product of generators is not integrable")
     return float(val)
 

@@ -352,7 +352,7 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
     w is 1), and B = (kappa4 / 16 pi^2) v v' with v_i = int s_i w.
     Defaults to the model's shape parameters, or its scale when there are
     none.  Every entry comes from one multi-row quadrature of a single
-    score evaluation.
+    score evaluation (exponent 0 for long memory: the score is log-singular).
     """
     if names is None:
         names = model.fitted_names
@@ -372,7 +372,7 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
         return np.vstack(rows)
 
     # a caller's weight may oscillate at any frequency; the score alone is smooth
-    vals = spectral_integral(integrand, long_memory=model.long_memory,
+    vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None,
                              degree=0 if weight is None else None)
     v = vals[:p]
 

@@ -479,10 +479,13 @@ _PINNED_CSV_SHA256 = {
 # wa kept theirs), and tr for its new ladder.  Re-recorded with the table
 # projections: gc and gm with their CSVs (gs's JSON did not move).
 # Re-recorded with the folded grid sums: gc, fn, fi and rb (the JSONs of gm,
-# gs and wa did not move).
+# gs and wa did not move).  lm re-recorded when long-memory population
+# integrals moved from QUADPACK to the graded Gauss rule: its asymptotic
+# variance moved at 6e-14 relative (see test_lm_asymptotic_variance_moves_
+# within_the_former_quadrature_tolerance); its CSV did not move.
 _PINNED_JSON_SHA256 = {
     "gc": "0c25a26f282ef84c80e6dc9dac20f4ba9d28be6d529a072e33dc336834ae3cd9",
-    "lm": "1b48a5b4f08586360e72e48264630aa118ef0f00f9150eacc4a20fdd5085223d",
+    "lm": "8bf39a028677feed270ed9fa8a8291f679d1c02ef445cd96bf7ed30bfc8127c1",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
     "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
     "wa": "259615460018fb4f3ef4ec7faf6d297cf2fbab6ed572c209980c45d62186a213",
@@ -796,6 +799,18 @@ def test_folded_sums_move_the_studies_at_round_off(tmp_path, monkeypatch, name):
         else:
             for key, value in zip(("median_gap", "gap_se"), before):
                 assert float(row[key]) == pytest.approx(value, rel=_FOLD_REL, abs=0.0)
+
+
+def test_lm_asymptotic_variance_moves_within_the_former_quadrature_tolerance(
+        tmp_path, monkeypatch):
+    # asym_var_first and var_ratio as QUADPACK (epsrel 1e-10) gave them
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256["lm"]
+    assert main([*argv, "--out", "lm"]) == 0
+    with open(tmp_path / "lm.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert results["asym_var_first"] == pytest.approx(7.07111146385104, rel=1e-10, abs=0.0)
+    assert results["var_ratio"] == pytest.approx(0.9380337852353292, rel=1e-10, abs=0.0)
 
 
 # The bench's long-memory workload (bench/workloads.py) compares its study 0

@@ -125,19 +125,57 @@ def test_fgn_closed_form_constant_gives_unit_variance(H):
 
     m = FGN(H)
     assert m._norm() == math.sin(math.pi * H) * math.gamma(2 * H + 1) / (2 * math.pi)
-    total = spectral_integral(m.density, long_memory=H != 0.5)
+    total = spectral_integral(m.density, exponent=m.origin_exponent if m.long_memory else None)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9, 0.95, 0.99])
 def test_fgn_density_integrates_to_one_within_the_quadrature_tolerance(H):
     # the former |k| <= 100 cut-off left 2.5e-7 at H = 0.1, and its
     # 2 - 2 cos(lam) cancellation stalled QUADPACK's extrapolation at the
-    # pole for H >= 0.9 (an IntegrationWarning, 1e-8 off)
+    # pole for H >= 0.9 (an IntegrationWarning, 1e-8 off); the graded
+    # Gauss rule with the origin exponent 1 - 2H resolves the pole
     from taperspec._quad import spectral_integral
 
-    assert abs(spectral_integral(FGN(H).density, long_memory=H != 0.5) - 1.0) <= 1e-9
+    m = FGN(H)
+    assert abs(spectral_integral(m.density, exponent=m.origin_exponent) - 1.0) <= 1e-13
+
+
+def _qawo_split(fn, u: int) -> float:
+    """int_{-pi}^{pi} fn(lam) cos(u lam) dlam for an even fn with a pole at
+    the origin, u >= 1.  QAWO cannot extrapolate through an endpoint pole,
+    so [0, a] goes through plain adaptive Gauss-Kronrod (cos is smooth there
+    when a u is of order one) and only [a, pi] through the oscillatory rule."""
+    from scipy.integrate import quad
+
+    def scalar_fn(x: float) -> float:
+        return float(np.asarray(fn(np.array([x])))[0])
+
+    a = min(math.pi / 2.0, 2.0 / u)
+    v1, _ = quad(lambda x: scalar_fn(x) * math.cos(u * x), 0.0, a,
+                 limit=200, epsabs=1e-9, epsrel=1e-9)
+    v2, _ = quad(scalar_fn, a, math.pi, weight="cos", wvar=float(u),
+                 limit=400, epsabs=1e-10, epsrel=1e-10)
+    return 2.0 * (v1 + v2)
+
+
+_ARFIMA_R0_CASES = (
+    [f"arfima0d0{{d={d}}}" for d in (-0.45, 0.3, 0.45, 0.49)]
+    + [f"arfima_pdq{{d={d},phi={phi},theta={theta},sigma2=1.3}}" for d in (-0.45, 0.2, 0.45)
+       for phi, theta in (("[]", "[]"), ("[0.4]", "[]"), ("[]", "[0.3]"),
+                          ("[0.5,-0.2]", "[0.3]"))])
+
+
+@pytest.mark.parametrize("spec", _ARFIMA_R0_CASES)
+def test_arfima_density_integrates_to_its_variance(spec):
+    # r(0) in closed form (the Gamma ratio, the convolution identity)
+    # against the graded Gauss rule with the model's origin exponent
+    from taperspec._quad import spectral_integral
+
+    m = parse_model(spec)
+    total = spectral_integral(m.density, exponent=m.origin_exponent)
+    assert total == pytest.approx(m.covariance(0), rel=1e-13)
 
 
 def test_fgn_at_one_half_is_white_noise():
@@ -151,12 +189,10 @@ def test_fgn_covariances_against_density_quadrature():
     # r(u) closed form versus oscillatory quadrature of the density: an
     # independent check that the aliased-power-law density matches the
     # increment covariance of fractional Brownian motion.
-    from taperspec._quad import cosine_coefficient
-
     H = 0.7
     m = FGN(H)
     for u in (1, 2):
-        quad_val = cosine_coefficient(m.density, u, long_memory=True)
+        quad_val = _qawo_split(m.density, u)
         closed = 0.5 * (
             (u + 1.0) ** (2 * H) - 2.0 * u ** (2 * H) + (u - 1.0) ** (2 * H)
         )
@@ -411,11 +447,12 @@ def test_arfima_pdq_covariance_oracle():
                                        ((0.5, -0.2), (0.3,))], ids=["00", "10", "01", "21"])
 def test_arfima_pdq_covariance_matches_density_quadrature(d, phi, theta):
     # the convolution identity against QAWO quadrature of the density
-    from taperspec._quad import cosine_coefficient
+    from taperspec._quad import spectral_integral
 
     m = ArfimaPDQ(d=d, phi=phi, theta=theta, sigma2=1.3)
     u = np.arange(9)
-    quad = [cosine_coefficient(m.density, int(k), long_memory=True) for k in u]
+    quad = [spectral_integral(m.density, exponent=m.origin_exponent)]
+    quad += [_qawo_split(m.density, int(k)) for k in u[1:]]
     assert np.max(np.abs(m.covariance(u) - quad)) <= 1e-9
     assert m.covariance(-4) == m.covariance(4) == m.covariance(u)[4]
 

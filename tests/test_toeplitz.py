@@ -8,7 +8,7 @@ import scipy.stats
 
 from taperspec.errors import DivergenceError, DomainError, SizeGuardError
 from taperspec.functionals import cosine, indicator, quadratic_form
-from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian
+from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian, parse_model
 from taperspec.taper import get_taper
 from taperspec.toeplitz import (
     build_matrix,
@@ -162,10 +162,20 @@ def test_trace_deviation_long_memory_pair():
     assert devs[-1] < 0.05
 
 
-def test_trace_limit_divergent_product():
-    m = ARFIMA0d0(d=0.3)
+@pytest.mark.parametrize("spec", ["arfima0d0{d=0.25}", "arfima0d0{d=0.3}",
+                                  "fgn{H=0.75}", "fgn{H=0.8}"])
+def test_trace_limit_divergent_product(spec):
+    # f^2 ~ |lam|^{2 beta} with 2 beta <= -1: log-divergent at the boundary
+    m = parse_model(spec)
     with pytest.raises(DivergenceError):
         trace_limit([m, m], get_taper("rect"))
+
+
+@pytest.mark.parametrize("spec", ["arfima0d0{d=0.24}", "fgn{H=0.74}"])
+def test_trace_limit_just_inside_the_boundary_is_finite(spec):
+    m = parse_model(spec)
+    limit = trace_limit([m, m], get_taper("rect"))
+    assert math.isfinite(limit) and limit > 0.0
 
 
 # ------------------------------------------------------------- cumulants

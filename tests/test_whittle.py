@@ -1,6 +1,7 @@
 """Tapered Whittle objective, estimator, and information matrices."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -490,25 +491,30 @@ def test_info_matrix_kurtosis_term():
 
 
 def test_info_matrix_long_memory():
+    # (1/4pi) int 4 ln^2 |2 sin(lam/2)| = pi^2/6: a log singularity at the
+    # origin, integrated by the graded Gauss rule
     info = info_matrices(ARFIMA0d0(d=0.3))
-    assert info.W[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=1e-8)
-    assert info.gamma[0, 0] == pytest.approx(6.0 / math.pi**2, rel=1e-8)
+    assert info.W[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
+    assert info.gamma[0, 0] == pytest.approx(6.0 / math.pi**2, rel=1e-14)
     assert np.allclose(info.B, 0.0, atol=1e-9)
 
 
 def _per_row_quad(fn, rows):
     """Row integrals of a long-memory integrand, one adaptive rule per row,
-    every node evaluated afresh (the rule spectral_integral must match)."""
+    every node evaluated afresh, with QUADPACK's error bound 2 max(1e-9,
+    1e-10 |row|) over [-pi, pi]."""
     from scipy.integrate import quad
 
     def row_fn(x, r):
         return float(np.asarray(fn(np.array([x])))[r, 0])
 
-    return np.array([2.0 * quad(row_fn, 0.0, math.pi, args=(r,), limit=400,
-                                epsabs=1e-9, epsrel=1e-10)[0] for r in range(rows)])
+    ref = np.array([2.0 * quad(row_fn, 0.0, math.pi, args=(r,), limit=400,
+                               epsabs=1e-9, epsrel=1e-10)[0] for r in range(rows)])
+    return ref, 2.0 * np.maximum(1e-9, 1e-10 * np.abs(ref))
 
 
 def test_long_memory_quadrature_evaluates_each_node_once():
+    # degree None runs the top level alone, degree 0 every level from the first
     m = ArfimaPDQ(d=0.3, phi=(0.4,))
     nodes = []
 
@@ -516,9 +522,12 @@ def test_long_memory_quadrature_evaluates_each_node_once():
         nodes.extend(lam.tolist())
         return np.vstack([m.density(lam), m.score(lam)])
 
-    vals = spectral_integral(integrand, long_memory=True)
-    assert len(nodes) == len(set(nodes))
-    assert np.array_equal(vals, _per_row_quad(integrand, 4))
+    ref, bound = _per_row_quad(integrand, 4)
+    for degree in (None, 0):
+        nodes.clear()
+        vals = spectral_integral(integrand, exponent=m.origin_exponent, degree=degree)
+        assert len(nodes) == len(set(nodes))
+        assert np.all(np.abs(vals - ref) <= bound)
 
 
 def test_info_matrix_long_memory_matches_per_row_reference(monkeypatch):
@@ -529,12 +538,58 @@ def test_info_matrix_long_memory_matches_per_row_reference(monkeypatch):
                         lambda fn, **kw: seen.append(fn) or real(fn, **kw))
     info = info_matrices(m)
     # rows: s_d, s_phi, then s_d s_d, s_d s_phi, s_phi s_phi
-    ref = _per_row_quad(seen[0], 5)
-    W = np.array([[ref[2], ref[3]], [ref[3], ref[4]]]) / (4.0 * math.pi)
-    assert np.array_equal(info.W, W)
+    ref, bound = _per_row_quad(seen[0], 5)
+    upper = np.array([info.W[0, 0], info.W[0, 1], info.W[1, 1]]) * (4.0 * math.pi)
+    assert np.all(np.abs(upper - ref[2:]) <= bound[2:])
     assert info.A is info.W
-    w_inv = np.linalg.inv(W)
-    assert np.array_equal(info.gamma, w_inv @ (W + info.B) @ w_inv)
+    w_inv = np.linalg.inv(info.W)
+    assert np.array_equal(info.gamma, w_inv @ (info.W + info.B) @ w_inv)
+
+
+def test_long_memory_population_integrals_run_without_quadpack(monkeypatch):
+    import scipy.integrate
+
+    from taperspec.functionals import (asymptotic_variance, cosine, custom, indicator,
+                                       true_functional)
+    from taperspec.gof import b_matrix, cosine_basis
+    from taperspec.toeplitz import trace_limit
+
+    m2, m3 = ARFIMA0d0(d=0.2), ARFIMA0d0(d=0.3)
+    rect, tukey = get_taper("rect"), get_taper("tukey")
+    # int_0^1 f for d = 0.2 (indicator(1.0) is 1/2 on [-1, 1]) by QUADPACK's
+    # algebraic-weight rule (QAWS): f = x^-0.4 (2 sin(x/2) / x)^-0.4, and
+    # 2 sin(x/2) / x = sinc(x / 2pi)
+    part, _ = scipy.integrate.quad(lambda x: np.sinc(x / (2.0 * math.pi)) ** -0.4, 0.0, 1.0,
+                                   weight="alg", wvar=(-0.4, 0.0), epsabs=0.0, epsrel=1e-13)
+    indicator_limit = 2.0 * math.pi * tukey.moment(4) * part
+
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    real = scipy.integrate.quad
+    for module in [scipy.integrate] + [m for name, m in sys.modules.items()
+                                       if name.startswith("taperspec")]:
+        if getattr(module, "quad", None) is real:
+            monkeypatch.setattr(module, "quad", no_quadpack)
+    info = info_matrices(parse_model("arfima_pdq{d=0.3,phi=0.4}"))
+    assert info.W[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
+    # -2 ln|2 sin(lam/2)| = 2 sum_n cos(n lam) / n, so b_j1 = 1/j under rect
+    b = b_matrix(m2, cosine_basis(4), rect)
+    assert np.allclose(b[:, 0], 1.0 / np.arange(1, 5), rtol=1e-13, atol=0)
+    # f^2 for d is f for 2d, and cos^2(k lam) = (1 + cos(2k lam)) / 2
+    r = ARFIMA0d0(d=0.4).covariance(np.arange(129))
+    for k in range(1, 65):
+        assert asymptotic_variance(m2, cosine(k), rect) == pytest.approx(
+            2.0 * math.pi * (r[0] + r[2 * k]), rel=1e-12)
+    # g = |1 - e^{i lam}|^2: int f g = 2 r(0) - 2 r(1), and (f g)^2 is the
+    # d = 2 * 0.3 - 2 density, integrable though 2 beta = -1.2
+    g = custom(lambda lam: 2.0 - 2.0 * np.cos(lam))
+    r3 = m3.covariance(np.arange(2))
+    assert true_functional(m3, g) == pytest.approx(2.0 * (r3[0] - r3[1]), rel=1e-13)
+    assert asymptotic_variance(m3, g, rect) == pytest.approx(
+        8.0 * math.pi**2 * math.gamma(3.8) / math.gamma(2.4) ** 2, rel=1e-13)
+    assert trace_limit([m2, m2], rect) == pytest.approx(2.0 * math.pi * r[0], rel=1e-13)
+    assert trace_limit([m2, indicator(1.0)], tukey) == pytest.approx(indicator_limit, rel=1e-10)
 
 
 def test_info_matrix_weighted():
