@@ -3,12 +3,13 @@
 Three tools live here: a recursive adaptive Simpson rule for one-off
 scalar integrals (the moments of a custom taper; the built-in tapers
 have closed forms), the population integral `spectral_integral` of an even function over
-[-pi, pi], and the cosine coefficients `cosine_coefficient`.
+[-pi, pi] or a sub-band, and the cosine coefficients `cosine_coefficient`.
 
-`spectral_integral` runs a periodic midpoint rule on short-memory integrands
-and a graded Gauss rule on those with an origin exponent beta, F ~ |lam|^beta
-at 0, whose integral exists exactly when beta > -1 (Fox and Taqqu, Ann.
-Statist. 14, 1986; Avram, PTRF 79, 1988).
+Both run one of two vectorized rules, the package's only spectral quadrature:
+a periodic midpoint rule for short-memory integrands over the whole band,
+and a graded Gauss rule for those with an origin exponent beta, F ~
+|lam|^beta at 0, whose integral exists exactly when beta > -1 (Fox and
+Taqqu, Ann. Statist. 14, 1986; Avram, PTRF 79, 1988), and for any sub-band.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+import scipy.fft
 from scipy.special import roots_jacobi
 
 from .errors import DivergenceError
@@ -83,7 +84,7 @@ def _graded_rule(beta: float, level: int) -> tuple:
 
 
 def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], exponent: float | None = None,
-                      degree: int | None = None) -> float | np.ndarray:
+                      degree: int | None = None, support: float = math.pi) -> float | np.ndarray:
     """Integral over [-pi, pi] of an even function given vectorized on arrays.
 
     Short-memory integrands (`exponent` None) go through the periodic
@@ -99,6 +100,11 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], exponent: float | 
     when beta <= -1.  Given another exponent than the integrand's own beta',
     only its origin cell errs, by about (1e-33)^(beta' + 1) of the integral.
 
+    A `support` mu < pi integrates over [-mu, mu] only (`fn` vanishes
+    outside, as under an indicator): lam = mu x / pi maps it onto [-pi, pi]
+    for the graded rule at exponent beta, or 0, whose panels end at a jump
+    at mu where the midpoint rule would straddle it.
+
     `degree` is the highest trigonometric frequency the integrand is known
     to carry (the k of a cos(k lam) factor; smooth factors such as a
     short-memory density or score count as 0).  It sets the first level:
@@ -113,6 +119,9 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], exponent: float | 
     the result is then a float or the length-k vector of row integrals.
     `fn` is evaluated once per level for all rows.
     """
+    scale = support / math.pi  # 1.0 leaves every node and value bit for bit
+    if scale < 1.0 and exponent is None:
+        exponent = 0.0
     if exponent is not None:
         if exponent <= -1.0:
             raise DivergenceError(f"integrand ~ |lam|^{exponent:g} at the origin is not integrable")
@@ -120,35 +129,38 @@ def spectral_integral(fn: Callable[[np.ndarray], np.ndarray], exponent: float | 
         prev = None
         while True:
             nodes, weights = _graded_rule(float(exponent), level)
-            vals = np.asarray(fn(nodes), dtype=float)
+            vals = scale * np.asarray(fn(scale * nodes), dtype=float)
             est = vals @ weights
             done = prev is not None and np.all(
                 np.abs(est - prev) <= _RTOL * (np.abs(vals) @ weights))
             if done or level >= _MAX_LEVEL:
                 return est if vals.ndim == 2 else float(est)
             prev, level = est, level + 1
-    if degree is None:
-        m = _MAX_NODES
-    else:
-        m = min(_MAX_NODES, max(_MIN_NODES, 1 << (2 * degree + 1).bit_length()))
+    m = _MAX_NODES if degree is None else max(_MIN_NODES, 1 << (2 * degree + 1).bit_length())
+    est = _midpoint(fn, min(_MAX_NODES, m), lambda vals: vals.sum(axis=-1))
+    return est if np.ndim(est) else float(est)
+
+
+def cosine_coefficient(fn: Callable[[np.ndarray], np.ndarray], u) -> float | np.ndarray:
+    """int_{-pi}^{pi} fn(lam) cos(u lam) dlam for one lag u or an array of lags,
+    fn even, vectorized and smooth on the circle (a jump or kink slows the
+    rule to algebraic convergence).  Each level is one DCT-II of the midpoint
+    samples, from m >= max(64, 2 (max|u| + 1)) nodes as `spectral_integral`."""
+    lags = np.abs(np.atleast_1d(np.asarray(u, dtype=int)))
+    est = _midpoint(fn, max(_MIN_NODES, 1 << (2 * int(lags.max()) + 1).bit_length()),
+                    lambda vals: scipy.fft.dct(vals, type=2)[lags] / 2.0)
+    return est if np.ndim(u) else float(est[0])
+
+
+def _midpoint(fn, m: int, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The last of the midpoint levels m, 2m, ...: 2 pi / m * reduce(samples)."""
     prev = None
     while True:
         vals = np.asarray(fn((np.arange(m) + 0.5) * (math.pi / m)), dtype=float)
         h = 2.0 * math.pi / m
-        est = h * vals.sum(axis=-1)
+        est = h * reduce(vals)
         done = prev is not None and np.all(
             np.abs(est - prev) <= _RTOL * h * np.abs(vals).sum(axis=-1))
         if done or m >= _MAX_NODES:
-            return est if vals.ndim == 2 else float(est)
+            return est
         prev, m = est, 2 * m
-
-
-def cosine_coefficient(fn: Callable, u: int) -> float:
-    """int_{-pi}^{pi} fn(lam) cos(u lam) dlam for an even fn bounded at the origin:
-    the midpoint rule at lag 0, QUADPACK's oscillatory rule (QAWO) elsewhere."""
-    u = abs(int(u))
-    if u == 0:
-        return spectral_integral(fn)
-    val, _ = quad(lambda x: float(np.asarray(fn(np.array([x])))[0]), 0.0, math.pi,
-                  weight="cos", wvar=float(u), limit=400, epsabs=1e-10, epsrel=1e-10)
-    return 2.0 * val

@@ -17,7 +17,8 @@ The limiting variance of sqrt(T)(J_T - J) is
     sigma_h^2 = 4 pi e(h) int f^2 g^2 + kappa4 e(h) (int f g)^2,
 
 with e(h) = H_4 / H_2^2 the tapering factor and kappa4 the fourth cumulant
-of the innovation distribution.
+of the innovation distribution.  Unless g is band-limited, J and int f^2 g^2
+are each one `spectral_integral` over the support of g ([-mu, mu] for an indicator).
 
 `fejer_smoothing_error` returns the exact smoothing bias
 Delta_T = E[int I g] - J, computed in the lag domain:
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError
@@ -49,6 +49,8 @@ class GeneratingFunction:
 
     `fourier(u)` is ghat(u) = int e^{i u lam} g(lam) dlam (real and even in
     u).  `degree` is the trigonometric degree for band-limited g, or None.
+    `support` is the mu of the band [-mu, mu] outside which g vanishes (pi
+    unless g says otherwise); population integrals run over that band only.
     """
 
     kind: str
@@ -56,6 +58,7 @@ class GeneratingFunction:
     fourier: Callable
     degree: int | None = None
     label: str = ""
+    support: float = math.pi
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, lam):
@@ -124,31 +127,18 @@ def indicator(mu: float) -> GeneratingFunction:
         return out if np.ndim(t) else float(out[0])
 
     return GeneratingFunction("indicator", _eval, _fourier, degree=None,
-                              label=f"indicator({mu!r})")
+                              label=f"indicator({mu!r})", support=mu)
 
 
 def custom(fn: Callable, fourier: Callable | None = None, degree: int | None = None,
            label: str = "custom") -> GeneratingFunction:
-    """Wrap an even weight function; missing Fourier coefficients are
-    computed by quadrature and cached per lag."""
-    cache: dict[int, float] = {}
+    """Wrap an even vectorized weight function; without `fourier` its coefficients
+    come from `cosine_coefficient` (a g with a jump or kink should pass its own)."""
 
     def _eval(lam):
         return np.asarray(fn(np.asarray(lam, dtype=float)))
 
-    if fourier is not None:
-        four = fourier
-    else:
-        def four(t):
-            t_arr = np.atleast_1d(np.asarray(t))
-            out = np.empty(t_arr.size)
-            for i, k in enumerate(t_arr):
-                k = abs(int(k))
-                if k not in cache:
-                    cache[k] = cosine_coefficient(_eval, k)
-                out[i] = cache[k]
-            return out if np.ndim(t) else float(out[0])
-
+    four = fourier or (lambda t: cosine_coefficient(_eval, t))
     return GeneratingFunction("custom", _eval, four, degree=degree, label=label)
 
 
@@ -162,13 +152,9 @@ def true_functional(model: Model, g: GeneratingFunction) -> float:
         r = np.atleast_1d(model.covariance(lags))
         ghat = np.atleast_1d(g.fourier(lags))
         return float((r[0] * ghat[0] + 2.0 * np.sum(r[1:] * ghat[1:])) / (2.0 * math.pi))
-    if g.kind == "indicator":
-        mu = float(g.fourier(0))
-        val, _ = quad(lambda x: float(model.density(x)), 0.0, mu,
-                      limit=400, epsabs=1e-11, epsrel=1e-11)
-        return val
     return spectral_integral(lambda lam: model.density(lam) * np.asarray(g.eval(lam)),
-                             exponent=model.origin_exponent if model.long_memory else None)
+                             exponent=model.origin_exponent if model.long_memory else None,
+                             support=g.support)
 
 
 def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
@@ -181,22 +167,17 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
     given, with exponent 2 beta while that is integrable and 0 otherwise;
     for 2 beta <= -1 only a g that vanishes at the origin gives a finite integral.
     """
-    if g.kind in ("cosine", "indicator") and 2.0 * model.origin_exponent <= -1.0:
+    if g.kind != "custom" and 2.0 * model.origin_exponent <= -1.0:
         raise DomainError(f"int f^2 g^2 diverges for {model.describe()} and {g.label}: "
                           f"f^2 ~ |lam|^{2.0 * model.origin_exponent:g} at the origin")
     e_h = tapering_factor(taper)
-    if g.kind == "indicator":
-        mu = float(g.fourier(0))
-        part, _ = quad(lambda x: float(model.density(x)) ** 2, 0.0, mu,
-                       limit=400, epsabs=1e-11, epsrel=1e-11)
-        f2g2 = 0.5 * part
-    else:
-        beta2 = 2.0 * model.origin_exponent
-        f2g2 = spectral_integral(
-            lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
-            exponent=(beta2 if beta2 > -1.0 else 0.0) if model.long_memory else None,
-            degree=None if g.degree is None else 2 * g.degree,
-        )
+    beta2 = 2.0 * model.origin_exponent
+    f2g2 = spectral_integral(
+        lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
+        exponent=(beta2 if beta2 > -1.0 else 0.0) if model.long_memory else None,
+        degree=None if g.degree is None else 2 * g.degree,
+        support=g.support,
+    )
     j = true_functional(model, g)
     return 4.0 * math.pi * e_h * f2g2 + kappa4 * e_h * j * j
 

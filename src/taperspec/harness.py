@@ -43,8 +43,9 @@ from .errors import DegenerateSampleError, DomainError, SchemaError, TaperspecEr
 from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           fejer_smoothing_error, indicator, plugin_estimate,
                           quadratic_form, true_functional)
-from .models import Model, derive_seed, get_driver, parse_model
+from .models import _DRIVERS, Model, derive_seed, get_driver, parse_model
 from .spectrum import OVERSAMPLE_CHOICES, canonical_grid, tapered_periodogram
+from .taper import _REGISTRY as _TAPERS
 from .taper import Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
 
@@ -60,10 +61,10 @@ def resolve_taper(taper_id: str) -> Taper:
 
 def parse_g(spec: str) -> GeneratingFunction:
     """cosine:u or indicator:mu."""
-    kind, _, arg = spec.partition(":")
-    if kind == "cosine":
+    name, _, arg = spec.partition(":")
+    if name == "cosine":
         return cosine(int(arg or "1"))
-    if kind == "indicator":
+    if name == "indicator":
         return indicator(float(arg))
     raise SchemaError(f"unknown generator {spec!r}; expected cosine:u or indicator:mu")
 
@@ -205,6 +206,7 @@ class Option:
 
 
 _TRACE_PAIRS = {"ar1xcos": ("ar1{theta=0.5,sigma2=1.0}", "cosine:1")}
+_DRIVER_ALIASES = {"exponential": "centered_exponential"}
 
 # The builds look parse_model, resolve_taper, parse_g and _build_basis up by
 # name when they run, so a wrapper or test double put in this module is seen.
@@ -217,17 +219,16 @@ OPTIONS = {
                    build=lambda text, o: (parse_model(_TRACE_PAIRS[text][0]),
                                           parse_g(_TRACE_PAIRS[text][1]))),
     "g": Option("generator: cosine:u or indicator:mu", build=lambda text, o: parse_g(text)),
-    "taper": Option("taper id: rect, linear, or tukey",
+    "taper": Option(f"taper id: {', '.join(_TAPERS)}",
                     build=lambda text, o: resolve_taper(text)),
-    "driver": Option("innovation driver: gaussian, exponential, laplace",
-                     build=lambda text, o: get_driver(
-                         "centered_exponential" if text == "exponential" else text)),
+    "driver": Option(f"innovation driver: {', '.join([*_DRIVERS, *_DRIVER_ALIASES])}",
+                     build=lambda text, o: get_driver(_DRIVER_ALIASES.get(text, text))),
     "T": Option("sample size; a comma list for the ladder kinds", int, 8),
     "T_smooth": Option("sample size for the smoothing-error evaluation", int, 8),
     "reps": Option("replication count", int, 1),
     "report_T": Option("sample size for the distribution report (default: max T)", int, 8),
     "report_reps": Option("replications for the distribution report (default: reps)", int, 2),
-    "oversample": Option("frequency grid oversampling factor (1, 2, 4, or 8)", int,
+    "oversample": Option(f"frequency grid oversampling factor {OVERSAMPLE_CHOICES}", int,
                          choices=OVERSAMPLE_CHOICES),
     "mode": Option("test variant", choices=("simple", "composite")),
     "basis": Option("test basis: cosine:m or ar-example:m",

@@ -13,8 +13,9 @@ where H_{2m} is the (2m)-th moment of the taper.  Each factor of the
 product contributes the taper twice per summation index, which is why the
 moment order is 2m and not m.  The limit needs sum beta_i > -1 for psi_i ~
 |lam|^{beta_i} at the origin (Avram, PTRF 79, 1988); `trace_limit` reads
-the exponents of its models and raises DivergenceError otherwise.  The
-module also carries the exact law of the tapered quadratic form
+the exponents of its models and raises DivergenceError otherwise; it
+integrates over the narrowest generator support, so an indicator's jump
+ends the band.  The module also carries the exact law of the tapered quadratic form
 Q = x' B^h(g) x under a Gaussian series with density f: its cumulants are
 traces of powers of Sigma_f B^h(g), where Sigma_f is the plain (untapered)
 covariance matrix, and its distribution is the eigenvalue mixture
@@ -72,8 +73,8 @@ def _fourier_coefficients(psi, T: int) -> np.ndarray:
     """psihat(u) for u = 0..T-1.
 
     Models supply their covariance, generating functions their closed-form
-    (or cached) transform, and a bare callable goes through oscillatory
-    quadrature lag by lag.
+    (or kept) transform, and a bare callable, smooth on the circle, its
+    `cosine_coefficient`s, all lags from one transform per level.
     """
     lags = np.arange(T)
     if isinstance(psi, Model):
@@ -81,7 +82,7 @@ def _fourier_coefficients(psi, T: int) -> np.ndarray:
     if isinstance(psi, GeneratingFunction):
         return np.asarray(psi.fourier(lags), dtype=float)
     if callable(psi):
-        return np.array([cosine_coefficient(psi, int(u)) for u in lags])
+        return cosine_coefficient(psi, lags)
     raise DomainError("generator must be a model, a generating function, or a callable")
 
 
@@ -127,24 +128,23 @@ def trace_product(matrices) -> float:
 
 
 def _product_integral(psi_list) -> float:
-    """int prod_i psi_i.  With long memory, Gauss panels would straddle the jump
-    of an indicator(mu) factor: the product goes over [0, mu] by lam = mu x / pi."""
+    """int prod_i psi_i over the narrowest support, with the summed origin
+    exponents and, when every factor has one, degrees (a model counts 0)."""
     fns = [_density_fn(p) for p in psi_list]
     models = [p for p in psi_list if isinstance(p, Model)]
     exponent = (sum(m.origin_exponent for m in models)
                 if any(m.long_memory for m in models) else None)
-    scale = min((float(p.fourier(0)) for p in psi_list if exponent is not None and
-                 isinstance(p, GeneratingFunction) and p.kind == "indicator"),
-                default=math.pi) / math.pi
+    degrees = [0 if isinstance(p, Model) else getattr(p, "degree", None) for p in psi_list]
+    gens = [p for p in psi_list if isinstance(p, GeneratingFunction)]
 
     def integrand(lam):
-        lam = scale * np.asarray(lam, dtype=float)  # exact when scale is 1
-        out = np.full_like(lam, scale)
+        out = np.ones_like(lam)
         for fn in fns:
             out = out * np.asarray(fn(lam), dtype=float)
         return out
 
-    val = spectral_integral(integrand, exponent=exponent)
+    val = spectral_integral(integrand, exponent, None if None in degrees else sum(degrees),
+                            min((g.support for g in gens), default=math.pi))
     if not np.isfinite(val):
         raise DivergenceError("product of generators is not integrable")
     return float(val)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from taperspec._quad import cosine_coefficient
 from taperspec.functionals import (
     asymptotic_variance,
     cosine,
@@ -58,6 +59,20 @@ def test_custom_fourier_quadrature_matches_closed_form():
     assert g.fourier(1) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [1.2, 1.05])
+def test_cosine_coefficients_match_the_poisson_kernel(a):
+    # 1 / (a - cos lam) = (2 / s) (1/2 + sum_u rho^u cos(u lam)), s = sqrt(a^2 - 1)
+    # and rho = a - s: its coefficients are 2 pi rho^u / s; at a = 1.05 they
+    # decay only like 0.73^u, so the rule must refine past the first level
+    lags = np.arange(200)
+    s = math.sqrt(a * a - 1.0)
+    exact = 2.0 * math.pi * (a - s) ** lags / s
+    got = cosine_coefficient(lambda lam: 1.0 / (a - np.cos(lam)), lags)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * exact[0]
+    assert cosine_coefficient(lambda lam: 1.0 / (a - np.cos(lam)), 3) == pytest.approx(
+        exact[3], rel=1e-13)
+
+
 # ------------------------------------------------------------ true functional
 
 def test_true_functional_cosine_equals_covariance():
@@ -85,7 +100,7 @@ def test_true_functional_ar1_indicator_closed_form():
     closed = (1.0 / (2.0 * math.pi)) * (2.0 / (1.0 - theta**2)) * math.atan(
         ((1.0 + theta) / (1.0 - theta)) * math.tan(mu / 2.0)
     )
-    assert true_functional(m, indicator(mu)) == pytest.approx(closed, rel=1e-9)
+    assert true_functional(m, indicator(mu)) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 # -------------------------------------------------------- dual-route identity

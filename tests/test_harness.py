@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -26,10 +27,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from taperspec import harness
+from taperspec import harness, models
+from taperspec import taper as taper_module
 from taperspec.cli import build_parser, main
 from taperspec.errors import (DegenerateSampleError, DomainError, SchemaError)
 from taperspec.models import AR1, make_rng
+from taperspec.spectrum import OVERSAMPLE_CHOICES
 from taperspec.taper import get_taper
 
 REPO = Path(__file__).resolve().parents[1]
@@ -482,7 +485,11 @@ _PINNED_CSV_SHA256 = {
 # gs and wa did not move).  lm re-recorded when long-memory population
 # integrals moved from QUADPACK to the graded Gauss rule: its asymptotic
 # variance moved at 6e-14 relative (see test_lm_asymptotic_variance_moves_
-# within_the_former_quadrature_tolerance); its CSV did not move.
+# within_the_former_quadrature_tolerance); its CSV did not move.  fi
+# re-recorded when the indicator's population integrals moved from QUADPACK
+# to the graded Gauss rule over [-mu, mu]: true_value and sigma2_theory moved
+# at 2e-16 relative, bias and kappa4_gap_se with them (see test_fi_theory_
+# moves_within_the_former_quadrature_tolerance); its CSV did not move.
 _PINNED_JSON_SHA256 = {
     "gc": "0c25a26f282ef84c80e6dc9dac20f4ba9d28be6d529a072e33dc336834ae3cd9",
     "lm": "8bf39a028677feed270ed9fa8a8291f679d1c02ef445cd96bf7ed30bfc8127c1",
@@ -496,7 +503,7 @@ _PINNED_JSON_SHA256 = {
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f9677018c267b7f092d0430f25c95667f73a90014c5988a4d7d07a7611391fce",
-    "fi": "0b197be5ddde045443cb7659c4005e910af87d5411d7b536132e13ea0c8bbd30",
+    "fi": "fe7ea7c49f1803239f745d77c6a17c9ff9793cb0d3901d9b1ad5ccdf8ae2b1e0",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,
@@ -813,6 +820,17 @@ def test_lm_asymptotic_variance_moves_within_the_former_quadrature_tolerance(
     assert results["var_ratio"] == pytest.approx(0.9380337852353292, rel=1e-10, abs=0.0)
 
 
+def test_fi_theory_moves_within_the_former_quadrature_tolerance(tmp_path, monkeypatch):
+    # true_value and sigma2_theory as QUADPACK (epsrel 1e-11) gave them
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256["fi"]
+    assert main([*argv, "--out", "fi"]) == 0
+    with open(tmp_path / "fi.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert results["true_value"] == pytest.approx(0.43414830160978185, rel=1e-13, abs=0.0)
+    assert results["sigma2_theory"] == pytest.approx(2.3404526482625885, rel=1e-13, abs=0.0)
+
+
 # The bench's long-memory workload (bench/workloads.py) compares its study 0
 # against bench/reference.json within 1e-6 relative, finer than the Whittle
 # search resolves, so any change to the bits of the shifted-grid criterion
@@ -947,6 +965,20 @@ def test_trace_experiment_check(tmp_path, monkeypatch):
         "[experiment]\nkind = trace-experiment\npair = ar1xcos\nT = 64,128,256\n\n"
         "[check]\nmin_decreasing_steps = 2\n", encoding="utf-8")
     assert main(["run", "--config", "tr3.ini", "--check", "--out", "tr3"]) == 0
+
+
+def test_trace_experiment_indicator_limit_meets_its_closed_form(tmp_path, monkeypatch):
+    # 2 pi H_4 F(0.3) under the rect taper (H_4 = 1), F the AR(1) spectral
+    # distribution; the whole-circle midpoint rule wrote 1.1351162921116822
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace-experiment", "--model", "ar1{theta=0.5,sigma2=1}",
+                 "--g", "indicator:0.3", "--taper", "rect", "--out", "ti"]) == 0
+    closed = 2.0 * math.atan(3.0 * math.tan(0.15)) / 0.75
+    with open(tmp_path / "ti.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for row in rows:
+        assert float(row["limit"]) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 def test_fejer_check(tmp_path, monkeypatch):
@@ -1153,6 +1185,22 @@ def test_readme_flag_table_matches_the_parser():
     assert sum(len(flags[kind]) for kind in kinds) == 81
     # run takes every flag, and --config
     assert flags["run"] == set().union(*(flags[kind] for kind in kinds)) | {"--config"}
+
+
+@pytest.mark.parametrize("name, registry", [
+    ("taper", tuple(taper_module._REGISTRY)),
+    ("driver", (*models._DRIVERS, "exponential")),
+    ("oversample", tuple(map(str, OVERSAMPLE_CHOICES))),
+])
+def test_cli_help_names_every_registry_entry(name, registry):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for kind, sub in subs.choices.items():
+        action = next((a for a in sub._actions if a.dest == name), None)
+        if action is not None:
+            assert set(registry) <= set(re.findall(r"\w+", action.help)), kind
+    for entry in registry:
+        harness.parse_option(name, entry)  # every name the help lists parses
 
 
 def test_ini_workers_must_be_an_integer(tmp_path, monkeypatch, capsys):

@@ -552,7 +552,7 @@ def test_long_memory_population_integrals_run_without_quadpack(monkeypatch):
     from taperspec.functionals import (asymptotic_variance, cosine, custom, indicator,
                                        true_functional)
     from taperspec.gof import b_matrix, cosine_basis
-    from taperspec.toeplitz import trace_limit
+    from taperspec.toeplitz import build_matrix, trace_limit
 
     m2, m3 = ARFIMA0d0(d=0.2), ARFIMA0d0(d=0.3)
     rect, tukey = get_taper("rect"), get_taper("tukey")
@@ -590,6 +590,27 @@ def test_long_memory_population_integrals_run_without_quadpack(monkeypatch):
         8.0 * math.pi**2 * math.gamma(3.8) / math.gamma(2.4) ** 2, rel=1e-13)
     assert trace_limit([m2, m2], rect) == pytest.approx(2.0 * math.pi * r[0], rel=1e-13)
     assert trace_limit([m2, indicator(1.0)], tukey) == pytest.approx(indicator_limit, rel=1e-10)
+    # short memory takes the same rules: AR(1) against an indicator (F(mu) and
+    # int_0^mu f^2 in closed form), and cosine coefficients by one transform
+    ar1, mu, theta = AR1(theta=0.5, sigma2=1.0), 1.0, 0.5
+    q = (1.0 + theta) / (1.0 - theta)
+    big_f = math.atan(q * math.tan(mu / 2.0)) / (math.pi * (1.0 - theta**2))
+    # (2 pi f)^2 = 1 / ((2 theta)^2 (a - cos lam)^2), a = (1 + theta^2) / (2 theta),
+    # and (a^2 - 1) / (a - cos)^2 = d/dlam [sin / (a - cos)] + a / (a - cos)
+    a = (1.0 + theta**2) / (2.0 * theta)
+    s = math.sqrt(a * a - 1.0)
+    int_f2 = (math.sin(mu) / (a - math.cos(mu)) / s**2
+              + 2.0 * a * math.atan(math.sqrt((a + 1.0) / (a - 1.0)) * math.tan(mu / 2.0))
+              / s**3) / (2.0 * theta) ** 2 / (2.0 * math.pi) ** 2
+    assert true_functional(ar1, indicator(mu)) == pytest.approx(big_f, rel=1e-13)
+    assert asymptotic_variance(ar1, indicator(mu), rect) == pytest.approx(
+        2.0 * math.pi * int_f2, rel=1e-13)
+    assert trace_limit([ar1, indicator(mu)], rect) == pytest.approx(
+        2.0 * math.pi * big_f, rel=1e-13)
+    kernel = lambda lam: 1.0 / (1.25 - np.cos(lam))  # coefficients 2 pi 0.5^u / 0.75
+    exact = 2.0 * math.pi * 0.5 ** np.arange(64) / 0.75
+    assert np.allclose(build_matrix(kernel, rect, 64).matrix[0], exact, rtol=0, atol=1e-13)
+    assert np.allclose(custom(kernel).coefficients(63), exact, rtol=0, atol=1e-13)
 
 
 def test_info_matrix_weighted():
