@@ -39,7 +39,7 @@ import numpy as np
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError
 from .models import Model, TimeSeries
-from .spectrum import FrequencyGrid, Periodogram, canonical_grid, tapered_periodogram
+from .spectrum import FrequencyGrid, Periodogram
 from .taper import Taper, tapering_factor
 
 
@@ -66,9 +66,7 @@ class GeneratingFunction:
 
     def on_grid(self, grid: FrequencyGrid) -> np.ndarray:
         """g at the grid's points, folded onto its nodes (`FrequencyGrid.fold`),
-        as floats (kept per canonical grid size)."""
-        if not grid.canonical:
-            return np.asarray(self.eval(grid.points), dtype=float)
+        as floats (kept per grid size)."""
         return self._keep(("grid", grid.N, grid.shifted),
                           lambda: grid.fold(np.asarray(self.eval(grid.points), dtype=float)))
 
@@ -132,8 +130,9 @@ def indicator(mu: float) -> GeneratingFunction:
 
 def custom(fn: Callable, fourier: Callable | None = None, degree: int | None = None,
            label: str = "custom") -> GeneratingFunction:
-    """Wrap an even vectorized weight function; without `fourier` its coefficients
-    come from `cosine_coefficient` (a g with a jump or kink should pass its own)."""
+    """Wrap an even vectorized weight function (or a `toeplitz` generator); without
+    `fourier` its coefficients come from `cosine_coefficient` (a g with a jump or
+    kink should pass its own)."""
 
     def _eval(lam):
         return np.asarray(fn(np.asarray(lam, dtype=float)))
@@ -216,19 +215,6 @@ def quadratic_form(series, taper: Taper, g: GeneratingFunction) -> float:
     c = _lagged_products(y, max_lag)
     ghat = g.coefficients(max_lag)
     return float(ghat[0] * c[0] + 2.0 * np.dot(ghat[1:], c[1:]))
-
-
-def covariance_estimate(series, taper: Taper, u: int, oversample: int = 4) -> float:
-    """r_hat(u): the plug-in estimate with cosine weight."""
-    pg = tapered_periodogram(series, taper, oversample=oversample)
-    return plugin_estimate(pg, cosine(u))
-
-
-def spectral_function_estimate(series, taper: Taper, mu: float,
-                               oversample: int = 4) -> float:
-    """F_hat(mu) = int_0^mu I(lam) dlam by grid quadrature."""
-    pg = tapered_periodogram(series, taper, oversample=oversample)
-    return plugin_estimate(pg, indicator(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,12 @@ for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
 composite test takes nu = 1 and computes neither Gamma nor b.
 
 Every active slot is even (`make_basis` rejects an odd part, and both
-built-in bases are even by construction).  On the unshifted grid each
-Phi_j is therefore the folded sum over its N/2 + 1 nodes in [0, pi] of
-the slot times the residual r = I/f0 - 1 folded as r(lam) + r(-lam)
-(`FrequencyGrid.fold`).  A model null is even, so its residual is
-evaluated on the nodes alone under the fold weights (1, 2, ..., 2, 1)
-(`FrequencyGrid.fold_weights`); a callable null need not be, so it is
-evaluated, checked and folded on every grid point.  The shifted grid of a
-long-memory null keeps all N points at unit weight and its bits (see
-`spectrum`).
+built-in bases are even by construction), and so is the null, a `Model`
+density.  On the unshifted grid each Phi_j is therefore the sum over its
+N/2 + 1 nodes in [0, pi] of the slot times the residual r = I/f0 - 1
+under the fold weights (1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).
+The shifted grid of a long-memory null keeps all N points at unit weight
+and its bits (see `spectrum`).
 
 Both built-in bases are harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi),
 with u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  So
@@ -274,20 +271,12 @@ class GofResult:
         self.phi.setflags(write=False)
 
 
-def _null_residual(pgram: Periodogram, f0) -> np.ndarray:
-    """I/f0 - 1 on the grid's nodes, times their fold weights.
-
-    A `Model` null is even, so it is evaluated on the nodes only.  A
-    callable need not be: it is evaluated and checked on every grid point,
-    and its residual folded as r(lam) + r(-lam) (`FrequencyGrid.fold`).
-    """
+def _null_residual(pgram: Periodogram, f0: Model) -> np.ndarray:
+    """I/f0 - 1 on the grid's nodes (f0 is even), times their fold weights."""
     grid = pgram.grid
-    even = isinstance(f0, Model)
-    vals = np.asarray(f0.density(grid.constants) if even else f0(grid.points), dtype=float)
+    vals = np.asarray(f0.density(grid.constants), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise DomainError("null density is not positive and finite on the grid")
-    if not even:
-        return grid.fold(pgram.values / vals - 1.0)
     resid = pgram.node_values / vals - 1.0
     return resid if grid.fold_weights is None else resid * grid.fold_weights
 
@@ -303,18 +292,17 @@ def _periodogram_for(series_or_pgram, taper: Taper, shifted: bool,
     return tapered_periodogram(x, taper, grid=grid)
 
 
-def phi_vector(series_or_pgram, taper: Taper, f0, basis: TestBasis,
+def phi_vector(series_or_pgram, taper: Taper, f0: Model, basis: TestBasis,
                oversample: int = 4) -> np.ndarray:
     """Normalized projections of I/f0 - 1 onto the basis."""
-    shifted = isinstance(f0, Model) and f0.long_memory
-    pgram = _periodogram_for(series_or_pgram, taper, shifted, oversample)
+    pgram = _periodogram_for(series_or_pgram, taper, f0.long_memory, oversample)
     grid = pgram.grid
     resid = _null_residual(pgram, f0)
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * basis.project(grid.constants, resid) * grid.weight
 
 
-def simple_test(series_or_pgram, taper: Taper, f0, basis: TestBasis,
+def simple_test(series_or_pgram, taper: Taper, f0: Model, basis: TestBasis,
                 alpha: float = 0.05, oversample: int = 4) -> GofResult:
     """S = |Phi|^2 against chi^2 with one dof per active slot."""
     phi = phi_vector(series_or_pgram, taper, f0, basis, oversample=oversample)

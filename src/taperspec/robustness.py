@@ -51,11 +51,6 @@ class Trend:
             raise DomainError("trend is defined for integer t >= 1")
         return np.asarray(self.fn(t), dtype=float)
 
-    def __neg__(self) -> "Trend":
-        fn = self.fn
-        return Trend(kind="custom", fn=lambda t: -np.asarray(fn(t), dtype=float),
-                     label=f"neg({self.label})")
-
 
 def zero_trend() -> Trend:
     return Trend(kind="zero", fn=lambda t: np.zeros(np.shape(t)), label="zero")

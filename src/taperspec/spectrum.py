@@ -33,8 +33,8 @@ with fold weights (1, 2, ..., 2, 1): the points +-lambda carry equal
 terms, and 0 and pi appear once.  The
 periodogram keeps only its values on the nodes, the real FFT's half, and
 mirrors them onto all N points only when a caller reads `values`.  A
-weight that need not be even folds as w(lambda) + w(-lambda)
-(`FrequencyGrid.fold`), so a weighted sum is unchanged.  The shifted grid
+generating function that need not be even folds as g(lambda) + g(-lambda)
+(`FrequencyGrid.fold`), so a plug-in sum is unchanged.  The shifted grid
 is symmetric too, but its sums are the long-memory path: the benchmark
 holds its results to 1e-6 relative of recorded ones, finer than the
 Whittle search resolves, so even a round-off change in the criterion can
@@ -52,14 +52,14 @@ import numpy as np
 
 from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries, _frozen
-from .taper import Taper, phase_sum
+from .taper import Taper
 
 OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Evaluation frequencies plus their quadrature weight.
+    """The frequencies of a `canonical_grid` plus their quadrature weight.
 
     Even functions are evaluated on `nodes` only and summed over all N
     points by `sum` (see the module docstring).
@@ -68,8 +68,6 @@ class FrequencyGrid:
     points: np.ndarray
     weight: float
     shifted: bool = False
-    canonical: bool = False
-    T: int | None = None
 
     @property
     def N(self) -> int:
@@ -77,8 +75,8 @@ class FrequencyGrid:
 
     @property
     def folded(self) -> bool:
-        """True on the unshifted canonical grid, whose sums run over [0, pi]."""
-        return self.canonical and not self.shifted
+        """True on the unshifted grid, whose sums run over [0, pi]."""
+        return not self.shifted
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -91,7 +89,7 @@ class FrequencyGrid:
         return _frozen(self.fold(np.ones(self.N))) if self.folded else None
 
     def fold(self, w: np.ndarray) -> np.ndarray:
-        """Node weights w(lam) + w(-lam) of a weight w given on all N points
+        """Node weights w(lam) + w(-lam) of a function w given on all N points
         (w alone at 0 and pi, each a single point); w itself unless folded."""
         if not self.folded:
             return w
@@ -131,7 +129,7 @@ def _build_grid(T: int, oversample: int = 4, shifted: bool = False) -> Frequency
     offset = 0.5 if shifted else 1.0
     points = -math.pi + 2.0 * math.pi * (j + offset) / n
     points.setflags(write=False)
-    return FrequencyGrid(points, 2.0 * math.pi / n, shifted=shifted, canonical=True, T=T)
+    return FrequencyGrid(points, 2.0 * math.pi / n, shifted=shifted)
 
 
 _grid_memo = functools.lru_cache(maxsize=8)(_build_grid)
@@ -158,7 +156,7 @@ def _values_of(series) -> np.ndarray:
 
 
 def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarray:
-    """`tapered_dft` on a canonical grid in FFT order, bins 0..N/2 only if unshifted."""
+    """`tapered_dft` in FFT order, bins 0..N/2 only if the grid is unshifted."""
     n, T = grid.N, x.shape[0]
     y = taper.signed_values(T) * x
     if grid.shifted:
@@ -179,17 +177,11 @@ def _unfold(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[1:], np.conj(tail) if np.iscomplexobj(half) else tail, half[:1]))
 
 
-def tapered_dft(series, taper: Taper, grid) -> np.ndarray:
-    """d(lambda_j) for all grid points (FFT path on canonical grids; exactly
-    Hermitian, d(-lambda) = conj d(lambda), on an unshifted one)."""
-    x = _values_of(series)
-    if isinstance(grid, FrequencyGrid) and grid.canonical:
-        out = _canonical_fft(x, taper, grid)
-        return out if grid.shifted else _unfold(out)
-    lam = grid.points if isinstance(grid, FrequencyGrid) else np.atleast_1d(
-        np.asarray(grid, dtype=float)
-    )
-    return phase_sum(taper.values(x.shape[0]) * x, lam)
+def tapered_dft(series, taper: Taper, grid: FrequencyGrid) -> np.ndarray:
+    """d(lambda_j) for all grid points by FFT (exactly Hermitian,
+    d(-lambda) = conj d(lambda), on an unshifted grid)."""
+    out = _canonical_fft(_values_of(series), taper, grid)
+    return out if grid.shifted else _unfold(out)
 
 
 @dataclass(frozen=True)
@@ -221,7 +213,7 @@ def tapered_periodogram(series, taper: Taper, grid: FrequencyGrid | None = None,
     c_norm = 2.0 * math.pi * taper.sum_of_powers(2, T)
     if c_norm == 0.0:
         raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^2 = 0 at T = {T}")
-    d = _canonical_fft(x, taper, grid) if grid.canonical else tapered_dft(x, taper, grid)
+    d = _canonical_fft(x, taper, grid)
     if grid.folded:
         d = d[::-1]  # real-FFT bins N/2..0 sit at the nodes 0..pi (see _unfold)
     vals = (d.real**2 + d.imag**2) / c_norm

@@ -138,11 +138,6 @@ class _BuiltinTaper(Taper):
         return self._FORMULAS[self.id](k)
 
 
-def taper_moment(taper: Taper, k: int) -> float:
-    """H_k of the given taper (closed form for the built-ins, kept per k)."""
-    return taper.moment(k)
-
-
 def tapering_factor(taper: Taper) -> float:
     """e(h) = H_4 / H_2^2; equals 1 exactly for the rectangular taper."""
     h2 = taper.moment(2)

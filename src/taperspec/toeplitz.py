@@ -1,7 +1,9 @@
 """Dense tapered Toeplitz matrices and Gaussian quadratic-form laws.
 
-A generator psi (an even integrable function on [-pi, pi]) and a taper h
-define the T x T symmetric matrix with entries
+A generator psi (an even integrable function on [-pi, pi]: a `Model`'s
+density or a `GeneratingFunction`, so a plain callable enters through
+`functionals.custom`) and a taper h define the T x T symmetric matrix with
+entries
 
     psihat(t - s) h(t/T) h(s/T),   psihat(u) = int e^{i u lam} psi(lam) dlam.
 
@@ -33,15 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._quad import cosine_coefficient, spectral_integral
+from ._quad import spectral_integral
 from .errors import DivergenceError, DomainError, SizeGuardError
 from .functionals import GeneratingFunction
 from .models import Model, make_rng
-from .taper import Taper, rectangular
+from .taper import Taper, get_taper
 
 _BUILD_GUARD = 2048
 _CUMULANT_GUARD = 1024
 _EIG_GUARD = 512
+_GENERATOR_TYPES = ("generator must be a Model or a GeneratingFunction "
+                    "(wrap a callable in functionals.custom)")
 
 
 @dataclass(frozen=True)
@@ -64,26 +68,18 @@ class TaperedToeplitzMatrix:
 def _label(psi) -> str:
     if isinstance(psi, Model):
         return psi.describe()
-    if isinstance(psi, GeneratingFunction):
-        return psi.label or psi.kind
-    return getattr(psi, "__name__", "callable")
+    return psi.label or psi.kind
 
 
 def _fourier_coefficients(psi, T: int) -> np.ndarray:
-    """psihat(u) for u = 0..T-1.
-
-    Models supply their covariance, generating functions their closed-form
-    (or kept) transform, and a bare callable, smooth on the circle, its
-    `cosine_coefficient`s, all lags from one transform per level.
-    """
+    """psihat(u) for u = 0..T-1: a model's covariance, a generating
+    function's closed-form (or kept) transform."""
     lags = np.arange(T)
     if isinstance(psi, Model):
         return np.asarray(psi.covariance(lags), dtype=float)
     if isinstance(psi, GeneratingFunction):
         return np.asarray(psi.fourier(lags), dtype=float)
-    if callable(psi):
-        return cosine_coefficient(psi, lags)
-    raise DomainError("generator must be a model, a generating function, or a callable")
+    raise DomainError(_GENERATOR_TYPES)
 
 
 def _density_fn(psi):
@@ -91,9 +87,7 @@ def _density_fn(psi):
         return psi.density
     if isinstance(psi, GeneratingFunction):
         return psi.eval
-    if callable(psi):
-        return psi
-    raise DomainError("generator must be a model, a generating function, or a callable")
+    raise DomainError(_GENERATOR_TYPES)
 
 
 def build_matrix(psi, taper: Taper, T: int) -> TaperedToeplitzMatrix:
@@ -134,7 +128,7 @@ def _product_integral(psi_list) -> float:
     models = [p for p in psi_list if isinstance(p, Model)]
     exponent = (sum(m.origin_exponent for m in models)
                 if any(m.long_memory for m in models) else None)
-    degrees = [0 if isinstance(p, Model) else getattr(p, "degree", None) for p in psi_list]
+    degrees = [0 if isinstance(p, Model) else p.degree for p in psi_list]
     gens = [p for p in psi_list if isinstance(p, GeneratingFunction)]
 
     def integrand(lam):
@@ -173,7 +167,7 @@ def trace_deviation(psi_list, taper: Taper, T: int) -> float:
 
 def _covariance_matrix(f, T: int) -> np.ndarray:
     """Plain Toeplitz covariance matrix of the density f (rect taper)."""
-    return build_matrix(f, rectangular(), T).matrix
+    return build_matrix(f, get_taper("rect"), T).matrix
 
 
 def qf_cumulant(f, g, taper: Taper, T: int, k: int) -> float:

@@ -2,16 +2,13 @@
 
 The fitted criterion is
 
-    U_T(theta) = (1/4pi) sum_j [ln f(lam_j, theta) + I(lam_j)/f(lam_j, theta)]
-                 w(lam_j) w_j
+    U_T(theta) = (1/4pi) sum_j [ln f(lam_j, theta) + I(lam_j)/f(lam_j, theta)] w_j
 
 over a canonical frequency grid (shifted off the origin for the
-fractional families, `Model.fractional`), with w an optional weight
-function, identically 1 by default.  The summand is even in lam, so on
-the unshifted grid the sum runs over its N/2 + 1 nodes in [0, pi] with
-fold weights (1, 2, ..., 2, 1), and a weight w enters as
-w(lam) + w(-lam) (`FrequencyGrid.fold`): the same sum with half the
-density, log and ratio work.  The shifted grid keeps all N points at unit
+fractional families, `Model.fractional`).  The summand is even in lam, so
+on the unshifted grid the sum runs over its N/2 + 1 nodes in [0, pi] with
+fold weights (1, 2, ..., 2, 1): the same sum with half the density, log
+and ratio work.  The shifted grid keeps all N points at unit
 weight, so the long-memory fits keep their bits (see `spectrum`).
 A multiplicative innovation scale is profiled out in closed form, so the
 numeric search runs over shape parameters only: one by projected Fisher
@@ -25,11 +22,10 @@ The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per grid, on its nodes
 (`FrequencyGrid.constants`); each candidate is built once, at unit scale
 from a template, and its density evaluated once, for the criterion and
-the scoring step alike; and the unit weight is never materialized: the
-grid sums the unweighted terms under its own fold weights.
+the scoring step alike.
 
 The estimator's limit covariance is e(h) Gamma(theta) with
-Gamma = W^{-1} (A + B) W^{-1}, where W, A, B are quadratures of products
+Gamma = W^{-1} (W + B) W^{-1}, where W and B are quadratures of products
 of the log-density gradient (B carries the fourth cumulant of the
 innovations and vanishes for Gaussian data).  The taper enters only
 through the factor e(h) = H4 / H2^2.
@@ -56,16 +52,15 @@ _NM_PENALTY = 1e300  # above every feasible criterion value
 
 @dataclass(frozen=True)
 class InfoMatrices:
-    """W, A, B and Gamma = W^{-1}(A + B)W^{-1} for one model point."""
+    """W, B and Gamma = W^{-1}(W + B)W^{-1} for one model point."""
 
     W: np.ndarray
-    A: np.ndarray
     B: np.ndarray
     gamma: np.ndarray
     names: tuple
 
     def __post_init__(self):
-        for arr in (self.W, self.A, self.B, self.gamma):
+        for arr in (self.W, self.B, self.gamma):
             arr.setflags(write=False)
 
 
@@ -91,7 +86,6 @@ class WhittleFit:
     T: int
     tapering_factor: float
     kappa4: float = 0.0
-    weight: object = None
     periodogram: Periodogram | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -99,7 +93,7 @@ class WhittleFit:
 
     @functools.cached_property
     def asym_cov(self) -> np.ndarray:
-        info = info_matrices(self.model, weight=self.weight, kappa4=self.kappa4)
+        info = info_matrices(self.model, kappa4=self.kappa4)
         cov = self.tapering_factor * info.gamma
         cov.setflags(write=False)
         return cov
@@ -111,21 +105,6 @@ class WhittleFit:
         return se
 
 
-def _weight_values(weight, points: np.ndarray) -> np.ndarray | None:
-    """w on the points, or None for the unit weight (multiplying by 1 is exact)."""
-    if weight is None:
-        return None
-    vals = np.asarray(weight(points), dtype=float)
-    if vals.shape != points.shape:
-        vals = np.broadcast_to(vals, points.shape).astype(float)
-    return vals
-
-
-def _node_weights(weight, grid) -> np.ndarray | None:
-    """w folded onto the grid's nodes (`FrequencyGrid.fold`), None for the unit weight."""
-    return None if weight is None else grid.fold(_weight_values(weight, grid.points))
-
-
 def _grid_density(model: Model, grid) -> np.ndarray:
     """f on the grid's nodes, through the grid's shared frequency constants."""
     f = np.asarray(model.density(grid.constants), dtype=float)
@@ -135,33 +114,29 @@ def _grid_density(model: Model, grid) -> np.ndarray:
     return f if lo >= _F_FLOOR else np.maximum(f, _F_FLOOR)
 
 
-def whittle_objective(pgram: Periodogram, model: Model, theta=None,
-                      weight=None) -> float:
+def whittle_objective(pgram: Periodogram, model: Model, theta=None) -> float:
     """U_T at the model point (or at `theta` substituted into it)."""
     if theta is not None:
         model = model.with_free(np.asarray(theta, dtype=float))
     grid = pgram.grid
     f = _grid_density(model, grid)
-    total = grid.sum(np.log(f) + pgram.node_values / f, _node_weights(weight, grid))
+    total = grid.sum(np.log(f) + pgram.node_values / f)
     return float(total * grid.weight / (4.0 * math.pi))
 
 
-def _profile_scale(pgram: Periodogram, f1: np.ndarray, weight) -> tuple:
+def _profile_scale(pgram: Periodogram, f1: np.ndarray) -> tuple:
     """Closed-form innovation-scale minimizer and the profiled criterion.
 
     `f1` is the candidate's density at scale 1 on the grid's nodes.  For
-    f = sigma2 f1: sigma2_hat = sum(I/f1 w w_j) / sum(w w_j), and the
+    f = sigma2 f1: sigma2_hat is the grid mean of I/f1, and the
     profiled value is the plain criterion evaluated there.
     """
     grid = pgram.grid
-    w = _node_weights(weight, grid)
-    denom = (grid.N if w is None else float(np.sum(w))) * grid.weight
-    if denom <= 0.0:
-        raise DomainError("weight function integrates to zero on the grid")
-    s2 = float(grid.sum(pgram.node_values / f1, w) * grid.weight / denom)
+    denom = grid.N * grid.weight
+    s2 = float(grid.sum(pgram.node_values / f1) * grid.weight / denom)
     s2 = max(s2, _F_FLOOR)
     f = s2 * f1
-    value = grid.sum(np.log(f) + pgram.node_values / f, w)
+    value = grid.sum(np.log(f) + pgram.node_values / f)
     value = float(value * grid.weight / (4.0 * math.pi))
     return s2, value
 
@@ -184,12 +159,12 @@ def default_bounds(model: Model) -> list:
     return out
 
 
-def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model, weight) -> float:
+def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model) -> float:
     """Fisher-scoring step -g/H for the one shape parameter of `unit`.
 
-    g = (1/4pi) sum_j (1 - I_j/f_j) s_j w_j dlam is the gradient of the
+    g = (1/4pi) sum_j (1 - I_j/f_j) s_j dlam is the gradient of the
     profiled criterion at f = s2 f1 (s2 minimizes it, so by the envelope
-    theorem it drops out) and H = (1/4pi) sum_j s_j^2 w_j dlam the grid
+    theorem it drops out) and H = (1/4pi) sum_j s_j^2 dlam the grid
     version of `info_matrices`' W, s being the shape row of `model.score`.
     `f1` is the unit density the criterion was evaluated at, or None for
     a family without a scale, whose density is then evaluated here.
@@ -198,9 +173,8 @@ def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model, weight) -> flo
     grid = pgram.grid
     f = s2 * (_grid_density(unit, grid) if f1 is None else f1)
     s = np.atleast_2d(unit.score(grid.constants))[0]
-    w = _node_weights(weight, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = -grid.sum((1.0 - pgram.node_values / f) * s, w) / grid.sum(s * s, w)
+        step = -grid.sum((1.0 - pgram.node_values / f) * s) / grid.sum(s * s)
     return float(step) if np.isfinite(step) else 0.0
 
 
@@ -250,7 +224,7 @@ def _nm_starts(bounds) -> list:
     return starts
 
 
-def whittle_estimate(series, taper: Taper, model: Model, weight=None,
+def whittle_estimate(series, taper: Taper, model: Model,
                      kappa4: float = 0.0, oversample: int = 4,
                      bounds=None, tol: float = 1e-7,
                      max_evals: int = 2000) -> WhittleFit:
@@ -280,16 +254,16 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
             cand = template.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
             if has_scale:
                 f1 = _grid_density(cand, pgram.grid)
-                s2, val = _profile_scale(pgram, f1, weight)
+                s2, val = _profile_scale(pgram, f1)
                 return val, (s2, f1, cand)
-            return whittle_objective(pgram, cand, weight=weight), (1.0, None, cand)
+            return whittle_objective(pgram, cand), (1.0, None, cand)
         except (DomainError, ValueError, FloatingPointError):
             return math.inf, (None, None, None)
 
     if p == 0:
         if not has_scale:
             raise DomainError("model has no free parameters to fit")
-        s2, value = _profile_scale(pgram, _grid_density(template, pgram.grid), weight)
+        s2, value = _profile_scale(pgram, _grid_density(template, pgram.grid))
         fitted = model.with_params(**{model.scale_name: s2})
         theta = np.array([s2])
         iterations, converged = 1, True
@@ -300,7 +274,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         if p == 1:
             xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
                 lambda t: shape_objective([t]),
-                lambda state: _scoring_step(pgram, *state, weight),
+                lambda state: _scoring_step(pgram, *state),
                 float(box[0][0]), float(box[0][1]), tol, max_evals)
             best_vec = np.array([xopt])
         else:
@@ -329,7 +303,7 @@ def whittle_estimate(series, taper: Taper, model: Model, weight=None,
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
-        kappa4=kappa4, weight=weight, periodogram=pgram)
+        kappa4=kappa4, periodogram=pgram)
 
 
 def _score_index(model: Model, names: tuple) -> list:
@@ -344,12 +318,12 @@ def _score_index(model: Model, names: tuple) -> list:
     return [index[name] for name in names]
 
 
-def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
+def info_matrices(model: Model, kappa4: float = 0.0,
                   names: tuple | None = None) -> InfoMatrices:
-    """W, A, B and Gamma by quadrature of log-density gradient products.
+    """W, B and Gamma by quadrature of log-density gradient products.
 
-    W_ij = (1/4pi) int s_i s_j w, A_ij the same with w^2 (so A = W when
-    w is 1), and B = (kappa4 / 16 pi^2) v v' with v_i = int s_i w.
+    W_ij = (1/4pi) int s_i s_j and B = (kappa4 / 16 pi^2) v v' with
+    v_i = int s_i.
     Defaults to the model's shape parameters, or its scale when there are
     none.  Every entry comes from one multi-row quadrature of a single
     score evaluation (exponent 0 for long memory: the score is log-singular).
@@ -364,16 +338,9 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
 
     def integrand(lam):
         s = np.atleast_2d(model.score(lam))[idx]
-        rows = [s[i] for i in range(p)] + [s[i] * s[j] for i, j in pairs]
-        w = _weight_values(weight, np.asarray(lam, dtype=float))
-        if w is not None:
-            w2 = w ** 2
-            rows = [r * w for r in rows] + [r * w2 for r in rows[p:]]
-        return np.vstack(rows)
+        return np.vstack([s[i] for i in range(p)] + [s[i] * s[j] for i, j in pairs])
 
-    # a caller's weight may oscillate at any frequency; the score alone is smooth
-    vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None,
-                             degree=0 if weight is None else None)
+    vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None, degree=0)
     v = vals[:p]
 
     def symmetric(upper):
@@ -382,11 +349,10 @@ def info_matrices(model: Model, weight=None, kappa4: float = 0.0,
             out[i, j] = out[j, i] = val / (4.0 * math.pi)
         return out
 
-    W = symmetric(vals[p:p + len(pairs)])
-    A = W if weight is None else symmetric(vals[p + len(pairs):])
+    W = symmetric(vals[p:])
     B = (kappa4 / (16.0 * math.pi**2)) * np.outer(v, v)
     if not np.all(np.isfinite(W)) or np.linalg.cond(W) > 1e12:
         raise SingularInformationError("information matrix W is singular")
     w_inv = np.linalg.inv(W)
-    gamma = w_inv @ (A + B) @ w_inv
-    return InfoMatrices(W=W, A=A, B=B, gamma=gamma, names=tuple(names))
+    gamma = w_inv @ (W + B) @ w_inv
+    return InfoMatrices(W=W, B=B, gamma=gamma, names=tuple(names))

@@ -35,7 +35,7 @@ import scipy.stats
 from taperspec.cli import main
 from taperspec.functionals import cosine, quadratic_form
 from taperspec.models import AR1, derive_seed, gaussian
-from taperspec.taper import get_taper, taper_moment, tapering_factor
+from taperspec.taper import get_taper, tapering_factor
 from taperspec.toeplitz import qf_cumulant, qf_distribution
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "acceptance"
@@ -85,8 +85,8 @@ def test_criterion_02_taper_constants():
     for name, (h2, h4, e) in closed.items():
         tp = get_taper(name)
         worst = max(worst,
-                    abs(taper_moment(tp, 2) - h2),
-                    abs(taper_moment(tp, 4) - h4),
+                    abs(tp.moment(2) - h2),
+                    abs(tp.moment(4) - h4),
                     abs(tapering_factor(tp) - e))
     _report(2, worst < 1e-8,
             f"H2, H4, e(h) closed forms, max abs err {worst:.3e} < 1e-8")

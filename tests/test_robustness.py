@@ -73,10 +73,11 @@ def test_contaminate_formula():
 def test_contaminate_roundtrip_linearity():
     x = AR_HALF.simulate(gaussian(), 256, seed=43)
     tr = power_decay(2.0, 0.4)
-    back = contaminate(contaminate(x, tr), -tr)
+    neg = custom_trend(lambda t: -tr.eval(t), label=f"neg({tr.label})")
+    back = contaminate(contaminate(x, tr), neg)
     assert np.max(np.abs(back.values - x.values)) < 1e-12
     assert "power_decay" in back.provenance["trend"]
-    assert "neg(" in back.provenance["trend"]
+    assert back.provenance["trend"] == f"{tr.label}+{neg.label}"
 
 
 def test_gap_ladder_zero_trend_gaps_are_zero():

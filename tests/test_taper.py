@@ -21,7 +21,6 @@ from taperspec.taper import (
     dirichlet_kernel,
     fejer_kernel,
     get_taper,
-    taper_moment,
     tapering_factor,
 )
 
@@ -36,7 +35,7 @@ CLOSED_FORM = {
 def test_moments_match_closed_forms(name):
     tp = get_taper(name)
     for k in (1, 2, 3, 4):
-        assert taper_moment(tp, k) == pytest.approx(CLOSED_FORM[name][k], abs=1e-10)
+        assert tp.moment(k) == pytest.approx(CLOSED_FORM[name][k], abs=1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
@@ -48,10 +47,10 @@ def test_builtin_moments_are_the_closed_forms():
     # rect 1, linear 1/(k+1), Tukey-Hanning C(2k,k)/4^k (Wallis' integral);
     # the Tukey values are dyadic, so they are exact doubles
     for k in range(1, 9):
-        assert taper_moment(get_taper("rect"), k) == 1.0
-        assert taper_moment(get_taper("tukey"), k) == float(Fraction(math.comb(2 * k, k), 4**k))
+        assert get_taper("rect").moment(k) == 1.0
+        assert get_taper("tukey").moment(k) == float(Fraction(math.comb(2 * k, k), 4**k))
         linear = float(Fraction(1, k + 1))
-        assert abs(taper_moment(get_taper("linear"), k) - linear) <= math.ulp(linear)
+        assert abs(get_taper("linear").moment(k) - linear) <= math.ulp(linear)
 
 
 def test_tukey_tapering_factor_is_exactly_35_over_18():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
+from taperspec._quad import cosine_coefficient
 from taperspec.errors import DivergenceError, DomainError, SizeGuardError
-from taperspec.functionals import cosine, indicator, quadratic_form
+from taperspec.functionals import cosine, custom, indicator, quadratic_form
 from taperspec.models import AR1, ARFIMA0d0, WhiteNoise, derive_seed, gaussian, parse_model
 from taperspec.taper import get_taper
 from taperspec.toeplitz import (
@@ -32,9 +34,46 @@ def test_white_noise_generator_gives_diagonal():
 def test_callable_generator_matches_model_route():
     tp = get_taper("tukey")
     via_model = build_matrix(WhiteNoise(sigma2=1.0), tp, 8).matrix
-    via_quad = build_matrix(lambda lam: np.full_like(np.asarray(lam, float),
-                                                     1.0 / (2.0 * math.pi)), tp, 8).matrix
+    via_quad = build_matrix(custom(lambda lam: np.full_like(np.asarray(lam, float),
+                                                            1.0 / (2.0 * math.pi))), tp, 8).matrix
     assert np.allclose(via_quad, via_model, atol=1e-9)
+
+
+def _smooth(lam):
+    return (1.0 + 0.5 * np.cos(np.asarray(lam, float))) / (2.0 * math.pi)
+
+
+def _cos(lam):
+    return np.cos(np.asarray(lam, float))
+
+
+def _poisson(lam):
+    return 1.0 / (1.25 - np.cos(lam))
+
+
+def test_custom_generator_keeps_the_bare_callable_bits():
+    # a callable generator goes through functionals.custom, whose coefficients
+    # are the cosine_coefficient call a bare callable once took: the matrices
+    # equal that route bit for bit, and the limits, deviations and cumulant
+    # equal the values recorded from it
+    tukey, rect = get_taper("tukey"), get_taper("rect")
+    for fn, tp, T in ((_smooth, tukey, 64), (_cos, tukey, 16), (_poisson, rect, 64)):
+        h = tp.values(T)
+        bare = scipy.linalg.toeplitz(cosine_coefficient(fn, np.arange(T))) * np.outer(h, h)
+        assert np.array_equal(build_matrix(custom(fn), tp, T).matrix, bare)
+    assert trace_limit([custom(_smooth)], tukey) == 0.375
+    assert [trace_deviation([custom(_smooth)], tukey, T) for T in (64, 256, 1024)] == [
+        0.0078124999999999445, 0.001953125, 0.0004882812499999445]
+    assert trace_limit([AR1(theta=0.5), custom(_poisson)], tukey) == 5.090543651650128
+    assert qf_cumulant(custom(_cos), indicator(1.0), tukey, 16, 2) == 693.6877861950342
+
+
+def test_bare_callable_generator_is_refused():
+    rect = get_taper("rect")
+    with pytest.raises(DomainError, match="Model or a GeneratingFunction"):
+        build_matrix(_smooth, rect, 8)
+    with pytest.raises(DomainError, match="Model or a GeneratingFunction"):
+        trace_limit([AR1(theta=0.5), _smooth], rect)
 
 
 def test_rect_taper_gives_classical_toeplitz():
@@ -103,7 +142,7 @@ def test_trace_limit_closed_forms():
     # H4 limit that its finite-T trace (1/T) sum h^4 visibly converges to.
     tukey = get_taper("tukey")
     assert trace_limit([wn, wn], tukey) == pytest.approx(35.0 / 128.0, rel=1e-10)
-    assert trace_limit([wn, lambda lam: np.zeros_like(np.asarray(lam, float))],
+    assert trace_limit([wn, custom(lambda lam: np.zeros_like(np.asarray(lam, float)))],
                        tukey) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -145,7 +184,7 @@ def test_single_matrix_trace_invariant():
         AR1(theta=0.5),
         ARFIMA0d0(d=0.2),
         indicator(1.0),
-        lambda lam: (1.0 + 0.5 * np.cos(np.asarray(lam, float))) / (2.0 * math.pi),
+        custom(_smooth),
     ]
     for psi in gens:
         lim = trace_limit([psi], tukey)
@@ -315,12 +354,11 @@ def test_qf_distribution_rank_deficiency_reported():
 def test_qf_distribution_indefinite_fallback():
     # cos(lam) is not a density; its "covariance" matrix is indefinite, so
     # the symmetrized route is unavailable and the plain eigensolve runs.
-    dist = qf_distribution(lambda lam: np.cos(np.asarray(lam, float)),
-                           indicator(1.0), get_taper("tukey"), 16)
+    dist = qf_distribution(custom(_cos), indicator(1.0), get_taper("tukey"), 16)
     assert not dist.symmetrized
     from taperspec.toeplitz import _covariance_matrix
 
-    prod = _covariance_matrix(lambda lam: np.cos(np.asarray(lam, float)), 16) @ \
+    prod = _covariance_matrix(custom(_cos), 16) @ \
         build_matrix(indicator(1.0), get_taper("tukey"), 16).matrix
     assert np.sum(dist.eigenvalues) == pytest.approx(float(np.trace(prod)), abs=1e-9)
 
