@@ -15,6 +15,7 @@ Taqqu, Ann. Statist. 14, 1986; Avram, PTRF 79, 1988), and for any sub-band.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from typing import Callable
 
@@ -23,6 +24,8 @@ import scipy.fft
 from scipy.special import roots_jacobi
 
 from .errors import DivergenceError
+
+logger = logging.getLogger(__name__)
 
 _MAX_DEPTH = 48
 # midpoint rule for spectral_integral: node counts on [0, pi] and stopping tolerance
@@ -153,7 +156,8 @@ def cosine_coefficient(fn: Callable[[np.ndarray], np.ndarray], u) -> float | np.
 
 
 def _midpoint(fn, m: int, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The last of the midpoint levels m, 2m, ...: 2 pi / m * reduce(samples)."""
+    """The last of the midpoint levels m, 2m, ...: 2 pi / m * reduce(samples);
+    reaching _MAX_NODES after levels that never agreed logs a warning."""
     prev = None
     while True:
         vals = np.asarray(fn((np.arange(m) + 0.5) * (math.pi / m)), dtype=float)
@@ -162,5 +166,8 @@ def _midpoint(fn, m: int, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndar
         done = prev is not None and np.all(
             np.abs(est - prev) <= _RTOL * h * np.abs(vals).sum(axis=-1))
         if done or m >= _MAX_NODES:
+            if not done and prev is not None:
+                logger.warning("midpoint rule not converged at %d nodes: last two levels"
+                               " differ by up to %.3g", m, np.max(np.abs(est - prev)))
             return est
         prev, m = est, 2 * m

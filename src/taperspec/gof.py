@@ -56,7 +56,7 @@ import scipy.special
 
 from ._quad import spectral_integral
 from .errors import DomainError
-from .models import Model, _constants
+from .models import Model, _constants, _poly_on_circle
 from .spectrum import Periodogram, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 from .whittle import WhittleFit, whittle_estimate
@@ -236,7 +236,7 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
 
     def ratio(c):
         # a has real coefficients, so a(e^{-i lam}) = conj(a(e^{i lam}))
-        q = np.polyval(a[::-1], c.exp_ij(1))
+        q = _poly_on_circle(a, c.exp_ij(1))
         return np.conj(q) / q
 
     def evaluate(c):

@@ -182,8 +182,7 @@ class Model:
         return type(self)(**merged)
 
     def free_vector(self) -> np.ndarray:
-        return np.array([_flatten_one(getattr(self, n)) for n in self.free_names],
-                        dtype=float)
+        return np.array([getattr(self, n) for n in self.free_names], dtype=float)
 
     def with_free(self, vec: Sequence[float]) -> "Model":
         return self.with_params(**dict(zip(self.free_names, vec)))
@@ -208,12 +207,6 @@ class Model:
             "T": int(T),
             "seed": int(seed),
         }
-
-
-def _flatten_one(v):
-    if isinstance(v, tuple):
-        raise ValueError("vector parameter cannot be a scalar free slot")
-    return float(v)
 
 
 def _as_lam(lam) -> np.ndarray:
@@ -318,15 +311,23 @@ class WhiteNoise(Model):
 # ---------------------------------------------------------------------------
 # ARMA machinery shared by ar1 / arma / arfima_pdq
 
-def _arma_polys(phi: tuple, theta: tuple):
-    a = np.r_[1.0, -np.asarray(phi, dtype=float)]
-    b = np.r_[1.0, np.asarray(theta, dtype=float)]
-    return a, b
+def _coefficients(v) -> tuple:
+    """ARMA coefficients, a sequence or one number, as a tuple of floats."""
+    return tuple(map(float, v if isinstance(v, tuple) else np.atleast_1d(np.asarray(v, dtype=float))))
 
 
 def _poly_on_circle(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """1 + c1 z + ... + cp z^p at z = e^{-i lam}."""
-    return np.polyval(coeffs[::-1], z)
+    """1 + c1 z + ... + cp z^p at z = e^{-i lam}, by Horner's rule: np.polyval's
+    bits without its pass over zeros (its first step, 0 z + cp, gives cp)."""
+    *rest, top = coeffs.tolist()
+    if not rest:
+        return np.full_like(z, top)
+    out = top * z
+    out += rest.pop()
+    for c in reversed(rest):
+        out *= z
+        out += c
+    return out
 
 
 def _arma_score_rows(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> list:
@@ -384,13 +385,13 @@ def _arma_updates(params: dict, updates: dict, family: str) -> dict:
     return {**merged, "phi": tuple(coefs["phi"]), "theta": tuple(coefs["theta"])}
 
 
-def _check_arma(phi, theta):
-    a, b = _arma_polys(phi, theta)
+def _check_arma(phi: tuple, theta: tuple):
+    a, b = [1.0] + [-v for v in phi], [1.0, *theta]
     if not _roots_outside_unit_circle(a):
         raise DomainError("autoregressive polynomial has a root on or inside the unit circle")
     if not _roots_outside_unit_circle(b):
         raise DomainError("moving-average polynomial is not invertible")
-    return a, b
+    return np.array(a), np.array(b)
 
 
 def _rational_density(top, a: np.ndarray, b: np.ndarray, c: FrequencyConstants):
@@ -477,17 +478,18 @@ class ARMA(Model):
     lead_names: tuple = ()
 
     def __init__(self, phi=(), theta=(), sigma2: float = 1.0):
-        phi = tuple(float(v) for v in np.atleast_1d(np.asarray(phi, dtype=float))) if np.size(phi) else ()
-        theta = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
+        phi, theta = _coefficients(phi), _coefficients(theta)
         if sigma2 <= 0:
             raise DomainError(f"{self.family} requires sigma2 > 0")
         self._a, self._b = _check_arma(phi, theta)
         self.phi = phi
         self.theta = theta
         self.sigma2 = float(sigma2)
-        self.free_names = self.lead_names + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
-            f"theta{i+1}" for i in range(len(theta))
-        )
+
+    @functools.cached_property
+    def free_names(self) -> tuple:
+        return self.lead_names + tuple(f"phi{i+1}" for i in range(len(self.phi))) + tuple(
+            f"theta{i+1}" for i in range(len(self.theta)))
 
     def with_params(self, **updates):
         return type(self)(**_arma_updates(self.params(), updates, self.family))
@@ -497,7 +499,7 @@ class ARMA(Model):
         return np.array(lead + self.phi + self.theta, dtype=float)
 
     def with_free(self, vec):
-        vec = np.asarray(vec, dtype=float)
+        vec = np.asarray(vec, dtype=float).tolist()
         k = len(self.lead_names)
         p = k + len(self.phi)
         return type(self)(*vec[:k], phi=tuple(vec[k:p]), theta=tuple(vec[p:]),
@@ -679,7 +681,8 @@ class ArfimaPDQ(ARMA):
         c = _constants(lam)
         with np.errstate(divide="ignore"):
             frac = c.two_sin_half ** (-2.0 * self.d)
-        return _maybe_scalar(_rational_density(self.sigma2 * frac, self._a, self._b, c), lam)
+        top = frac if self.sigma2 == 1.0 else self.sigma2 * frac  # 1 * frac is frac, bit for bit
+        return _maybe_scalar(_rational_density(top, self._a, self._b, c), lam)
 
     def score(self, lam):
         c = _constants(lam)

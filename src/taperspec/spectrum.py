@@ -57,12 +57,13 @@ from .taper import Taper
 OVERSAMPLE_CHOICES = (1, 2, 4, 8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """The frequencies of a `canonical_grid` plus their quadrature weight.
 
     Even functions are evaluated on `nodes` only and summed over all N
-    points by `sum` (see the module docstring).
+    points by `sum` (see the module docstring).  A grid compares and hashes
+    by identity, so it can key a dict.
     """
 
     points: np.ndarray
@@ -102,10 +103,10 @@ class FrequencyGrid:
         """The sum over all N points of an even function given on the nodes,
         each term times its node weight from `fold` (unit weight when None)."""
         if weights is not None:
-            return np.sum(terms * weights)
+            return (terms * weights).sum()
         if not self.folded:
-            return np.sum(terms)
-        return 2.0 * np.sum(terms) - terms[0] - terms[-1]
+            return terms.sum()
+        return 2.0 * terms.sum() - terms[0] - terms[-1]
 
     @functools.cached_property
     def constants(self) -> FrequencyConstants:

@@ -22,7 +22,11 @@ The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per grid, on its nodes
 (`FrequencyGrid.constants`); each candidate is built once, at unit scale
 from a template, and its density evaluated once, for the criterion and
-the scoring step alike.
+the scoring step alike.  A candidate thus costs its density arithmetic: for
+`arfima_pdq{d, phi}` on the 8192-point shifted grid of T = 2048 (about 530
+per Nelder-Mead fit), one pow, Horner's rule for the AR polynomial and its
+squared modulus, two divisions, a log and two sums, about 0.13 ms, against
+a few microseconds to build it, its d-range and Schur-Cohn checks included.
 
 The estimator's limit covariance is e(h) Gamma(theta) with
 Gamma = W^{-1} (W + B) W^{-1}, where W and B are quadratures of products
@@ -251,7 +255,7 @@ def whittle_estimate(series, taper: Taper, model: Model,
         """(value, (s2, f1, candidate)): s2 = 1 and f1 = None for a family
         without a scale, else the scale and the unit density on the grid."""
         try:
-            cand = template.with_free(np.atleast_1d(np.asarray(vec, dtype=float)))
+            cand = template.with_free(vec)
             if has_scale:
                 f1 = _grid_density(cand, pgram.grid)
                 s2, val = _profile_scale(pgram, f1)

@@ -1,5 +1,6 @@
 """Spectral functionals: dual estimation routes, variances, smoothing bias."""
 
+import logging
 import math
 
 import numpy as np
@@ -56,6 +57,24 @@ def test_custom_fourier_quadrature_matches_closed_form():
     assert g.fourier(2) == pytest.approx(math.pi, abs=1e-9)
     assert g.fourier(1) == pytest.approx(0.0, abs=1e-9)
 
+
+
+def test_midpoint_rule_logs_when_it_stops_unconverged(caplog):
+    # a jump at 1 slows the rule to algebraic convergence: it reaches its node
+    # cap with lag 0 still about 1.2e-5 off its exact value 1, and says so
+    with caplog.at_level(logging.WARNING, logger="taperspec._quad"):
+        coefs = custom(lambda lam: 0.5 * (np.abs(lam) <= 1.0)).coefficients(63)
+    assert abs(coefs[0] - 1.0) > 1e-6
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "not converged at 65536 nodes" in record.getMessage()
+
+
+def test_midpoint_rule_is_silent_on_a_smooth_function(caplog):
+    with caplog.at_level(logging.DEBUG, logger="taperspec._quad"):
+        cosine_coefficient(lambda lam: 1.0 / (1.2 - np.cos(lam)), np.arange(64))
+        custom(lambda lam: np.cos(2.0 * lam)).coefficients(63)
+    assert not caplog.records
 
 @pytest.mark.parametrize("a", [1.2, 1.05])
 def test_cosine_coefficients_match_the_poisson_kernel(a):

@@ -1178,6 +1178,19 @@ def test_import_taperspec_leaves_the_cli_unloaded():
     assert out.stdout.strip() == "False"
 
 
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["run", "--config", "preset.ini", "--chekc"], 1),  # a misspelt flag
+])
+def test_python_m_taperspec_runs_the_command_line(args, code):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "taperspec", *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == code, out.stderr
+    assert ("usage: taperspec" in out.stdout) if code == 0 else (
+        "unrecognized arguments: --chekc" in out.stderr)
+
 def test_readme_flag_table_matches_the_parser():
     table, flags = _readme_flag_table(), _subcommand_flags()
     kinds = set(harness.KINDS)

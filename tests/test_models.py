@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taperspec import models
 from taperspec.errors import DomainError, SchemaError
@@ -23,6 +25,7 @@ from taperspec.models import (
     make_rng,
     parse_model,
 )
+from taperspec.spectrum import canonical_grid
 
 
 # ------------------------------------------------------- graded-mesh oracle
@@ -260,6 +263,23 @@ def test_unit_polynomial_factors_skipped_bitwise(m):
         top = top * (2.0 * np.sin(np.abs(lam) / 2.0)) ** (-2.0 * m.d)
     assert np.array_equal(m.density(lam), top * num / (2.0 * math.pi * den))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0).map(lambda v: v + 0.0), min_size=1, max_size=7),
+       lead=st.sampled_from((None, 0.0, -1.5)))
+def test_horner_is_polyval_bitwise(coeffs, lead):
+    # real coefficients of degree 0-6 on e^{-i lam} and e^{+i lam} of a
+    # canonical grid, with zero and negative leading coefficients drawn on
+    # purpose; -0 is mapped to +0, as polyval's 0 z start can give a zero
+    # either sign
+    if lead is not None:
+        coeffs[-1] = lead
+    c = np.array(coeffs)
+    lam = canonical_grid(64, shifted=len(coeffs) % 2 == 1).points
+    for z in (np.exp(-1j * lam), np.exp(1j * lam)):
+        got, ref = models._poly_on_circle(c, z), np.polyval(c[::-1], z)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 def test_exp_table_is_computed_once_per_j(monkeypatch):
     c = FrequencyConstants(np.linspace(-math.pi, math.pi, 64))

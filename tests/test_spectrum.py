@@ -99,6 +99,13 @@ def test_folded_grid_nodes_and_weights():
     assert off.fold(w) is w
 
 
+
+def test_grids_compare_and_hash_by_identity():
+    a, b = canonical_grid.__wrapped__(8), canonical_grid.__wrapped__(8)
+    assert a == a and a != b and not (a == b)
+    assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+    assert canonical_grid(8) == canonical_grid(8)  # the memo returns one grid
+
 @settings(max_examples=60, deadline=None)
 @given(T=st.integers(1, 700), oversample=st.sampled_from((1, 2, 4, 8)),
        seed=st.integers(0, 2**32 - 1))

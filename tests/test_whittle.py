@@ -221,6 +221,68 @@ def test_scale_free_fits_keep_their_expected_information_search(spec, T, seed, t
     assert fit.theta_hat[0] == theta_hat
 
 
+# Whittle fits recorded as float.hex before the criterion's per-candidate
+# overhead was cut (Horner's rule for the AR/MA polynomials, candidates built
+# without numpy round trips): (model, rep, theta_hat, objective_value,
+# sigma2_hat, iterations) for T = 2048, tukey, seed derive_seed(0, rep), each
+# fit starting from the truth.  Every bit must stay.
+_FIT_PINS = [
+    ("arfima_pdq{d=0.3,phi=0.4}", 0, ("0x1.1565d9946fff0p-2", "0x1.bf7cb20709abap-2"),
+     "-0x1.8f9c04be02641p-2", "0x1.0f224d9c0dfe4p+0", 544),
+    ("arfima_pdq{d=0.3,phi=0.4}", 1, ("0x1.744f81a234847p-3", "0x1.ff71ab77bb462p-2"),
+     "-0x1.af906fae82246p-2", "0x1.fd7372dc286cep-1", 519),
+    ("arfima_pdq{d=0.3,phi=0.4}", 2, ("0x1.d5af7c4ebafdap-3", "0x1.d10e50fe06d2ap-2"),
+     "-0x1.adee52f661e2dp-2", "0x1.ff15323c89907p-1", 551),
+    ("arfima_pdq{d=0.3,phi=0.4}", 3, ("0x1.4827755154600p-2", "0x1.70596f15d280bp-2"),
+     "-0x1.dd3de71e3472bp-2", "0x1.d1faea7adf686p-1", 457),
+    ("arma{phi=[0.5,-0.3],theta=[0.4]}", 0,
+     ("0x1.058fe453f02abp-1", "-0x1.414f7b5b3410ap-2",
+      "0x1.bce2f921a6894p-2"),
+     "-0x1.af334710c83b4p-2", "0x1.fdcc2956f2b13p-1", 928),
+    ("arma{phi=[0.5,-0.3],theta=[0.4]}", 1,
+     ("0x1.be0ac21cdf806p-2", "-0x1.05ae7965d84e0p-2",
+      "0x1.db034b72ebcc8p-2"),
+     "-0x1.ace9266fa0383p-2", "0x1.000a8985fe758p+0", 858),
+    ("arma{phi=[0.5,-0.3],theta=[0.4]}", 2,
+     ("0x1.1a97f1bf23415p-1", "-0x1.5e0f3bc2aec84p-2",
+      "0x1.427aa41fdec59p-2"),
+     "-0x1.b56eebc1709eep-2", "0x1.f7a1038a18a83p-1", 912),
+    ("arma{phi=[0.5,-0.3],theta=[0.4]}", 3,
+     ("0x1.088eb66fbb38ap-1", "-0x1.349e3dfada4c4p-2",
+      "0x1.80f8e3cb39130p-2"),
+     "-0x1.9ccd1ff21154cp-2", "0x1.0839ab437f461p+0", 927),
+    ("arfima0d0{d=0.3}", 0, ("0x1.48632f476fbe0p-2",),
+     "0x1.099b0ba02cf8ep-1", None, 8),
+    ("arfima0d0{d=0.3}", 1, ("0x1.46fdfa9e6c8bfp-2",),
+     "0x1.07431625d3d24p-1", None, 9),
+    ("arfima0d0{d=0.3}", 2, ("0x1.3c9d52379aa08p-2",),
+     "0x1.f9142f27e192bp-2", None, 10),
+    ("arfima0d0{d=0.3}", 3, ("0x1.5e48782879097p-2",),
+     "0x1.f6b865f2c3f6fp-2", None, 8),
+    ("ar1{theta=0.5}", 0, ("0x1.117dfd1b84fcep-1",),
+     "-0x1.afe26b872a5c2p-2", "0x1.fd1de390eb0aep-1", 2),
+    ("ar1{theta=0.5}", 1, ("0x1.01f66043290e7p-1",),
+     "-0x1.ac202c038099bp-2", "0x1.006f1e9b5a8c4p+0", 2),
+    ("ar1{theta=0.5}", 2, ("0x1.ec16065c5d464p-2",),
+     "-0x1.b4df4845c619fp-2", "0x1.f82e61a586099p-1", 3),
+    ("ar1{theta=0.5}", 3, ("0x1.fa77938127b10p-2",),
+     "-0x1.9c8b55e7770a4p-2", "0x1.085ba10877c9ap+0", 3),
+]
+
+
+@pytest.mark.parametrize("spec,rep,theta_hat,objective,sigma2_hat,iterations", _FIT_PINS,
+                         ids=[f"{case[0]}-{case[1]}" for case in _FIT_PINS])
+def test_fits_keep_their_recorded_bits(spec, rep, theta_hat, objective, sigma2_hat,
+                                       iterations):
+    model = parse_model(spec)
+    ts = model.simulate(gaussian(), 2048, seed=derive_seed(0, rep))
+    fit = whittle_estimate(ts, get_taper("tukey"), model)
+    assert [float(v).hex() for v in fit.theta_hat] == list(theta_hat)
+    assert fit.objective_value.hex() == objective
+    assert (None if fit.sigma2_hat is None else fit.sigma2_hat.hex()) == sigma2_hat
+    assert fit.iterations == iterations
+
+
 def test_ar1_fit_evaluates_the_criterion_a_few_times(monkeypatch):
     calls = []
     real = whittle._profile_scale
