@@ -182,7 +182,8 @@ class Model:
         return type(self)(**merged)
 
     def free_vector(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in self.free_names], dtype=float)
+        return np.array([_flatten_one(getattr(self, n)) for n in self.free_names],
+                        dtype=float)
 
     def with_free(self, vec: Sequence[float]) -> "Model":
         return self.with_params(**dict(zip(self.free_names, vec)))
@@ -207,6 +208,12 @@ class Model:
             "T": int(T),
             "seed": int(seed),
         }
+
+
+def _flatten_one(v):
+    if isinstance(v, tuple):
+        raise ValueError("vector parameter cannot be a scalar free slot")
+    return float(v)
 
 
 def _as_lam(lam) -> np.ndarray:
@@ -485,11 +492,9 @@ class ARMA(Model):
         self.phi = phi
         self.theta = theta
         self.sigma2 = float(sigma2)
-
-    @functools.cached_property
-    def free_names(self) -> tuple:
-        return self.lead_names + tuple(f"phi{i+1}" for i in range(len(self.phi))) + tuple(
-            f"theta{i+1}" for i in range(len(self.theta)))
+        self.free_names = self.lead_names + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
+            f"theta{i+1}" for i in range(len(theta))
+        )
 
     def with_params(self, **updates):
         return type(self)(**_arma_updates(self.params(), updates, self.family))
@@ -681,8 +686,7 @@ class ArfimaPDQ(ARMA):
         c = _constants(lam)
         with np.errstate(divide="ignore"):
             frac = c.two_sin_half ** (-2.0 * self.d)
-        top = frac if self.sigma2 == 1.0 else self.sigma2 * frac  # 1 * frac is frac, bit for bit
-        return _maybe_scalar(_rational_density(top, self._a, self._b, c), lam)
+        return _maybe_scalar(_rational_density(self.sigma2 * frac, self._a, self._b, c), lam)
 
     def score(self, lam):
         c = _constants(lam)

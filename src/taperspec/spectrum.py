@@ -62,8 +62,7 @@ class FrequencyGrid:
     """The frequencies of a `canonical_grid` plus their quadrature weight.
 
     Even functions are evaluated on `nodes` only and summed over all N
-    points by `sum` (see the module docstring).  A grid compares and hashes
-    by identity, so it can key a dict.
+    points by `sum` (see the module docstring); it compares by identity.
     """
 
     points: np.ndarray

@@ -22,11 +22,10 @@ The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per grid, on its nodes
 (`FrequencyGrid.constants`); each candidate is built once, at unit scale
 from a template, and its density evaluated once, for the criterion and
-the scoring step alike.  A candidate thus costs its density arithmetic: for
-`arfima_pdq{d, phi}` on the 8192-point shifted grid of T = 2048 (about 530
-per Nelder-Mead fit), one pow, Horner's rule for the AR polynomial and its
-squared modulus, two divisions, a log and two sums, about 0.13 ms, against
-a few microseconds to build it, its d-range and Schur-Cohn checks included.
+the scoring step alike.  A candidate costs its density arithmetic: for
+`arfima_pdq{d, phi}` at T = 2048 (8192 shifted-grid points, about 530 per
+Nelder-Mead fit) one pow, Horner's rule, a modulus, two divisions, a log
+and two sums, about 0.13 ms; building it, checks included, takes microseconds.
 
 The estimator's limit covariance is e(h) Gamma(theta) with
 Gamma = W^{-1} (W + B) W^{-1}, where W and B are quadratures of products
