@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError
@@ -160,17 +161,18 @@ def asymptotic_variance(model: Model, g: GeneratingFunction, taper: Taper,
                         kappa4: float = 0.0) -> float:
     """Limit of T Var(J_T): 4 pi e(h) int f^2 g^2 + kappa4 e(h) (int f g)^2.
 
-    A cosine or indicator g is 1 at the origin, where f ~ |lam|^beta
-    (`Model.origin_exponent`), so int f^2 g^2 diverges when 2 beta <= -1:
-    d >= 1/4, or H >= 3/4, raises DomainError.  A custom g is integrated as
-    given, with exponent 2 beta while that is integrable and 0 otherwise;
-    for 2 beta <= -1 only a g that vanishes at the origin gives a finite integral.
+    f ~ |lam|^beta at the origin (`Model.origin_exponent`), so when 2 beta <= -1
+    (d >= 1/4, or H >= 3/4) int f^2 g^2 converges only if g vanishes there:
+    a g with g(0) != 0 raises DomainError (every cosine and indicator g is 1
+    at the origin).  A custom g is integrated as given, with exponent 2 beta
+    while that is integrable and 0 otherwise; only g(0) is checked, so a g
+    that vanishes too slowly at the origin still gives a meaningless number.
     """
-    if g.kind != "custom" and 2.0 * model.origin_exponent <= -1.0:
-        raise DomainError(f"int f^2 g^2 diverges for {model.describe()} and {g.label}: "
-                          f"f^2 ~ |lam|^{2.0 * model.origin_exponent:g} at the origin")
-    e_h = tapering_factor(taper)
     beta2 = 2.0 * model.origin_exponent
+    if beta2 <= -1.0 and np.any(np.asarray(g.eval(np.zeros(1))) != 0.0):
+        raise DomainError(f"int f^2 g^2 diverges for {model.describe()} and {g.label}: "
+                          f"f^2 ~ |lam|^{beta2:g} at the origin")
+    e_h = tapering_factor(taper)
     f2g2 = spectral_integral(
         lambda lam: (model.density(lam) * np.asarray(g.eval(lam))) ** 2,
         exponent=(beta2 if beta2 > -1.0 else 0.0) if model.long_memory else None,
@@ -201,8 +203,8 @@ def _lagged_products(y: np.ndarray, max_lag: int) -> np.ndarray:
             out[u] = float(np.dot(y[: T - u], y[u:]))
         return out
     n = 1 << int(math.ceil(math.log2(2 * T)))
-    spec = np.fft.rfft(y, n)
-    acf = np.fft.irfft(spec.real**2 + spec.imag**2, n)
+    spec = scipy.fft.rfft(y, n)
+    acf = scipy.fft.irfft(spec.real**2 + spec.imag**2, n)
     return acf[: max_lag + 1]
 
 

@@ -28,12 +28,13 @@ or laplace (scale 1/sqrt(2), kappa4 = 3).  Randomness comes from
 counter-based Philox streams; use `derive_seed(master, rep)` to key one
 stream per Monte Carlo replication.
 
-The two ARFIMA families simulate by FFT convolution with the MA weights
-of (1-B)^{-d}, truncated at 2^20.  Two bounded, read-only caches keep
-what every path of a study reuses: the weights per d (up to 8 MB each,
-at most 8 values of d) and their real FFT per (d, FFT length)
-(n // 2 + 1 complex values, about 17 MB at the truncation cap, at most
-2 entries).
+The two ARFIMA families simulate by FFT convolution with the K + 1 MA
+weights of (1-B)^{-d}, truncated at K = 2^20.  A path of L values draws
+into one zeroed buffer of n >= L + 2K points (about 17 MB at the cap) and
+drops it after its real FFT.  Two bounded caches keep what every path of
+a study reuses: K and its tail fraction per d (no array, at most 8 values
+of d) and the weights' real FFT per (d, n) (n // 2 + 1 complex values,
+about 17 MB at the cap, at most 2 entries, read-only).
 """
 
 from __future__ import annotations
@@ -70,29 +71,39 @@ def derive_seed(master_seed: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseDriver:
-    """Unit-variance innovation distribution with known fourth cumulant."""
+    """Unit-variance innovation distribution with known fourth cumulant.
+
+    `fill(rng, out)` writes out.size draws into a contiguous float array, the
+    values `sample(rng, out.size)` returns, bit for bit.
+    """
 
     name: str
     kappa4: float
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    fill: Callable[[np.random.Generator, np.ndarray], None]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sampler(rng, n)
+        out = np.empty(n)
+        self.fill(rng, out)
+        return out
 
 
 def gaussian() -> NoiseDriver:
-    return NoiseDriver("gaussian", 0.0, lambda rng, n: rng.standard_normal(n))
+    return NoiseDriver("gaussian", 0.0, lambda rng, out: rng.standard_normal(out=out))
 
 
 def centered_exponential() -> NoiseDriver:
     return NoiseDriver(
-        "centered_exponential", 6.0, lambda rng, n: rng.exponential(1.0, n) - 1.0
+        "centered_exponential", 6.0,
+        lambda rng, out: np.subtract(rng.standard_exponential(out=out), 1.0, out=out),
     )
 
 
 def laplace() -> NoiseDriver:
     scale = 1.0 / math.sqrt(2.0)
-    return NoiseDriver("laplace", 3.0, lambda rng, n: rng.laplace(0.0, scale, n))
+    # Generator.laplace takes no out=: its draws are copied in
+    return NoiseDriver(
+        "laplace", 3.0, lambda rng, out: np.copyto(out, rng.laplace(0.0, scale, out.size))
+    )
 
 
 _DRIVERS = {
@@ -550,27 +561,30 @@ class ARMA(Model):
 _PSI_CAP = 1 << 20
 
 
-@functools.lru_cache(maxsize=8)
-def _frac_psi(d: float, tol: float = 1e-8) -> tuple[np.ndarray, float]:
-    """MA weights of (1-B)^{-d} with relative tail energy below tol.
+def _frac_weights(d: float, out: np.ndarray | None = None,
+                  tol: float = 1e-8) -> tuple[int, float]:
+    """Truncation K of the MA weights of (1-B)^{-d} with relative tail energy
+    below tol, and the tail fraction achieved; psi_0..psi_K go into out[:K + 1]
+    when out is given.
 
-    psi_k = psi_{k-1} (k-1+d)/k.  The tail energy past K behaves like
-    psi_K^2 K / (1 - 2d); K grows like tol^{1/(1-2d)} and is capped at
-    2^20 coefficients, with the achieved tail fraction reported so callers
-    can record it.  Cached per d (the array can reach 8 MB and simulation
-    sweeps reuse one d thousands of times); the result is write-protected.
+    psi_k = psi_{k-1} (k-1+d)/k, in blocks of 2^14.  The tail energy past K
+    behaves like psi_K^2 K / (1 - 2d); K grows like tol^{1/(1-2d)} and is
+    capped at 2^20, with the achieved tail fraction reported so callers can
+    record it.
     """
-    chunks = [np.ones(1)]
     total = 1.0
     k0 = 1
     last = 1.0
     tail_frac = 1.0
+    if out is not None:
+        out[0] = 1.0
     while k0 <= _PSI_CAP:
         size = min(1 << 14, _PSI_CAP - k0 + 1)
         k = np.arange(k0, k0 + size, dtype=float)
         ratios = (k - 1.0 + d) / k
         block = last * np.cumprod(ratios)
-        chunks.append(block)
+        if out is not None:
+            out[k0:k0 + size] = block
         last = block[-1]
         total += float(np.sum(block**2))
         k_end = k0 + size - 1
@@ -579,37 +593,28 @@ def _frac_psi(d: float, tol: float = 1e-8) -> tuple[np.ndarray, float]:
         if tail_frac < tol:
             break
         k0 += size
-    psi = np.concatenate(chunks)
-    psi.setflags(write=False)
-    return psi, float(tail_frac)
+    return k_end, float(tail_frac)
+
+
+@functools.lru_cache(maxsize=8)
+def _frac_psi(d: float) -> tuple[int, float]:
+    """`_frac_weights(d)`, the truncation K and its tail fraction, per d."""
+    return _frac_weights(d)
 
 
 @functools.lru_cache(maxsize=2)
 def _frac_spectrum(d: float, n: int) -> np.ndarray:
-    """Real FFT of the `_frac_psi(d)` weights zero-padded to n points.
+    """Real FFT of the K + 1 weights of (1-B)^{-d} zero-padded to n points.
 
     Every path of a study filters with the same weights at the same n, so
     the transform is kept (size and bound in the module docstring).
     Write-protected.
     """
-    spec = scipy.fft.rfftn(_frac_psi(d)[0], [n])
+    buf = np.zeros(n)
+    _frac_weights(d, buf)
+    spec = scipy.fft.rfft(buf)
     spec.setflags(write=False)
     return spec
-
-
-def _frac_filter(xi: np.ndarray, d: float, L: int) -> np.ndarray:
-    """(psi * xi)[K:K + L] for the K + 1 weights psi of (1-B)^{-d}.
-
-    The transforms of scipy.signal.fftconvolve(xi, psi)[K:K + L], bit for
-    bit: rfftn at n = next_fast_len(xi.size + K, True), product, irfftn.
-    The weights' transform comes from `_frac_spectrum` and the product is
-    formed in place.
-    """
-    K = _frac_psi(d)[0].size - 1
-    n = scipy.fft.next_fast_len(xi.size + K, True)
-    spec = scipy.fft.rfftn(xi, [n])
-    spec *= _frac_spectrum(d, n)
-    return scipy.fft.irfftn(spec, [n])[K:K + L]
 
 
 def _frac_r0(d: float) -> float:
@@ -620,15 +625,26 @@ def _frac_noise(model: Model, driver: NoiseDriver, L: int, T: int, seed: int) ->
     """L values of (1-B)^{-d} applied to unit-variance draws, d = model.d, and the
     provenance of a path of length T with the MA truncation K and its tail fraction.
 
-    K + L draws are taken, the first K only feeding the filter.
+    K + L draws xi are taken, the first K only feeding the filter.  The values
+    are scipy.signal.fftconvolve(xi, psi)[K:K + L] for the K + 1 weights psi,
+    bit for bit: the draws fill a zeroed buffer of n = next_fast_len(L + 2K, True)
+    points, whose real FFT is multiplied in place by `_frac_spectrum(d, n)` and
+    inverted.  Each array of n points is dropped once used; only the L values
+    are kept.
     """
-    psi, tail_frac = _frac_psi(model.d)
-    K = psi.size - 1
-    xi = driver.sample(make_rng(seed), L + K)
+    K, tail_frac = _frac_psi(model.d)
+    n = scipy.fft.next_fast_len(L + 2 * K, True)
+    weights = _frac_spectrum(model.d, n)  # before the path's buffer: a first build never overlaps it
+    buf = np.zeros(n)
+    driver.fill(make_rng(seed), buf[:L + K])
+    spec = scipy.fft.rfft(buf)
+    del buf
+    spec *= weights
+    frac = scipy.fft.irfft(spec, n, overwrite_x=True)[K:K + L].copy()
     prov = model._base_provenance(driver, T, seed)
     prov["ma_truncation"] = K
     prov["ma_tail_fraction"] = tail_frac
-    return _frac_filter(xi, model.d, L), prov
+    return frac, prov
 
 
 class ARFIMA0d0(Model):
@@ -776,7 +792,8 @@ class FGN(Model):
             return TimeSeries(rng.standard_normal(1), prov)
         r = np.asarray(self.covariance(np.arange(T)), dtype=float)
         circ = np.concatenate([r, r[-2:0:-1]])
-        eig = np.fft.fft(circ).real
+        # the complex transform: the real-input one rounds differently
+        eig = scipy.fft.fft(circ.astype(complex)).real
         neg = eig < 0.0
         prov["clipped_eigenvalues"] = int(np.sum(neg))
         prov["clipped_mass"] = float(-np.sum(eig[neg]))
@@ -785,7 +802,7 @@ class FGN(Model):
         u_norm = rng.standard_normal(m)
         v_norm = rng.standard_normal(m)
         z = np.sqrt(eig / m) * (u_norm + 1j * v_norm)
-        x = np.fft.fft(z).real[:T]
+        x = scipy.fft.fft(z).real[:T]
         return TimeSeries(x, prov)
 
 

@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries, _frozen
@@ -167,7 +168,7 @@ def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarr
     else:
         a[1:T] = y[:-1]
         a[0] = y[-1]
-    return np.fft.fft(a) if grid.shifted else np.fft.rfft(a)
+    return scipy.fft.fft(a) if grid.shifted else scipy.fft.rfft(a)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:

@@ -245,6 +245,21 @@ def test_variance_limit_integrates_a_custom_g_as_given():
     assert asymptotic_variance(ARFIMA0d0(0.3), vanishing, get_taper("tukey")) > 0.0
 
 
+def test_variance_limit_refuses_a_custom_g_nonzero_at_the_origin():
+    # at d = 0.26, f^2 ~ |lam|^-1.04: int f^2 g^2 diverges unless g(0) = 0
+    # (quadrature of the divergent integral with g = 1 returned 18,494.13)
+    from scipy.integrate import quad
+
+    rect = get_taper("rect")
+    with pytest.raises(DomainError, match=r"diverges for arfima0d0\{d=0.26\} and custom"):
+        asymptotic_variance(ARFIMA0d0(0.26), custom(lambda lam: np.ones_like(lam)), rect)
+    # g = |lam| vanishes there: 4 pi e(h) int f^2 lam^2, e(h) = 1, by QUADPACK
+    half, _ = quad(lambda lam: (2.0 * math.sin(lam / 2.0)) ** -1.04 * lam * lam, 0.0, math.pi,
+                   epsabs=1e-13, epsrel=1e-13)
+    assert asymptotic_variance(ARFIMA0d0(0.26), custom(np.abs), rect) == pytest.approx(
+        8.0 * math.pi * half, rel=1e-12)
+
+
 def test_variance_spectral_function_monte_carlo():
     # Empirical check of the factor above: iid N(0,1), F_hat(pi) = half the
     # tapered sample energy.

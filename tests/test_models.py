@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taperspec import models
@@ -511,6 +511,32 @@ def test_get_driver_names():
         get_driver("uniform")
 
 
+# reference draws: each distribution's own Generator call, into a new array
+_DIRECT_DRAWS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "centered_exponential": lambda rng, n: rng.exponential(1.0, n) - 1.0,
+    "laplace": lambda rng, n: rng.laplace(0.0, 1.0 / math.sqrt(2.0), n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(models._DRIVERS))
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3000), lead=st.integers(0, 7), pad=st.integers(0, 7),
+       seed=st.integers(0, 2**63))
+@example(n=0, lead=3, pad=2, seed=0)
+@example(n=1, lead=0, pad=1, seed=1)
+def test_driver_fill_matches_sample_bitwise(name, n, lead, pad, seed):
+    driver = get_driver(name)
+    buf = np.zeros(lead + n + pad)
+    rng = make_rng(seed)
+    driver.fill(rng, buf[lead:lead + n])
+    direct = make_rng(seed)
+    assert np.array_equal(buf[lead:lead + n], _DIRECT_DRAWS[name](direct, n))
+    assert np.array_equal(buf[lead:lead + n], driver.sample(make_rng(seed), n))
+    assert not buf[:lead].any() and not buf[lead + n:].any()
+    assert rng.standard_normal() == direct.standard_normal()  # same stream consumed
+
+
 # --------------------------------------------------------------- simulation
 
 def test_simulation_deterministic_and_seed_sensitive():
@@ -598,19 +624,22 @@ def test_fgn_rejects_non_gaussian_driver():
 def test_frac_filter_matches_fftconvolve_bitwise(d):
     from scipy.signal import fftconvolve
 
-    psi = models._frac_psi(d)[0]
-    K = psi.size - 1
+    K = models._frac_psi(d)[0]
+    psi = np.zeros(K + 1)
+    assert models._frac_weights(d, psi) == models._frac_psi(d)
     for L in (1, 600, 2548):
         xi = make_rng(L).standard_normal(L + K)
-        assert np.array_equal(models._frac_filter(xi, d, L),
-                              fftconvolve(xi, psi)[K:K + L])
+        frac, prov = models._frac_noise(ARFIMA0d0(d), gaussian(), L, L, L)
+        assert np.array_equal(frac, fftconvolve(xi, psi)[K:K + L])
+        assert frac.base is None  # a copy, not a view of the n-point inverse
+        assert prov["ma_truncation"] == K
 
 
 def test_frac_spectrum_cached_read_only():
     from scipy.fft import next_fast_len
 
     d, T = 0.3, 64
-    K = models._frac_psi(d)[0].size - 1
+    K = models._frac_psi(d)[0]
     n = next_fast_len(T + 2 * K, True)
     ARFIMA0d0(d=d).simulate(gaussian(), T, seed=0)
     info = models._frac_spectrum.cache_info()
@@ -621,6 +650,109 @@ def test_frac_spectrum_cached_read_only():
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
         spec[0] = 0.0
+    # the per-d cache holds K and its tail fraction, no weight array
+    assert [type(v) for v in models._frac_psi(d)] == [int, float]
+    assert models._frac_psi.cache_info().maxsize == 8
+
+
+# sha256 of ARFIMA path values (seed 7; T = 64, then 2048), recorded before
+# the fractional filter moved into one padded buffer per path; that change
+# must leave every bit alone.
+_PINNED_FRAC_PATH_SHA256 = {
+    ("arfima0d0", -0.3, "gaussian"): (
+        "6cb3b1ab6476ccfb6e669572f4e43068e437c6645af0c65364c04e6088965014",
+        "9fba600e1d9003031e04e90fcda5fd6353a85beb2d0e407bc016cb2b49872e5d"),
+    ("arfima0d0", -0.3, "centered_exponential"): (
+        "567734e517965cc6ec893a5e9f50aa288db41c006d87d3f31530546629ab2253",
+        "33d936c93e8dbff1771961a069ab6412a28624e2e663e0260948ea1ac4239042"),
+    ("arfima0d0", -0.3, "laplace"): (
+        "ab346af07c20997ddc75da29c690eb512822685b478337ac75d8e799433d25ef",
+        "775b29ab1868306bf0a3fa3b614717f6c58532ad7a384fe604a931ffe3b269c3"),
+    ("arfima0d0", 0.3, "gaussian"): (
+        "8b88238ef218e3188efdbb65c4224bb22e64d59921de747408bd249a5a78fefe",
+        "cd7a5c9ea5cf5b0f2a4e66e07dc7c5ec5b1cfc44810c745032ff34f16719f302"),
+    ("arfima0d0", 0.3, "centered_exponential"): (
+        "d73f903bb5339e3664fbffa075be761a449abfc7c41e767317f4c8634ed5ec9d",
+        "574f757e7896953141718c8a23e35f7d5da6e3a1af1700d69aed080d867a4b47"),
+    ("arfima0d0", 0.3, "laplace"): (
+        "a75aaa978efd1bd82108f8e78857906da097c303c5a57f00cb69da8823d22fa7",
+        "c03fa2b21303094163bedbebf23dd59540227c35552140f5ac8dbcfc0fa36f49"),
+    ("arfima0d0", 0.45, "gaussian"): (
+        "8c7afe1ac2eaee887ad8ad68255d5b41a5fe91baaea7ec24e47fc37efb7e7b3c",
+        "b716aee8ba492e1cfe6ea0a5000a3ed3e3a013bfbaef52ee519ed6ee580e7a66"),
+    ("arfima0d0", 0.45, "centered_exponential"): (
+        "9ed1e155fd5c64354890538cfe934badd1d6d521c6ee5f0b138b0bc235bd63d1",
+        "d2f5c54ab53f98addbd975c7ed6ddc75e8cdc4fa7710b355203310b855dd8e2d"),
+    ("arfima0d0", 0.45, "laplace"): (
+        "b4a6dc8a88485247d7323deb6e9a11e3cf82f5ec07ae9087f6b81f5e5d54f4b0",
+        "6a62286087d65d9023f3937e2297a71a3fbc57054fe77c318de1f1fb62e09bd2"),
+    ("arfima_pdq", -0.3, "gaussian"): (
+        "3e1866b963f8ea55ee908b2a7078cabf465f6bdff895918cd70216c48e615e78",
+        "097aa4eaacaa79243e0709798d4cf7b93fc120f7d2597ff81a16e4eafe12f27a"),
+    ("arfima_pdq", -0.3, "centered_exponential"): (
+        "d1784b26075d849371f4dfc4c5fdeee3a70dabd76f816807f26eb82da19273d8",
+        "e026a6adb6c0cb09f2e303182f5e31c3f42718c2951fe47851495026fe62902e"),
+    ("arfima_pdq", -0.3, "laplace"): (
+        "c7619f7fe243d7a2dfdc595c00bf881e38fa1df0813bbc4d7babb4d591b6496d",
+        "6a0b6c31ca6f6ababb5e22224c118c66dae472c8f2ff4f6372d0ed71b38a567b"),
+    ("arfima_pdq", 0.3, "gaussian"): (
+        "0811079818319bac58ef91c0b4534fe03ce8cc3dbc180853f39dc6acb68d2339",
+        "53949dbbf335739a421b035f552d0bbf9782d67c01bbe45af26cc0bffd26f2ae"),
+    ("arfima_pdq", 0.3, "centered_exponential"): (
+        "eb4e67071b3671b34feaec8fe1d1a43e7353c487d1ccd28a4dd8e7c9f8fd8ffe",
+        "e4e3d2fbbb306e13206bcc40a8857786a9232eedc316cea445884077d9b44353"),
+    ("arfima_pdq", 0.3, "laplace"): (
+        "f90e64d7a1944d07496280bf16c59bc6c4d72d0fd53a7b7ad038bb7b778c96a6",
+        "09434d54c77b6b9155403c93631b0c24a9c19ba502da1819b77ef86db6981f3c"),
+    ("arfima_pdq", 0.45, "gaussian"): (
+        "30be8163517fd4f91b149ef74d7cfb1bb5ca5aa43817244174ec5109e53fd585",
+        "e04a3fae06e0ab3f9a9335d224f94f262c479687d8f56f87d82fe34ece8eea71"),
+    ("arfima_pdq", 0.45, "centered_exponential"): (
+        "ce4df328725b743fe1812c328bd0acbac2bf71d7fc1d58deaf95741b514aa736",
+        "3cd06c2f4903664e67a6f42139f4a570549db17727c7e9495607e6b4a9e3124c"),
+    ("arfima_pdq", 0.45, "laplace"): (
+        "1d0e7f7accf7eb4bcfddcdadf807c388f1614e16131dde10adaff02581eed173",
+        "062730e4b737196a0f2bcf444635388ea6dcf9ceb13d475ad210881921c2eaa6"),
+}
+# (ma_truncation, ma_tail_fraction) per d
+_PINNED_FRAC_TRUNCATION = {
+    -0.3: (16384, 5.437673030774152e-09),
+    0.3: (1048576, 0.0008295750335826907),
+    0.45: (1048576, 0.21534689688896916),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_FRAC_PATH_SHA256),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_fractional_paths_pinned(key):
+    import hashlib
+
+    family, d, driver = key
+    model = ARFIMA0d0(d) if family == "arfima0d0" else ArfimaPDQ(d, phi=(0.4,))
+    for T, digest in zip((64, 2048), _PINNED_FRAC_PATH_SHA256[key]):
+        ts = model.simulate(get_driver(driver), T, seed=7)
+        assert hashlib.sha256(ts.values.tobytes()).hexdigest() == digest
+        assert (ts.provenance["ma_truncation"], ts.provenance["ma_tail_fraction"]) \
+            == _PINNED_FRAC_TRUNCATION[d]
+
+
+# sha256 of fGn paths (seed 7; T = 64, then 2048), recorded before the
+# circulant embedding moved from numpy.fft to scipy.fft
+_PINNED_FGN_PATH_SHA256 = {
+    0.3: ("47e70ca631079dccef2d5321708a238634e3f2a93024b9a7766bfea0f2e93f45",
+          "35ddc506d969360f8f6af70350a8fd341354b2cde25e39dc66703e18ec000c03"),
+    0.7: ("07dadc1f3608fec3548c7e2559647e84da210fcc7f4721b0f7968b9ac183bbe9",
+          "8fc8187dfbea9fd8e1e38abb2e1f071742b17fe711b1e111ddb56382f76b70cc"),
+}
+
+
+@pytest.mark.parametrize("H", sorted(_PINNED_FGN_PATH_SHA256))
+def test_fgn_paths_pinned(H):
+    import hashlib
+
+    for T, digest in zip((64, 2048), _PINNED_FGN_PATH_SHA256[H]):
+        values = FGN(H).simulate(gaussian(), T, seed=7).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_arfima_pdq_simulation_runs():
