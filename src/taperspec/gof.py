@@ -29,19 +29,17 @@ inversion of the characteristic function.  A score-orthogonal basis built
 for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
 composite test takes nu = 1 and computes neither Gamma nor b.
 
-Every active slot is even (`make_basis` rejects an odd part, and both
-built-in bases are even by construction), and so is the null, a `Model`
-density.  On the unshifted grid each Phi_j is therefore the sum over its
-N/2 + 1 nodes in [0, pi] of the slot times the residual r = I/f0 - 1
-under the fold weights (1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).
-The shifted grid of a long-memory null keeps all N points at unit weight
-and its bits (see `spectrum`).
-
-Both built-in bases are harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi),
-with u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  So
-each Phi_j is one complex dot product of the grid's e^{i j lam} table with
-u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
-(`TestBasis.evaluate`) are built only for the population quadratures.
+Every slot is harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi), with
+u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  Each
+active slot is therefore even, and so is the null, a `Model` density.  On
+the unshifted grid each Phi_j is the sum over its N/2 + 1 nodes in [0, pi]
+of the slot times the residual r = I/f0 - 1 under the fold weights
+(1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).  The shifted grid of a
+long-memory null keeps all N points at unit weight and its bits (see
+`spectrum`).  Each Phi_j is one complex dot product of the grid's
+e^{i j lam} table with u (I/f0 - 1) (`TestBasis.project`); the slot values
+themselves (`TestBasis.values`) are built only for the population
+quadratures.
 """
 
 from __future__ import annotations
@@ -63,141 +61,76 @@ from .whittle import WhittleFit, whittle_estimate
 
 logger = logging.getLogger(__name__)
 
-_GRAM_TOL = 1e-6
-_PARITY_NODES = 8193  # symmetric grid on which slots are classified zero/even/odd
 _NU_TOL = 1e-6  # a mixture weight this close to 0 or 1 is taken as exactly that
 
 
 @dataclass(frozen=True)
 class TestBasis:
-    """Orthonormal test functions with their numeric certificate.
+    """m harmonic orthonormal test functions on [-pi, pi].
 
-    Identically-zero slots are legal (they carry no statistic mass and no
-    degree of freedom) as long as one slot is active, and are excluded
-    from the Gram check; `parity` marks each slot "even" or "zero".  Odd
-    functions are rejected at construction: the periodogram is even in
-    lambda, so an odd slot projects to exactly zero for every sample while
-    still claiming a degree of freedom, which would silently wreck the
-    chi-square calibration.
+    The first `zero` slots are identically zero: they carry no statistic
+    mass and no degree of freedom.  Slot j > zero (counted from 1) is
 
-    `project(c, r)` maps a FrequencyConstants value c and a vector r on
-    its frequencies to the m sums sum_k phi_j(lam_k) r_k that `phi_vector`
-    takes, without building the slots (see the module docstring).
-    `evaluate` maps c to the (m, len(lam)) array of all slots at once,
-    for the population quadratures and `values`.
+        phi_j(lam) = Re(e^{i j lam} u(lam)) / sqrt(pi)
+
+    with u = `ratio`(c) for a FrequencyConstants value c, or u = 1 when
+    `ratio` is None.  Every slot is even by construction: the periodogram
+    is even in lambda, so an odd slot would project to exactly zero for
+    every sample while still claiming a degree of freedom.
+
+    `project(c, r)` gives the m sums sum_k phi_j(lam_k) r_k that
+    `phi_vector` takes, without building the slots (see the module
+    docstring); `values` builds them, for the population quadratures.
     `degree` is the highest frequency j of an e^{i j lam} factor in any
-    slot, the rest of each slot being smooth (see ar_example_basis); the
-    population quadratures start fine enough to resolve it.  It is None
-    when unknown, which makes them run at their finest level only.
-    `score_orthogonal` marks b = 0 for the model it was built for.
+    slot, u being smooth; the population quadratures start fine enough to
+    resolve it.  `score_orthogonal` marks b = 0 for the model it was built
+    for.
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
 
-    evaluate: object
-    project: object
-    names: tuple
-    parity: tuple
-    gram_residual: float
-    degree: int | None = None
+    m: int
+    zero: int = 0
+    ratio: object = None
     score_orthogonal: bool = False
 
     @property
-    def m(self) -> int:
-        return len(self.names)
+    def degree(self) -> int:
+        return self.m
 
     @property
     def active(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.parity) if p != "zero")
+        return tuple(range(self.zero, self.m))
 
     @property
     def m_active(self) -> int:
-        return len(self.active)
+        return self.m - self.zero
 
     def values(self, lam) -> np.ndarray:
         """All slots at an array of frequencies or a FrequencyConstants value."""
-        return self.evaluate(_constants(lam))
+        c = _constants(lam)
+        u = None if self.ratio is None else self.ratio(c)
+        rows = [np.zeros_like(c.lam)] * self.zero
+        rows += [np.real(c.exp_ij(j) if u is None else c.exp_ij(j) * u) / math.sqrt(math.pi)
+                 for j in range(self.zero + 1, self.m + 1)]
+        return np.vstack(rows)
 
-
-def make_basis(functions, names=None, degree: int | None = None) -> TestBasis:
-    """Certify a list of callables as an orthonormal system on [-pi, pi].
-
-    `degree` is as in TestBasis.  Slots are classified zero or even, and
-    any with a non-vanishing odd part rejected (see TestBasis), on a
-    symmetric grid.  The Gram matrix of the non-zero slots comes from
-    `spectral_integral`, started at twice the basis degree (a product of
-    two slots carries up to that frequency), and must match the identity
-    within 1e-6.
-    """
-    functions = tuple(functions)
-    if not functions:
-        raise DomainError("basis needs at least one function")
-
-    def rows(lam):
-        return np.vstack([np.broadcast_to(np.asarray(fn(lam), dtype=float),
-                                          lam.shape) for fn in functions])
-
-    if names is None:
-        names = tuple(f"phi{j + 1}" for j in range(len(functions)))
-    m = len(names)
-    grid = np.linspace(-math.pi, math.pi, _PARITY_NODES)
-    vals = rows(grid)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("basis function not finite on [-pi, pi]")
-    zero = np.max(np.abs(vals), axis=1) < 1e-12
-    odd_part = np.max(np.abs(vals - vals[:, ::-1]), axis=1)
-    for j in range(m):
-        if not zero[j] and odd_part[j] > 1e-10:
-            raise DomainError(
-                f"basis slot {j + 1} has an odd part (max {odd_part[j]:.3e}); "
-                "odd functions project to zero against the even periodogram")
-    parity = tuple("zero" if zero[j] else "even" for j in range(m))
-    active = [j for j in range(m) if parity[j] != "zero"]
-    if not active:
-        raise DomainError("basis has no active slot")
-    pairs = [(i, j) for i in range(len(active)) for j in range(i, len(active))]
-
-    def products(lam):
-        av = rows(lam)[active]
-        return np.vstack([av[i] * av[j] for i, j in pairs])
-
-    upper = spectral_integral(products, degree=None if degree is None else 2 * degree)
-    gram = np.empty((len(active), len(active)))
-    for (i, j), val in zip(pairs, np.atleast_1d(upper)):
-        gram[i, j] = gram[j, i] = val
-    residual = float(np.max(np.abs(gram - np.eye(len(active)))))
-    if residual > _GRAM_TOL:
-        raise DomainError(
-            f"basis fails the orthonormality certificate: residual {residual:.3e}")
-    # the caller's functions see the plain frequency array
-    return TestBasis(evaluate=lambda c: rows(c.lam), project=lambda c, r: rows(c.lam) @ r,
-                     names=tuple(names), parity=parity, gram_residual=residual,
-                     degree=degree)
+    def project(self, c, r) -> np.ndarray:
+        """Re(sum_k e^{i j lam_k} u_k r_k) / sqrt(pi) per slot, from c's table."""
+        v = np.asarray(r if self.ratio is None else self.ratio(c) * r, dtype=complex)
+        sums = np.array([np.real(c.exp_ij(j) @ v) for j in range(self.zero + 1, self.m + 1)])
+        return np.concatenate((np.zeros(self.zero), sums / math.sqrt(math.pi)))
 
 
 def cosine_basis(m: int) -> TestBasis:
     """phi_j(lam) = cos(j lam) / sqrt(pi), j = 1..m.
 
-    Orthonormal by construction, so it skips the certificate (the tests
-    certify it).
+    Orthonormal by construction (the tests certify it).
     """
     m = int(m)
     if m < 1:
         raise DomainError("cosine basis needs m >= 1")
-    j = np.arange(1, m + 1, dtype=float)
-
-    def evaluate(c):
-        return np.cos(np.outer(j, c.lam)) / math.sqrt(math.pi)
-
-    names = tuple(f"cos{k}" for k in range(1, m + 1))
-    return TestBasis(evaluate=evaluate, project=lambda c, r: _harmonic(c, r, 1, m),
-                     names=names, parity=("even",) * m, gram_residual=0.0, degree=m)
-
-
-def _harmonic(c, v, first: int, m: int) -> np.ndarray:
-    """Re(sum_k e^{i j lam_k} v_k) / sqrt(pi) for j = first..m, from c's table."""
-    v = np.asarray(v, dtype=complex)
-    return np.array([np.real(c.exp_ij(j) @ v) for j in range(first, m + 1)]) / math.sqrt(math.pi)
+    return TestBasis(m)
 
 
 def _ar_poly(model: Model) -> np.ndarray:
@@ -225,8 +158,8 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     argument shows every slot with j > p is orthogonal both to the
     other slots and to the AR score, so the cross matrix b vanishes and
     the composite statistic keeps a plain chi-square limit with one
-    degree of freedom per active slot.  Orthonormal and score-orthogonal
-    by construction, it skips the certificate (the tests certify both).
+    degree of freedom per active slot.  It is orthonormal and
+    score-orthogonal by construction (the tests certify both).
     """
     a = _ar_poly(model)
     p = a.size - 1
@@ -239,20 +172,7 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
         q = _poly_on_circle(a, c.exp_ij(1))
         return np.conj(q) / q
 
-    def evaluate(c):
-        # the AR ratio is shared by every slot, e^{i j lam} by every replication
-        u = ratio(c)
-        rows = [np.zeros_like(c.lam) for _ in range(p)]
-        rows += [np.real(c.exp_ij(j) * u) / math.sqrt(math.pi) for j in range(p + 1, m + 1)]
-        return np.vstack(rows)
-
-    def project(c, r):
-        return np.concatenate((np.zeros(p), _harmonic(c, ratio(c) * r, p + 1, m)))
-
-    names = ("zero",) * p + tuple(f"re_psi{j}" for j in range(p + 1, m + 1))
-    return TestBasis(evaluate=evaluate, project=project, names=names,
-                     parity=("zero",) * p + ("even",) * (m - p),
-                     gram_residual=0.0, degree=m, score_orthogonal=True)
+    return TestBasis(m, zero=p, ratio=ratio, score_orthogonal=True)
 
 
 @dataclass(frozen=True)

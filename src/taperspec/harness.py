@@ -99,6 +99,13 @@ def _parse_basis(spec: str, o: dict):
     return lambda model: _build_basis(spec, model)
 
 
+def _parse_driver(text: str, o: dict):
+    """The named driver, if the model that simulates the data can draw from it."""
+    driver = get_driver(_DRIVER_ALIASES.get(text, text))
+    (o.get("data_model") or o["model"]).check_driver(driver)
+    return driver
+
+
 def parse_t_list(text: str) -> tuple:
     """Comma list of sample sizes, each parsed and bounded as one T."""
     vals = tuple(parse_option("T", p.strip()) for p in str(text).split(",") if p.strip())
@@ -222,7 +229,7 @@ OPTIONS = {
     "taper": Option(f"taper id: {', '.join(_TAPERS)}",
                     build=lambda text, o: resolve_taper(text)),
     "driver": Option(f"innovation driver: {', '.join([*_DRIVERS, *_DRIVER_ALIASES])}",
-                     build=lambda text, o: get_driver(_DRIVER_ALIASES.get(text, text))),
+                     build=lambda text, o: _parse_driver(text, o)),
     "T": Option("sample size; a comma list for the ladder kinds", int, 8),
     "T_smooth": Option("sample size for the smoothing-error evaluation", int, 8),
     "reps": Option("replication count", int, 1),
@@ -376,10 +383,6 @@ class ExperimentConfig:
         for name in self.check_overrides:
             if name not in {row.name for row in CHECKS[self.kind]}:
                 raise SchemaError(f"check field {name!r}: not a check of {self.kind!r}")
-
-    @property
-    def seed(self) -> int:
-        return parse_option("seed", self.options.get("seed", 0))
 
     @property
     def out_base(self) -> str:

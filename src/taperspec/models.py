@@ -187,6 +187,9 @@ class Model:
     def simulate(self, driver: NoiseDriver, T: int, seed: int) -> TimeSeries:
         raise NotImplementedError
 
+    def check_driver(self, driver: NoiseDriver) -> None:
+        """Raise DomainError if `simulate` cannot draw from `driver`."""
+
     def with_params(self, **updates) -> "Model":
         merged = self.params()
         merged.update(updates)
@@ -387,22 +390,6 @@ def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
     return True
 
 
-def _arma_updates(params: dict, updates: dict, family: str) -> dict:
-    """`params` with `updates`: whole parameters first, then single
-    coefficients named phiK / thetaK (K from 1)."""
-    merged = {**params, **{k: v for k, v in updates.items() if k in params}}
-    coefs = {name: list(np.atleast_1d(np.asarray(merged[name], dtype=float)))
-             for name in ("phi", "theta")}
-    for key, val in updates.items():
-        if key in params:
-            continue
-        name = next((n for n in coefs if key.startswith(n)), None)
-        if name is None:
-            raise ValueError(f"unknown {family} parameter {key!r}")
-        coefs[name][int(key[len(name):]) - 1] = float(val)
-    return {**merged, "phi": tuple(coefs["phi"]), "theta": tuple(coefs["theta"])}
-
-
 def _check_arma(phi: tuple, theta: tuple):
     a, b = [1.0] + [-v for v in phi], [1.0, *theta]
     if not _roots_outside_unit_circle(a):
@@ -506,9 +493,6 @@ class ARMA(Model):
         self.free_names = self.lead_names + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
             f"theta{i+1}" for i in range(len(theta))
         )
-
-    def with_params(self, **updates):
-        return type(self)(**_arma_updates(self.params(), updates, self.family))
 
     def free_vector(self):
         lead = tuple(getattr(self, name) for name in self.lead_names)
@@ -783,9 +767,12 @@ class FGN(Model):
         out = 0.5 * ((u_arr + 1.0) ** h2 - 2.0 * u_arr**h2 + np.abs(u_arr - 1.0) ** h2)
         return _maybe_scalar(out, u)
 
-    def simulate(self, driver, T, seed):
+    def check_driver(self, driver):
         if driver.name != "gaussian":
             raise DomainError("fgn simulation is defined for the gaussian driver only")
+
+    def simulate(self, driver, T, seed):
+        self.check_driver(driver)
         rng = make_rng(seed)
         prov = self._base_provenance(driver, T, seed)
         if T == 1:

@@ -63,14 +63,9 @@ def power_decay(c: float, beta: float) -> Trend:
     if not beta > _BETA_FLOOR:
         raise DomainError(
             f"power_decay needs beta > {_BETA_FLOOR}; got {beta} "
-            "(use custom_trend for out-of-theory controls)")
+            "(build a Trend directly for out-of-theory controls)")
     return Trend(kind="power_decay", fn=lambda t: c * np.asarray(t, dtype=float) ** (-beta),
                  label=f"power_decay(c={c:g},beta={beta:g})", c=c, beta=beta)
-
-
-def custom_trend(fn, label: str = "custom") -> Trend:
-    """Unvalidated trend; the escape hatch for negative controls."""
-    return Trend(kind="custom", fn=fn, label=label)
 
 
 def contaminate(series: TimeSeries, trend: Trend) -> TimeSeries:

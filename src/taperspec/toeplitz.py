@@ -154,17 +154,6 @@ def trace_limit(psi_list, taper: Taper) -> float:
     return (2.0 * math.pi) ** (m - 1) * taper.moment(2 * m) * integral
 
 
-def trace_deviation(psi_list, taper: Taper, T: int) -> float:
-    """|S(T) - M|: the finite-T trace against its limit."""
-    psi_list = list(psi_list)
-    mats = [build_matrix(p, taper, T) for p in psi_list]
-    if len(mats) == 1:
-        s_t = float(np.trace(mats[0].matrix) / T)
-    else:
-        s_t = trace_product(mats)
-    return abs(s_t - trace_limit(psi_list, taper))
-
-
 def _covariance_matrix(f, T: int) -> np.ndarray:
     """Plain Toeplitz covariance matrix of the density f (rect taper)."""
     return build_matrix(f, get_taper("rect"), T).matrix

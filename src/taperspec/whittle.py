@@ -117,14 +117,15 @@ def _grid_density(model: Model, grid) -> np.ndarray:
     return f if lo >= _F_FLOOR else np.maximum(f, _F_FLOOR)
 
 
-def whittle_objective(pgram: Periodogram, model: Model, theta=None) -> float:
-    """U_T at the model point (or at `theta` substituted into it)."""
-    if theta is not None:
-        model = model.with_free(np.asarray(theta, dtype=float))
+def _criterion(pgram: Periodogram, f: np.ndarray) -> float:
+    """U_T for the density values f on the grid's nodes."""
     grid = pgram.grid
-    f = _grid_density(model, grid)
-    total = grid.sum(np.log(f) + pgram.node_values / f)
-    return float(total * grid.weight / (4.0 * math.pi))
+    return float(grid.sum(np.log(f) + pgram.node_values / f) * grid.weight / (4.0 * math.pi))
+
+
+def whittle_objective(pgram: Periodogram, model: Model) -> float:
+    """U_T at the model point."""
+    return _criterion(pgram, _grid_density(model, pgram.grid))
 
 
 def _profile_scale(pgram: Periodogram, f1: np.ndarray) -> tuple:
@@ -138,10 +139,7 @@ def _profile_scale(pgram: Periodogram, f1: np.ndarray) -> tuple:
     denom = grid.N * grid.weight
     s2 = float(grid.sum(pgram.node_values / f1) * grid.weight / denom)
     s2 = max(s2, _F_FLOOR)
-    f = s2 * f1
-    value = grid.sum(np.log(f) + pgram.node_values / f)
-    value = float(value * grid.weight / (4.0 * math.pi))
-    return s2, value
+    return s2, _criterion(pgram, s2 * f1)
 
 
 _COEF_BOX = (-0.99, 0.99)

@@ -30,7 +30,6 @@ from taperspec.gof import (
     composite_test,
     cosine_basis,
     gamma_matrix,
-    make_basis,
     mixture_weights,
     phi_vector,
     reference_pvalue,
@@ -65,18 +64,21 @@ def _synthetic_pgram(model, T, factor=1.0, oversample=4):
 
 def test_cosine_basis_certificate():
     basis = cosine_basis(4)
-    assert basis.gram_residual < 1e-12
-    assert basis.names == ("cos1", "cos2", "cos3", "cos4")
-    assert basis.parity == ("even",) * 4
-    assert basis.m == 4 and basis.m_active == 4
+    assert basis == TestBasis(4)
+    assert _certify(basis) == (("even",) * 4, pytest.approx(0.0, abs=1e-12))
+    assert basis.zero == 0 and basis.active == (0, 1, 2, 3)
+    assert basis.m == 4 and basis.m_active == 4 and basis.degree == 4
+    with pytest.raises(DomainError, match="m >= 1"):
+        cosine_basis(0)
 
 
 def test_ar_example_basis_structure():
     basis = ar_example_basis(AR_HALF, 4)
-    assert basis.names == ("zero", "re_psi2", "re_psi3", "re_psi4")
-    assert basis.parity == ("zero", "even", "even", "even")
-    assert basis.active == (1, 2, 3)
-    assert basis.gram_residual < 1e-12
+    assert basis.zero == 1 and basis.active == (1, 2, 3)
+    assert basis.m == 4 and basis.m_active == 3 and basis.degree == 4
+    assert basis.score_orthogonal
+    assert [f.name for f in dataclasses.fields(TestBasis)] == [
+        "m", "zero", "ratio", "score_orthogonal"]
 
 
 def test_ar_example_basis_score_orthogonal():
@@ -117,7 +119,7 @@ def test_ar_example_basis_refuses_an_arfima_pdq_null():
 def test_ar_example_basis_accepted_near_unit_root(theta):
     # orthonormal by construction; the certificate's quadrature must see it
     basis = ar_example_basis(AR1(theta=theta, sigma2=1.0), 4)
-    assert basis.gram_residual < 1e-12
+    assert _certify(basis) == (("zero",) + ("even",) * 3, pytest.approx(0.0, abs=1e-12))
     assert basis.degree == 4
 
 
@@ -142,19 +144,22 @@ def _certify(basis, nodes=1 << 16):
 @pytest.mark.parametrize("m", [2, 4, 8])
 @pytest.mark.parametrize("theta", [0.5, 0.9, 0.99, 0.999])
 def test_built_in_bases_pass_the_certificate(theta, m):
-    # built without the certificate, being orthonormal by construction
+    # orthonormal by construction, up to theta = 0.999 next to the unit root
     for basis in (cosine_basis(m), ar_example_basis(AR1(theta=theta, sigma2=1.0), m)):
         parity, residual = _certify(basis)
-        assert parity == basis.parity
+        assert parity == ("zero",) * basis.zero + ("even",) * basis.m_active
         assert residual < 1e-12
-        assert basis.gram_residual < 1e-12
 
 
 def test_cosine_slots_match_their_formula_bitwise():
-    lam = np.linspace(-math.pi, math.pi, 1001)
-    vals = cosine_basis(5).values(lam)
-    for j in range(1, 6):
-        assert np.array_equal(vals[j - 1], np.cos(j * lam) / math.sqrt(math.pi))
+    # the slots are Re(e^{i j lam}) from the table, with cos(j lam)'s bits,
+    # on a closed grid and on midpoint nodes
+    grids = [np.linspace(-math.pi, math.pi, 1001)]
+    grids += [-math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n for n in (64, 1024, 65536)]
+    for lam in grids:
+        vals = cosine_basis(5).values(lam)
+        for j in range(1, 6):
+            assert np.array_equal(vals[j - 1], np.cos(j * lam) / math.sqrt(math.pi))
 
 
 def _ar_example_reference(a, m, lam):
@@ -192,49 +197,18 @@ def test_ar_example_on_grid_constants_matches_raw_points(spec, m, shifted):
     assert np.array_equal(basis.values(grid.constants), want)  # read from the table
 
 
-def test_make_basis_rejects_odd_function():
-    with pytest.raises(DomainError, match="odd"):
-        make_basis([lambda lam: np.sin(np.asarray(lam)) / math.sqrt(math.pi)])
-
-
-def test_make_basis_rejects_duplicate_slots():
-    fn = lambda lam: np.cos(np.asarray(lam)) / math.sqrt(math.pi)
-    with pytest.raises(DomainError, match="certificate"):
-        make_basis([fn, fn])
-
-
-def test_make_basis_rejects_unnormalized():
-    with pytest.raises(DomainError, match="certificate"):
-        make_basis([lambda lam: np.cos(np.asarray(lam))])
-
-
-def test_make_basis_rejects_a_basis_without_an_active_slot():
-    # no slot would carry a degree of freedom: chi^2(0) has no p-value
-    with pytest.raises(DomainError, match="no active slot"):
-        make_basis([lambda lam: 0 * lam])
-
-
 # ---------------------------------------------------------- projections
 
 # project(c, r) sums phi_j(lam_k) r_k in another order than values(c) @ r:
-# the built-in bases read e^{i j lam} off the table (not cos(j lam)), fold
-# the AR ratio into r and divide by sqrt(pi) once, after the sum.  Each term
-# carries a few units of round-off of |phi_j r_k|, so a slot may move by at
-# most _PROJECTION_ULPS eps sum_k |phi_j(lam_k) r_k|, and a zero slot not at
-# all; phi_vector's scaling adds a rounding of the same order.
+# it folds the AR ratio into r and divides by sqrt(pi) once, after the sum.
+# Each term carries a few units of round-off of |phi_j r_k|, so a slot may
+# move by at most _PROJECTION_ULPS eps sum_k |phi_j(lam_k) r_k|, and a zero
+# slot not at all.
 _PROJECTION_ULPS = 8
 
 
 def _projection_tolerance(basis, c, r):
     return _PROJECTION_ULPS * np.finfo(float).eps * (np.abs(basis.values(c)) @ np.abs(r))
-
-
-def _phi_tolerance(pgram, f0, basis, taper=TUKEY):
-    """_projection_tolerance carried through phi_vector's normalization."""
-    resid = gof._null_residual(pgram, f0)
-    scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
-    return scale * pgram.grid.weight * _projection_tolerance(
-        basis, pgram.grid.constants, resid)
 
 
 def _exponential_residuals(grid, seed):
@@ -260,41 +234,63 @@ def test_projection_matches_the_slot_array(name, shifted):
     want = basis.values(grid.constants) @ r
     assert got.shape == (basis.m,)
     assert np.all(np.abs(got - want) <= _projection_tolerance(basis, grid.constants, r))
-    for j in range(basis.m):
-        if basis.parity[j] == "zero":
-            assert got[j] == 0.0
+    assert np.all(got[:basis.zero] == 0.0)
 
 
-@pytest.mark.parametrize("shifted", [False, True])
-def test_make_basis_projection_is_the_slot_array_bitwise(shifted):
-    basis = _cosine_make_basis(3, [])
-    grid = canonical_grid(1000, oversample=4, shifted=shifted)
-    r = _exponential_residuals(grid, 19)
-    assert np.array_equal(basis.project(grid.constants, r),
-                          basis.values(grid.constants) @ r)
+# phi_vector and b_matrix (T = 512, tukey) recorded as float.hex: (basis,
+# null, phi, b column).  The data are one white-noise path, so the pins hold
+# the projections and the population quadrature, not the simulators.  The
+# long-memory null projects on the shifted grid and integrates a
+# log-singular score.  Every bit must stay.
+_PROJECTION_PINS = [
+    ("cosine:3", "arfima0d0{d=0.2}",
+     ("-0x1.99f60d5cef0f6p-2", "-0x1.a01688df42317p-4", "-0x1.a8afed8c8259bp-4"),
+     ("0x1.6f2c9a420071dp-1", "0x1.6f2c9a420071ap-2", "0x1.e990cdad55ecfp-3")),
+    ("cosine:3", "ar1{theta=0.5}",
+     ("-0x1.c3c06ae934597p+2", "0x1.675e0a0347efep-2", "-0x1.0350cda1316a6p-1"),
+     ("0x1.6f2c9a420071dp-1", "0x1.6f2c9a420071ep-2", "0x1.6f2c9a420071ep-3")),
+    ("cosine:3", "fgn{H=0.7}",
+     ("-0x1.fe2203248679cp+1", "-0x1.c15725707991fp-2", "-0x1.811692e23d809p-1"),
+     ("0x1.e01c17e470906p-1", "0x1.6125bcb1e7778p-2", "0x1.eabe926ea8acbp-3")),
+    ("ar-example:4", "ar1{theta=0.5}",
+     ("0x0.0p+0", "0x1.e2450efac3584p+1", "-0x1.cce3a5db3feb4p-3", "0x1.d3decd5666d6dp-1"),
+     ("0x0.0p+0", "0x1.456651f1f5c56p-55", "-0x1.96bfe66e7336bp-55",
+      "0x1.96bfe66e7336bp-56")),
+]
 
 
-def _refuse(c):
+@pytest.mark.parametrize("spec,null,phi,b", _PROJECTION_PINS,
+                         ids=[f"{case[0]}-{case[1]}" for case in _PROJECTION_PINS])
+def test_projections_keep_their_recorded_bits(spec, null, phi, b):
+    model = parse_model(null)
+    kind, _, m = spec.partition(":")
+    basis = cosine_basis(int(m)) if kind == "cosine" else ar_example_basis(model, int(m))
+    x = make_rng(20240).standard_normal(512)
+    assert [v.hex() for v in phi_vector(x, TUKEY, model, basis)] == list(phi)
+    assert [v.hex() for v in b_matrix(model, basis, TUKEY).ravel()] == list(b)
+
+
+def _refuse(self, lam):
     raise AssertionError("built every basis slot on the grid")
 
 
 @pytest.mark.parametrize("basis", [cosine_basis(3), ar_example_basis(AR_HALF, 4)],
                          ids=["cosine", "ar-example"])
-def test_phi_vector_never_builds_the_slot_array(basis):
-    # the built-in projections read the e^{i j lam} table; evaluate is only
-    # for the population quadratures
+def test_phi_vector_never_builds_the_slot_array(basis, monkeypatch):
+    # the projections read the e^{i j lam} table; values is only for the
+    # population quadratures
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
-    guarded = dataclasses.replace(basis, evaluate=_refuse)
-    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, guarded),
-                          phi_vector(x, TUKEY, AR_HALF, basis))
+    ref = phi_vector(x, TUKEY, AR_HALF, basis)
+    monkeypatch.setattr(TestBasis, "values", _refuse)
+    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, basis), ref)
 
 
-def test_ar_example_composite_never_builds_the_slot_array():
+def test_ar_example_composite_never_builds_the_slot_array(monkeypatch):
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 6))
     null = parse_model("ar1{theta=0.0,sigma2=1.0}")
-    res = composite_test(x, TUKEY, null, lambda mdl: dataclasses.replace(
-        ar_example_basis(mdl, 4), evaluate=_refuse))
     ref = composite_test(x, TUKEY, null, lambda mdl: ar_example_basis(mdl, 4))
+    monkeypatch.setattr(TestBasis, "values", _refuse)
+    res = composite_test(x, TUKEY, null, lambda mdl: ar_example_basis(mdl, 4))
     assert np.array_equal(res.phi, ref.phi) and res.p_value == ref.p_value
 
 
@@ -679,7 +675,7 @@ def test_composite_computes_information_once(monkeypatch):
     for basis in (cosine_basis(3), ar_example_basis(AR_HALF, 4)):
         calls = _count_population_calls(monkeypatch)
         res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"), basis)
-        assert calls == {"info": 1, "b": 1}, basis.names
+        assert calls == {"info": 1, "b": 1}, basis
         assert res.law["nu"] != (1.0,)
 
 
@@ -733,34 +729,6 @@ def test_composite_cosine_basis_takes_the_mixture_law():
     assert 1e-6 < nu < 1.0 - 1e-6
     assert res.p_value == _imhof_sf(res.statistic, 2, [nu])
     assert res.reject == (res.p_value < 0.05)
-
-
-def _cosine_make_basis(m, seen):
-    """cosine_basis(m) rebuilt from plain callables that record their argument."""
-    def slot(j):
-        return lambda lam: seen.append(lam) or np.cos(j * lam) / math.sqrt(math.pi)
-    return make_basis([slot(float(j)) for j in range(1, m + 1)], degree=m)
-
-
-def test_phi_vector_and_composite_accept_a_make_basis_basis():
-    # cosine_basis(3) projects through the e^{i j lam} table and the rebuilt
-    # basis through its slots, so the two agree within the projection bound
-    seen = []
-    basis = _cosine_make_basis(3, seen)
-    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 4))
-    pgram = gof._periodogram_for(x, TUKEY, False, 4)
-    assert np.all(np.abs(phi_vector(x, TUKEY, AR_HALF, basis)
-                         - phi_vector(x, TUKEY, AR_HALF, cosine_basis(3)))
-                  <= _phi_tolerance(pgram, AR_HALF, basis))
-    null = parse_model("ar1{theta=0.0,sigma2=1.0}")
-    res = composite_test(x, TUKEY, null, basis)
-    ref = composite_test(x, TUKEY, null, cosine_basis(3))
-    assert np.all(np.abs(res.phi - ref.phi)
-                  <= _phi_tolerance(res.fit.periodogram, res.fit.model, basis))
-    assert res.law == ref.law
-    assert abs(res.p_value - ref.p_value) <= 1e-12
-    # the caller's functions only ever see plain float frequency arrays
-    assert seen and all(type(lam) is np.ndarray and lam.dtype == float for lam in seen)
 
 
 def test_composite_aborts_on_nonconvergence(monkeypatch):

@@ -119,7 +119,7 @@ def test_experiment_config_validation():
     with pytest.raises(SchemaError, match="workers"):
         harness.ExperimentConfig(kind="simulate", workers=0)
     cfg = harness.ExperimentConfig(kind="whittle")
-    assert cfg.seed == 0
+    assert harness.KINDS["whittle"].options["seed"] == 0
     assert cfg.out_base == "whittle"
 
 
@@ -162,7 +162,7 @@ def test_load_config_file_accepts_every_preset():
     assert len(presets) == 14
     for path in presets:
         cfg = harness.load_config_file(str(path))
-        assert cfg.resolve()["seed"] == cfg.seed, path.name
+        assert cfg.resolve()["seed"] == int(cfg.options.get("seed", 0)), path.name
         cfg.merged_checks(cfg.options.get("mode"))  # every [check] value parses
 
 
@@ -1048,6 +1048,27 @@ def test_robustness_refuses_a_single_rep_ladder(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("driver", ["laplace", "exponential"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "fgn{H=0.7}", "--T", "64"],
+    ["periodogram", "--model", "fgn{H=0.7}", "--T", "64"],
+    ["estimate-functional", "--model", "fgn{H=0.7}", "--T", "64", "--reps", "3"],
+    ["whittle", "--model", "fgn{H=0.7}", "--T", "64", "--reps", "3"],
+    ["gof", "--model", "ar1{theta=0.5}", "--data-model", "fgn{H=0.7}", "--T", "64",
+     "--reps", "3"],
+    ["robustness", "--model", "fgn{H=0.7}", "--T", "64,128", "--reps", "2"],
+], ids=lambda argv: argv[0])
+def test_fgn_refuses_a_non_gaussian_driver_naming_it(tmp_path, monkeypatch, capsys, argv,
+                                                     driver):
+    # this failed inside replication 0, naming no field
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--driver", driver]) == 1
+    assert capsys.readouterr().err == (
+        "taperspec: error: field 'driver': fgn simulation is defined for the gaussian "
+        "driver only\n")
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -1212,8 +1233,8 @@ def test_cli_help_names_every_registry_entry(name, registry):
         action = next((a for a in sub._actions if a.dest == name), None)
         if action is not None:
             assert set(registry) <= set(re.findall(r"\w+", action.help)), kind
-    for entry in registry:
-        harness.parse_option(name, entry)  # every name the help lists parses
+    for entry in registry:  # every name the help lists parses (a driver for a model)
+        harness.parse_option(name, entry, {"model": AR1(theta=0.5)})
 
 
 def test_ini_workers_must_be_an_integer(tmp_path, monkeypatch, capsys):

@@ -618,6 +618,11 @@ def test_fgn_simulation_matches_covariance():
 def test_fgn_rejects_non_gaussian_driver():
     with pytest.raises(DomainError):
         FGN(0.7).simulate(centered_exponential(), 64, seed=0)
+    for drv in (centered_exponential(), laplace()):
+        with pytest.raises(DomainError, match="gaussian driver only"):
+            FGN(0.7).check_driver(drv)
+        AR1(theta=0.5).check_driver(drv)  # every other family takes every driver
+    FGN(0.7).check_driver(gaussian())
 
 
 @pytest.mark.parametrize("d", [-0.3, 0.1, 0.3, 0.45])
@@ -838,20 +843,20 @@ def test_unit_circle_boundary_rejected(build, message):
         build()
 
 
-def test_arma_with_params_sets_whole_vectors_and_single_coefficients():
+def test_arma_with_params_sets_whole_vectors_and_the_scale():
     assert ARMA(phi=(0.5,)).with_params(phi=(0.2, 0.1)).phi == (0.2, 0.1)
     m = ArfimaPDQ(d=0.1, phi=(0.5, 0.1), theta=(0.5,))
     assert m.with_params(theta=(0.2,), d=0.3).describe() == (
         "arfima_pdq{d=0.3,phi=[0.5,0.1],theta=[0.2],sigma2=1.0}")
-    assert m.with_params(phi2=0.2, theta1=-0.1, sigma2=2.0).describe() == (
-        "arfima_pdq{d=0.1,phi=[0.5,0.2],theta=[-0.1],sigma2=2.0}")
-    with pytest.raises(ValueError, match="unknown arma parameter"):
-        ARMA().with_params(foo=1.0)
+    assert m.with_params(theta=[-0.1], sigma2=2).describe() == (
+        "arfima_pdq{d=0.1,phi=[0.5,0.1],theta=[-0.1],sigma2=2.0}")
+    with pytest.raises(TypeError):
+        ARMA().with_params(phi1=0.1)
 
 
 def test_arfima_pdq_rebuilds_as_its_own_family():
     m = ArfimaPDQ(d=0.2, phi=(0.4,), theta=(0.3,), sigma2=2.0)
-    moved = m.with_params(phi1=0.1)
+    moved = m.with_params(phi=(0.1,))
     assert type(moved) is ArfimaPDQ
     assert (moved.d, moved.phi, moved.theta, moved.sigma2) == (0.2, (0.1,), (0.3,), 2.0)
     free = m.with_free([0.1, -0.2, 0.5])

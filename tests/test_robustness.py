@@ -17,8 +17,8 @@ from taperspec.errors import DomainError
 from taperspec.functionals import cosine
 from taperspec.models import derive_seed, gaussian, parse_model
 from taperspec.robustness import (
+    Trend,
     contaminate,
-    custom_trend,
     gap_ladder,
     power_decay,
     robustness_report,
@@ -73,7 +73,7 @@ def test_contaminate_formula():
 def test_contaminate_roundtrip_linearity():
     x = AR_HALF.simulate(gaussian(), 256, seed=43)
     tr = power_decay(2.0, 0.4)
-    neg = custom_trend(lambda t: -tr.eval(t), label=f"neg({tr.label})")
+    neg = Trend("custom", lambda t: -tr.eval(t), f"neg({tr.label})")
     back = contaminate(contaminate(x, tr), neg)
     assert np.max(np.abs(back.values - x.values)) < 1e-12
     assert "power_decay" in back.provenance["trend"]
@@ -106,8 +106,8 @@ def test_gap_ladder_arfima_shrinks():
 
 
 def test_gap_ladder_negative_control_flags():
-    slow = custom_trend(lambda t: np.asarray(t, dtype=float) ** (-0.1),
-                        label="power(beta=0.1)")
+    slow = Trend("custom", lambda t: np.asarray(t, dtype=float) ** (-0.1),
+                 "power(beta=0.1)")
     ladder = gap_ladder(AR_HALF, slow, TUKEY, G_COS1,
                         T_values=(512, 2048, 8192), reps=60, master_seed=12)
     assert ladder.flag is not None
