@@ -39,8 +39,8 @@ import scipy.fft
 
 from ._quad import cosine_coefficient, spectral_integral
 from .errors import DomainError
-from .models import Model, TimeSeries
-from .spectrum import FrequencyGrid, Periodogram
+from .models import Model
+from .spectrum import FrequencyGrid, Periodogram, _values_of
 from .taper import Taper, tapering_factor
 
 
@@ -210,7 +210,7 @@ def _lagged_products(y: np.ndarray, max_lag: int) -> np.ndarray:
 
 def quadratic_form(series, taper: Taper, g: GeneratingFunction) -> float:
     """Q = sum_{t,s} ghat(t-s) h(t/T) h(s/T) X_t X_s via lagged products."""
-    x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    x = _values_of(series)
     T = x.shape[0]
     y = taper.values(T) * x
     max_lag = T - 1 if g.degree is None else min(g.degree, T - 1)

@@ -34,12 +34,13 @@ u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  Each
 active slot is therefore even, and so is the null, a `Model` density.  On
 the unshifted grid each Phi_j is the sum over its N/2 + 1 nodes in [0, pi]
 of the slot times the residual r = I/f0 - 1 under the fold weights
-(1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).  The shifted grid of a
-long-memory null keeps all N points at unit weight and its bits (see
-`spectrum`).  Each Phi_j is one complex dot product of the grid's
-e^{i j lam} table with u (I/f0 - 1) (`TestBasis.project`); the slot values
-themselves (`TestBasis.values`) are built only for the population
-quadratures.
+(1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).  A fractional null
+(`Model.fractional`) takes the shifted grid, which keeps all N points at
+unit weight and its bits (see `spectrum`); a composite test projects the
+periodogram of its Whittle fit, on the grid of the null's family.  Each
+Phi_j is one complex dot product of the grid's e^{i j lam} table with
+u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
+(`TestBasis.values`) are built only for the population quadratures.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ import scipy.special
 from ._quad import spectral_integral
 from .errors import DomainError
 from .models import Model, _constants, _poly_on_circle
-from .spectrum import Periodogram, canonical_grid, tapered_periodogram
+from .spectrum import Periodogram, tapered_periodogram
 from .taper import Taper, tapering_factor
-from .whittle import WhittleFit, whittle_estimate
+from .whittle import WhittleFit, info_matrices, whittle_estimate
 
 logger = logging.getLogger(__name__)
 
@@ -201,31 +202,19 @@ def _null_residual(pgram: Periodogram, f0: Model) -> np.ndarray:
     return resid if grid.fold_weights is None else resid * grid.fold_weights
 
 
-def _periodogram_for(series_or_pgram, taper: Taper, shifted: bool,
-                     oversample: int) -> Periodogram:
-    if isinstance(series_or_pgram, Periodogram):
-        return series_or_pgram
-    x = np.asarray(series_or_pgram.values
-                   if hasattr(series_or_pgram, "values") else series_or_pgram,
-                   dtype=float)
-    grid = canonical_grid(x.size, oversample=oversample, shifted=shifted)
-    return tapered_periodogram(x, taper, grid=grid)
-
-
-def phi_vector(series_or_pgram, taper: Taper, f0: Model, basis: TestBasis,
-               oversample: int = 4) -> np.ndarray:
+def phi_vector(pgram: Periodogram, taper: Taper, f0: Model, basis: TestBasis) -> np.ndarray:
     """Normalized projections of I/f0 - 1 onto the basis."""
-    pgram = _periodogram_for(series_or_pgram, taper, f0.long_memory, oversample)
     grid = pgram.grid
     resid = _null_residual(pgram, f0)
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * basis.project(grid.constants, resid) * grid.weight
 
 
-def simple_test(series_or_pgram, taper: Taper, f0: Model, basis: TestBasis,
-                alpha: float = 0.05, oversample: int = 4) -> GofResult:
+def simple_test(series, taper: Taper, f0: Model, basis: TestBasis,
+                alpha: float = 0.05) -> GofResult:
     """S = |Phi|^2 against chi^2 with one dof per active slot."""
-    phi = phi_vector(series_or_pgram, taper, f0, basis, oversample=oversample)
+    pgram = tapered_periodogram(series, taper, shifted=f0.fractional)
+    phi = phi_vector(pgram, taper, f0, basis)
     s = float(np.dot(phi, phi))
     p_value, dof = reference_pvalue(s, basis.m_active)
     return GofResult(statistic=s, p_value=p_value, reject=bool(p_value < alpha),
@@ -235,10 +224,7 @@ def simple_test(series_or_pgram, taper: Taper, f0: Model, basis: TestBasis,
 
 def gamma_matrix(model: Model, names=None) -> np.ndarray:
     """Score Gram matrix (1/4pi) int grad ln f grad ln f' dlam."""
-    from .whittle import info_matrices
-
-    info = info_matrices(model, names=names)
-    return info.W
+    return info_matrices(model, names=names).W
 
 
 def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
@@ -355,8 +341,7 @@ def require_surplus(basis: TestBasis, model: Model) -> TestBasis:
 
 
 def composite_test(series, taper: Taper, model: Model, basis,
-                   alpha: float = 0.05, kappa4: float = 0.0,
-                   oversample: int = 4) -> GofResult:
+                   alpha: float = 0.05, kappa4: float = 0.0) -> GofResult:
     """Goodness-of-fit with the null density fitted by tapered Whittle.
 
     `basis` is either a TestBasis or a callable mapping the fitted model
@@ -366,15 +351,13 @@ def composite_test(series, taper: Taper, model: Model, basis,
     parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
     dof, or None for a genuine mixture.
     """
-    fit = whittle_estimate(series, taper, model, kappa4=kappa4, oversample=oversample)
+    fit = whittle_estimate(series, taper, model, kappa4=kappa4)
     if not fit.converged:
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
     test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
-    # the fit's periodogram serves unless the fitted point's memory moves the grid
-    same_grid = fit.periodogram.grid.shifted == fitted.long_memory
-    phi = phi_vector(fit.periodogram if same_grid else series, taper, fitted,
-                     test_basis, oversample=oversample)
+    # the fitted model has the null's family, so the fit's grid is the test's
+    phi = phi_vector(fit.periodogram, taper, fitted, test_basis)
     s = float(np.dot(phi, phi))
     names = fitted.fitted_names
     p = len(names)

@@ -44,7 +44,7 @@ from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           fejer_smoothing_error, indicator, plugin_estimate,
                           quadratic_form, true_functional)
 from .models import _DRIVERS, Model, derive_seed, get_driver, parse_model
-from .spectrum import OVERSAMPLE_CHOICES, canonical_grid, tapered_periodogram
+from .spectrum import tapered_periodogram
 from .taper import _REGISTRY as _TAPERS
 from .taper import Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
@@ -235,8 +235,6 @@ OPTIONS = {
     "reps": Option("replication count", int, 1),
     "report_T": Option("sample size for the distribution report (default: max T)", int, 8),
     "report_reps": Option("replications for the distribution report (default: reps)", int, 2),
-    "oversample": Option(f"frequency grid oversampling factor {OVERSAMPLE_CHOICES}", int,
-                         choices=OVERSAMPLE_CHOICES),
     "mode": Option("test variant", choices=("simple", "composite")),
     "basis": Option("test basis: cosine:m or ar-example:m",
                     build=lambda text, o: _parse_basis(text, o)),
@@ -318,7 +316,7 @@ def parse_option(name: str, raw, o: dict | None = None):
         raise SchemaError(f"field {name!r}: expected {noun}, got {raw!r}") from None
     if opt.choices and val not in opt.choices:
         raise SchemaError(
-            f"field {name!r}: expected {' or '.join(map(str, opt.choices))}, got {raw!r}")
+            f"field {name!r}: expected {' or '.join(opt.choices)}, got {raw!r}")
     if opt.maximum is not None and not opt.minimum < val < opt.maximum:
         raise SchemaError(
             f"field {name!r}: must lie in ({opt.minimum:g}, {opt.maximum:g}), got {val}")
@@ -474,7 +472,7 @@ def _variance_limit(o: dict, kappa4: float) -> float:
 def _rep_functional(o: dict, rep: int) -> dict:
     seed = derive_seed(o["seed"], rep)
     series = o["model"].simulate(o["driver"], o["T"], seed)
-    pgram = tapered_periodogram(series, o["taper"], oversample=o["oversample"])
+    pgram = tapered_periodogram(series, o["taper"])
     j_hat = plugin_estimate(pgram, o["g"])
     q_hat = quadratic_form(series, o["taper"], o["g"])
     rel = abs(j_hat * pgram.c_norm - q_hat) / max(abs(q_hat), 1e-300)
@@ -485,8 +483,7 @@ def _rep_functional(o: dict, rep: int) -> dict:
 def _rep_whittle(o: dict, rep: int) -> dict:
     seed = derive_seed(o["seed"], rep)
     series = o["model"].simulate(o["driver"], o["T"], seed)
-    fit = whittle_estimate(series, o["taper"], o["model"], kappa4=o["driver"].kappa4,
-                           oversample=o["oversample"])
+    fit = whittle_estimate(series, o["taper"], o["model"], kappa4=o["driver"].kappa4)
     row = {"experiment": "whittle", "seed": seed, "T": o["T"], "rep": rep}
     row.update((f"hat_{name}", float(val)) for name, val in zip(fit.names, fit.theta_hat))
     if fit.sigma2_hat is not None:
@@ -501,11 +498,10 @@ def _rep_gof(o: dict, rep: int) -> dict:
     seed = derive_seed(o["seed"], rep)
     series = (o["data_model"] or o["model"]).simulate(o["driver"], o["T"], seed)
     if o["mode"] == "simple":
-        res = gof.simple_test(series, o["taper"], o["model"], o["basis"], alpha=o["alpha"],
-                              oversample=o["oversample"])
+        res = gof.simple_test(series, o["taper"], o["model"], o["basis"], alpha=o["alpha"])
     else:
         res = gof.composite_test(series, o["taper"], o["model"], o["basis"], alpha=o["alpha"],
-                                 kappa4=o["driver"].kappa4, oversample=o["oversample"])
+                                 kappa4=o["driver"].kappa4)
     return {"experiment": "gof", "seed": seed, "T": o["T"], "rep": rep,
             "statistic": float(res.statistic), "p_value": float(res.p_value),
             "reject": int(res.reject), "law": res.law}
@@ -542,9 +538,8 @@ def _run_periodogram(o: dict):
     model, taper, T = o["model"], o["taper"], o["T"]
     seed = derive_seed(o["seed"], 0)
     series = model.simulate(o["driver"], T, seed)
-    shifted = model.long_memory
-    grid = canonical_grid(T, oversample=o["oversample"], shifted=shifted)
-    pgram = tapered_periodogram(series, taper, grid=grid)
+    pgram = tapered_periodogram(series, taper, shifted=model.fractional)
+    grid = pgram.grid
     rows = [{"experiment": "periodogram", "seed": seed, "T": T,
              "lambda": float(lam), "value": float(v)}
             for lam, v in zip(grid.points, pgram.values)]
@@ -556,7 +551,7 @@ def _run_periodogram(o: dict):
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     results = {"T": T, "N": grid.N, "c_norm": pgram.c_norm,
                "parseval_grid_sum": lhs, "parseval_time_sum": rhs,
-               "parseval_rel_err": rel, "shifted_grid": shifted}
+               "parseval_rel_err": rel, "shifted_grid": grid.shifted}
     return rows, results
 
 
@@ -756,19 +751,18 @@ KINDS = {
     "simulate": _kind("draw model sample paths", _run_simulate,
                       model=REQUIRED, T=REQUIRED, reps=1, driver="gaussian"),
     "periodogram": _kind("tapered periodogram of one realization", _run_periodogram,
-                         model=REQUIRED, taper="tukey", T=REQUIRED, oversample=4,
-                         driver="gaussian"),
+                         model=REQUIRED, taper="tukey", T=REQUIRED, driver="gaussian"),
     "estimate-functional": _kind("plug-in spectral functional study", _run_functional,
                                  rep=_rep_functional, model=REQUIRED, taper="tukey",
-                                 g="cosine:1", T=REQUIRED, reps=200, oversample=4,
-                                 driver="gaussian", workers=1),
+                                 g="cosine:1", T=REQUIRED, reps=200, driver="gaussian",
+                                 workers=1),
     "whittle": _kind("tapered Whittle fit study", _run_whittle, rep=_rep_whittle,
-                     model=REQUIRED, taper="tukey", T=REQUIRED, reps=200, oversample=4,
-                     driver="gaussian", workers=1),
+                     model=REQUIRED, taper="tukey", T=REQUIRED, reps=200, driver="gaussian",
+                     workers=1),
     "gof": _kind("frequency-domain goodness-of-fit study", _run_gof, rep=_rep_gof,
                  mode="simple", model=REQUIRED, data_model=None, basis="cosine:3",
-                 taper="tukey", T=REQUIRED, reps=500, alpha=0.05, oversample=4,
-                 driver="gaussian", workers=1),
+                 taper="tukey", T=REQUIRED, reps=500, alpha=0.05, driver="gaussian",
+                 workers=1),
     "trace-experiment": _kind("tapered trace against its limit", _run_trace, ladder=True,
                               pair=None, model=None, g=None, taper="tukey",
                               T="64,128,256,512,1024"),

@@ -146,8 +146,10 @@ class Model:
     Subclasses set `family`, `param_names`, `free_names` (parameters a
     fitter optimizes), `scale_name` (the multiplicative variance parameter
     profiled out in closed form, or None) and `fractional` (the family has
-    a memory parameter, d or H, so a fit searches long-memory points and
-    takes the grid shifted off the origin).  A fractional instance sets
+    a memory parameter, d or H, so a fit searches long-memory points; every
+    statistic of a fractional model, the periodogram kind's, a Whittle fit
+    and a gof projection, takes the grid shifted off the origin, even at a
+    point without memory).  A fractional instance sets
     `origin_exponent` beta, with f(lam) ~ |lam|^beta at the origin: -2d
     for the ARFIMA families, 1 - 2H for fGn and 0 for every other family.
     It has `long_memory` when beta != 0, a pole or a zero at the origin.

@@ -1,7 +1,7 @@
 """Tapered discrete Fourier transforms and periodograms.
 
-The canonical frequency grid for a sample of length T has N = 2^ceil(log2(
-oversample * T)) points
+The canonical frequency grid for a sample of length T has N = 2^ceil(log2 4T)
+points, the smallest power of two >= 4T,
 
     lambda_j = -pi + 2 pi (j + 1) / N,   j = 0..N-1,
 
@@ -14,8 +14,10 @@ The shifted variant places points at half-integer offsets,
 
     lambda_j = -pi + 2 pi (j + 1/2) / N,
 
-avoiding lambda = 0; estimators for long-memory models use it so that a
-spectral pole at the origin is never evaluated.
+avoiding lambda = 0; every statistic of a fractional model
+(`Model.fractional`) uses it, so that a spectral pole at the origin is
+never evaluated.  `tapered_periodogram` builds the grid: callers say only
+whether it is shifted.
 
 The tapered DFT is d(lambda) = sum_{t=1}^T h(t/T) X_t e^{-i lambda t}, and
 the periodogram I(lambda) = |d(lambda)|^2 / C_T with the exact
@@ -54,9 +56,6 @@ import scipy.fft
 from .errors import DomainError
 from .models import FrequencyConstants, TimeSeries, _frozen
 from .taper import Taper
-
-OVERSAMPLE_CHOICES = (1, 2, 4, 8)
-
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
@@ -120,34 +119,23 @@ class FrequencyGrid:
         return np.exp(-1j * math.pi * np.arange(1, self.N + 1) / self.N)
 
 
-def _build_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
+@functools.lru_cache(maxsize=8)
+def canonical_grid(T: int, shifted: bool = False) -> FrequencyGrid:
+    """Full-period grid with N = next power of two >= 4T.
+
+    Memoized per process on the arguments as passed (`tapered_periodogram`
+    passes (T, shifted)): the grid is frozen and its arrays read-only, so
+    one grid and its cached constants serve every call (and every forked
+    worker).
+    """
     if T < 1:
         raise ValueError("T must be positive")
-    if oversample not in OVERSAMPLE_CHOICES:
-        raise ValueError(f"oversample must be one of {OVERSAMPLE_CHOICES}")
-    n = 1 << max(1, int(math.ceil(math.log2(oversample * T))))
+    n = 1 << (4 * T - 1).bit_length()
     j = np.arange(n, dtype=float)
     offset = 0.5 if shifted else 1.0
     points = -math.pi + 2.0 * math.pi * (j + offset) / n
     points.setflags(write=False)
     return FrequencyGrid(points, 2.0 * math.pi / n, shifted=shifted)
-
-
-_grid_memo = functools.lru_cache(maxsize=8)(_build_grid)
-
-
-def canonical_grid(T: int, oversample: int = 4, shifted: bool = False) -> FrequencyGrid:
-    """Full-period grid with N = next power of two >= oversample * T.
-
-    Memoized per process on the argument values, however they are passed:
-    the grid is frozen and its arrays read-only, so one grid and its cached
-    constants serve every call (and every forked worker).
-    """
-    return _grid_memo(T, oversample, bool(shifted))
-
-
-canonical_grid.__wrapped__ = _build_grid
-canonical_grid.cache_info = _grid_memo.cache_info
 
 
 def _values_of(series) -> np.ndarray:
@@ -163,11 +151,7 @@ def _canonical_fft(x: np.ndarray, taper: Taper, grid: FrequencyGrid) -> np.ndarr
     if grid.shifted:
         y = y * grid.shift_phase[:T]
     a = np.zeros(n, dtype=y.dtype)
-    if T < n:
-        a[1:T + 1] = y
-    else:
-        a[1:T] = y[:-1]
-        a[0] = y[-1]
+    a[1:T + 1] = y
     return scipy.fft.fft(a) if grid.shifted else scipy.fft.rfft(a)
 
 
@@ -203,14 +187,13 @@ class Periodogram:
         return _frozen(_unfold(self.node_values[::-1]))
 
 
-def tapered_periodogram(series, taper: Taper, grid: FrequencyGrid | None = None,
-                        oversample: int = 4) -> Periodogram:
-    """I(lambda) = |d(lambda)|^2 / (2 pi sum h^2) on the given or default grid;
-    DomainError if the taper vanishes on the sample (sum h^2 = 0)."""
+def tapered_periodogram(series, taper: Taper, shifted: bool = False) -> Periodogram:
+    """I(lambda) = |d(lambda)|^2 / (2 pi sum h^2) on the sample's canonical
+    grid, shifted or not; DomainError if the taper vanishes on the sample
+    (sum h^2 = 0)."""
     x = _values_of(series)
     T = x.shape[0]
-    if grid is None:
-        grid = canonical_grid(T, oversample=oversample)
+    grid = canonical_grid(T, shifted)
     c_norm = 2.0 * math.pi * taper.sum_of_powers(2, T)
     if c_norm == 0.0:
         raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^2 = 0 at T = {T}")

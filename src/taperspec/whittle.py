@@ -4,8 +4,9 @@ The fitted criterion is
 
     U_T(theta) = (1/4pi) sum_j [ln f(lam_j, theta) + I(lam_j)/f(lam_j, theta)] w_j
 
-over a canonical frequency grid (shifted off the origin for the
-fractional families, `Model.fractional`).  The summand is even in lam, so
+over the sample's canonical frequency grid (shifted off the origin for
+the fractional families, `Model.fractional`, like every statistic of
+such a model).  The summand is even in lam, so
 on the unshifted grid the sum runs over its N/2 + 1 nodes in [0, pi] with
 fold weights (1, 2, ..., 2, 1): the same sum with half the density, log
 and ratio work.  The shifted grid keeps all N points at unit
@@ -46,7 +47,7 @@ import scipy.optimize
 from ._quad import spectral_integral
 from .errors import DomainError, SingularInformationError
 from .models import Model
-from .spectrum import Periodogram, canonical_grid, tapered_periodogram
+from .spectrum import Periodogram, tapered_periodogram
 from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
@@ -226,8 +227,7 @@ def _nm_starts(bounds) -> list:
 
 
 def whittle_estimate(series, taper: Taper, model: Model,
-                     kappa4: float = 0.0, oversample: int = 4,
-                     bounds=None, tol: float = 1e-7,
+                     kappa4: float = 0.0, bounds=None, tol: float = 1e-7,
                      max_evals: int = 2000) -> WhittleFit:
     """Fit the model family to a series by tapered Whittle minimization.
 
@@ -237,12 +237,8 @@ def whittle_estimate(series, taper: Taper, model: Model,
     of its box (`_fisher_scoring`), more than one by Nelder-Mead from five
     deterministic starts.  `iterations` counts criterion evaluations.
     """
-    x = np.asarray(series.values if hasattr(series, "values") else series,
-                   dtype=float)
-    T = x.size
     # a fractional family's box reaches long-memory points wherever it starts
-    grid = canonical_grid(T, oversample=oversample, shifted=model.fractional)
-    pgram = tapered_periodogram(x, taper, grid=grid)
+    pgram = tapered_periodogram(series, taper, shifted=model.fractional)
     p = len(model.free_names)
     has_scale = model.scale_name is not None
     # candidates are built at unit scale, so each is built once
@@ -303,7 +299,7 @@ def whittle_estimate(series, taper: Taper, model: Model,
         theta_hat=theta, names=model.fitted_names, objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
-        taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
+        taper_id=taper.id, T=pgram.T, tapering_factor=tapering_factor(taper),
         kappa4=kappa4, periodogram=pgram)
 
 

@@ -269,7 +269,7 @@ def test_variance_spectral_function_monte_carlo():
     vals = np.empty(reps)
     for rep in range(reps):
         ts = m.simulate(gaussian(), T, seed=derive_seed(55, rep))
-        vals[rep] = plugin_estimate(tapered_periodogram(ts, tp, oversample=1), indicator(math.pi))
+        vals[rep] = plugin_estimate(tapered_periodogram(ts, tp), indicator(math.pi))
     scaled = T * np.var(vals)
     assert scaled == pytest.approx(0.5, rel=0.12)
 
@@ -292,11 +292,11 @@ def test_estimators_match_their_inline_formulas_bitwise(g, shifted):
     # the kept grid values and Fourier coefficients give the bits that
     # evaluating g afresh in every call gave
     tp = get_taper("tukey")
-    for T, oversample in ((200, 4), (256, 1)):
-        grid = canonical_grid(T, oversample, shifted)
+    for T in (200, 256):
+        grid = canonical_grid(T, shifted)
         for seed in range(2):
             ts = AR1(theta=0.4).simulate(gaussian(), T, seed=seed)
-            pg = tapered_periodogram(ts, tp, grid=grid)
+            pg = tapered_periodogram(ts, tp, shifted)
             gvals = grid.fold(np.asarray(g.eval(grid.points), dtype=float))
             assert plugin_estimate(pg, g) == float(np.sum(pg.node_values * gvals) * grid.weight)
             y = tp.values(T) * ts.values
@@ -309,15 +309,16 @@ def test_estimators_match_their_inline_formulas_bitwise(g, shifted):
             ghat = np.atleast_1d(g.fourier(np.arange(max_lag + 1)))
             assert quadratic_form(ts, tp, g) == float(ghat[0] * c[0]
                                                       + 2.0 * np.dot(ghat[1:], c[1:]))
-        assert g.on_grid(grid) is g.on_grid(canonical_grid(T, oversample, shifted))
+        assert pg.grid is grid and g.on_grid(grid) is g.on_grid(canonical_grid(T, shifted))
         assert not g.on_grid(grid).flags.writeable
 
 
 def test_grid_values_are_kept_per_grid_size_not_per_grid():
     g = indicator(0.7)
-    a = g.on_grid(canonical_grid(512, 4))
-    assert g.on_grid(canonical_grid(1024, 2)) is a  # same N = 2048, same points
-    assert g.on_grid(canonical_grid(512, 4, shifted=True)) is not a
+    a = g.on_grid(canonical_grid(512))
+    assert canonical_grid(511) is not canonical_grid(512)
+    assert g.on_grid(canonical_grid(511)) is a  # same N = 2048, same points
+    assert g.on_grid(canonical_grid(512, True)) is not a
     assert g.coefficients(9) is g.coefficients(9)
     assert np.array_equal(g.coefficients(9), g.fourier(np.arange(10)))
 

@@ -44,7 +44,7 @@ from taperspec.models import (
     make_rng,
     parse_model,
 )
-from taperspec.spectrum import Periodogram, canonical_grid
+from taperspec.spectrum import Periodogram, canonical_grid, tapered_periodogram
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import whittle_estimate
 
@@ -53,8 +53,8 @@ TUKEY = get_taper("tukey")
 RECT = get_taper("rect")
 
 
-def _synthetic_pgram(model, T, factor=1.0, oversample=4):
-    grid = canonical_grid(T, oversample=oversample)
+def _synthetic_pgram(model, T, factor=1.0):
+    grid = canonical_grid(T)
     vals = factor * model.density(grid.nodes)
     return Periodogram(node_values=vals, grid=grid, taper_id="synthetic", T=T,
                        c_norm=1.0)
@@ -187,7 +187,7 @@ def test_ar_example_on_grid_constants_matches_raw_points(spec, m, shifted):
     # phi_vector evaluates the basis on the grid's shared constants, whose
     # e^{i j lam} table every replication reuses; the bits must not move
     model = parse_model(spec)
-    grid = canonical_grid(200, oversample=2, shifted=shifted)
+    grid = canonical_grid(200, shifted)
     basis = ar_example_basis(model, m)
     want = _ar_example_reference(gof._ar_poly(model), m, grid.points)
     assert np.array_equal(basis.values(grid.points), want)
@@ -228,7 +228,7 @@ _BUILT_IN_BASES = {
 @pytest.mark.parametrize("name", sorted(_BUILT_IN_BASES))
 def test_projection_matches_the_slot_array(name, shifted):
     basis = _BUILT_IN_BASES[name]
-    grid = canonical_grid(1000, oversample=4, shifted=shifted)
+    grid = canonical_grid(1000, shifted)
     r = _exponential_residuals(grid, 17)
     got = basis.project(grid.constants, r)
     want = basis.values(grid.constants) @ r
@@ -265,8 +265,8 @@ def test_projections_keep_their_recorded_bits(spec, null, phi, b):
     model = parse_model(null)
     kind, _, m = spec.partition(":")
     basis = cosine_basis(int(m)) if kind == "cosine" else ar_example_basis(model, int(m))
-    x = make_rng(20240).standard_normal(512)
-    assert [v.hex() for v in phi_vector(x, TUKEY, model, basis)] == list(phi)
+    pgram = tapered_periodogram(make_rng(20240).standard_normal(512), TUKEY, model.fractional)
+    assert [v.hex() for v in phi_vector(pgram, TUKEY, model, basis)] == list(phi)
     assert [v.hex() for v in b_matrix(model, basis, TUKEY).ravel()] == list(b)
 
 
@@ -279,10 +279,11 @@ def _refuse(self, lam):
 def test_phi_vector_never_builds_the_slot_array(basis, monkeypatch):
     # the projections read the e^{i j lam} table; values is only for the
     # population quadratures
-    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
-    ref = phi_vector(x, TUKEY, AR_HALF, basis)
+    pgram = tapered_periodogram(AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5)),
+                                TUKEY)
+    ref = phi_vector(pgram, TUKEY, AR_HALF, basis)
     monkeypatch.setattr(TestBasis, "values", _refuse)
-    assert np.array_equal(phi_vector(x, TUKEY, AR_HALF, basis), ref)
+    assert np.array_equal(phi_vector(pgram, TUKEY, AR_HALF, basis), ref)
 
 
 def test_ar_example_composite_never_builds_the_slot_array(monkeypatch):
@@ -319,7 +320,7 @@ def test_phi_marginal_normality():
     phis = np.empty((1000, 3))
     for r in range(1000):
         x = AR_HALF.simulate(drv, 1024, seed=derive_seed(303101, r))
-        phis[r] = phi_vector(x, TUKEY, AR_HALF, basis)
+        phis[r] = phi_vector(tapered_periodogram(x, TUKEY), TUKEY, AR_HALF, basis)
     for j in range(3):
         res = scipy.stats.kstest(phis[:, j], scipy.stats.norm.cdf)
         assert res.pvalue > 0.01, f"component {j}: KS p={res.pvalue:.4f}"
@@ -342,9 +343,16 @@ def test_phi_density_guard():
 
 # ----------------------------------------------------------- simple test
 
-def test_simple_test_matched_is_zero():
+def test_simple_test_matched_is_zero(monkeypatch):
+    # the sample's periodogram is the null density itself
     pg = _synthetic_pgram(AR_HALF, 512)
-    res = simple_test(pg, TUKEY, AR_HALF, cosine_basis(3))
+
+    def periodogram(series, taper, shifted):
+        assert not shifted  # AR(1) is not fractional
+        return pg
+
+    monkeypatch.setattr(gof, "tapered_periodogram", periodogram)
+    res = simple_test(np.zeros(512), TUKEY, AR_HALF, cosine_basis(3))
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert not res.reject
@@ -424,14 +432,14 @@ def test_b_matrix_zero_slot_rows():
 
 # ------------------------------------------------------------ delta
 
-def delta_vector(series_or_pgram, taper, model, oversample=4):
+def delta_vector(series_or_pgram, taper, model):
     """Delta_k = sqrt(T)/sqrt(4 pi e(h)) sum (I/f - 1) d_k ln f w.
 
     First-order relation to the fitted parameters:
     sqrt(T)(theta_hat - theta) ~ sqrt(e(h)/4pi) Gamma^{-1} Delta.
     """
-    shifted = model.long_memory
-    pgram = gof._periodogram_for(series_or_pgram, taper, shifted, oversample)
+    pgram = (series_or_pgram if isinstance(series_or_pgram, Periodogram)
+             else tapered_periodogram(series_or_pgram, taper, model.fractional))
     grid = pgram.grid
     resid = gof._null_residual(pgram, model)
     names = model.free_names if model.free_names else (model.scale_name,)
@@ -664,7 +672,9 @@ def _count_population_calls(monkeypatch) -> dict:
     def counted(key, real):
         return lambda *a, **k: calls.__setitem__(key, calls[key] + 1) or real(*a, **k)
 
-    monkeypatch.setattr(whittle, "info_matrices", counted("info", whittle.info_matrices))
+    info = counted("info", whittle.info_matrices)
+    for module in (whittle, gof):
+        monkeypatch.setattr(module, "info_matrices", info)
     monkeypatch.setattr(gof, "b_matrix", counted("b", gof.b_matrix))
     return calls
 
@@ -715,8 +725,36 @@ def test_composite_computes_one_periodogram(monkeypatch):
                          lambda mdl: ar_example_basis(mdl, 4))
     assert calls == [1]
     # the reused periodogram gives the projections of a fresh one
-    fresh = phi_vector(x, TUKEY, res.fit.model, ar_example_basis(res.fit.model, 4))
+    fresh = phi_vector(real(x, TUKEY), TUKEY, res.fit.model, ar_example_basis(res.fit.model, 4))
     assert np.array_equal(res.phi, fresh)
+
+
+def test_composite_projects_the_fit_periodogram_at_a_point_without_memory(monkeypatch):
+    # A fractional fit can return a point without memory (d = 0 exactly is
+    # the centre of its box).  Its family still takes the shifted grid, so
+    # the test projects the fit's own periodogram and takes no second one.
+    calls, fits = [], []
+    real = spectrum.tapered_periodogram
+    spy = lambda *a, **k: calls.append(1) or real(*a, **k)
+    for module in (spectrum, whittle, gof):
+        monkeypatch.setattr(module, "tapered_periodogram", spy)
+    real_fit = gof.whittle_estimate
+
+    def fit_at_zero(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        fits.append(dataclasses.replace(fit, model=fit.model.with_params(d=0.0)))
+        return fits[-1]
+
+    monkeypatch.setattr(gof, "whittle_estimate", fit_at_zero)
+    null = parse_model("arfima0d0{d=0.2}")
+    x = null.simulate(gaussian(), 512, seed=derive_seed(808101, 7))
+    res = composite_test(x, TUKEY, null, cosine_basis(3))
+    (fit,) = fits
+    assert calls == [1] and res.fit is fit
+    assert fit.model.fractional and not fit.model.long_memory
+    assert fit.periodogram.grid.shifted
+    assert np.array_equal(res.phi, phi_vector(fit.periodogram, TUKEY, fit.model,
+                                              cosine_basis(3)))
 
 
 def test_composite_cosine_basis_takes_the_mixture_law():

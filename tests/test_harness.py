@@ -31,8 +31,9 @@ from taperspec import harness, models
 from taperspec import taper as taper_module
 from taperspec.cli import build_parser, main
 from taperspec.errors import (DegenerateSampleError, DomainError, SchemaError)
+from taperspec.functionals import indicator
 from taperspec.models import AR1, make_rng
-from taperspec.spectrum import OVERSAMPLE_CHOICES
+from taperspec.spectrum import canonical_grid, tapered_periodogram
 from taperspec.taper import get_taper
 
 REPO = Path(__file__).resolve().parents[1]
@@ -337,7 +338,7 @@ def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, mo
     harness._resolve.cache_clear()
     request.addfinalizer(harness._resolve.cache_clear)  # drop the counting g
     parsed, grid_evals = [], []
-    grid = harness.canonical_grid(256, 4)
+    grid = canonical_grid(256, False)  # the periodogram's call form, one memo entry
     parse_model, parse_g = harness.parse_model, harness.parse_g
 
     def counting_parse_model(spec):
@@ -460,12 +461,15 @@ _PINNED_CSV_SHA256 = {
            "dae49522135712174e6f98c334afc854346d7f46632b2c41a2ca72aa815b52d6"),
     # Recorded before the functional replication kept its study constants
     # (g on the grid, Fourier coefficients, signed taper): a g that is not
-    # band-limited takes every lag of the quadratic form through the FFT,
-    # and oversample 1 makes N == T, the wrap branch of the DFT.
+    # band-limited takes every lag of the quadratic form through the FFT.
+    # Re-recorded, CSV and JSON, when the grid size stopped being an option:
+    # the former argv set the smallest grid (N = T); these digests are that
+    # study's at the default grid (N = 4T), recorded with the code before
+    # the option went, so they pin byte identity across its removal.
     "fi": (["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}",
-            "--g", "indicator:1.0", "--taper", "linear", "--oversample", "1",
+            "--g", "indicator:1.0", "--taper", "linear",
             "--T", "256", "--reps", "20", "--seed", "61"],
-           "ae11cdd98af61dbdf176642df3634795b012b5f48a6d9d97506243504b8a42f7"),
+           "995abb7522b965bf220e3f2fca1da881e918127e5cd51d3a07ada8be1136b6d1"),
 }
 
 # JSON sha256 of the same studies, recorded with the check-run digests; gc
@@ -489,7 +493,9 @@ _PINNED_CSV_SHA256 = {
 # re-recorded when the indicator's population integrals moved from QUADPACK
 # to the graded Gauss rule over [-mu, mu]: true_value and sigma2_theory moved
 # at 2e-16 relative, bias and kappa4_gap_se with them (see test_fi_theory_
-# moves_within_the_former_quadrature_tolerance); its CSV did not move.
+# moves_within_the_former_quadrature_tolerance); its CSV did not move.  fi
+# re-recorded with its CSV when its argv dropped the grid-size option (see
+# its CSV entry).
 _PINNED_JSON_SHA256 = {
     "gc": "0c25a26f282ef84c80e6dc9dac20f4ba9d28be6d529a072e33dc336834ae3cd9",
     "lm": "8bf39a028677feed270ed9fa8a8291f679d1c02ef445cd96bf7ed30bfc8127c1",
@@ -503,7 +509,7 @@ _PINNED_JSON_SHA256 = {
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f9677018c267b7f092d0430f25c95667f73a90014c5988a4d7d07a7611391fce",
-    "fi": "fe7ea7c49f1803239f745d77c6a17c9ff9793cb0d3901d9b1ad5ccdf8ae2b1e0",
+    "fi": "2f3558218934b3e48f7678cd226823a9dbd409e880c58ed36820bb2d125b9b4c",
 }
 
 # These runs fail a check (KS of three p-values, which is at least 1/6,
@@ -620,8 +626,8 @@ def test_gof_rows_move_at_round_off_from_the_slot_array(tmp_path, monkeypatch, n
 
 # Columns of the pinned studies as they were before the unshifted grid folded
 # its even sums onto [0, pi] (gc, gm, gs: statistic, p_value, reject; wa:
-# hat_phi1, hat_phi2, hat_theta1, sigma2_hat, objective; fn, fi: j_plugin,
-# q_form, identity_rel_err; rb: median_gap, gap_se).  The fold changes only
+# hat_phi1, hat_phi2, hat_theta1, sigma2_hat, objective; fn: j_plugin,
+# q_form, identity_rel_err; fi: q_form; rb: median_gap, gap_se).  The fold changes only
 # how the same terms are summed: each sum may move at round-off, 1e-12
 # relative, and every decision must stand.  wa's estimates come from a
 # Nelder-Mead search whose path follows round-off: they may move by its
@@ -749,27 +755,15 @@ _BEFORE_THE_FOLD = {
         (0.43520140232577348, 350.00973526492828, 1.6240525086475744e-16),
         (0.14975914681802707, 120.44345227555561, 0),
     ),
+    # fi: q_form only; its grid sums are checked against the full grid (below)
     "fi": (
-        (0.36900211839191893, 190.38960086762927, 0.033083366767470833),
-        (0.42393800404091453, 210.88389412280878, 0.07154070020337748),
-        (0.42973836975220203, 222.9414363831003, 0.027455615952832725),
-        (0.46806198871629529, 251.38317888022979, 0.0075311312219991742),
-        (0.55441026259134674, 295.57549588146082, 0.00020130121426488015),
-        (0.51911469574084135, 269.48228277914495, 0.026792858044314295),
-        (0.34709748389916983, 183.03523599615644, 0.010802937121663934),
-        (0.64497672105563664, 336.49379641899469, 0.021684280157132599),
-        (0.41096118841647244, 219.02347214532182, 0.00013789372969276762),
-        (0.54104177924384433, 281.18417555782162, 0.025627507018168533),
-        (0.35115250821212118, 187.54566624958653, 0.0019817682740654076),
-        (0.37080831811606801, 196.80033212927219, 0.004322920125390063),
-        (0.3879119834635042, 206.59982626468621, 0.00081309084795079133),
-        (0.39440174585238702, 196.67054488373643, 0.068929938513600811),
-        (0.59542368555011316, 313.03699469137325, 0.013865101495056632),
-        (0.58795888315127021, 311.12732773793357, 0.0072992965168670399),
-        (0.31665036231352367, 167.74300675076373, 0.0062022847948727342),
-        (0.3965337135428722, 210.83502434812101, 0.0025062572930516884),
-        (0.58712299921816691, 288.59658444758384, 0.084395332373615434),
-        (0.43294477938739734, 230.29836837459158, 0.0020545844213405223),
+        190.38960086762927, 210.88389412280878, 222.9414363831003,
+        251.38317888022979, 295.57549588146082, 269.48228277914495,
+        183.03523599615644, 336.49379641899469, 219.02347214532182,
+        281.18417555782162, 187.54566624958653, 196.80033212927219,
+        206.59982626468621, 196.67054488373643, 313.03699469137325,
+        311.12732773793357, 167.74300675076373, 210.83502434812101,
+        288.59658444758384, 230.29836837459158,
     ),
     "rb": (
         (0.24995081634158978, 0.058829328202720341),
@@ -798,10 +792,24 @@ def test_folded_sums_move_the_studies_at_round_off(tmp_path, monkeypatch, name):
             assert np.all(np.abs(np.array(got) - estimates) <= _NM_TOL)
             assert float(row["objective"]) == pytest.approx(objective, rel=_FOLD_REL, abs=0.0)
             assert row["converged"] == "1"
-        elif name in ("fn", "fi"):
+        elif name == "fn":
             j_plugin, q_form, identity_rel_err = before
             assert float(row["j_plugin"]) == pytest.approx(j_plugin, rel=_FOLD_REL, abs=0.0)
             assert float(row["q_form"]) == q_form  # the time route is not a grid sum
+            assert abs(float(row["identity_rel_err"]) - identity_rel_err) <= _FOLD_REL
+        elif name == "fi":
+            # its former literals were taken on a smaller grid than the study
+            # takes now, so the folded sum is held to the unfolded full-grid
+            # sum of the same replication
+            series = AR1(theta=0.5, sigma2=1.0).simulate(models.gaussian(), 256,
+                                                        seed=int(row["seed"]))
+            pgram = tapered_periodogram(series, get_taper("linear"))
+            grid = pgram.grid
+            j_full = float(np.sum(pgram.values * indicator(1.0).eval(grid.points))
+                           * grid.weight)
+            assert float(row["j_plugin"]) == pytest.approx(j_full, rel=_FOLD_REL, abs=0.0)
+            assert float(row["q_form"]) == before  # the time route is not a grid sum
+            identity_rel_err = abs(j_full * pgram.c_norm - before) / abs(before)
             assert abs(float(row["identity_rel_err"]) - identity_rel_err) <= _FOLD_REL
         else:
             for key, value in zip(("median_gap", "gap_se"), before):
@@ -1133,7 +1141,7 @@ def test_schema_violation_exits_one(tmp_path, monkeypatch, capsys):
 def _out_of_range(opt) -> str:
     """A value that the row's bound or choices reject."""
     if opt.choices:
-        return next(str(v) for v in range(10) if v not in opt.choices) if opt.type is int else "x"
+        return "x"
     return repr(opt.maximum) if opt.maximum is not None else str(opt.minimum - 1)
 
 
@@ -1172,6 +1180,23 @@ def test_bad_value_exits_one_naming_the_field(tmp_path, monkeypatch, capsys, arg
     assert f"field {field!r}" in err
     assert "Traceback" not in out + err
     assert not list(tmp_path.iterdir())  # nothing was written
+
+
+def test_removed_grid_size_option_is_refused_by_name(tmp_path, monkeypatch, capsys):
+    # every study takes its sample's own grid, so a key or flag that once set
+    # the grid size is refused like any unknown field, before anything is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ov.ini").write_text(
+        "[experiment]\nkind = estimate-functional\nmodel = ar1{theta=0.5}\nT = 64\n"
+        "reps = 2\noversample = 4\n", encoding="utf-8")
+    assert _exit_code(["run", "--config", "ov.ini"]) == 1
+    assert ("field 'oversample': not an option of 'estimate-functional'"
+            in capsys.readouterr().err)
+    for argv in (["periodogram", "--model", "ar1{theta=0.5}", "--T", "64", "--oversample", "4"],
+                 ["run", "--config", "ov.ini", "--oversample", "4"]):
+        assert _exit_code(argv) == 1, argv
+        assert "unrecognized arguments: --oversample 4" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["ov.ini"]  # nothing was written
 
 
 def _readme_flag_table() -> dict:
@@ -1216,7 +1241,7 @@ def test_readme_flag_table_matches_the_parser():
     table, flags = _readme_flag_table(), _subcommand_flags()
     kinds = set(harness.KINDS)
     assert {kind: table[kind] for kind in kinds} == {kind: flags[kind] for kind in kinds}
-    assert sum(len(flags[kind]) for kind in kinds) == 81
+    assert sum(len(flags[kind]) for kind in kinds) == 77
     # run takes every flag, and --config
     assert flags["run"] == set().union(*(flags[kind] for kind in kinds)) | {"--config"}
 
@@ -1224,7 +1249,6 @@ def test_readme_flag_table_matches_the_parser():
 @pytest.mark.parametrize("name, registry", [
     ("taper", tuple(taper_module._REGISTRY)),
     ("driver", (*models._DRIVERS, "exponential")),
-    ("oversample", tuple(map(str, OVERSAMPLE_CHOICES))),
 ])
 def test_cli_help_names_every_registry_entry(name, registry):
     subs = next(a for a in build_parser()._actions

@@ -18,7 +18,7 @@ TAPER_NAMES = ("rect", "linear", "tukey")
 
 
 def test_canonical_grid_layout():
-    g = canonical_grid(100, oversample=4)
+    g = canonical_grid(100)
     assert g.N == 512
     assert g.folded and not g.shifted
     assert g.weight == pytest.approx(2.0 * math.pi / 512)
@@ -29,21 +29,18 @@ def test_canonical_grid_layout():
     assert float(np.sum(g.fold_weights)) * g.weight == pytest.approx(2.0 * math.pi)
 
 
-def test_canonical_grid_oversample_choices():
-    for ov in (1, 2, 4, 8):
-        g = canonical_grid(48, oversample=ov)
-        assert g.N >= ov * 48
-        assert g.N & (g.N - 1) == 0
-    with pytest.raises(ValueError):
-        canonical_grid(48, oversample=3)
+def test_canonical_grid_size_is_the_next_power_of_two_at_least_4t():
+    for T, n in ((1, 4), (2, 8), (3, 16), (48, 256), (128, 512), (129, 1024), (4096, 16384)):
+        assert canonical_grid(T).N == canonical_grid(T, True).N == n
+        assert n == 1 << math.ceil(math.log2(4 * T))
 
 
 def test_canonical_grid_is_memoized_read_only():
-    g = canonical_grid(300, oversample=2, shifted=True)
-    again = canonical_grid(300, oversample=2, shifted=True)
+    g = canonical_grid(300, True)
+    again = canonical_grid(300, True)
     assert again is g and again.constants is g.constants
-    assert canonical_grid(300, oversample=2) is not g
-    fresh = canonical_grid.__wrapped__(300, oversample=2, shifted=True)
+    assert canonical_grid(300) is not g
+    fresh = canonical_grid.__wrapped__(300, True)
     assert np.array_equal(fresh.points, g.points) and fresh.weight == g.weight
     assert not g.points.flags.writeable
     with pytest.raises(ValueError):
@@ -54,27 +51,26 @@ def test_canonical_grid_is_memoized_read_only():
     for _ in range(2):
         with pytest.raises(ValueError, match="positive"):
             canonical_grid(0)
-        with pytest.raises(ValueError, match="oversample"):
-            canonical_grid(48, oversample=3)
 
 
 def test_canonical_grid_memo_keys_on_the_values():
-    # every call form of one grid is one cache entry and one object
+    # the periodogram's call form, (T, shifted), is one entry per value pair:
+    # an equal T of another integer type or an equal flag shares it
+    assert canonical_grid.cache_info().maxsize == 8
     before = canonical_grid.cache_info()
-    g = canonical_grid(72, 4)
-    assert canonical_grid(72, oversample=4) is g
-    assert canonical_grid(72, oversample=4, shifted=False) is g
-    assert canonical_grid(72) is g
-    assert canonical_grid(T=72, shifted=0) is g
+    g = canonical_grid(72, False)
+    assert canonical_grid(np.int64(72), False) is g
+    assert canonical_grid(72, 0) is g
+    assert canonical_grid(72, True) is canonical_grid(72, np.True_)
+    assert canonical_grid(72, True) is not g
     after = canonical_grid.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
-    assert canonical_grid(72, 4, True) is canonical_grid(72, shifted=True)
-    assert canonical_grid(72, 4, True) is not g
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 4)
+    x = np.arange(72.0)
+    assert tapered_periodogram(x, get_taper("rect")).grid is g
+    assert tapered_periodogram(x, get_taper("tukey"), shifted=True).grid is canonical_grid(72, True)
     for _ in range(2):
         with pytest.raises(ValueError, match="positive"):
-            canonical_grid(-3, oversample=4, shifted=True)
-        with pytest.raises(ValueError, match="oversample"):
-            canonical_grid(72, 5)
+            canonical_grid(-3, True)
 
 
 def _mirrored(grid, on_nodes):
@@ -84,8 +80,8 @@ def _mirrored(grid, on_nodes):
 
 
 def test_folded_grid_nodes_and_weights():
-    for T, oversample in ((1, 1), (100, 4), (97, 8)):
-        g = canonical_grid(T, oversample)
+    for T in (1, 100, 97):
+        g = canonical_grid(T)
         assert g.folded and g.nodes.size == g.N // 2 + 1
         assert g.nodes[0] == 0.0 and g.nodes[-1] == pytest.approx(math.pi)
         # -lam_j and the node lam_j agree up to the rounding of the points
@@ -93,7 +89,7 @@ def test_folded_grid_nodes_and_weights():
         assert g.fold_weights[0] == g.fold_weights[-1] == 1.0
         assert np.all(g.fold_weights[1:-1] == 2.0) and np.sum(g.fold_weights) == g.N
         assert not g.fold_weights.flags.writeable
-    off = canonical_grid(100, 4, shifted=True)
+    off = canonical_grid(100, True)
     assert not off.folded and off.nodes is off.points and off.fold_weights is None
     w = np.linspace(-1.0, 2.0, off.N)
     assert off.fold(w) is w
@@ -107,14 +103,13 @@ def test_grids_compare_and_hash_by_identity():
     assert canonical_grid(8) == canonical_grid(8)  # the memo returns one grid
 
 @settings(max_examples=60, deadline=None)
-@given(T=st.integers(1, 700), oversample=st.sampled_from((1, 2, 4, 8)),
-       seed=st.integers(0, 2**32 - 1))
-def test_folded_sum_is_the_full_grid_sum(T, oversample, seed):
+@given(T=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1))
+def test_folded_sum_is_the_full_grid_sum(T, seed):
     # an even function summed over the nodes with the fold weights, and
     # times a weight that is not even folded as w(lam) + w(-lam), gives the
     # full-grid sum up to summation round-off: a few ulps times N of the
     # sum of magnitudes
-    grid = canonical_grid(T, oversample)
+    grid = canonical_grid(T)
     rng = make_rng(seed)
     x = rng.standard_normal(grid.nodes.size) * np.exp(rng.uniform(-3.0, 3.0))
     full = _mirrored(grid, x)
@@ -128,8 +123,9 @@ def test_folded_sum_is_the_full_grid_sum(T, oversample, seed):
 @pytest.mark.parametrize("shifted", [False, True])
 def test_periodogram_keeps_its_node_values_and_mirrors_the_rest(shifted):
     ts = AR1(theta=0.6).simulate(gaussian(), 300, seed=8)
-    grid = canonical_grid(300, 2, shifted)
-    pg = tapered_periodogram(ts, get_taper("tukey"), grid=grid)
+    pg = tapered_periodogram(ts, get_taper("tukey"), shifted)
+    grid = pg.grid
+    assert grid is canonical_grid(300, shifted)
     assert pg.node_values.size == grid.nodes.size and not pg.node_values.flags.writeable
     if shifted:
         assert pg.values is pg.node_values
@@ -149,11 +145,7 @@ def _former_periodogram(x, taper, grid):
     if grid.shifted:
         y = y * np.exp(-1j * math.pi * t / n)
     a = np.zeros(n, dtype=y.dtype)
-    if T < n:
-        a[1:T + 1] = y
-    else:
-        a[1:T] = y[:-1]
-        a[0] = y[-1]
+    a[1:T + 1] = y
     d = np.fft.fft(a)
     if not grid.shifted:
         d = np.roll(d, -1)
@@ -163,9 +155,9 @@ def _former_periodogram(x, taper, grid):
 
 @pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("name", TAPER_NAMES)
-@pytest.mark.parametrize("T,oversample", [(101, 4), (250, 2), (97, 8), (128, 1), (512, 1)])
-def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, oversample):
-    # T odd, T even, and T == N (oversample 1 at a power of two: the wrap branch).
+@pytest.mark.parametrize("T,seed_offset", [(101, 4), (250, 2), (97, 8), (128, 1), (512, 1)])
+def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, seed_offset):
+    # T odd, T even, and T a power of two, where N = 4T exactly.
     # The shifted grid keeps the former complex FFT, bit for bit.  The
     # unshifted one takes a real FFT and unfolds it by Hermitian symmetry:
     # d(-lambda) = conj d(lambda) and I is even, exactly.  That moves d by
@@ -174,8 +166,8 @@ def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, oversa
     # -0.9, 0.6 and 0.95; 4 allowed), and so I = |d|^2 / C_T by at most
     # (2 |d| + |dd|) |dd| / C_T.
     taper = get_taper(name)
-    grid = canonical_grid(T, oversample, shifted)
-    x = AR1(theta=0.6).simulate(gaussian(), T, seed=T + oversample).values
+    grid = canonical_grid(T, shifted)
+    x = AR1(theta=0.6).simulate(gaussian(), T, seed=T + seed_offset).values
     d_old, vals_old, c_old = _former_periodogram(x, taper, grid)
     n = grid.N
     tol_d = 4.0 * np.finfo(float).eps * math.log2(n) * math.sqrt(
@@ -183,8 +175,9 @@ def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, oversa
     tol_i = (2.0 * float(np.max(np.abs(d_old))) + tol_d) * tol_d / c_old
     mirror = n - 2 - np.arange(n - 1)  # lambda_{N-2-j} = -lambda_j on the unshifted grid
     for _ in range(2):  # the second call reads every cached constant
-        pg = tapered_periodogram(x, taper, grid=grid)
+        pg = tapered_periodogram(x, taper, shifted)
         d = tapered_dft(x, taper, grid)
+        assert pg.grid is grid
         assert pg.c_norm == c_old
         if shifted:
             assert pg.values.tobytes() == vals_old.tobytes()
@@ -209,23 +202,22 @@ def test_shift_phase_is_built_once_per_grid(monkeypatch):
     prop = functools.cached_property(counted)
     prop.__set_name__(FrequencyGrid, "shift_phase")
     monkeypatch.setattr(FrequencyGrid, "shift_phase", prop)
-    grid = canonical_grid.__wrapped__(300, 2, True)  # fresh, not memoized
+    canonical_grid.cache_clear()  # fresh grids, built under the counter
     taper = get_taper("tukey")
     for seed in range(20):
         x = AR1(theta=0.3).simulate(gaussian(), 300, seed=seed)
-        tapered_periodogram(x, taper, grid=grid)
+        grid = tapered_periodogram(x, taper, shifted=True).grid
     assert built == [grid]
-    unshifted = canonical_grid.__wrapped__(300, 2, False)
-    tapered_periodogram(x, taper, grid=unshifted)
+    unshifted = tapered_periodogram(x, taper).grid
     assert built == [grid] and "shift_phase" not in vars(unshifted)
 
 
 def test_shifted_grid_avoids_origin_and_endpoints():
-    g = canonical_grid(64, oversample=2, shifted=True)
+    g = canonical_grid(64, True)
     assert np.all(np.abs(g.points) > 1e-12)
     assert g.points[0] == pytest.approx(-math.pi + math.pi / g.N)
     assert g.points[-1] == pytest.approx(math.pi - math.pi / g.N)
-    plain = canonical_grid(64, oversample=2)
+    plain = canonical_grid(64)
     assert np.any(np.abs(plain.points) < 1e-15)
 
 
@@ -242,21 +234,7 @@ def test_fft_dft_matches_direct_sum(name, shifted):
     T = 37
     x = rng.standard_normal(T)
     tp = get_taper(name)
-    g = canonical_grid(T, oversample=2, shifted=shifted)
-    fast = tapered_dft(x, tp, g)
-    slow = _direct_dft(x, tp.values(T), g.points)
-    assert np.allclose(fast, slow, atol=1e-10)
-
-
-def test_fft_dft_wrap_case_exact():
-    # oversample=1 with T a power of two makes N == T, exercising the
-    # index-wrap path.
-    rng = np.random.default_rng(8)
-    T = 64
-    x = rng.standard_normal(T)
-    tp = get_taper("tukey")
-    g = canonical_grid(T, oversample=1)
-    assert g.N == T
+    g = canonical_grid(T, shifted)
     fast = tapered_dft(x, tp, g)
     slow = _direct_dft(x, tp.values(T), g.points)
     assert np.allclose(fast, slow, atol=1e-10)
@@ -289,12 +267,12 @@ def test_periodogram_mean_tracks_density():
     # E[I(lambda)] -> f(lambda); checked loosely by averaging replications.
     m = AR1(theta=0.5)
     tp = get_taper("rect")
-    grid = canonical_grid(512, oversample=1)
+    grid = canonical_grid(512)
     acc = np.zeros(grid.N)
     reps = 400
     for rep in range(reps):
         ts = m.simulate(gaussian(), 512, seed=1000 + rep)
-        acc += tapered_periodogram(ts.values, tp, grid).values
+        acc += tapered_periodogram(ts.values, tp).values
     mean_i = acc / reps
     f = m.density(grid.points)
     idx = [grid.N // 8, grid.N // 4, grid.N // 2 + 5, 3 * grid.N // 4]

@@ -21,7 +21,7 @@ from taperspec.models import (
     parse_model,
 )
 from taperspec._quad import spectral_integral
-from taperspec.spectrum import canonical_grid, tapered_periodogram
+from taperspec.spectrum import tapered_periodogram
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import (
     default_bounds,
@@ -67,32 +67,25 @@ def test_objective_prefers_truth_over_sign_flip():
         assert whittle_objective(pg, m) < whittle_objective(pg, AR1(theta=-0.5))
 
 
-def test_objective_oversample_invariance():
+def test_objective_grid_shift_invariance():
     # The periodogram is a trigonometric polynomial, so for a rational
-    # inverse density both grids integrate it exactly; only the smooth
-    # ln f term differs, far below 1e-6.
+    # inverse density the sample's unshifted and shifted grids both
+    # integrate it exactly; only the smooth ln f term differs, far below
+    # 1e-6.  So does a fractional point without memory, which takes the
+    # shifted grid with its family.
     ts = AR1(theta=0.5).simulate(gaussian(), 512, seed=3)
     tp = get_taper("tukey")
-    m = AR1(theta=0.4)
-    u4 = whittle_objective(tapered_periodogram(ts, tp, grid=canonical_grid(512, 4)), m)
-    u8 = whittle_objective(tapered_periodogram(ts, tp, grid=canonical_grid(512, 8)), m)
-    assert abs(u4 - u8) < 1e-6
-    # Long-memory integrands lose the exactness but stay quadrature-stable.
-    ts2 = ARFIMA0d0(d=0.3).simulate(gaussian(), 512, seed=4)
-    lm = ARFIMA0d0(d=0.25)
-    v4 = whittle_objective(
-        tapered_periodogram(ts2, tp, grid=canonical_grid(512, 4, shifted=True)), lm)
-    v8 = whittle_objective(
-        tapered_periodogram(ts2, tp, grid=canonical_grid(512, 8, shifted=True)), lm)
-    assert abs(v4 - v8) < 1e-4
+    for m in (AR1(theta=0.4), ARFIMA0d0(d=0.0)):
+        u = whittle_objective(tapered_periodogram(ts, tp), m)
+        v = whittle_objective(tapered_periodogram(ts, tp, shifted=True), m)
+        assert abs(u - v) < 1e-6
 
 
 def test_unit_weight_path_matches_explicit_ones_bitwise():
     # the criterion sums its terms with no weight array; the values it returns
     # must be those of the formulas written with an explicit ones weight
     ts = AR1(theta=0.5).simulate(gaussian(), 256, seed=4)
-    grid = canonical_grid(256, 4, shifted=True)
-    pg = tapered_periodogram(ts, get_taper("tukey"), grid=grid)
+    pg = tapered_periodogram(ts, get_taper("tukey"), shifted=True)
     pts, gw, vals = pg.grid.points, pg.grid.weight, pg.values
     w = np.ones_like(pts)
     for unit in (AR1(theta=0.3), ARMA(phi=(0.4,), theta=(0.2,)),
