@@ -17,12 +17,12 @@ from .models import (AR1, ARFIMA0d0, ARMA, FGN, ArfimaPDQ, Model, NoiseDriver,
                      gaussian, get_driver, laplace, make_rng, parse_model)
 from .robustness import (GapLadder, RobustnessReport, Trend, contaminate,
                          gap_ladder, power_decay, robustness_report, zero_trend)
-from .spectrum import (FrequencyGrid, Periodogram, canonical_grid, tapered_dft,
+from .spectrum import (FrequencyGrid, Periodogram, tapered_dft,
                        tapered_periodogram)
 from .taper import (Taper, dirichlet_kernel, fejer_kernel, get_taper, linear,
                     rectangular, tapering_factor, tukey_hanning)
-from .toeplitz import (QFDistribution, TaperedToeplitzMatrix, build_matrix,
-                       qf_cumulant, qf_distribution, trace_limit, trace_product)
+from .toeplitz import (QFDistribution, build_matrix, qf_cumulant,
+                       qf_distribution, trace_limit, trace_product)
 from .whittle import (InfoMatrices, WhittleFit, default_bounds, info_matrices,
                       whittle_estimate, whittle_objective)
 
@@ -34,9 +34,9 @@ __all__ = [
     "FrequencyGrid", "GapLadder", "GeneratingFunction", "GofResult",
     "InfoMatrices", "Model", "NoiseDriver",
     "Periodogram", "QFDistribution", "RobustnessReport", "Taper",
-    "TaperedToeplitzMatrix", "TestBasis", "TimeSeries", "Trend",
+    "TestBasis", "TimeSeries", "Trend",
     "WhiteNoise", "WhittleFit", "__version__", "ar_example_basis",
-    "asymptotic_variance", "b_matrix", "build_matrix", "canonical_grid",
+    "asymptotic_variance", "b_matrix", "build_matrix",
     "centered_exponential", "composite_test", "contaminate", "cosine",
     "cosine_basis", "default_bounds",
     "derive_seed", "dirichlet_kernel", "errors", "fejer_kernel",

@@ -298,6 +298,13 @@ def _constants(lam) -> FrequencyConstants:
     return lam if isinstance(lam, FrequencyConstants) else FrequencyConstants(lam)
 
 
+def _scale(family: str, sigma2) -> float:
+    """sigma2 as a float; DomainError unless 0 < sigma2 < inf (NaN included)."""
+    if not 0.0 < sigma2 < math.inf:
+        raise DomainError(f"{family} requires 0 < sigma2 < inf")
+    return float(sigma2)
+
+
 # ---------------------------------------------------------------------------
 # white noise
 
@@ -308,9 +315,7 @@ class WhiteNoise(Model):
     scale_name = "sigma2"
 
     def __init__(self, sigma2: float = 1.0):
-        if sigma2 <= 0:
-            raise DomainError("white_noise requires sigma2 > 0")
-        self.sigma2 = float(sigma2)
+        self.sigma2 = _scale(self.family, sigma2)
 
     def density(self, lam):
         out = np.full(_constants(lam).lam.shape, self.sigma2 / (2.0 * math.pi))
@@ -441,10 +446,8 @@ class AR1(Model):
     def __init__(self, theta: float, sigma2: float = 1.0):
         if not -1.0 < theta < 1.0:
             raise DomainError("ar1 requires |theta| < 1")
-        if sigma2 <= 0:
-            raise DomainError("ar1 requires sigma2 > 0")
         self.theta = float(theta)
-        self.sigma2 = float(sigma2)
+        self.sigma2 = _scale(self.family, sigma2)
 
     def _denom(self, c: FrequencyConstants) -> np.ndarray:
         """|1 - theta e^{-i lam}|^2, written without cancellation near lam = 0."""
@@ -486,12 +489,10 @@ class ARMA(Model):
 
     def __init__(self, phi=(), theta=(), sigma2: float = 1.0):
         phi, theta = _coefficients(phi), _coefficients(theta)
-        if sigma2 <= 0:
-            raise DomainError(f"{self.family} requires sigma2 > 0")
+        self.sigma2 = _scale(self.family, sigma2)
         self._a, self._b = _check_arma(phi, theta)
         self.phi = phi
         self.theta = theta
-        self.sigma2 = float(sigma2)
         self.free_names = self.lead_names + tuple(f"phi{i+1}" for i in range(len(phi))) + tuple(
             f"theta{i+1}" for i in range(len(theta))
         )

@@ -16,8 +16,10 @@ The shifted variant places points at half-integer offsets,
 
 avoiding lambda = 0; every statistic of a fractional model
 (`Model.fractional`) uses it, so that a spectral pole at the origin is
-never evaluated.  `tapered_periodogram` builds the grid: callers say only
-whether it is shifted.
+never evaluated.  `tapered_dft` and `tapered_periodogram` build the grid
+from the sample's length: callers say only whether it is shifted.
+`canonical_grid(T, shifted)` takes both arguments positionally, so each
+(T, shifted) is one memoized grid.
 
 The tapered DFT is d(lambda) = sum_{t=1}^T h(t/T) X_t e^{-i lambda t}, and
 the periodogram I(lambda) = |d(lambda)|^2 / C_T with the exact
@@ -73,25 +75,20 @@ class FrequencyGrid:
     def N(self) -> int:
         return int(self.points.shape[0])
 
-    @property
-    def folded(self) -> bool:
-        """True on the unshifted grid, whose sums run over [0, pi]."""
-        return not self.shifted
-
     @functools.cached_property
     def nodes(self) -> np.ndarray:
-        """The points in [0, pi] of a folded grid (the last N/2 + 1), else every point."""
-        return self.points[self.N // 2 - 1:] if self.folded else self.points
+        """The points in [0, pi] of an unshifted grid (the last N/2 + 1), else every point."""
+        return self.points if self.shifted else self.points[self.N // 2 - 1:]
 
     @functools.cached_property
     def fold_weights(self) -> np.ndarray | None:
-        """(1, 2, ..., 2, 1) on the nodes of a folded grid, None (all ones) otherwise."""
-        return _frozen(self.fold(np.ones(self.N))) if self.folded else None
+        """(1, 2, ..., 2, 1) on the nodes of an unshifted grid, None (all ones) otherwise."""
+        return None if self.shifted else _frozen(self.fold(np.ones(self.N)))
 
     def fold(self, w: np.ndarray) -> np.ndarray:
         """Node weights w(lam) + w(-lam) of a function w given on all N points
-        (w alone at 0 and pi, each a single point); w itself unless folded."""
-        if not self.folded:
+        (w alone at 0 and pi, each a single point); w itself on a shifted grid."""
+        if self.shifted:
             return w
         h = self.N // 2 - 1  # index of lam = 0
         out = np.array(w[h:], dtype=float)
@@ -103,7 +100,7 @@ class FrequencyGrid:
         each term times its node weight from `fold` (unit weight when None)."""
         if weights is not None:
             return (terms * weights).sum()
-        if not self.folded:
+        if self.shifted:
             return terms.sum()
         return 2.0 * terms.sum() - terms[0] - terms[-1]
 
@@ -120,12 +117,12 @@ class FrequencyGrid:
 
 
 @functools.lru_cache(maxsize=8)
-def canonical_grid(T: int, shifted: bool = False) -> FrequencyGrid:
+def canonical_grid(T: int, shifted: bool, /) -> FrequencyGrid:
     """Full-period grid with N = next power of two >= 4T.
 
-    Memoized per process on the arguments as passed (`tapered_periodogram`
-    passes (T, shifted)): the grid is frozen and its arrays read-only, so
-    one grid and its cached constants serve every call (and every forked
+    Memoized per process on its one call form, so each value pair
+    (T, shifted) is one entry: the grid is frozen and its arrays read-only,
+    so one grid and its cached constants serve every call (and every forked
     worker).
     """
     if T < 1:
@@ -162,11 +159,12 @@ def _unfold(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[1:], np.conj(tail) if np.iscomplexobj(half) else tail, half[:1]))
 
 
-def tapered_dft(series, taper: Taper, grid: FrequencyGrid) -> np.ndarray:
-    """d(lambda_j) for all grid points by FFT (exactly Hermitian,
-    d(-lambda) = conj d(lambda), on an unshifted grid)."""
-    out = _canonical_fft(_values_of(series), taper, grid)
-    return out if grid.shifted else _unfold(out)
+def tapered_dft(series, taper: Taper, shifted: bool = False) -> np.ndarray:
+    """d(lambda_j) at every point of the sample's canonical grid, shifted or
+    not, by FFT (exactly Hermitian, d(-lambda) = conj d(lambda), unshifted)."""
+    x = _values_of(series)
+    out = _canonical_fft(x, taper, canonical_grid(x.shape[0], shifted))
+    return out if shifted else _unfold(out)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ class Periodogram:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        if not self.grid.folded:
+        if self.grid.shifted:
             return self.node_values
         return _frozen(_unfold(self.node_values[::-1]))
 
@@ -198,7 +196,7 @@ def tapered_periodogram(series, taper: Taper, shifted: bool = False) -> Periodog
     if c_norm == 0.0:
         raise DomainError(f"taper {taper.id!r} vanishes on the sample: sum h^2 = 0 at T = {T}")
     d = _canonical_fft(x, taper, grid)
-    if grid.folded:
+    if not grid.shifted:
         d = d[::-1]  # real-FFT bins N/2..0 sit at the nodes 0..pi (see _unfold)
     vals = (d.real**2 + d.imag**2) / c_norm
     return Periodogram(_frozen(vals), grid, taper.id, T, c_norm)

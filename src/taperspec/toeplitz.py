@@ -38,7 +38,7 @@ import scipy.linalg
 from ._quad import spectral_integral
 from .errors import DivergenceError, DomainError, SizeGuardError
 from .functionals import GeneratingFunction
-from .models import Model, make_rng
+from .models import Model, _frozen, make_rng
 from .taper import Taper, get_taper
 
 _BUILD_GUARD = 2048
@@ -46,29 +46,6 @@ _CUMULANT_GUARD = 1024
 _EIG_GUARD = 512
 _GENERATOR_TYPES = ("generator must be a Model or a GeneratingFunction "
                     "(wrap a callable in functionals.custom)")
-
-
-@dataclass(frozen=True)
-class TaperedToeplitzMatrix:
-    """Dense symmetric matrix psihat(t-s) h(t/T) h(s/T), t,s = 1..T."""
-
-    matrix: np.ndarray
-    order: int
-    taper_id: str
-    label: str
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def T(self) -> int:
-        return self.order
-
-
-def _label(psi) -> str:
-    if isinstance(psi, Model):
-        return psi.describe()
-    return psi.label or psi.kind
 
 
 def _fourier_coefficients(psi, T: int) -> np.ndarray:
@@ -90,8 +67,8 @@ def _density_fn(psi):
     raise DomainError(_GENERATOR_TYPES)
 
 
-def build_matrix(psi, taper: Taper, T: int) -> TaperedToeplitzMatrix:
-    """Assemble the dense T x T tapered Toeplitz matrix of psi."""
+def build_matrix(psi, taper: Taper, T: int) -> np.ndarray:
+    """The dense T x T tapered Toeplitz matrix of psi, read-only."""
     T = int(T)
     if T < 1:
         raise DomainError("order must be positive")
@@ -99,8 +76,7 @@ def build_matrix(psi, taper: Taper, T: int) -> TaperedToeplitzMatrix:
         raise SizeGuardError(f"order {T} exceeds dense build guard {_BUILD_GUARD}")
     ghat = _fourier_coefficients(psi, T)
     h = taper.values(T)
-    mat = scipy.linalg.toeplitz(ghat) * np.outer(h, h)
-    return TaperedToeplitzMatrix(matrix=mat, order=T, taper_id=taper.id, label=_label(psi))
+    return _frozen(scipy.linalg.toeplitz(ghat) * np.outer(h, h))
 
 
 def trace_product(matrices) -> float:
@@ -109,16 +85,15 @@ def trace_product(matrices) -> float:
     m = len(mats)
     if m not in (2, 3, 4):
         raise DomainError(f"trace product takes 2 to 4 factors, got {m}")
-    orders = {a.order for a in mats}
+    orders = {a.shape[0] for a in mats}
     if len(orders) != 1:
         raise DomainError(f"order mismatch among factors: {sorted(orders)}")
-    T = mats[0].order
     # tr(P A_last) = sum_ij P_ij (A_last)_ji; the last factor is symmetric,
     # so one matmul fewer than the naive chain.
-    prod = mats[0].matrix
+    prod = mats[0]
     for a in mats[1:-1]:
-        prod = prod @ a.matrix
-    return float(np.sum(prod * mats[-1].matrix) / T)
+        prod = prod @ a
+    return float(np.sum(prod * mats[-1]) / orders.pop())
 
 
 def _product_integral(psi_list) -> float:
@@ -156,7 +131,7 @@ def trace_limit(psi_list, taper: Taper) -> float:
 
 def _covariance_matrix(f, T: int) -> np.ndarray:
     """Plain Toeplitz covariance matrix of the density f (rect taper)."""
-    return build_matrix(f, get_taper("rect"), T).matrix
+    return build_matrix(f, get_taper("rect"), T)
 
 
 def qf_cumulant(f, g, taper: Taper, T: int, k: int) -> float:
@@ -170,7 +145,7 @@ def qf_cumulant(f, g, taper: Taper, T: int, k: int) -> float:
     k = int(k)
     if k not in (1, 2, 3, 4):
         raise DomainError(f"cumulant order must be in 1..4, got {k}")
-    prod = _covariance_matrix(f, T) @ build_matrix(g, taper, T).matrix
+    prod = _covariance_matrix(f, T) @ build_matrix(g, taper, T)
     power = prod
     for _ in range(k - 1):
         power = power @ prod
@@ -207,7 +182,7 @@ def qf_distribution(f, g, taper: Taper, T: int) -> QFDistribution:
     if T > _EIG_GUARD:
         raise SizeGuardError(f"order {T} exceeds eigensolve guard {_EIG_GUARD}")
     sigma = _covariance_matrix(f, T)
-    bg = build_matrix(g, taper, T).matrix
+    bg = build_matrix(g, taper, T)
     w, u = np.linalg.eigh(sigma)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if w.min() >= -1e-10 * max(scale, 1.0):

@@ -315,9 +315,9 @@ def test_estimators_match_their_inline_formulas_bitwise(g, shifted):
 
 def test_grid_values_are_kept_per_grid_size_not_per_grid():
     g = indicator(0.7)
-    a = g.on_grid(canonical_grid(512))
-    assert canonical_grid(511) is not canonical_grid(512)
-    assert g.on_grid(canonical_grid(511)) is a  # same N = 2048, same points
+    a = g.on_grid(canonical_grid(512, False))
+    assert canonical_grid(511, False) is not canonical_grid(512, False)
+    assert g.on_grid(canonical_grid(511, False)) is a  # same N = 2048, same points
     assert g.on_grid(canonical_grid(512, True)) is not a
     assert g.coefficients(9) is g.coefficients(9)
     assert np.array_equal(g.coefficients(9), g.fourier(np.arange(10)))

@@ -54,7 +54,7 @@ RECT = get_taper("rect")
 
 
 def _synthetic_pgram(model, T, factor=1.0):
-    grid = canonical_grid(T)
+    grid = canonical_grid(T, False)
     vals = factor * model.density(grid.nodes)
     return Periodogram(node_values=vals, grid=grid, taper_id="synthetic", T=T,
                        c_norm=1.0)

@@ -1165,6 +1165,11 @@ _GOF_AR = ["gof", "--model", "ar1{theta=0.5}", "--T", "64", "--reps", "2"]
     pytest.param([*_GOF_AR, "--alpha", "1.5"], "alpha", id="alpha-1.5"),
     pytest.param(["simulate", "--model", "ar1{theta=2}", "--T", "64"], "model",
                  id="nonstationary-model"),
+    # a scale must be finite as well as positive, in every family that has one
+    *(pytest.param(["simulate", "--model", spec, "--T", "8"], "model", id=spec)
+      for spec in ("ar1{theta=0.5,sigma2=nan}", "ar1{theta=0.5,sigma2=inf}",
+                   "arma{phi=[0.5],sigma2=nan}", "white_noise{sigma2=nan}",
+                   "arfima_pdq{d=0.2,sigma2=inf}")),
     pytest.param([*_GOF_AR, "--data-model", "foo"], "data_model", id="unknown-data-model"),
     pytest.param([*_GOF_AR, "--basis", "ar-example:1"], "basis", id="basis-without-surplus"),
     pytest.param([*_GOF_AR, "--mode", "composite", "--basis", "cosine:1"], "basis",

@@ -276,7 +276,7 @@ def test_horner_is_polyval_bitwise(coeffs, lead):
     if lead is not None:
         coeffs[-1] = lead
     c = np.array(coeffs)
-    lam = canonical_grid(64, shifted=len(coeffs) % 2 == 1).points
+    lam = canonical_grid(64, len(coeffs) % 2 == 1).points
     for z in (np.exp(-1j * lam), np.exp(1j * lam)):
         got, ref = models._poly_on_circle(c, z), np.polyval(c[::-1], z)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

@@ -18,9 +18,9 @@ TAPER_NAMES = ("rect", "linear", "tukey")
 
 
 def test_canonical_grid_layout():
-    g = canonical_grid(100)
+    g = canonical_grid(100, False)
     assert g.N == 512
-    assert g.folded and not g.shifted
+    assert not g.shifted
     assert g.weight == pytest.approx(2.0 * math.pi / 512)
     pts = g.points
     assert np.all(np.diff(pts) > 0)
@@ -31,7 +31,7 @@ def test_canonical_grid_layout():
 
 def test_canonical_grid_size_is_the_next_power_of_two_at_least_4t():
     for T, n in ((1, 4), (2, 8), (3, 16), (48, 256), (128, 512), (129, 1024), (4096, 16384)):
-        assert canonical_grid(T).N == canonical_grid(T, True).N == n
+        assert canonical_grid(T, False).N == canonical_grid(T, True).N == n
         assert n == 1 << math.ceil(math.log2(4 * T))
 
 
@@ -39,7 +39,7 @@ def test_canonical_grid_is_memoized_read_only():
     g = canonical_grid(300, True)
     again = canonical_grid(300, True)
     assert again is g and again.constants is g.constants
-    assert canonical_grid(300) is not g
+    assert canonical_grid(300, False) is not g
     fresh = canonical_grid.__wrapped__(300, True)
     assert np.array_equal(fresh.points, g.points) and fresh.weight == g.weight
     assert not g.points.flags.writeable
@@ -50,13 +50,18 @@ def test_canonical_grid_is_memoized_read_only():
     # a bad argument raises on every call; nothing is cached for it
     for _ in range(2):
         with pytest.raises(ValueError, match="positive"):
-            canonical_grid(0)
+            canonical_grid(0, False)
 
 
 def test_canonical_grid_memo_keys_on_the_values():
-    # the periodogram's call form, (T, shifted), is one entry per value pair:
-    # an equal T of another integer type or an equal flag shares it
+    # the one call form, (T, shifted) positionally, is one entry per value
+    # pair: an equal T of another integer type or an equal flag shares it,
+    # and a second call form is refused rather than keyed apart
     assert canonical_grid.cache_info().maxsize == 8
+    for call in (lambda: canonical_grid(72), lambda: canonical_grid(72, shifted=False),
+                 lambda: canonical_grid(T=72, shifted=False)):
+        with pytest.raises(TypeError):
+            call()
     before = canonical_grid.cache_info()
     g = canonical_grid(72, False)
     assert canonical_grid(np.int64(72), False) is g
@@ -81,8 +86,8 @@ def _mirrored(grid, on_nodes):
 
 def test_folded_grid_nodes_and_weights():
     for T in (1, 100, 97):
-        g = canonical_grid(T)
-        assert g.folded and g.nodes.size == g.N // 2 + 1
+        g = canonical_grid(T, False)
+        assert not g.shifted and g.nodes.size == g.N // 2 + 1
         assert g.nodes[0] == 0.0 and g.nodes[-1] == pytest.approx(math.pi)
         # -lam_j and the node lam_j agree up to the rounding of the points
         assert np.allclose(_mirrored(g, g.nodes), np.abs(g.points), rtol=0.0, atol=1e-15)
@@ -90,17 +95,17 @@ def test_folded_grid_nodes_and_weights():
         assert np.all(g.fold_weights[1:-1] == 2.0) and np.sum(g.fold_weights) == g.N
         assert not g.fold_weights.flags.writeable
     off = canonical_grid(100, True)
-    assert not off.folded and off.nodes is off.points and off.fold_weights is None
+    assert off.nodes is off.points and off.fold_weights is None
     w = np.linspace(-1.0, 2.0, off.N)
     assert off.fold(w) is w
 
 
 
 def test_grids_compare_and_hash_by_identity():
-    a, b = canonical_grid.__wrapped__(8), canonical_grid.__wrapped__(8)
+    a, b = canonical_grid.__wrapped__(8, False), canonical_grid.__wrapped__(8, False)
     assert a == a and a != b and not (a == b)
     assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
-    assert canonical_grid(8) == canonical_grid(8)  # the memo returns one grid
+    assert canonical_grid(8, False) == canonical_grid(8, False)  # the memo returns one grid
 
 @settings(max_examples=60, deadline=None)
 @given(T=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1))
@@ -109,7 +114,7 @@ def test_folded_sum_is_the_full_grid_sum(T, seed):
     # times a weight that is not even folded as w(lam) + w(-lam), gives the
     # full-grid sum up to summation round-off: a few ulps times N of the
     # sum of magnitudes
-    grid = canonical_grid(T)
+    grid = canonical_grid(T, False)
     rng = make_rng(seed)
     x = rng.standard_normal(grid.nodes.size) * np.exp(rng.uniform(-3.0, 3.0))
     full = _mirrored(grid, x)
@@ -176,7 +181,7 @@ def test_periodogram_matches_the_former_formula_bitwise(name, shifted, T, seed_o
     mirror = n - 2 - np.arange(n - 1)  # lambda_{N-2-j} = -lambda_j on the unshifted grid
     for _ in range(2):  # the second call reads every cached constant
         pg = tapered_periodogram(x, taper, shifted)
-        d = tapered_dft(x, taper, grid)
+        d = tapered_dft(x, taper, shifted)
         assert pg.grid is grid
         assert pg.c_norm == c_old
         if shifted:
@@ -217,7 +222,7 @@ def test_shifted_grid_avoids_origin_and_endpoints():
     assert np.all(np.abs(g.points) > 1e-12)
     assert g.points[0] == pytest.approx(-math.pi + math.pi / g.N)
     assert g.points[-1] == pytest.approx(math.pi - math.pi / g.N)
-    plain = canonical_grid(64)
+    plain = canonical_grid(64, False)
     assert np.any(np.abs(plain.points) < 1e-15)
 
 
@@ -230,14 +235,15 @@ def _direct_dft(x, h, lam):
 @pytest.mark.parametrize("name", TAPER_NAMES)
 @pytest.mark.parametrize("shifted", [False, True])
 def test_fft_dft_matches_direct_sum(name, shifted):
+    # every sample, the shortest included, is transformed on its own grid
     rng = np.random.default_rng(7)
-    T = 37
-    x = rng.standard_normal(T)
     tp = get_taper(name)
-    g = canonical_grid(T, shifted)
-    fast = tapered_dft(x, tp, g)
-    slow = _direct_dft(x, tp.values(T), g.points)
-    assert np.allclose(fast, slow, atol=1e-10)
+    for T in (1, 2, 3, 4, 10, 37):
+        x = rng.standard_normal(T)
+        fast = tapered_dft(x, tp, shifted)
+        slow = _direct_dft(x, tp.values(T), canonical_grid(T, shifted).points)
+        assert fast.shape == slow.shape == (canonical_grid(T, shifted).N,)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)), T
 
 
 @pytest.mark.parametrize("name", TAPER_NAMES)
@@ -267,7 +273,7 @@ def test_periodogram_mean_tracks_density():
     # E[I(lambda)] -> f(lambda); checked loosely by averaging replications.
     m = AR1(theta=0.5)
     tp = get_taper("rect")
-    grid = canonical_grid(512)
+    grid = canonical_grid(512, False)
     acc = np.zeros(grid.N)
     reps = 400
     for rep in range(reps):

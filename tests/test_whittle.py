@@ -643,7 +643,7 @@ def test_long_memory_population_integrals_run_without_quadpack(monkeypatch):
         2.0 * math.pi * big_f, rel=1e-13)
     kernel = lambda lam: 1.0 / (1.25 - np.cos(lam))  # coefficients 2 pi 0.5^u / 0.75
     exact = 2.0 * math.pi * 0.5 ** np.arange(64) / 0.75
-    assert np.allclose(build_matrix(custom(kernel), rect, 64).matrix[0], exact, rtol=0, atol=1e-13)
+    assert np.allclose(build_matrix(custom(kernel), rect, 64)[0], exact, rtol=0, atol=1e-13)
     assert np.allclose(custom(kernel).coefficients(63), exact, rtol=0, atol=1e-13)
 
 
