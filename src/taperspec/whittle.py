@@ -18,6 +18,22 @@ in closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
 Nelder-Mead from five deterministic starts.
 
+An AR(1)-shaped family (`ar1`, or `arma` with one phi and no theta) needs
+no search.  Its unit density is 1 / (2 pi |1 - theta z|^2), z = e^{-i lam},
+so the grid sum of I/f1 is 2 pi (c0 (1 + theta^2) - 2 theta c1), with
+c_k = sum_j I_j cos(k lam_j) the periodogram's lag-k autocovariance.  On
+the unshifted grid the z_j are the N-th roots of unity, so
+sum_j ln|1 - theta z_j|^2 = ln(1 - theta^N)^2 and the profiled criterion is
+
+    (1/2) ln(c0 (1 + theta^2) - 2 theta c1) - ln|1 - theta^N| / N + const.
+
+The first term is minimized by the Yule-Walker estimate c1 / c0 of the
+tapered series (Brockwell & Davis 1991, section 10.8), and the second
+moves the minimizer by about |theta|^{N-1}.  So where |theta_hat|^{N-1}
+is at most the search tolerance, theta_hat = c1 / c0 clipped into the box
+is the fit, at one criterion evaluation; elsewhere (small T, theta near
++-1) it is where the scoring search starts.
+
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per grid, on its nodes
@@ -46,7 +62,7 @@ import scipy.optimize
 
 from ._quad import spectral_integral
 from .errors import DomainError, SingularInformationError
-from .models import Model
+from .models import AR1, ARMA, Model
 from .spectrum import Periodogram, tapered_periodogram
 from .taper import Taper, tapering_factor
 
@@ -180,34 +196,56 @@ def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model) -> float:
     return float(step) if np.isfinite(step) else 0.0
 
 
-def _fisher_scoring(evaluate, step_at, lo: float, hi: float, tol: float,
+def _fisher_scoring(evaluate, step_at, x: float, lo: float, hi: float, tol: float,
                     max_evals: int) -> tuple:
-    """Minimize evaluate(x) = (value, state) on [lo, hi] from the centre.
+    """Minimize evaluate(x) = (value, state) on [lo, hi] from x.
 
-    Each step `step_at(state)` is clipped into the box and halved while
-    the criterion rises (a non-finite value counts as rising); the search
-    converges once a step is at most `tol`.  Returns
-    (x, value, state, evaluations, converged).
+    Each step `step_at(state)` is clipped into the box.  A clipped step of
+    at most `tol` ends the search, converged, without being evaluated: it
+    would move x by no more than the tolerance (near the minimum, scoring's
+    last step is often pure round-off).  A longer step is evaluated and
+    halved while the criterion rises (a non-finite value counts as rising);
+    the search also converges once a halved step is at most `tol`.
+    Returns (x, value, state, evaluations, converged).
     """
-    x = lo + 0.5 * (hi - lo)
     value, state = evaluate(x)
     if not math.isfinite(value):
         raise DomainError("objective not finite at the search start")
     evals = 1
     while evals < max_evals:
         trial = min(max(x + step_at(state), lo), hi)
-        while trial != x:
+        if abs(trial - x) <= tol:
+            return x, value, state, evals, True
+        while True:
             t_value, t_state = evaluate(trial)
             evals += 1
             if t_value <= value or abs(trial - x) <= tol or evals >= max_evals:
                 break
             trial = x + 0.5 * (trial - x)
         moved = abs(trial - x)
-        if trial != x and t_value <= value:
+        if t_value <= value:
             x, value, state = trial, t_value, t_state
         if moved <= tol:
             return x, value, state, evals, True
     return x, value, state, evals, False
+
+
+def _ar1_shaped(model: Model) -> bool:
+    """Whether the model's unit density is 1 / (2 pi |1 - theta e^{-i lam}|^2)
+    in its one shape parameter: `ar1`, or `arma` with one phi and no theta
+    (a subclass may change the density, so the type is matched exactly)."""
+    return type(model) is AR1 or (type(model) is ARMA and len(model.phi) == 1
+                                   and not model.theta)
+
+
+def _yule_walker(pgram: Periodogram, lo: float, hi: float) -> float | None:
+    """c1 / c0 clipped into [lo, hi], c_k = sum_j I_j cos(k lam_j) over the
+    unshifted grid (the tapered series' lag-k autocovariance up to a common
+    factor); None for a series with no energy (c0 = 0)."""
+    grid = pgram.grid
+    c0 = grid.sum(pgram.node_values)
+    c1 = grid.sum(pgram.node_values * grid.constants.cos)
+    return float(min(max(c1 / c0, lo), hi)) if c0 > 0.0 else None
 
 
 def _nm_starts(bounds) -> list:
@@ -232,10 +270,15 @@ def whittle_estimate(series, taper: Taper, model: Model,
     """Fit the model family to a series by tapered Whittle minimization.
 
     `model` doubles as the family template; its free parameters are the
-    search space and its scale (when it has one) is profiled out.  One
-    shape parameter is fitted by projected Fisher scoring from the centre
-    of its box (`_fisher_scoring`), more than one by Nelder-Mead from five
-    deterministic starts.  `iterations` counts criterion evaluations.
+    search space and its scale (when it has one) is profiled out.  An
+    AR(1)-shaped family is fitted in closed form, theta_hat = c1 / c0
+    clipped into its box (see the module docstring), at one criterion
+    evaluation, when |theta_hat|^{N-1} <= `tol` on the sample's grid of N
+    points; otherwise, and for every other one-parameter family, by
+    projected Fisher scoring (`_fisher_scoring`) from theta_hat or the
+    centre of the box.  More than one shape parameter is fitted by
+    Nelder-Mead from five deterministic starts.  `iterations` counts
+    criterion evaluations.
     """
     # a fractional family's box reaches long-memory points wherever it starts
     pgram = tapered_periodogram(series, taper, shifted=model.fractional)
@@ -269,10 +312,17 @@ def whittle_estimate(series, taper: Taper, model: Model,
         if len(box) != p:
             raise DomainError(f"need {p} bounds pairs, got {len(box)}")
         if p == 1:
-            xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
-                lambda t: shape_objective([t]),
-                lambda state: _scoring_step(pgram, *state),
-                float(box[0][0]), float(box[0][1]), tol, max_evals)
+            lo, hi = float(box[0][0]), float(box[0][1])
+            start = _yule_walker(pgram, lo, hi) if _ar1_shaped(model) else None
+            if start is not None and abs(start) ** (pgram.grid.N - 1) <= tol:
+                value, (s2, _, _) = shape_objective([start])
+                xopt, iterations, converged = start, 1, True
+            else:
+                xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
+                    lambda t: shape_objective([t]),
+                    lambda state: _scoring_step(pgram, *state),
+                    lo + 0.5 * (hi - lo) if start is None else start,
+                    lo, hi, tol, max_evals)
             best_vec = np.array([xopt])
         else:
             per_start = max(200, max_evals // 5)
@@ -288,8 +338,8 @@ def whittle_estimate(series, taper: Taper, model: Model,
             iterations = sum(r.nfev for r in results)
             converged = bool(best.success)
             value, (s2, _, _) = shape_objective(best_vec)
-            if not math.isfinite(value):
-                raise DomainError("objective not finite at the reported minimum")
+        if not math.isfinite(value):
+            raise DomainError("objective not finite at the reported minimum")
         fitted = model.with_free(best_vec)
         if has_scale:
             fitted = fitted.with_params(**{model.scale_name: s2})

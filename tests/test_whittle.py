@@ -161,10 +161,28 @@ def test_scoring_agrees_with_recorded_estimates(truth, seed, taper, start, expec
     assert abs(fit.theta_hat[0] - expected) <= 1e-7
 
 
+def _with_the_skipped_step(fit) -> float:
+    """theta_hat moved by the scoring step a converged search no longer
+    evaluates (at most tol), clipped into the default box as a step is."""
+    m, pgram = fit.model, fit.periodogram
+    if m.scale_name is None:
+        step = whittle._scoring_step(pgram, 1.0, None, m)
+    else:
+        unit = m.with_params(**{m.scale_name: 1.0})
+        step = whittle._scoring_step(pgram, fit.sigma2_hat,
+                                     whittle._grid_density(unit, pgram.grid), unit)
+    assert abs(step) <= 1e-7
+    lo, hi = default_bounds(m)[0]
+    return min(max(fit.theta_hat[0] + step, lo), hi)
+
+
 # Scoring fits on the unshifted grid as they were before it folded its even
 # sums onto [0, pi] (T, seed, taper, theta_hat); each fit starts from the
 # truth.  Folding changes only how the same terms are summed, and scoring
-# converges quadratically, so theta_hat may move at round-off only.
+# converges quadratically, so theta_hat may move at round-off only.  The
+# search now stops before a last step of at most tol (and an AR(1)-shaped
+# family is fitted in closed form), so each fit is continued by that step,
+# which lands it where the search of the time stopped.
 _SCORING_BEFORE_THE_FOLD = [
     ("ar1{theta=0.5}", 512, 3, "tukey", 0.566888387669675),
     ("ar1{theta=-0.8}", 256, 4, "rect", -0.7553627502016983),
@@ -184,7 +202,7 @@ def test_folded_scoring_fits_move_at_round_off(spec, T, seed, taper, before):
     ts = model.simulate(gaussian(), T, seed=seed)
     fit = whittle_estimate(ts, get_taper(taper), model)
     assert fit.converged
-    assert abs(fit.theta_hat[0] - before) <= 1e-12
+    assert abs(_with_the_skipped_step(fit) - before) <= 1e-12
 
 
 # Fits of families without a scale (T, seed, taper, theta_hat, criterion
@@ -194,13 +212,15 @@ def test_folded_scoring_fits_move_at_round_off(spec, T, seed, taper, before):
 # for arfima0d0) cut the d = 0.3 and H = 0.6 searches to 8 and 7 evaluations
 # but lengthen those near d = 1/2 and H = 1 (12 seeds at T = 1024 averaged
 # 6.0 -> 7.8 for d = 0.45 and 8.1 -> 9.5 for H = 0.9), so the counts here
-# guard both sides.
+# guard both sides.  Re-recorded when the search stopped evaluating a last
+# step of at most tol: each fit took one evaluation less and moved by that
+# step (see test_skipping_the_last_scoring_step_moves_a_fit_within_tol).
 _SCALE_FREE_FITS = [
-    ("arfima0d0{d=0.3}", 1024, 71, "tukey", 0.28401748646735747, 13),
-    ("arfima0d0{d=0.45}", 1024, 3, "tukey", 0.46204285164159464, 9),
-    ("fgn{H=0.6}", 1024, 9, "tukey", 0.5391407186166194, 10),
-    ("fgn{H=0.9}", 1024, 5, "tukey", 0.8897557352140261, 7),
-    ("fgn{H=0.97}", 1024, 2, "tukey", 0.969267112417934, 6),
+    ("arfima0d0{d=0.3}", 1024, 71, "tukey", 0.2840174430343391, 12),
+    ("arfima0d0{d=0.45}", 1024, 3, "tukey", 0.4620428644470996, 8),
+    ("fgn{H=0.6}", 1024, 9, "tukey", 0.5391406820877679, 9),
+    ("fgn{H=0.9}", 1024, 5, "tukey", 0.8897557254180896, 6),
+    ("fgn{H=0.97}", 1024, 2, "tukey", 0.9692671226590883, 5),
 ]
 
 
@@ -219,7 +239,11 @@ def test_scale_free_fits_keep_their_expected_information_search(spec, T, seed, t
 # overhead was cut (Horner's rule for the AR/MA polynomials, candidates built
 # without numpy round trips): (model, rep, theta_hat, objective_value,
 # sigma2_hat, iterations) for T = 2048, tukey, seed derive_seed(0, rep), each
-# fit starting from the truth.  Every bit must stay.
+# fit starting from the truth.  Every bit must stay.  The arfima0d0 rows were
+# re-recorded when scoring stopped evaluating a last step of at most tol
+# (one evaluation less, theta_hat within tol; see _SEARCH_BEFORE_THE_SKIP),
+# the ar1 rows when AR(1) was fitted in closed form (one evaluation,
+# theta_hat and sigma2_hat moved by at most 2 units in the last place).
 _FIT_PINS = [
     ("arfima_pdq{d=0.3,phi=0.4}", 0, ("0x1.1565d9946fff0p-2", "0x1.bf7cb20709abap-2"),
      "-0x1.8f9c04be02641p-2", "0x1.0f224d9c0dfe4p+0", 544),
@@ -245,22 +269,22 @@ _FIT_PINS = [
      ("0x1.088eb66fbb38ap-1", "-0x1.349e3dfada4c4p-2",
       "0x1.80f8e3cb39130p-2"),
      "-0x1.9ccd1ff21154cp-2", "0x1.0839ab437f461p+0", 927),
-    ("arfima0d0{d=0.3}", 0, ("0x1.48632f476fbe0p-2",),
-     "0x1.099b0ba02cf8ep-1", None, 8),
-    ("arfima0d0{d=0.3}", 1, ("0x1.46fdfa9e6c8bfp-2",),
-     "0x1.07431625d3d24p-1", None, 9),
-    ("arfima0d0{d=0.3}", 2, ("0x1.3c9d52379aa08p-2",),
-     "0x1.f9142f27e192bp-2", None, 10),
-    ("arfima0d0{d=0.3}", 3, ("0x1.5e48782879097p-2",),
-     "0x1.f6b865f2c3f6fp-2", None, 8),
-    ("ar1{theta=0.5}", 0, ("0x1.117dfd1b84fcep-1",),
-     "-0x1.afe26b872a5c2p-2", "0x1.fd1de390eb0aep-1", 2),
+    ("arfima0d0{d=0.3}", 0, ("0x1.48632b636e818p-2",),
+     "0x1.099b0ba02cfa6p-1", None, 7),
+    ("arfima0d0{d=0.3}", 1, ("0x1.46fe000b803c3p-2",),
+     "0x1.07431625d3d56p-1", None, 8),
+    ("arfima0d0{d=0.3}", 2, ("0x1.3c9d579fec35fp-2",),
+     "0x1.f9142f27e1992p-2", None, 9),
+    ("arfima0d0{d=0.3}", 3, ("0x1.5e4878170fa09p-2",),
+     "0x1.f6b865f2c3f6fp-2", None, 7),
+    ("ar1{theta=0.5}", 0, ("0x1.117dfd1b84fcdp-1",),
+     "-0x1.afe26b872a5c2p-2", "0x1.fd1de390eb0acp-1", 1),
     ("ar1{theta=0.5}", 1, ("0x1.01f66043290e7p-1",),
-     "-0x1.ac202c038099bp-2", "0x1.006f1e9b5a8c4p+0", 2),
+     "-0x1.ac202c038099bp-2", "0x1.006f1e9b5a8c4p+0", 1),
     ("ar1{theta=0.5}", 2, ("0x1.ec16065c5d464p-2",),
-     "-0x1.b4df4845c619fp-2", "0x1.f82e61a586099p-1", 3),
-    ("ar1{theta=0.5}", 3, ("0x1.fa77938127b10p-2",),
-     "-0x1.9c8b55e7770a4p-2", "0x1.085ba10877c9ap+0", 3),
+     "-0x1.b4df4845c619fp-2", "0x1.f82e61a586099p-1", 1),
+    ("ar1{theta=0.5}", 3, ("0x1.fa77938127b0fp-2",),
+     "-0x1.9c8b55e7770a4p-2", "0x1.085ba10877c99p+0", 1),
 ]
 
 
@@ -277,42 +301,304 @@ def test_fits_keep_their_recorded_bits(spec, rep, theta_hat, objective, sigma2_h
     assert fit.iterations == iterations
 
 
-def test_ar1_fit_evaluates_the_criterion_a_few_times(monkeypatch):
+# Scoring fits as the search gave them while it still evaluated a last step
+# of at most tol (spec, T, seed, taper, theta_hat, objective_value,
+# evaluations), each fit from the truth.  Stopping before that step may move
+# theta_hat by at most tol, save at most that one evaluation and, since each
+# accepted step lowered the criterion, leave it higher only at round-off.
+_SEARCH_BEFORE_THE_SKIP = [
+    ("arfima0d0{d=0.3}", 1024, 71, "tukey", 0.28401748646735747, 0.5756904243491408, 13),
+    ("arfima0d0{d=0.45}", 1024, 3, "tukey", 0.46204285164159464, 0.5289483883761124, 9),
+    ("fgn{H=0.6}", 1024, 9, "tukey", 0.5391407186166194, -0.37557238359820316, 10),
+    ("fgn{H=0.9}", 1024, 5, "tukey", 0.8897557352140261, -0.8253668205881451, 7),
+    ("fgn{H=0.97}", 1024, 2, "tukey", 0.969267112417934, -1.3980612507898718, 6),
+    ("arfima0d0{d=0.3}", 2048, derive_seed(0, 0), "tukey", 0.32069085954202414,
+     0.5187610276247925, 8),
+    ("arfima0d0{d=0.3}", 2048, derive_seed(0, 1), "tukey", 0.31932822791999266,
+     0.5141837044883784, 9),
+    ("arfima0d0{d=0.3}", 2048, derive_seed(0, 2), "tukey", 0.30919388260250047,
+     0.49324105912127675, 10),
+    ("arfima0d0{d=0.3}", 2048, derive_seed(0, 3), "tukey", 0.3420733236982953,
+     0.4909377984449667, 8),
+    ("arma{theta=[0.3]}", 1024, 73, "tukey", 0.30658194965464586, -0.415343139282871, 6),
+    ("arma{theta=[0.4]}", 300, 6, "tukey", 0.44228710393302956, -0.4509186647079598, 11),
+    ("arma{theta=[-0.6]}", 512, 12, "rect", -0.6211082214844638, -0.4525493346940127, 10),
+    ("arma{theta=[0.8]}", 128, 17, "linear", 0.7632513100865138, -0.5524389008730533, 12),
+]
+
+
+@pytest.mark.parametrize("spec,T,seed,taper,theta_hat,objective,evaluations",
+                         _SEARCH_BEFORE_THE_SKIP,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in _SEARCH_BEFORE_THE_SKIP])
+def test_skipping_the_last_scoring_step_moves_a_fit_within_tol(spec, T, seed, taper, theta_hat,
+                                                               objective, evaluations):
+    model = parse_model(spec)
+    ts = model.simulate(gaussian(), T, seed=seed)
+    fit = whittle_estimate(ts, get_taper(taper), model)
+    assert fit.converged
+    assert abs(fit.theta_hat[0] - theta_hat) <= 1e-7
+    assert evaluations - 1 <= fit.iterations <= evaluations
+    assert fit.objective_value <= objective + 1e-12 * abs(objective)
+
+
+def test_scoring_fit_evaluates_the_criterion_a_few_times(monkeypatch):
     calls = []
     real = whittle._profile_scale
     monkeypatch.setattr(whittle, "_profile_scale",
                         lambda *a: calls.append(a) or real(*a))
-    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
-    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    ts = ARMA(theta=(0.3,)).simulate(gaussian(), 1024, seed=73)
+    fit = whittle_estimate(ts, get_taper("tukey"), ARMA(theta=(0.0,)))
     assert fit.converged
     assert len(calls) == fit.iterations <= 6
 
 
-def test_ar1_fit_evaluates_each_candidate_density_once(monkeypatch):
+def test_scoring_fit_evaluates_each_candidate_density_once(monkeypatch):
     # the scoring step reads the unit density the criterion was evaluated at
     calls = []
     real = whittle._grid_density
     monkeypatch.setattr(whittle, "_grid_density",
                         lambda *a: calls.append(a) or real(*a))
-    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
-    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    ts = ARMA(theta=(0.3,)).simulate(gaussian(), 1024, seed=73)
+    fit = whittle_estimate(ts, get_taper("tukey"), ARMA(theta=(0.0,)))
     assert fit.converged and fit.iterations > 1
     assert len(calls) == fit.iterations
 
 
-def test_scoring_out_of_evaluations_is_not_converged():
+def test_ar1_fit_evaluates_each_candidate_density_once(monkeypatch):
+    # the closed form evaluates the criterion, and with it the density, once
+    densities, profiles = [], []
+    real_density, real_profile = whittle._grid_density, whittle._profile_scale
+    monkeypatch.setattr(whittle, "_grid_density",
+                        lambda *a: densities.append(a) or real_density(*a))
+    monkeypatch.setattr(whittle, "_profile_scale",
+                        lambda *a: profiles.append(a) or real_profile(*a))
     ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
-    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0), max_evals=1)
+    for start in (AR1(theta=0.0), ARMA(phi=(0.0,))):
+        densities.clear()
+        profiles.clear()
+        fit = whittle_estimate(ts, get_taper("tukey"), start)
+        assert fit.converged and fit.iterations == 1
+        assert len(densities) == len(profiles) == 1
+
+
+def test_scoring_out_of_evaluations_is_not_converged():
+    ts = ARMA(theta=(0.3,)).simulate(gaussian(), 1024, seed=73)
+    fit = whittle_estimate(ts, get_taper("tukey"), ARMA(theta=(0.0,)), max_evals=1)
     assert not fit.converged
     assert fit.iterations == 1 and fit.theta_hat[0] == 0.0  # the box centre
 
 
 @pytest.mark.parametrize("box,edge", [((0.6, 0.9), 0.6), ((0.1, 0.4), 0.4)])
 def test_scoring_converges_onto_the_box_edge(box, edge):
+    # c1 / c0 (about 0.5) lies outside the box; the closed form clips it
     ts = AR1(theta=0.5).simulate(gaussian(), 1024, seed=10)
     fit = whittle_estimate(ts, get_taper("rect"), AR1(theta=0.0), bounds=[box])
     assert fit.converged
     assert fit.theta_hat[0] == edge
+
+
+@pytest.mark.parametrize("T", [8, 16, 64, 256])
+@pytest.mark.parametrize("theta", [-0.95, 0.5, 0.98, 0.999])
+def test_unshifted_grid_roots_of_unity_identity(T, theta):
+    # the e^{-i lam_j} of the unshifted grid are the N-th roots of unity, so
+    # sum_j ln|1 - theta e^{-i lam_j}|^2 = ln(1 - theta^N)^2, summed as the
+    # criterion sums ln f: over the folded nodes of the AR(1) unit density
+    # (beyond N = 1024 the round-off of N log terms alone nears 1e-12)
+    grid = tapered_periodogram(np.zeros(T), get_taper("rect")).grid
+    log_terms = -np.log(2.0 * math.pi * AR1(theta=theta).density(grid.constants))
+    assert abs(grid.sum(log_terms) - math.log((1.0 - theta**grid.N) ** 2)) <= 1e-12
+
+
+# AR(1)-shaped fits as the scoring search gave them before the closed form:
+# (T, theta, taper, (theta_hat, objective_value) of an ar1 fit, the same of
+# an arma{phi=[phi]} fit) of AR(1) data at seed derive_seed(89, T), each fit
+# from the family at the origin.  Wherever |theta_hat|^{N-1} <= tol the fit
+# is c1 / c0 at one evaluation, elsewhere a search from there; both land
+# within tol of the former estimate, the criterion no higher but for
+# round-off.
+_AR1_SHAPED_BEFORE_THE_CLOSED_FORM = [
+    (8, -0.95, "rect", (0.04167249232472632, -0.8320924275413519),
+     (0.04167249232472625, -0.8320924275413519)),
+    (8, -0.95, "linear", (0.47407552859841895, -1.2469891365568446),
+     (0.4740755286677163, -1.2469891365568444)),
+    (8, -0.95, "tukey", (-0.14447741993723698, -0.6431720050485463),
+     (-0.144477419937237, -0.6431720050485463)),
+    (8, 0.5, "rect", (0.768134072299984, -0.8550885314689688),
+     (0.768134072299984, -0.8550885314689688)),
+    (8, 0.5, "linear", (0.7928658039694524, -0.8821528315833909),
+     (0.7928658039694524, -0.8821528315833909)),
+    (8, 0.5, "tukey", (0.6555442211865224, -0.8978403882453946),
+     (0.6555442211865224, -0.8978403882453946)),
+    (8, 0.9, "rect", (0.8993233446806991, -0.4607835368119974),
+     (0.8993233446806991, -0.4607835368119973)),
+    (8, 0.9, "linear", (0.8774171286114999, -0.4393820519877372),
+     (0.8774171286114999, -0.43938205198773733)),
+    (8, 0.9, "tukey", (0.86032070691757, -0.26581893005655),
+     (0.86032070691757, -0.26581893005654994)),
+    (8, 0.98, "rect", (0.7751156295883356, -0.1370508514559488),
+     (0.7751156295883356, -0.13705085145594886)),
+    (8, 0.98, "linear", (0.7395951101868632, 0.25275655836008804),
+     (0.7395951101868632, 0.252756558360088)),
+    (8, 0.98, "tukey", (0.5353590426552293, -0.6321451540662939),
+     (0.5353590398925734, -0.632145154066294)),
+    (16, -0.95, "rect", (-0.8879606582846655, -0.2569127997337205),
+     (-0.8879606582848112, -0.2569127997337206)),
+    (16, -0.95, "linear", (-0.8916117014916226, -0.127161081894178),
+     (-0.8916117014916203, -0.127161081894178)),
+    (16, -0.95, "tukey", (-0.793497119391038, -0.34314094898442415),
+     (-0.7934971193910375, -0.34314094898442415)),
+    (16, 0.5, "rect", (0.4667792279557091, -0.4107401755721574),
+     (0.46677922795570914, -0.4107401755721574)),
+    (16, 0.5, "linear", (0.5626543054356724, -0.2649046787167204),
+     (0.5626543054356724, -0.26490467871672035)),
+    (16, 0.5, "tukey", (0.30393234077827597, -0.6482317632810335),
+     (0.303932340778276, -0.6482317632810335)),
+    (16, 0.9, "rect", (0.6592831786787948, -0.5178863311392214),
+     (0.6592831786787948, -0.5178863311392214)),
+    (16, 0.9, "linear", (0.4740815709892838, -0.594257878836156),
+     (0.4740815709892838, -0.5942578788361561)),
+    (16, 0.9, "tukey", (0.7556719434086935, -0.46563778338815215),
+     (0.7556719434086935, -0.46563778338815204)),
+    (16, 0.98, "rect", (0.49470129023941756, 0.17316503096345587),
+     (0.49470129023941756, 0.17316503096345587)),
+    (16, 0.98, "linear", (0.648135579423301, 0.3401572509142081),
+     (0.648135579423301, 0.3401572509142081)),
+    (16, 0.98, "tukey", (0.05733874723258243, 0.11098154097788968),
+     (0.05733874723258245, 0.11098154097788968)),
+    (64, -0.95, "rect", (-0.8949859837368761, -0.4509241395030256),
+     (-0.8949859837368774, -0.4509241395030256)),
+    (64, -0.95, "linear", (-0.8542019603113044, -0.30625598944394605),
+     (-0.8542019603113041, -0.30625598944394605)),
+    (64, -0.95, "tukey", (-0.8817210470033386, -0.5139246587449775),
+     (-0.8817210470033412, -0.5139246587449775)),
+    (64, 0.5, "rect", (0.35685055068629584, -0.3337002157957501),
+     (0.35685055068629584, -0.3337002157957501)),
+    (64, 0.5, "linear", (0.42166542196510953, -0.35982856319236844),
+     (0.4216654219651096, -0.3598285631923685)),
+    (64, 0.5, "tukey", (0.3551482873681115, -0.3103340651885796),
+     (0.3551482873681115, -0.31033406518857953)),
+    (64, 0.9, "rect", (0.7480280913919213, -0.32966462104971944),
+     (0.7480280913919213, -0.32966462104971944)),
+    (64, 0.9, "linear", (0.7993390255787184, -0.35791321703415235),
+     (0.7993390255787184, -0.35791321703415235)),
+    (64, 0.9, "tukey", (0.6739294042832341, -0.3107979120954117),
+     (0.673929404283234, -0.3107979120954116)),
+    (64, 0.98, "rect", (0.974168199719259, -0.432928728098101),
+     (0.9741681997181016, -0.432928728098101)),
+    (64, 0.98, "linear", (0.9651900503942605, -0.43631536965229994),
+     (0.9651900503942605, -0.43631536965229994)),
+    (64, 0.98, "tukey", (0.9733287086602811, -0.3610939299366008),
+     (0.9733287086602811, -0.3610939299366008)),
+    (256, -0.95, "rect", (-0.9316871705472024, -0.30129627202337494),
+     (-0.9316871705471987, -0.30129627202337483)),
+    (256, -0.95, "linear", (-0.932436665282995, -0.2383488319513206),
+     (-0.932436665282993, -0.23834883195132062)),
+    (256, -0.95, "tukey", (-0.9395612858287321, -0.3291994033339246),
+     (-0.9395612858287323, -0.3291994033339246)),
+    (256, 0.5, "rect", (0.49421207424688085, -0.4814129098467786),
+     (0.49421207424688085, -0.4814129098467786)),
+    (256, 0.5, "linear", (0.4824941259448419, -0.529214861448317),
+     (0.4824941259448419, -0.529214861448317)),
+    (256, 0.5, "tukey", (0.4868554604208997, -0.48014015434821855),
+     (0.4868554604208998, -0.48014015434821855)),
+    (256, 0.9, "rect", (0.8863838900814475, -0.4786679291469212),
+     (0.8863838900814476, -0.4786679291469212)),
+    (256, 0.9, "linear", (0.8967208283860347, -0.5129312145721341),
+     (0.8967208283860347, -0.5129312145721341)),
+    (256, 0.9, "tukey", (0.8416990913283834, -0.4914166247633042),
+     (0.8416990913283834, -0.4914166247633042)),
+    (256, 0.98, "rect", (0.9576545950955744, -0.34690320359087784),
+     (0.9576545950955744, -0.34690320359087784)),
+    (256, 0.98, "linear", (0.9480343607968812, -0.3836286372084601),
+     (0.9480343607968812, -0.38362863720846013)),
+    (256, 0.98, "tukey", (0.9586206373588617, -0.2963293541580294),
+     (0.9586206373588617, -0.2963293541580294)),
+    (1024, -0.95, "rect", (-0.9340225623761147, -0.4266443586403747),
+     (-0.9340225623761136, -0.4266443586403749)),
+    (1024, -0.95, "linear", (-0.920412414382159, -0.4200051165244024),
+     (-0.9204124143821591, -0.42000511652440237)),
+    (1024, -0.95, "tukey", (-0.9424617843234164, -0.4289222512752195),
+     (-0.9424617843234164, -0.4289222512752197)),
+    (1024, 0.5, "rect", (0.505010026291166, -0.3917999821052225),
+     (0.505010026291166, -0.3917999821052224)),
+    (1024, 0.5, "linear", (0.5283849929710407, -0.3742868493927588),
+     (0.5283849929710407, -0.3742868493927588)),
+    (1024, 0.5, "tukey", (0.47307459239563154, -0.4262756577100761),
+     (0.4730745923956315, -0.4262756577100761)),
+    (1024, 0.9, "rect", (0.8883997431398742, -0.3910072096318223),
+     (0.8883997431398742, -0.3910072096318223)),
+    (1024, 0.9, "linear", (0.9008859567475562, -0.37087291424646013),
+     (0.9008859567475562, -0.37087291424646013)),
+    (1024, 0.9, "tukey", (0.8569622191870351, -0.4289586751490857),
+     (0.856962219187035, -0.4289586751490857)),
+    (1024, 0.98, "rect", (0.9759489500894197, -0.39437325771371073),
+     (0.9759489500894197, -0.3943732577137106)),
+    (1024, 0.98, "linear", (0.9717004170756561, -0.41701201062829274),
+     (0.9717004170756561, -0.41701201062829274)),
+    (1024, 0.98, "tukey", (0.9797018592295783, -0.3617188676698622),
+     (0.9797018592295783, -0.3617188676698622)),
+    (4096, -0.95, "rect", (-0.9483421253524824, -0.41073877569691913),
+     (-0.9483421253524885, -0.4107387756969191)),
+    (4096, -0.95, "linear", (-0.9536537767622999, -0.42845121110978124),
+     (-0.9536537767622986, -0.4284512111097811)),
+    (4096, -0.95, "tukey", (-0.9439065503517056, -0.3890437250571543),
+     (-0.9439065503517062, -0.3890437250571543)),
+    (4096, 0.5, "rect", (0.49864637767437564, -0.41089380381903795),
+     (0.49864637767437564, -0.41089380381903795)),
+    (4096, 0.5, "linear", (0.49168398249754375, -0.41541569411192075),
+     (0.49168398249754375, -0.41541569411192075)),
+    (4096, 0.5, "tukey", (0.4958998147811412, -0.39725020488283164),
+     (0.49589981478114126, -0.39725020488283164)),
+    (4096, 0.9, "rect", (0.8917584289629884, -0.40911073187952995),
+     (0.8917584289629884, -0.4091107318795299)),
+    (4096, 0.9, "linear", (0.889266479048609, -0.41031125412258834),
+     (0.889266479048609, -0.41031125412258834)),
+    (4096, 0.9, "tukey", (0.8938801361729097, -0.3968680356026643),
+     (0.8938801361729097, -0.3968680356026643)),
+    (4096, 0.98, "rect", (0.9768966753406998, -0.4029700341181027),
+     (0.9768966753406998, -0.4029700341181027)),
+    (4096, 0.98, "linear", (0.9714895155045484, -0.40656737641886115),
+     (0.9714895155045484, -0.40656737641886115)),
+    (4096, 0.98, "tukey", (0.9804042462119407, -0.404749959205263),
+     (0.9804042462119407, -0.404749959205263)),
+]
+
+
+@pytest.mark.parametrize("T,theta,taper,ar1,arma", _AR1_SHAPED_BEFORE_THE_CLOSED_FORM,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _AR1_SHAPED_BEFORE_THE_CLOSED_FORM])
+def test_ar1_shaped_fits_match_the_search_they_replace(T, theta, taper, ar1, arma):
+    ts = AR1(theta=theta).simulate(gaussian(), T, seed=derive_seed(89, T))
+    for start, (theta_hat, objective) in ((AR1(theta=0.0), ar1), (ARMA(phi=(0.0,)), arma)):
+        fit = whittle_estimate(ts, get_taper(taper), start)
+        assert fit.converged
+        assert abs(fit.theta_hat[0] - theta_hat) <= 1e-7
+        assert fit.objective_value <= objective + 1e-12 * abs(objective)
+        c1_over_c0 = whittle._yule_walker(fit.periodogram, -0.99, 0.99)
+        if abs(c1_over_c0) ** (fit.periodogram.grid.N - 1) <= 1e-7:
+            assert fit.iterations == 1 and fit.theta_hat[0] == c1_over_c0
+
+
+def test_ar1_fit_of_a_series_without_energy_searches_from_the_centre():
+    # c0 = 0 leaves c1 / c0 undefined: the fit searches from the box centre,
+    # where it stood before the closed form (theta_hat -5.6e-17, 2 evaluations)
+    for start in (AR1(theta=0.0), ARMA(phi=(0.0,))):
+        fit = whittle_estimate(np.zeros(64), get_taper("tukey"), start)
+        assert fit.converged and abs(fit.theta_hat[0]) <= 1e-7
+        assert fit.objective_value == pytest.approx(-346.3067024823116, rel=1e-12)
+
+
+def test_small_sample_ar1_fit_still_searches():
+    # T = 8 (N = 32): c1 / c0 = -0.865 misses the minimizer by 2.6e-3, as
+    # |c1 / c0|^31 = 0.011 says, so the fit searches from there
+    ts = AR1(theta=-0.95).simulate(gaussian(), 8, seed=11)
+    fit = whittle_estimate(ts, get_taper("rect"), AR1(theta=0.0))
+    c1_over_c0 = whittle._yule_walker(fit.periodogram, -0.99, 0.99)
+    assert abs(c1_over_c0) ** 31 > 1e-7
+    assert fit.converged and fit.iterations > 1
+    assert abs(fit.theta_hat[0] - c1_over_c0) > 1e-3
+    # the search before the closed form: theta_hat and objective_value
+    assert abs(fit.theta_hat[0] - -0.8627180285658219) <= 1e-7
+    assert fit.objective_value <= 0.8814430051460602 * (1.0 + 1e-12)
 
 
 def test_one_parameter_search_raises_no_runtime_warning():
