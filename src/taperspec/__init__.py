@@ -19,8 +19,8 @@ from .robustness import (GapLadder, RobustnessReport, Trend, contaminate,
                          gap_ladder, power_decay, robustness_report, zero_trend)
 from .spectrum import (FrequencyGrid, Periodogram, tapered_dft,
                        tapered_periodogram)
-from .taper import (Taper, dirichlet_kernel, fejer_kernel, get_taper, linear,
-                    rectangular, tapering_factor, tukey_hanning)
+from .taper import (Taper, dirichlet_kernel, fejer_kernel, get_taper,
+                    tapering_factor)
 from .toeplitz import (QFDistribution, build_matrix, qf_cumulant,
                        qf_distribution, trace_limit, trace_product)
 from .whittle import (InfoMatrices, WhittleFit, default_bounds, info_matrices,
@@ -43,13 +43,13 @@ __all__ = [
     "fejer_smoothing_error", "functionals", "gamma_matrix",
     "gap_ladder", "gaussian", "get_driver", "get_taper", "gof", "harness",
     "indicator",
-    "info_matrices", "laplace", "linear", "load_config_file",
+    "info_matrices", "laplace", "load_config_file",
     "make_rng", "mixture_weights", "models", "normality_diagnostics",
     "parse_model", "phi_vector", "plugin_estimate", "power_decay",
-    "qf_cumulant", "qf_distribution", "quadratic_form", "rectangular",
+    "qf_cumulant", "qf_distribution", "quadratic_form",
     "robustness", "robustness_report", "run_experiment", "simple_test",
     "spectrum", "taper", "tapered_dft", "tapered_periodogram", "tapering_factor", "toeplitz",
     "trace_limit", "trace_product", "true_functional",
-    "tukey_hanning", "whittle", "whittle_estimate", "whittle_objective",
+    "whittle", "whittle_estimate", "whittle_objective",
     "zero_trend",
 ]

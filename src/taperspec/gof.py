@@ -222,9 +222,10 @@ def simple_test(series, taper: Taper, f0: Model, basis: TestBasis,
                      law={"kind": "chisq", "dof": dof}, phi=phi)
 
 
-def gamma_matrix(model: Model, names=None) -> np.ndarray:
-    """Score Gram matrix (1/4pi) int grad ln f grad ln f' dlam."""
-    return info_matrices(model, names=names).W
+def gamma_matrix(model: Model) -> np.ndarray:
+    """Score Gram matrix (1/4pi) int grad ln f grad ln f' dlam over
+    `model.fitted_names`."""
+    return info_matrices(model).W
 
 
 def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
@@ -359,14 +360,13 @@ def composite_test(series, taper: Taper, model: Model, basis,
     # the fitted model has the null's family, so the fit's grid is the test's
     phi = phi_vector(fit.periodogram, taper, fitted, test_basis)
     s = float(np.dot(phi, phi))
-    names = fitted.fitted_names
-    p = len(names)
+    p = len(fitted.fitted_names)
     m_active = test_basis.m_active
     if callable(basis) and test_basis.score_orthogonal:  # built for `fitted`: b = 0
         nu = np.ones(p)
     else:
         b_eff = math.sqrt(tapering_factor(taper)) * b_matrix(fitted, test_basis, taper)
-        nu = mixture_weights(gamma_matrix(fitted, names=names), b_eff)
+        nu = mixture_weights(gamma_matrix(fitted), b_eff)
     p_value, dof = reference_pvalue(s, m_active - p, nu)
     law = {"kind": "mixture" if dof is None else "chisq", "dof": dof,
            "unit_dof": m_active - p, "nu": tuple(float(v) for v in nu)}

@@ -45,8 +45,7 @@ from .functionals import (GeneratingFunction, asymptotic_variance, cosine,
                           quadratic_form, true_functional)
 from .models import _DRIVERS, Model, derive_seed, get_driver, parse_model
 from .spectrum import tapered_periodogram
-from .taper import _REGISTRY as _TAPERS
-from .taper import Taper, fejer_kernel, get_taper, tapering_factor
+from .taper import _TAPERS, Taper, fejer_kernel, get_taper, tapering_factor
 from .whittle import info_matrices, whittle_estimate
 
 # ---------------------------------------------------------------------------
@@ -387,10 +386,21 @@ class ExperimentConfig:
         return self.options.get("out") or self.kind.replace("-", "_")
 
     def resolve(self) -> Resolved:
-        """Every option the kind reads, parsed, with the table's defaults filled in;
-        parsed once per process for the same kind and options."""
+        """Every option the kind reads, parsed, with the table's defaults filled in."""
         given = self.options if self.workers is None else {**self.options, "workers": self.workers}
-        return _resolve(self.kind, tuple(sorted(given.items())))
+        kind = KINDS[self.kind]
+        o = Resolved()
+        o.text = {}
+        for name, default in kind.options.items():
+            raw = given.get(name, default)
+            raw = raw(o) if callable(raw) else raw
+            if raw is REQUIRED:
+                raise SchemaError(f"field {name!r}: required for this experiment")
+            o.text[name] = raw
+            o[name] = (None if raw is None
+                       else parse_t_list(raw) if name == "T" and kind.ladder
+                       else parse_option(name, raw, o))
+        return o
 
     def merged_checks(self, mode: str | None = None) -> dict:
         """Enabled thresholds: the table's defaults (per gof mode) under [check] overrides."""
@@ -437,23 +447,6 @@ def load_config_file(path: str) -> ExperimentConfig:
 class Resolved(dict):
     """A kind's options parsed to what its runner reads, defaults filled in;
     `text` keeps the text each was parsed from.  Forked workers inherit it."""
-
-
-@functools.lru_cache(maxsize=8)
-def _resolve(kind: str, given: tuple) -> Resolved:
-    o = Resolved()
-    o.text = {}
-    given = dict(given)
-    for name, default in KINDS[kind].options.items():
-        raw = given.get(name, default)
-        raw = raw(o) if callable(raw) else raw
-        if raw is REQUIRED:
-            raise SchemaError(f"field {name!r}: required for this experiment")
-        o.text[name] = raw
-        o[name] = (None if raw is None
-                   else parse_t_list(raw) if name == "T" and KINDS[kind].ladder
-                   else parse_option(name, raw, o))
-    return o
 
 
 def _map_reps(kind: str, o: Resolved, reps: int, workers: int) -> list:

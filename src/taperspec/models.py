@@ -250,9 +250,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class FrequencyConstants:
     """Frequencies lam with the trigonometric constants the densities share.
 
-    cos(lam), e^{-i lam}, 2 sin(|lam|/2) with its square and, per j,
-    e^{i j lam} (the table `exp_ij`) are computed on first use and then
-    kept, read-only.  Every family's `density` and the `TestBasis`
+    cos(lam), e^{-i lam}, 2 sin(|lam|/2) with its square, (2 cos(lam/2))^2
+    and, per j, e^{i j lam} (the table `exp_ij`) are computed on first use
+    and then kept, read-only.  Every family's `density` and the `TestBasis`
     projections and values read them through this value and wrap a plain
     array in a fresh one, so the many evaluations on one grid
     (`FrequencyGrid.constants`) compute them once.  numpy reads the value
@@ -292,6 +292,11 @@ class FrequencyConstants:
         """(2 sin(|lam|/2))^2 = |1 - e^{-i lam}|^2."""
         # not through two_sin_half, which the short-memory densities never keep
         return _frozen((2.0 * np.sin(np.abs(self.lam) / 2.0)) ** 2)
+
+    @functools.cached_property
+    def two_cos_half_sq(self) -> np.ndarray:
+        """(2 cos(lam/2))^2 = |1 + e^{-i lam}|^2."""
+        return _frozen((2.0 * np.cos(self.lam / 2.0)) ** 2)
 
 
 def _constants(lam) -> FrequencyConstants:
@@ -450,7 +455,10 @@ class AR1(Model):
         self.sigma2 = _scale(self.family, sigma2)
 
     def _denom(self, c: FrequencyConstants) -> np.ndarray:
-        """|1 - theta e^{-i lam}|^2, written without cancellation near lam = 0."""
+        """|1 - theta e^{-i lam}|^2 as a sum of two nonnegative terms, so it
+        does not cancel near lam = 0 as theta -> 1 nor near pi as theta -> -1."""
+        if self.theta < 0.0:
+            return (1.0 + self.theta) ** 2 - self.theta * c.two_cos_half_sq
         return (1.0 - self.theta) ** 2 + self.theta * c.two_sin_half_sq
 
     def density(self, lam):

@@ -19,6 +19,7 @@ Built-in tapers (CLI names in parentheses), with their moments in closed form:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -129,13 +130,10 @@ def _vectorize(fn: Callable) -> Callable:
 
 
 class _BuiltinTaper(Taper):
-    """A built-in taper, whose moments H_k are closed forms in k."""
-
-    _FORMULAS = {"rect": lambda k: 1.0, "linear": lambda k: 1.0 / (k + 1),
-                 "tukey": lambda k: math.comb(2 * k, k) / 4**k}
+    """A built-in taper, whose moments H_k are closed forms in k (`_TAPERS`)."""
 
     def _compute_moment(self, k: int) -> float:
-        return self._FORMULAS[self.id](k)
+        return _TAPERS[self.id][1](k)
 
 
 def tapering_factor(taper: Taper) -> float:
@@ -210,32 +208,21 @@ def fejer_kernel(taper: Taper, k: int, T: int, u) -> np.ndarray:
     return out.reshape(pts.shape[:-1])
 
 
-def rectangular() -> Taper:
-    return _BuiltinTaper("rect", lambda t: np.ones_like(np.asarray(t, dtype=float)))
-
-
-def linear() -> Taper:
-    return _BuiltinTaper("linear", lambda t: 1.0 - np.asarray(t, dtype=float))
-
-
-def tukey_hanning() -> Taper:
-    return _BuiltinTaper("tukey",
-                         lambda t: 0.5 * (1.0 - np.cos(math.pi * np.asarray(t, dtype=float))))
-
-
 def custom(taper_id: str, fn: Callable) -> Taper:
     """Wrap a user-supplied taper function, validating it on a 4096-point grid."""
     return Taper(taper_id, fn)
 
 
-_REGISTRY: dict[str, Callable[[], Taper]] = {
-    "rect": rectangular,
-    "linear": linear,
-    "tukey": tukey_hanning,
+# The built-in tapers by CLI name: h, and k -> H_k in closed form.
+_TAPERS: dict[str, tuple[Callable, Callable[[int], float]]] = {
+    "rect": (lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda k: 1.0),
+    "linear": (lambda t: 1.0 - np.asarray(t, dtype=float), lambda k: 1.0 / (k + 1)),
+    "tukey": (lambda t: 0.5 * (1.0 - np.cos(math.pi * np.asarray(t, dtype=float))),
+              lambda k: math.comb(2 * k, k) / 4**k),
 }
-_INSTANCES: dict[str, Taper] = {}
 
 
+@functools.cache
 def get_taper(name: str) -> Taper:
     """The shared built-in taper for a CLI name.
 
@@ -244,12 +231,6 @@ def get_taper(name: str) -> Taper:
     (forked worker processes inherit them).  Raises InvalidTaperError for
     an unknown name.
     """
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise InvalidTaperError(
-            f"unknown taper {name!r}; expected one of {sorted(_REGISTRY)}"
-        ) from None
-    if name not in _INSTANCES:
-        _INSTANCES[name] = builder()
-    return _INSTANCES[name]
+    if name not in _TAPERS:
+        raise InvalidTaperError(f"unknown taper {name!r}; expected one of {sorted(_TAPERS)}")
+    return _BuiltinTaper(name, _TAPERS[name][0])

@@ -37,9 +37,11 @@ is the fit, at one criterion evaluation; elsewhere (small T, theta near
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
 2 sin(|lam|/2)) are computed once per grid, on its nodes
-(`FrequencyGrid.constants`); each candidate is built once, at unit scale
-from a template, and its density evaluated once, for the criterion and
-the scoring step alike.  A candidate costs its density arithmetic: for
+(`FrequencyGrid.constants`); each candidate is built once from a template
+(at unit scale when its family has a scale), and its density evaluated
+once, for the criterion and the scoring step alike; a family with no
+shape parameter fits its scale alone, on the same path, at one
+evaluation.  A candidate costs its density arithmetic: for
 `arfima_pdq{d, phi}` at T = 2048 (8192 shifted-grid points, about 530 per
 Nelder-Mead fit) one pow, Horner's rule, a modulus, two divisions, a log
 and two sums, about 0.13 ms; building it, checks included, takes microseconds.
@@ -77,7 +79,6 @@ class InfoMatrices:
     W: np.ndarray
     B: np.ndarray
     gamma: np.ndarray
-    names: tuple
 
     def __post_init__(self):
         for arr in (self.W, self.B, self.gamma):
@@ -177,19 +178,19 @@ def default_bounds(model: Model) -> list:
     return out
 
 
-def _scoring_step(pgram: Periodogram, s2: float, f1, unit: Model) -> float:
+def _scoring_step(pgram: Periodogram, s2: float, f1: np.ndarray, unit: Model) -> float:
     """Fisher-scoring step -g/H for the one shape parameter of `unit`.
 
     g = (1/4pi) sum_j (1 - I_j/f_j) s_j dlam is the gradient of the
     profiled criterion at f = s2 f1 (s2 minimizes it, so by the envelope
     theorem it drops out) and H = (1/4pi) sum_j s_j^2 dlam the grid
     version of `info_matrices`' W, s being the shape row of `model.score`.
-    `f1` is the unit density the criterion was evaluated at, or None for
-    a family without a scale, whose density is then evaluated here.
+    `f1` and `s2` are the state the criterion was evaluated in (see
+    `whittle_estimate`), so no density is evaluated here.
     A zero H, or any non-finite step, gives a zero step.
     """
     grid = pgram.grid
-    f = s2 * (_grid_density(unit, grid) if f1 is None else f1)
+    f = s2 * f1
     s = np.atleast_2d(unit.score(grid.constants))[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -grid.sum((1.0 - pgram.node_values / f) * s) / grid.sum(s * s)
@@ -270,8 +271,9 @@ def whittle_estimate(series, taper: Taper, model: Model,
     """Fit the model family to a series by tapered Whittle minimization.
 
     `model` doubles as the family template; its free parameters are the
-    search space and its scale (when it has one) is profiled out.  An
-    AR(1)-shaped family is fitted in closed form, theta_hat = c1 / c0
+    search space and its scale (when it has one) is profiled out.  A
+    family with no free parameter fits its scale alone, at one criterion
+    evaluation, and takes no `bounds` pairs.  An AR(1)-shaped family is fitted in closed form, theta_hat = c1 / c0
     clipped into its box (see the module docstring), at one criterion
     evaluation, when |theta_hat|^{N-1} <= `tol` on the sample's grid of N
     points; otherwise, and for every other one-parameter family, by
@@ -284,107 +286,89 @@ def whittle_estimate(series, taper: Taper, model: Model,
     pgram = tapered_periodogram(series, taper, shifted=model.fractional)
     p = len(model.free_names)
     has_scale = model.scale_name is not None
+    if not (p or has_scale):
+        raise DomainError("model has no free parameters to fit")
+    box = list(bounds) if bounds is not None else default_bounds(model)
+    if len(box) != p:
+        raise DomainError(f"need {p} bounds pairs, got {len(box)}")
     # candidates are built at unit scale, so each is built once
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
 
     def shape_objective(vec) -> tuple:
-        """(value, (s2, f1, candidate)): s2 = 1 and f1 = None for a family
-        without a scale, else the scale and the unit density on the grid."""
+        """(value, (s2, f1, candidate)): the candidate's density f1 on the
+        grid's nodes, at unit scale when the family has a scale, and the
+        scale s2 that minimizes the criterion (1 for a family without one)."""
         try:
             cand = template.with_free(vec)
-            if has_scale:
-                f1 = _grid_density(cand, pgram.grid)
-                s2, val = _profile_scale(pgram, f1)
-                return val, (s2, f1, cand)
-            return whittle_objective(pgram, cand), (1.0, None, cand)
+            f1 = _grid_density(cand, pgram.grid)
+            s2, val = _profile_scale(pgram, f1) if has_scale else (1.0, _criterion(pgram, f1))
+            return val, (s2, f1, cand)
         except (DomainError, ValueError, FloatingPointError):
             return math.inf, (None, None, None)
 
-    if p == 0:
-        if not has_scale:
-            raise DomainError("model has no free parameters to fit")
-        s2, value = _profile_scale(pgram, _grid_density(template, pgram.grid))
-        fitted = model.with_params(**{model.scale_name: s2})
-        theta = np.array([s2])
-        iterations, converged = 1, True
+    # the fit's vector where it needs no search: the scale-only fit's empty
+    # one, or an AR(1)-shaped family's closed form
+    fixed = np.empty(0) if p == 0 else None
+    if p == 1:
+        lo, hi = float(box[0][0]), float(box[0][1])
+        start = _yule_walker(pgram, lo, hi) if _ar1_shaped(model) else None
+        if start is not None and abs(start) ** (pgram.grid.N - 1) <= tol:
+            fixed = np.array([start])
+    if fixed is not None:
+        best_vec, iterations, converged = fixed, 1, True
+        value, (s2, _, _) = shape_objective(best_vec)
+    elif p == 1:
+        xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
+            lambda t: shape_objective([t]),
+            lambda state: _scoring_step(pgram, *state),
+            lo + 0.5 * (hi - lo) if start is None else start,
+            lo, hi, tol, max_evals)
+        best_vec = np.array([xopt])
     else:
-        box = list(bounds) if bounds is not None else default_bounds(model)
-        if len(box) != p:
-            raise DomainError(f"need {p} bounds pairs, got {len(box)}")
-        if p == 1:
-            lo, hi = float(box[0][0]), float(box[0][1])
-            start = _yule_walker(pgram, lo, hi) if _ar1_shaped(model) else None
-            if start is not None and abs(start) ** (pgram.grid.N - 1) <= tol:
-                value, (s2, _, _) = shape_objective([start])
-                xopt, iterations, converged = start, 1, True
-            else:
-                xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
-                    lambda t: shape_objective([t]),
-                    lambda state: _scoring_step(pgram, *state),
-                    lo + 0.5 * (hi - lo) if start is None else start,
-                    lo, hi, tol, max_evals)
-            best_vec = np.array([xopt])
-        else:
-            per_start = max(200, max_evals // 5)
-            # Nelder-Mead subtracts criterion values (inf - inf is nan), so an
-            # infeasible candidate scores the finite penalty; min() maps nan there too
-            results = [scipy.optimize.minimize(
-                lambda v: min(_NM_PENALTY, shape_objective(v)[0]), start,
-                method="Nelder-Mead", bounds=box,
-                options={"xatol": tol, "fatol": 1e-12, "maxfev": per_start})
-                for start in _nm_starts(box)]
-            best = min(results, key=lambda r: r.fun)
-            best_vec = np.asarray(best.x, dtype=float)
-            iterations = sum(r.nfev for r in results)
-            converged = bool(best.success)
-            value, (s2, _, _) = shape_objective(best_vec)
-        if not math.isfinite(value):
-            raise DomainError("objective not finite at the reported minimum")
-        fitted = model.with_free(best_vec)
-        if has_scale:
-            fitted = fitted.with_params(**{model.scale_name: s2})
-        theta = best_vec
-
+        per_start = max(200, max_evals // 5)
+        # Nelder-Mead subtracts criterion values (inf - inf is nan), so an
+        # infeasible candidate scores the finite penalty; min() maps nan there too
+        results = [scipy.optimize.minimize(
+            lambda v: min(_NM_PENALTY, shape_objective(v)[0]), start,
+            method="Nelder-Mead", bounds=box,
+            options={"xatol": tol, "fatol": 1e-12, "maxfev": per_start})
+            for start in _nm_starts(box)]
+        best = min(results, key=lambda r: r.fun)
+        best_vec = np.asarray(best.x, dtype=float)
+        iterations = sum(r.nfev for r in results)
+        converged = bool(best.success)
+        value, (s2, _, _) = shape_objective(best_vec)
+    if not math.isfinite(value):
+        raise DomainError("objective not finite at the reported minimum")
+    fitted = model.with_free(best_vec)
+    if has_scale:
+        fitted = fitted.with_params(**{model.scale_name: s2})
     return WhittleFit(
-        theta_hat=theta, names=model.fitted_names, objective_value=float(value),
+        theta_hat=best_vec if p else np.array([s2]), names=model.fitted_names,
+        objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=pgram.T, tapering_factor=tapering_factor(taper),
         kappa4=kappa4, periodogram=pgram)
 
 
-def _score_index(model: Model, names: tuple) -> list:
-    """Rows of `model.score` holding d ln f / d theta_k for each name."""
-    all_names = list(model.free_names)
-    if model.scale_name is not None:
-        all_names.append(model.scale_name)
-    index = {n: i for i, n in enumerate(all_names)}
-    for name in names:
-        if name not in index:
-            raise DomainError(f"unknown parameter {name!r}")
-    return [index[name] for name in names]
-
-
-def info_matrices(model: Model, kappa4: float = 0.0,
-                  names: tuple | None = None) -> InfoMatrices:
+def info_matrices(model: Model, kappa4: float = 0.0) -> InfoMatrices:
     """W, B and Gamma by quadrature of log-density gradient products.
 
     W_ij = (1/4pi) int s_i s_j and B = (kappa4 / 16 pi^2) v v' with
-    v_i = int s_i.
-    Defaults to the model's shape parameters, or its scale when there are
-    none.  Every entry comes from one multi-row quadrature of a single
+    v_i = int s_i, over the parameters a fit reports, `model.fitted_names`:
+    the shape parameters, or the scale when there are none.  They are the
+    leading rows of `model.score` (shape rows first, then the scale).
+    Every entry comes from one multi-row quadrature of a single
     score evaluation (exponent 0 for long memory: the score is log-singular).
     """
-    if names is None:
-        names = model.fitted_names
-        if names == (None,):
-            raise DomainError("model exposes no parameters")
-    idx = _score_index(model, tuple(names))
-    p = len(idx)
+    p = len(model.fitted_names)
+    if model.fitted_names == (None,):
+        raise DomainError("model exposes no parameters")
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
     def integrand(lam):
-        s = np.atleast_2d(model.score(lam))[idx]
+        s = np.atleast_2d(model.score(lam))[:p]
         return np.vstack([s[i] for i in range(p)] + [s[i] * s[j] for i, j in pairs])
 
     vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None, degree=0)
@@ -402,4 +386,4 @@ def info_matrices(model: Model, kappa4: float = 0.0,
         raise SingularInformationError("information matrix W is singular")
     w_inv = np.linalg.inv(W)
     gamma = w_inv @ (W + B) @ w_inv
-    return InfoMatrices(W=W, B=B, gamma=gamma, names=tuple(names))
+    return InfoMatrices(W=W, B=B, gamma=gamma)

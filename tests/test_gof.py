@@ -92,10 +92,8 @@ def test_ar_example_basis_score_orthogonal():
         assert basis.score_orthogonal
         b = b_matrix(model, basis, TUKEY)
         assert np.max(np.abs(b)) <= 1e-12, (model.describe(), m)
-        names = model.free_names if model.free_names else (model.scale_name,)
-        nu = mixture_weights(gamma_matrix(model, names=names),
-                             math.sqrt(tapering_factor(TUKEY)) * b)
-        assert np.array_equal(nu, np.ones(len(names))), (model.describe(), m)
+        nu = mixture_weights(gamma_matrix(model), math.sqrt(tapering_factor(TUKEY)) * b)
+        assert np.array_equal(nu, np.ones(len(model.fitted_names))), (model.describe(), m)
     assert not cosine_basis(3).score_orthogonal
 
 

@@ -330,13 +330,10 @@ def test_a_failing_robustness_replication_names_its_seed(tmp_path, monkeypatch, 
     assert f"replication 1 (seed {harness.derive_seed(31, 1)}) failed: DomainError: no path" in err
 
 
-def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, monkeypatch,
-                                                                    request):
+def test_functional_study_resolves_and_evaluates_its_constants_once(tmp_path, monkeypatch):
     # the study is parsed once, when its options are resolved, and its
     # replications share it; g meets the grid's points once in 20 replications
     monkeypatch.chdir(tmp_path)
-    harness._resolve.cache_clear()
-    request.addfinalizer(harness._resolve.cache_clear)  # drop the counting g
     parsed, grid_evals = [], []
     grid = canonical_grid(256, False)  # the periodogram's call form, one memo entry
     parse_model, parse_g = harness.parse_model, harness.parse_g
@@ -1258,7 +1255,7 @@ def test_readme_flag_table_matches_the_parser():
 
 
 @pytest.mark.parametrize("name, registry", [
-    ("taper", tuple(taper_module._REGISTRY)),
+    ("taper", tuple(taper_module._TAPERS)),
     ("driver", (*models._DRIVERS, "exponential")),
 ])
 def test_cli_help_names_every_registry_entry(name, registry):

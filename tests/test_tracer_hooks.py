@@ -84,9 +84,10 @@ def _traced_composite(tracing, tmp_path, monkeypatch, basis):
     for ext in (".csv", ".json"):
         assert ((tmp_path / "plain" / f"gc{ext}").read_bytes()
                 == (tmp_path / "traced" / f"gc{ext}").read_bytes()), ext
-    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.basis_build",
-                 "gof.composite_test"):
+    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.composite_test"):
         assert tracer.counts[name] == 2, name
+    # one basis per replication, and the null's while the options are resolved
+    assert tracer.counts["gof.basis_build"] == 3
     # each replication fits its AR(1) in closed form: one criterion evaluation
     assert tracer.counts["whittle.objective"] == 2
     return tracer.counts
@@ -135,16 +136,12 @@ def test_moment_quadratures_count_custom_tapers_only(tracing, tmp_path, monkeypa
     # the built-in tapers carry closed-form moments, so a study that builds
     # its taper and reads e(h) under the tracer runs no quadrature; a custom
     # taper still integrates, and the bench counter must still see it
-    from taperspec import harness, taper
+    from taperspec import taper
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(taper, "_INSTANCES", {})
-    harness._resolve.cache_clear()
-    try:
-        with tracing.Tracer() as tracer:
-            assert main(_FUNCTIONAL) == 0
-    finally:
-        harness._resolve.cache_clear()
+    taper.get_taper.cache_clear()
+    with tracing.Tracer() as tracer:
+        assert main(_FUNCTIONAL) == 0
     assert tracer.counts["taper.Taper"] == 1
     assert tracer.counts["taper.tapering_factor"] >= 1
     assert tracer.counts["taper.moment.quadratures"] == 0

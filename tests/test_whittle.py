@@ -353,15 +353,20 @@ def test_scoring_fit_evaluates_the_criterion_a_few_times(monkeypatch):
 
 
 def test_scoring_fit_evaluates_each_candidate_density_once(monkeypatch):
-    # the scoring step reads the unit density the criterion was evaluated at
+    # the scoring step reads the density the criterion was evaluated at, at
+    # unit scale or, for a family without a scale, as it is
     calls = []
     real = whittle._grid_density
     monkeypatch.setattr(whittle, "_grid_density",
                         lambda *a: calls.append(a) or real(*a))
-    ts = ARMA(theta=(0.3,)).simulate(gaussian(), 1024, seed=73)
-    fit = whittle_estimate(ts, get_taper("tukey"), ARMA(theta=(0.0,)))
-    assert fit.converged and fit.iterations > 1
-    assert len(calls) == fit.iterations
+    for truth, start, seed in (("arma{theta=[0.3]}", "arma{theta=[0.0]}", 73),
+                               ("arfima0d0{d=0.3}", "arfima0d0{d=0}", 71),
+                               ("fgn{H=0.8}", "fgn{H=0.5}", 5)):
+        ts = parse_model(truth).simulate(gaussian(), 1024, seed=seed)
+        calls.clear()
+        fit = whittle_estimate(ts, get_taper("tukey"), parse_model(start))
+        assert fit.converged and fit.iterations > 1, truth
+        assert len(calls) == fit.iterations, truth
 
 
 def test_ar1_fit_evaluates_each_candidate_density_once(monkeypatch):
@@ -407,6 +412,17 @@ def test_unshifted_grid_roots_of_unity_identity(T, theta):
     grid = tapered_periodogram(np.zeros(T), get_taper("rect")).grid
     log_terms = -np.log(2.0 * math.pi * AR1(theta=theta).density(grid.constants))
     assert abs(grid.sum(log_terms) - math.log((1.0 - theta**grid.N) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [8, 64, 256, 1024, 2048])
+@pytest.mark.parametrize("theta", [-0.999, -0.95])
+def test_ar1_density_keeps_its_digits_near_pi_as_theta_nears_minus_one(T, theta):
+    # |1 - theta e^{-i lam}|^2 written as (1 - theta)^2 + theta (2 sin(lam/2))^2
+    # cancels near lam = pi as theta -> -1 (2.0e-9 off here at theta = -0.999);
+    # for theta < 0 both terms of (1 + theta)^2 - theta (2 cos(lam/2))^2 are >= 0
+    grid = tapered_periodogram(np.zeros(T), get_taper("rect")).grid
+    log_terms = -np.log(2.0 * math.pi * AR1(theta=theta).density(grid.constants))
+    assert abs(grid.sum(log_terms) - math.log((1.0 - theta**grid.N) ** 2)) <= 1e-10
 
 
 # AR(1)-shaped fits as the scoring search gave them before the closed form:
@@ -634,6 +650,30 @@ def test_white_noise_scale_closed_form():
     assert fit.asym_cov[0, 0] == pytest.approx(e_h * 2.0 * s2**2, rel=1e-8)
     kfit = whittle_estimate(ts, tp, WhiteNoise(), kappa4=6.0)
     assert kfit.asym_cov[0, 0] == pytest.approx(e_h * 8.0 * s2**2, rel=1e-8)
+
+
+# Scale-only fits (no shape parameter) as float.hex, recorded when they still
+# ran a block of their own: (model, T, seed, taper, sigma2_hat, objective_value).
+_SCALE_ONLY_FITS = [
+    ("white_noise{sigma2=1.3}", 400, 6, "tukey", "0x1.3f8bb51bcd738p+0",
+     "-0x1.3b788d32d3427p-2"),
+    ("arma{sigma2=2}", 512, 29, "rect", "0x1.136a611044203p+1", "-0x1.2561a00434943p-5"),
+]
+
+
+@pytest.mark.parametrize("spec,T,seed,taper,sigma2_hat,objective", _SCALE_ONLY_FITS)
+def test_scale_only_fits_keep_their_recorded_bits(spec, T, seed, taper, sigma2_hat,
+                                                  objective):
+    model = parse_model(spec)
+    ts = model.simulate(gaussian(), T, seed=seed)
+    fit = whittle_estimate(ts, get_taper(taper), model)
+    assert fit.names == ("sigma2",)
+    assert fit.sigma2_hat.hex() == sigma2_hat
+    assert [float(v).hex() for v in fit.theta_hat] == [sigma2_hat]
+    assert fit.objective_value.hex() == objective
+    assert fit.converged and fit.iterations == 1
+    with pytest.raises(DomainError, match="need 0 bounds pairs"):
+        whittle_estimate(ts, get_taper(taper), model, bounds=[(0.0, 1.0)])
 
 
 def test_estimate_is_deterministic():
