@@ -41,10 +41,18 @@ periodogram of its Whittle fit, on the grid of the null's family.  Each
 Phi_j is one complex dot product of the grid's e^{i j lam} table with
 u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
 (`TestBasis.values`) are built only for the population quadratures.
+
+A composite test of a closed-form AR(1) fit (see `whittle`) with the
+`ar_example_basis` built for it builds no periodogram: (I/f0) u = 2 pi I
+abar^2 / s2, so slot j's sum is 2 pi sum_t eta_t eps_{t+j} / (s2 sum h^2
+sqrt(pi)) with eta_t = y_t - theta y_{t+1}, eps_t = y_t - theta y_{t-1} (that
+is g_j - 2 theta g_{j-1} + theta^2 g_{j-2}, y = h x), and the -1 adds the slot's
+exact grid sum 2 pi theta^{N-j} (1 - theta^2) / ((1 - theta^N) sqrt(pi)).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -56,7 +64,7 @@ import scipy.special
 from ._quad import spectral_integral
 from .errors import DomainError
 from .models import Model, _constants, _poly_on_circle
-from .spectrum import Periodogram, tapered_periodogram
+from .spectrum import Periodogram, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 from .whittle import WhittleFit, info_matrices, whittle_estimate
 
@@ -167,13 +175,13 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     m = int(m)
     if m <= p:
         raise DomainError(f"need m > p = {p} basis slots")
+    return TestBasis(m, zero=p, ratio=functools.partial(_ar_ratio, a), score_orthogonal=True)
 
-    def ratio(c):
-        # a has real coefficients, so a(e^{-i lam}) = conj(a(e^{i lam}))
-        q = _poly_on_circle(a, c.exp_ij(1))
-        return np.conj(q) / q
 
-    return TestBasis(m, zero=p, ratio=ratio, score_orthogonal=True)
+def _ar_ratio(a: np.ndarray, c) -> np.ndarray:
+    """a(e^{-i lam}) / a(e^{i lam}) = conj(q) / q, q = a(e^{i lam}), for real a."""
+    q = _poly_on_circle(a, c.exp_ij(1))
+    return np.conj(q) / q
 
 
 @dataclass(frozen=True)
@@ -208,6 +216,24 @@ def phi_vector(pgram: Periodogram, taper: Taper, f0: Model, basis: TestBasis) ->
     resid = _null_residual(pgram, f0)
     scale = math.sqrt(pgram.T) / math.sqrt(4.0 * math.pi * tapering_factor(taper))
     return scale * basis.project(grid.constants, resid) * grid.weight
+
+
+def _ar1_phi(fit: WhittleFit, taper: Taper, basis: TestBasis) -> np.ndarray | None:
+    """`phi_vector` of `basis` from the tapered series of a closed-form AR(1)
+    fit (see the module docstring); None unless `basis` is the fitted
+    model's `ar_example_basis` and no lag wraps around the grid."""
+    T, n, m, r = fit.T, canonical_grid(fit.T, False).N, basis.m, basis.ratio
+    if (fit.tapered is None or m > n - T or not isinstance(r, functools.partial)
+            or r.func is not _ar_ratio or not np.array_equal(r.args[0], _ar_poly(fit.model))):
+        return None
+    theta = float(fit.theta_hat[0])
+    z = np.concatenate(([0.0], fit.tapered, np.zeros(m)))
+    eps, eta = z[1:] - theta * z[:-1], z[:-1] - theta * z[1:]  # eps_{i+1}, eta_i at i
+    j = np.arange(2, m + 1)
+    cross = np.array([eta[:eta.size + 1 - k] @ eps[k - 1:] for k in j])
+    slot = theta ** (n - j) * (1.0 - theta * theta) / (1.0 - theta**n)
+    phi = cross / (fit.sigma2_hat * taper.sum_of_powers(2, T)) - slot
+    return np.concatenate(([0.0], math.sqrt(T / tapering_factor(taper)) * phi))
 
 
 def simple_test(series, taper: Taper, f0: Model, basis: TestBasis,
@@ -357,12 +383,15 @@ def composite_test(series, taper: Taper, model: Model, basis,
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
     test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
-    # the fitted model has the null's family, so the fit's grid is the test's
-    phi = phi_vector(fit.periodogram, taper, fitted, test_basis)
+    own_basis = callable(basis) and test_basis.score_orthogonal  # built for `fitted`: b = 0
+    phi = _ar1_phi(fit, taper, test_basis) if own_basis else None
+    if phi is None:
+        # the fitted model has the null's family, so the fit's grid is the test's
+        phi = phi_vector(fit.periodogram, taper, fitted, test_basis)
     s = float(np.dot(phi, phi))
     p = len(fitted.fitted_names)
     m_active = test_basis.m_active
-    if callable(basis) and test_basis.score_orthogonal:  # built for `fitted`: b = 0
+    if own_basis:
         nu = np.ones(p)
     else:
         b_eff = math.sqrt(tapering_factor(taper)) * b_matrix(fitted, test_basis, taper)

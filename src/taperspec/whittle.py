@@ -18,21 +18,22 @@ in closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
 Nelder-Mead from five deterministic starts.
 
-An AR(1)-shaped family (`ar1`, or `arma` with one phi and no theta) needs
-no search.  Its unit density is 1 / (2 pi |1 - theta z|^2), z = e^{-i lam},
-so the grid sum of I/f1 is 2 pi (c0 (1 + theta^2) - 2 theta c1), with
-c_k = sum_j I_j cos(k lam_j) the periodogram's lag-k autocovariance.  On
-the unshifted grid the z_j are the N-th roots of unity, so
+An AR(1)-shaped family (`ar1`, or `arma` with one phi and no theta)
+needs no search.  Its unit density is 1 / (2 pi |1 - theta z|^2),
+z = e^{-i lam}.  On the unshifted grid (N >= 4T: no lag wraps around)
+sum_j I_j cos(k lam_j) w = g_k / sum h^2, g_k = sum_t y_t y_{t+k} the
+lagged products of y = h x, and the z_j are the N-th roots of unity, so
 sum_j ln|1 - theta z_j|^2 = ln(1 - theta^N)^2 and the profiled criterion is
 
-    (1/2) ln(c0 (1 + theta^2) - 2 theta c1) - ln|1 - theta^N| / N + const.
+    (1/2) [ln(s2 / 2 pi) + 1 - (2/N) ln|1 - theta^N|],
+    s2 = (g0 (1 + theta^2) - 2 theta g1) / sum h^2 = sum_t (y_t - theta y_{t-1})^2 / sum h^2
 
-The first term is minimized by the Yule-Walker estimate c1 / c0 of the
-tapered series (Brockwell & Davis 1991, section 10.8), and the second
-moves the minimizer by about |theta|^{N-1}.  So where |theta_hat|^{N-1}
-is at most the search tolerance, theta_hat = c1 / c0 clipped into the box
-is the fit, at one criterion evaluation; elsewhere (small T, theta near
-+-1) it is where the scoring search starts.
+(y = 0 outside 1..T; the last sum does not cancel).  The first term is
+minimized by the Yule-Walker estimate g1 / g0 (Brockwell & Davis 1991,
+section 10.8), the second moves the minimizer by about |theta|^{N-1}.  So
+where |theta_hat|^{N-1} is at most the search tolerance, theta_hat =
+g1 / g0 clipped into the box is the fit, with no density or periodogram;
+elsewhere (small T, theta near +-1) the scoring search starts there.
 
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
@@ -58,14 +59,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
 from ._quad import spectral_integral
 from .errors import DomainError, SingularInformationError
+from .functionals import _lagged_products
 from .models import AR1, ARMA, Model
-from .spectrum import Periodogram, tapered_periodogram
+from .spectrum import Periodogram, _values_of, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 
 _F_FLOOR = 1e-300
@@ -92,8 +95,8 @@ class WhittleFit:
     `asym_cov` (e(h) Gamma at the fitted point) and `se` are computed by
     `info_matrices` on first access and then kept; a singular information
     matrix raises SingularInformationError there, not during the fit.
-    `periodogram` is the one the criterion was fitted to, and `iterations`
-    counts the criterion evaluations of the search.
+    `periodogram` is the one the criterion was fitted to, built on first read
+    after a closed-form AR(1) fit (whose h x is `tapered`, else None).
     """
 
     theta_hat: np.ndarray
@@ -107,10 +110,18 @@ class WhittleFit:
     T: int
     tapering_factor: float
     kappa4: float = 0.0
-    periodogram: Periodogram | None = field(default=None, repr=False)
+    tapered: np.ndarray | None = field(default=None, repr=False)
+    _periodogram: Callable[[], Periodogram] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
+
+    @functools.cached_property
+    def periodogram(self) -> Periodogram:
+        return self._periodogram()
+
+    def __getstate__(self):  # the builder is a closure, which does not pickle: build it
+        return {**self.__dict__, "periodogram": self.periodogram, "_periodogram": None}
 
     @functools.cached_property
     def asym_cov(self) -> np.ndarray:
@@ -239,16 +250,6 @@ def _ar1_shaped(model: Model) -> bool:
                                    and not model.theta)
 
 
-def _yule_walker(pgram: Periodogram, lo: float, hi: float) -> float | None:
-    """c1 / c0 clipped into [lo, hi], c_k = sum_j I_j cos(k lam_j) over the
-    unshifted grid (the tapered series' lag-k autocovariance up to a common
-    factor); None for a series with no energy (c0 = 0)."""
-    grid = pgram.grid
-    c0 = grid.sum(pgram.node_values)
-    c1 = grid.sum(pgram.node_values * grid.constants.cos)
-    return float(min(max(c1 / c0, lo), hi)) if c0 > 0.0 else None
-
-
 def _nm_starts(bounds) -> list:
     p = len(bounds)
     lo = np.array([b[0] for b in bounds])
@@ -273,17 +274,17 @@ def whittle_estimate(series, taper: Taper, model: Model,
     `model` doubles as the family template; its free parameters are the
     search space and its scale (when it has one) is profiled out.  A
     family with no free parameter fits its scale alone, at one criterion
-    evaluation, and takes no `bounds` pairs.  An AR(1)-shaped family is fitted in closed form, theta_hat = c1 / c0
-    clipped into its box (see the module docstring), at one criterion
-    evaluation, when |theta_hat|^{N-1} <= `tol` on the sample's grid of N
-    points; otherwise, and for every other one-parameter family, by
-    projected Fisher scoring (`_fisher_scoring`) from theta_hat or the
+    evaluation, and takes no `bounds` pairs.  An AR(1)-shaped family is
+    fitted in closed form, theta_hat = g1 / g0 clipped into its box (see
+    the module docstring), when |theta_hat|^{N-1} <= `tol` on the sample's
+    grid of N points; otherwise, and for every other one-parameter family,
+    by projected Fisher scoring (`_fisher_scoring`) from theta_hat or the
     centre of the box.  More than one shape parameter is fitted by
     Nelder-Mead from five deterministic starts.  `iterations` counts
-    criterion evaluations.
+    criterion evaluations (1 for a closed form).
     """
-    # a fractional family's box reaches long-memory points wherever it starts
-    pgram = tapered_periodogram(series, taper, shifted=model.fractional)
+    x = _values_of(series)
+    T = x.shape[0]
     p = len(model.free_names)
     has_scale = model.scale_name is not None
     if not (p or has_scale):
@@ -291,6 +292,17 @@ def whittle_estimate(series, taper: Taper, model: Model,
     box = list(bounds) if bounds is not None else default_bounds(model)
     if len(box) != p:
         raise DomainError(f"need {p} bounds pairs, got {len(box)}")
+    start, closed = None, False
+    if p == 1:
+        lo, hi = float(box[0][0]), float(box[0][1])
+        if _ar1_shaped(model):
+            y = taper.values(T) * x
+            g = np.append(_lagged_products(y, 1), 0.0)  # g_1 = 0 at T = 1
+            if g[0] > 0.0:  # else g_1 / g_0 is undefined (no energy): search from the centre
+                start, n = float(min(max(g[1] / g[0], lo), hi)), canonical_grid(T, False).N
+                closed = abs(start) ** (n - 1) <= tol
+    # a fractional family's box reaches long-memory points wherever it starts
+    pgram = None if closed else tapered_periodogram(x, taper, shifted=model.fractional)
     # candidates are built at unit scale, so each is built once
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
 
@@ -306,16 +318,14 @@ def whittle_estimate(series, taper: Taper, model: Model,
         except (DomainError, ValueError, FloatingPointError):
             return math.inf, (None, None, None)
 
-    # the fit's vector where it needs no search: the scale-only fit's empty
-    # one, or an AR(1)-shaped family's closed form
-    fixed = np.empty(0) if p == 0 else None
-    if p == 1:
-        lo, hi = float(box[0][0]), float(box[0][1])
-        start = _yule_walker(pgram, lo, hi) if _ar1_shaped(model) else None
-        if start is not None and abs(start) ** (pgram.grid.N - 1) <= tol:
-            fixed = np.array([start])
-    if fixed is not None:
-        best_vec, iterations, converged = fixed, 1, True
+    if closed:  # the module docstring's closed form; g0 > 0, so sum h^2 > 0 too
+        resid = y[1:] - start * y[:-1]  # y_t - theta y_{t-1} for t = 2..T; t = 1, T + 1 below
+        ss = float(resid @ resid) + y[0] ** 2 + (start * y[-1]) ** 2
+        s2 = max(ss / taper.sum_of_powers(2, T), _F_FLOOR)
+        value = 0.5 * (math.log(s2 / (2.0 * math.pi)) + 1.0 - 2.0 * math.log1p(-start**n) / n)
+        best_vec, iterations, converged = np.array([start]), 1, True
+    elif p == 0:  # the scale alone
+        best_vec, iterations, converged = np.empty(0), 1, True
         value, (s2, _, _) = shape_objective(best_vec)
     elif p == 1:
         xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
@@ -348,8 +358,9 @@ def whittle_estimate(series, taper: Taper, model: Model,
         objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
-        taper_id=taper.id, T=pgram.T, tapering_factor=tapering_factor(taper),
-        kappa4=kappa4, periodogram=pgram)
+        taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
+        kappa4=kappa4, tapered=y if closed else None,
+        _periodogram=lambda: tapered_periodogram(x, taper) if pgram is None else pgram)
 
 
 def info_matrices(model: Model, kappa4: float = 0.0) -> InfoMatrices:

@@ -707,12 +707,17 @@ def test_score_orthogonal_shortcut_matches_the_quadrature_path(data, null, m, se
     fast = composite_test(x, TUKEY, parse_model(null), lambda mdl: ar_example_basis(mdl, m))
     slow = composite_test(x, TUKEY, parse_model(null), lambda mdl: dataclasses.replace(
         ar_example_basis(mdl, m), score_orthogonal=False))
-    assert fast.statistic == slow.statistic and fast.p_value == slow.p_value
+    # an AR(1) fast path projects from lagged products, the slow one on the
+    # grid: the same sums up to round-off
+    assert fast.statistic == pytest.approx(slow.statistic, rel=1e-12, abs=0.0)
+    assert fast.p_value == pytest.approx(slow.p_value, rel=1e-12, abs=0.0)
     assert fast.reject == slow.reject and fast.law == slow.law
     assert fast.law["dof"] == fast.law["unit_dof"] + len(fast.law["nu"])  # chi-square
 
 
-def test_composite_computes_one_periodogram(monkeypatch):
+def test_composite_of_a_closed_form_ar1_fit_builds_no_periodogram(monkeypatch):
+    # a closed-form AR(1) fit and its score-orthogonal projections come from
+    # the tapered series' lagged products: no periodogram is built
     calls = []
     real = spectrum.tapered_periodogram
     spy = lambda *a, **k: calls.append(1) or real(*a, **k)
@@ -721,10 +726,143 @@ def test_composite_computes_one_periodogram(monkeypatch):
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 2))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
                          lambda mdl: ar_example_basis(mdl, 4))
-    assert calls == [1]
-    # the reused periodogram gives the projections of a fresh one
+    assert calls == []
+    # the projections of a fresh periodogram, up to round-off
     fresh = phi_vector(real(x, TUKEY), TUKEY, res.fit.model, ar_example_basis(res.fit.model, 4))
-    assert np.array_equal(res.phi, fresh)
+    assert res.phi[0] == fresh[0] == 0.0
+    np.testing.assert_allclose(res.phi, fresh, rtol=1e-12, atol=0.0)
+
+
+# Composite tests of AR(1) data against the AR(1) family as they were when
+# the fit and every projection ran on the periodogram's grid: (theta, T,
+# taper, statistic, p_value, reject) for data seeded derive_seed(808109, T).
+# Where the fit is the closed form, its scale and criterion now come from
+# the tapered series' lagged products, and so do the projections of a
+# score-orthogonal basis built for it; the same sums up to round-off, so
+# each statistic and p-value may move by 1e-12 relative and no decision
+# may flip.
+_COMPOSITE_ON_THE_GRID = {
+    "ar-example:4": (
+        (-0.9, 64, "rect", 4.029150245454827, 0.2583335856378003, 0),
+        (-0.9, 64, "linear", 1.9927790788330026, 0.5739067856851487, 0),
+        (-0.9, 64, "tukey", 2.6617716377540406, 0.44676294331994815, 0),
+        (-0.9, 512, "rect", 2.680220604399915, 0.4435990671831799, 0),
+        (-0.9, 512, "linear", 0.5897817527857435, 0.8987675716247744, 0),
+        (-0.9, 512, "tukey", 4.368406548398006, 0.2243327734736828, 0),
+        (-0.9, 4096, "rect", 1.9415716648288044, 0.5846218425724456, 0),
+        (-0.9, 4096, "linear", 0.5238454664829272, 0.9136222904006992, 0),
+        (-0.9, 4096, "tukey", 4.799979205106407, 0.18704339775972673, 0),
+        (0.5, 64, "rect", 3.025959795616182, 0.38763997858866783, 0),
+        (0.5, 64, "linear", 2.6179472029236464, 0.4543518543158501, 0),
+        (0.5, 64, "tukey", 2.167923963543467, 0.538293952305569, 0),
+        (0.5, 512, "rect", 3.881071939707085, 0.27459588951164665, 0),
+        (0.5, 512, "linear", 3.090672458715295, 0.3778554445874665, 0),
+        (0.5, 512, "tukey", 6.250630103092069, 0.10003322518185793, 0),
+        (0.5, 4096, "rect", 2.002181721587467, 0.5719540034912931, 0),
+        (0.5, 4096, "linear", 1.693931217028777, 0.6382838669539888, 0),
+        (0.5, 4096, "tukey", 4.846226310049689, 0.18340977643810266, 0),
+        (0.95, 64, "rect", 0.9507441476362783, 0.8131679608333497, 0),
+        (0.95, 64, "linear", 0.5818616082629826, 0.9005718968420515, 0),
+        (0.95, 64, "tukey", 1.0599494558895306, 0.7867501612834278, 0),
+        (0.95, 512, "rect", 1.7067770424167334, 0.6354281564905462, 0),
+        (0.95, 512, "linear", 1.1025281160906413, 0.7764638216366571, 0),
+        (0.95, 512, "tukey", 1.8865966647952022, 0.5962741887277196, 0),
+        (0.95, 4096, "rect", 2.095930696972587, 0.5527364496578373, 0),
+        (0.95, 4096, "linear", 1.0456094824657982, 0.7902176677712959, 0),
+        (0.95, 4096, "tukey", 4.980836591669306, 0.1732057734061928, 0),
+    ),
+    "cosine:3": (
+        (-0.9, 64, "rect", 3.548211259028974, 0.20129924643511687, 0),
+        (-0.9, 64, "linear", 1.6838001519585215, 0.5314748920058687, 0),
+        (-0.9, 64, "tukey", 2.517908285725932, 0.31748352482833997, 0),
+        (-0.9, 512, "rect", 2.6757015497976213, 0.3466192980344965, 0),
+        (-0.9, 512, "linear", 0.5893911600394021, 0.8616777158389906, 0),
+        (-0.9, 512, "tukey", 4.364807771150706, 0.15021499137671063, 0),
+        (-0.9, 4096, "rect", 1.6108075419350973, 0.5889971596297972, 0),
+        (-0.9, 4096, "linear", 0.41137817486129563, 0.9192269107403667, 0),
+        (-0.9, 4096, "tukey", 3.688421258719868, 0.22669503616462372, 0),
+        (0.5, 64, "rect", 2.5932833981540586, 0.27389746966138373, 0),
+        (0.5, 64, "linear", 1.5649771524228688, 0.45822155673945186, 0),
+        (0.5, 64, "tukey", 2.1422607464597534, 0.34308680683620807, 0),
+        (0.5, 512, "rect", 3.724083719632023, 0.15657741511310574, 0),
+        (0.5, 512, "linear", 1.1171666539058704, 0.5763884341020938, 0),
+        (0.5, 512, "tukey", 5.522278083112548, 0.06370343300200526, 0),
+        (0.5, 4096, "rect", 1.4381614627537684, 0.49113552389637355, 0),
+        (0.5, 4096, "linear", 1.1774158256610774, 0.5594631195300416, 0),
+        (0.5, 4096, "tukey", 3.3393876106151037, 0.1897687255725924, 0),
+        (0.95, 64, "rect", 0.9310492273008963, 0.7985785116922272, 0),
+        (0.95, 64, "linear", 0.5807719634092756, 0.8868723141333004, 0),
+        (0.95, 64, "tukey", 1.0319360827994761, 0.7627039099522086, 0),
+        (0.95, 512, "rect", 1.611733469638406, 0.606194913941545, 0),
+        (0.95, 512, "linear", 1.0864929471055096, 0.7414553824986168, 0),
+        (0.95, 512, "tukey", 1.510373873002023, 0.6298295489351347, 0),
+        (0.95, 4096, "rect", 1.8078552938077093, 0.5793243217123202, 0),
+        (0.95, 4096, "linear", 0.9197412117176865, 0.8020219438513909, 0),
+        (0.95, 4096, "tukey", 4.672658294285662, 0.16726685527276336, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(_COMPOSITE_ON_THE_GRID))
+def test_composite_moves_at_round_off_from_the_grid(basis):
+    null = parse_model("ar1{theta=0.0,sigma2=1.0}")
+    build = ((lambda mdl: ar_example_basis(mdl, 4)) if basis == "ar-example:4"
+             else cosine_basis(3))
+    for theta, T, taper, statistic, p_value, reject in _COMPOSITE_ON_THE_GRID[basis]:
+        x = AR1(theta=theta).simulate(gaussian(), T, seed=derive_seed(808109, T))
+        res = composite_test(x, get_taper(taper), null, build)
+        case = (theta, T, taper)
+        assert res.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0), case
+        assert res.p_value == pytest.approx(p_value, rel=1e-12, abs=0.0), case
+        assert res.reject == bool(reject), case
+
+
+@pytest.mark.parametrize("theta", [-0.99, 0.5, 0.99])
+@pytest.mark.parametrize("T", [1, 2, 4, 8])
+def test_grid_sum_of_an_ar1_slot_is_exact(theta, T):
+    # sum_j Re(e^{i k lam_j} abar / a) 2 pi / N = 2 pi theta^{N-k} (1 - theta^2)
+    # / (1 - theta^N) for 2 <= k <= N, a = 1 - theta e^{i lam}: the term the
+    # lagged-product projections subtract for the residual's -1
+    grid = canonical_grid(T, False)
+    n = grid.N
+    slots = ar_example_basis(AR1(theta=theta), n).values(grid.points)
+    for k in range(2, n + 1):
+        grid_sum = np.sum(slots[k - 1]) * math.sqrt(math.pi) * grid.weight
+        exact = 2.0 * math.pi * theta ** (n - k) * (1.0 - theta**2) / (1.0 - theta**n)
+        assert grid_sum == pytest.approx(exact, rel=1e-12, abs=1e-14), (k, grid_sum, exact)
+
+
+@pytest.mark.parametrize("m, from_lags", [(192, True), (193, False)])
+def test_composite_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, from_lags):
+    # at T = 64 (N = 256) a slot of frequency m reads lags up to m + T - 1,
+    # which wrap around the grid from m = N - T + 1 on: there the test
+    # projects the periodogram instead
+    calls = []
+    real = spectrum.tapered_periodogram
+    monkeypatch.setattr(whittle, "tapered_periodogram",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    x = AR_HALF.simulate(gaussian(), 64, seed=derive_seed(808101, 4))
+    res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
+                         lambda mdl: ar_example_basis(mdl, m))
+    assert res.fit.tapered is not None
+    assert calls == ([] if from_lags else [1])
+    grid_phi = phi_vector(res.fit.periodogram, TUKEY, res.fit.model,
+                          ar_example_basis(res.fit.model, m))
+    np.testing.assert_allclose(res.phi, grid_phi, rtol=0.0,
+                               atol=1e-12 * np.abs(grid_phi).max())
+
+
+@pytest.mark.parametrize("other", [
+    lambda mdl: TestBasis(4, zero=1, score_orthogonal=True),  # cosine slots
+    lambda mdl: ar_example_basis(AR1(theta=0.3), 4),  # another theta's AR slots
+])
+def test_composite_projects_any_other_score_orthogonal_basis_on_the_grid(other):
+    # only the fitted model's own AR slots have the lagged-product sums
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
+    res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"), other)
+    assert res.fit.tapered is not None
+    assert np.array_equal(res.phi, phi_vector(tapered_periodogram(x, TUKEY), TUKEY,
+                                              res.fit.model, other(res.fit.model)))
 
 
 def test_composite_projects_the_fit_periodogram_at_a_point_without_memory(monkeypatch):

@@ -413,12 +413,16 @@ def test_every_replicated_preset_is_worker_count_invariant(tmp_path, monkeypatch
 # gc and gm re-recorded when the AR(1) Whittle fit became the closed form
 # c1 / c0: statistics and p-values moved at round-off, at most 2.1e-15
 # relative (the tests below hold gc's to their former values); no other
-# pin moved.
+# pin moved.  gc and gm re-recorded, CSV and JSON, when that fit's scale
+# and criterion, and gc's projections, came from the tapered series'
+# lagged products instead of the grid: statistics and p-values moved at
+# round-off, at most 5.4e-15 relative in gc and 2.7e-15 in gm (see
+# test_gc_moves_at_round_off_from_the_grid); no other pin moved.
 _PINNED_CSV_SHA256 = {
     "gc": (["gof", "--mode", "composite", "--basis", "ar-example:4",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "512", "--reps", "4", "--seed", "41"],
-           "e1281f29d53fe85b3d892c6eeebdabcd6433e09de7a4687c84cb73c3229c033d"),
+           "fe5c63e1c26c8830ca1f3890b707d77f380ce7072c447182f82a70173e34627b"),
     "lm": (["whittle", "--model", "arfima_pdq{d=0.3,phi=0.4}", "--taper", "tukey",
             "--T", "256", "--reps", "2", "--seed", "43"],
            "05574f17dd2204fcf8f1aaa2c7da8197cd36bf1ca148210f43f589899e34a345"),
@@ -448,7 +452,7 @@ _PINNED_CSV_SHA256 = {
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "299f7337ce534dd00802b6970d14845c9651b580e259ec10aa924b45c37c2719"),
+           "bdcc47d851d27ffea296e2d27397e90879a88312464c65eb11d7cc8c1f98d4b3"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256,512", "--check"],
            "5edaf5b5c1cf86528a3661f3eac8e7b5f119d65f9c7c7080dd267dc228db1eca"),
@@ -498,9 +502,11 @@ _PINNED_CSV_SHA256 = {
 # re-recorded with its CSV when its argv dropped the grid-size option (see
 # its CSV entry).  gm re-recorded with its CSV for the closed-form AR(1)
 # fit: mean_statistic and the p-value list moved at round-off (gc's JSON did
-# not move).
+# not move).  gc and gm re-recorded with their CSVs when that fit, and gc's
+# projections, came from lagged products: mean_statistic and gm's KS
+# statistic and p-value moved at round-off.
 _PINNED_JSON_SHA256 = {
-    "gc": "0c25a26f282ef84c80e6dc9dac20f4ba9d28be6d529a072e33dc336834ae3cd9",
+    "gc": "2cb9f9b4d1928cc9ea2981f2a6c1008bebc6c9f9bfa6ec646beac7c26171d288",
     "lm": "8bf39a028677feed270ed9fa8a8291f679d1c02ef445cd96bf7ed30bfc8127c1",
     "sf": "e6d1032d9b137d79e02990813c9f42119b2980064d28893b06fef8fc48e788b0",
     "sp": "b3571fe19ccea85eecf017b347ca94e7d54642906655e72dbec86120f16e78e8",
@@ -508,7 +514,7 @@ _PINNED_JSON_SHA256 = {
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
     "fn": "14f2687fc606c06aad03e01befe288dc77c303301e67b51293a30bc4aa8783bb",
     "gs": "636b994ffa4676f973521c76b0d5eb086423ecf1a159f4f51f35a0469cefc6df",
-    "gm": "eec27f31c8a42f0bdecd1880b8c14f6139ffd68cba2b77444c916ae5e631edc3",
+    "gm": "baecfe39991defc321a8434a0317a856016d0c7fd4fdf008fdfdb6e78843a99d",
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f9677018c267b7f092d0430f25c95667f73a90014c5988a4d7d07a7611391fce",
@@ -548,6 +554,31 @@ def test_gc_statistics_move_within_the_quadrature_tolerance(tmp_path, monkeypatc
     for row, before in zip(rows, _GC_SIMPSON_STATISTICS):
         assert float(row["statistic"]) == pytest.approx(before, rel=1e-12)
         assert row["reject"] == "0"
+
+
+# The gc study's (statistic, p_value, reject) rows as they were when its
+# AR(1) fit and projections ran on the periodogram's grid.  From lagged
+# products the same sums are taken in another order: each may move at
+# round-off (1e-12 relative) and no decision may flip.
+_GC_ON_THE_GRID = (
+    (3.249380372956848, 0.35475032049727473, 0),
+    (0.662584397882772, 0.8819671523052579, 0),
+    (0.5932540811135548, 0.8979749461401616, 0),
+    (2.9839511185934673, 0.3941062225937805, 0),
+)
+
+
+def test_gc_moves_at_round_off_from_the_grid(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _PINNED_CSV_SHA256["gc"]
+    assert main([*argv, "--out", "gc"]) == 0
+    with open(tmp_path / "gc.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_GC_ON_THE_GRID)
+    for row, (statistic, p_value, reject) in zip(rows, _GC_ON_THE_GRID):
+        assert float(row["statistic"]) == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert float(row["p_value"]) == pytest.approx(p_value, rel=1e-12, abs=0.0)
+        assert row["reject"] == str(reject)
 
 
 # The gof studies' (statistic, p_value, reject) rows as the projections gave

@@ -84,27 +84,34 @@ def _traced_composite(tracing, tmp_path, monkeypatch, basis):
     for ext in (".csv", ".json"):
         assert ((tmp_path / "plain" / f"gc{ext}").read_bytes()
                 == (tmp_path / "traced" / f"gc{ext}").read_bytes()), ext
-    for name in ("whittle.whittle_estimate", "gof.phi_vector", "gof.composite_test"):
+    for name in ("whittle.whittle_estimate", "gof.composite_test"):
         assert tracer.counts[name] == 2, name
     # one basis per replication, and the null's while the options are resolved
     assert tracer.counts["gof.basis_build"] == 3
-    # each replication fits its AR(1) in closed form: one criterion evaluation
-    assert tracer.counts["whittle.objective"] == 2
+    # each replication fits its AR(1) in closed form from the tapered
+    # series' lagged products: no criterion is evaluated on the grid
+    assert tracer.counts["whittle.objective"] == 0
     return tracer.counts
 
 
 def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monkeypatch):
-    # the ar-example basis is score-orthogonal: no replication computes b or Gamma
+    # the ar-example basis is score-orthogonal: no replication computes b or
+    # Gamma, and its projections come from lagged products too, so none
+    # builds a periodogram or projects one
     counts = _traced_composite(tracing, tmp_path, monkeypatch, "ar-example:4")
     for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices",
-                 "quad.spectral_integral"):
+                 "quad.spectral_integral", "gof.phi_vector",
+                 "spectrum.tapered_periodogram"):
         assert counts[name] == 0, name
 
 
 def test_traced_cosine_composite_counts_its_population_quadratures(tracing, tmp_path,
                                                                    monkeypatch):
+    # the cosine basis projects on the grid: each replication builds the
+    # fit's periodogram when the projection first reads it
     counts = _traced_composite(tracing, tmp_path, monkeypatch, "cosine:3")
-    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices"):
+    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices",
+                 "gof.phi_vector", "spectrum.tapered_periodogram"):
         assert counts[name] == 2, name
 
 

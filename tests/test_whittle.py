@@ -1,6 +1,7 @@
 """Tapered Whittle objective, estimator, and information matrices."""
 
 import math
+import pickle
 import sys
 import warnings
 
@@ -21,7 +22,8 @@ from taperspec.models import (
     parse_model,
 )
 from taperspec._quad import spectral_integral
-from taperspec.spectrum import tapered_periodogram
+from taperspec.functionals import _lagged_products
+from taperspec.spectrum import canonical_grid, tapered_periodogram
 from taperspec.taper import get_taper, tapering_factor
 from taperspec.whittle import (
     default_bounds,
@@ -243,7 +245,10 @@ def test_scale_free_fits_keep_their_expected_information_search(spec, T, seed, t
 # re-recorded when scoring stopped evaluating a last step of at most tol
 # (one evaluation less, theta_hat within tol; see _SEARCH_BEFORE_THE_SKIP),
 # the ar1 rows when AR(1) was fitted in closed form (one evaluation,
-# theta_hat and sigma2_hat moved by at most 2 units in the last place).
+# theta_hat and sigma2_hat moved by at most 2 units in the last place), and
+# again when that closed form came from the tapered series' lagged products
+# instead of the grid (theta_hat moved by at most 5.6e-16 relative,
+# objective_value by 5.3e-16, sigma2_hat by 4.5e-16).
 _FIT_PINS = [
     ("arfima_pdq{d=0.3,phi=0.4}", 0, ("0x1.1565d9946fff0p-2", "0x1.bf7cb20709abap-2"),
      "-0x1.8f9c04be02641p-2", "0x1.0f224d9c0dfe4p+0", 544),
@@ -278,12 +283,12 @@ _FIT_PINS = [
     ("arfima0d0{d=0.3}", 3, ("0x1.5e4878170fa09p-2",),
      "0x1.f6b865f2c3f6fp-2", None, 7),
     ("ar1{theta=0.5}", 0, ("0x1.117dfd1b84fcdp-1",),
-     "-0x1.afe26b872a5c2p-2", "0x1.fd1de390eb0acp-1", 1),
+     "-0x1.afe26b872a5bep-2", "0x1.fd1de390eb0b0p-1", 1),
     ("ar1{theta=0.5}", 1, ("0x1.01f66043290e7p-1",),
-     "-0x1.ac202c038099bp-2", "0x1.006f1e9b5a8c4p+0", 1),
-    ("ar1{theta=0.5}", 2, ("0x1.ec16065c5d464p-2",),
-     "-0x1.b4df4845c619fp-2", "0x1.f82e61a586099p-1", 1),
-    ("ar1{theta=0.5}", 3, ("0x1.fa77938127b0fp-2",),
+     "-0x1.ac202c038099ap-2", "0x1.006f1e9b5a8c4p+0", 1),
+    ("ar1{theta=0.5}", 2, ("0x1.ec16065c5d463p-2",),
+     "-0x1.b4df4845c61a2p-2", "0x1.f82e61a586098p-1", 1),
+    ("ar1{theta=0.5}", 3, ("0x1.fa77938127b0ap-2",),
      "-0x1.9c8b55e7770a4p-2", "0x1.085ba10877c99p+0", 1),
 ]
 
@@ -369,21 +374,43 @@ def test_scoring_fit_evaluates_each_candidate_density_once(monkeypatch):
         assert len(calls) == fit.iterations, truth
 
 
-def test_ar1_fit_evaluates_each_candidate_density_once(monkeypatch):
-    # the closed form evaluates the criterion, and with it the density, once
-    densities, profiles = [], []
+def test_ar1_closed_form_builds_its_periodogram_only_when_read(monkeypatch):
+    # the closed form comes from the tapered series' lagged products: it
+    # evaluates no density and no profiled criterion, and builds the
+    # periodogram only when it is read
+    densities, profiles, pgrams = [], [], []
     real_density, real_profile = whittle._grid_density, whittle._profile_scale
+    real_pgram = whittle.tapered_periodogram
     monkeypatch.setattr(whittle, "_grid_density",
                         lambda *a: densities.append(a) or real_density(*a))
     monkeypatch.setattr(whittle, "_profile_scale",
                         lambda *a: profiles.append(a) or real_profile(*a))
+    monkeypatch.setattr(whittle, "tapered_periodogram",
+                        lambda *a, **k: pgrams.append(a) or real_pgram(*a, **k))
     ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
     for start in (AR1(theta=0.0), ARMA(phi=(0.0,))):
         densities.clear()
         profiles.clear()
+        pgrams.clear()
         fit = whittle_estimate(ts, get_taper("tukey"), start)
         assert fit.converged and fit.iterations == 1
-        assert len(densities) == len(profiles) == 1
+        assert len(densities) == len(profiles) == len(pgrams) == 0
+        assert fit.periodogram is fit.periodogram  # built once, then kept
+        assert len(pgrams) == 1 and densities == profiles == []
+        assert fit.periodogram.grid is canonical_grid(1024, False)
+
+
+def test_a_closed_form_fit_pickles_with_its_periodogram():
+    # the periodogram's builder is a closure, so pickling builds it first;
+    # the copy reads the same periodogram, and the fit's other values
+    ts = AR1(theta=0.5).simulate(gaussian(), 512, seed=derive_seed(67, 1))
+    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+    copy = pickle.loads(pickle.dumps(fit))
+    assert np.array_equal(copy.periodogram.values,
+                          tapered_periodogram(ts, get_taper("tukey")).values)
+    assert np.array_equal(copy.tapered, fit.tapered)
+    assert (copy.theta_hat[0], copy.sigma2_hat, copy.objective_value) == (
+        fit.theta_hat[0], fit.sigma2_hat, fit.objective_value)
 
 
 def test_scoring_out_of_evaluations_is_not_converged():
@@ -589,9 +616,16 @@ def test_ar1_shaped_fits_match_the_search_they_replace(T, theta, taper, ar1, arm
         assert fit.converged
         assert abs(fit.theta_hat[0] - theta_hat) <= 1e-7
         assert fit.objective_value <= objective + 1e-12 * abs(objective)
-        c1_over_c0 = whittle._yule_walker(fit.periodogram, -0.99, 0.99)
-        if abs(c1_over_c0) ** (fit.periodogram.grid.N - 1) <= 1e-7:
-            assert fit.iterations == 1 and fit.theta_hat[0] == c1_over_c0
+        g1_over_g0 = _yule_walker(ts, get_taper(taper))
+        if abs(g1_over_g0) ** (canonical_grid(T, False).N - 1) <= 1e-7:
+            assert fit.iterations == 1 and fit.theta_hat[0] == g1_over_g0
+
+
+def _yule_walker(ts, taper) -> float:
+    """g_1 / g_0 of the tapered series y = h x, g_k = sum_t y_t y_{t+k},
+    clipped into the default box."""
+    g = _lagged_products(taper.values(ts.T) * ts.values, 1)
+    return min(max(g[1] / g[0], -0.99), 0.99)
 
 
 def test_ar1_fit_of_a_series_without_energy_searches_from_the_centre():
@@ -603,15 +637,63 @@ def test_ar1_fit_of_a_series_without_energy_searches_from_the_centre():
         assert fit.objective_value == pytest.approx(-346.3067024823116, rel=1e-12)
 
 
+def test_ar1_fit_refuses_a_taper_that_vanishes_on_the_sample():
+    # the linear taper's one point at T = 1 is h(1) = 0, so sum h^2 = 0: the
+    # lagged products vanish with it and the fit refuses the sample as the
+    # grid path does, with no nan or inf
+    for start in (AR1(theta=0.0), ARMA(phi=(0.0,))):
+        with pytest.raises(DomainError, match="vanishes on the sample"):
+            whittle_estimate(np.ones(1), get_taper("linear"), start)
+    # the rectangular taper's point is 1: theta_hat = 0 and sigma2_hat = x^2
+    fit = whittle_estimate(np.array([2.0]), get_taper("rect"), AR1(theta=0.0))
+    assert fit.iterations == 1 and fit.theta_hat[0] == 0.0 and fit.sigma2_hat == 4.0
+
+
+# the linear taper vanishes at T = 1 (see above)
+@pytest.mark.parametrize("T,taper", [(T, taper) for T in (1, 16, 64, 1024, 4096)
+                                     for taper in ("rect", "linear", "tukey")
+                                     if (T, taper) != (1, "linear")])
+def test_ar1_closed_form_is_the_grid_criterion_at_its_minimizer(T, taper):
+    # sigma2_hat and U_T from lagged products are the grid's profiled scale
+    # and criterion at theta_hat, up to round-off
+    tp = get_taper(taper)
+    ts = AR1(theta=-0.2).simulate(gaussian(), T, seed=derive_seed(97, T))
+    fit = whittle_estimate(ts, tp, AR1(theta=0.0))
+    assert fit.iterations == 1 and fit.tapered is not None
+    unit = fit.model.with_params(sigma2=1.0)
+    s2, value = whittle._profile_scale(fit.periodogram,
+                                       whittle._grid_density(unit, fit.periodogram.grid))
+    assert fit.sigma2_hat == pytest.approx(s2, rel=1e-13, abs=0.0)
+    assert fit.objective_value == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert whittle_objective(fit.periodogram, fit.model) == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.parametrize("T", [8, 64, 1024, 4096])
+@pytest.mark.parametrize("taper", ["rect", "linear", "tukey"])
+def test_grid_cosine_sums_of_the_periodogram_are_the_lagged_products(T, taper):
+    # sum_j I(lam_j) cos(k lam_j) 2 pi / N = g_k / sum h^2 on the unshifted
+    # grid (N >= 4T, so no lag wraps around); the closed-form fit and its
+    # projections rest on it.  g_k = 0 for k >= T, and the linear taper's
+    # last point is 0, so exact zeros take an absolute floor of 1e-14 g_0.
+    tp = get_taper(taper)
+    ts = AR1(theta=0.5).simulate(gaussian(), T, seed=derive_seed(5, T))
+    pg = tapered_periodogram(ts, tp)
+    g = np.pad(_lagged_products(tp.values(T) * ts.values, 8), (0, 8))[:9]
+    g = g / tp.sum_of_powers(2, T)
+    for k in range(9):
+        grid_sum = np.sum(pg.values * np.cos(k * pg.grid.points)) * pg.grid.weight
+        assert grid_sum == pytest.approx(g[k], rel=1e-13, abs=1e-14 * g[0]), k
+
+
 def test_small_sample_ar1_fit_still_searches():
-    # T = 8 (N = 32): c1 / c0 = -0.865 misses the minimizer by 2.6e-3, as
-    # |c1 / c0|^31 = 0.011 says, so the fit searches from there
+    # T = 8 (N = 32): g1 / g0 = -0.865 misses the minimizer by 2.6e-3, as
+    # |g1 / g0|^31 = 0.011 says, so the fit searches from there
     ts = AR1(theta=-0.95).simulate(gaussian(), 8, seed=11)
     fit = whittle_estimate(ts, get_taper("rect"), AR1(theta=0.0))
-    c1_over_c0 = whittle._yule_walker(fit.periodogram, -0.99, 0.99)
-    assert abs(c1_over_c0) ** 31 > 1e-7
+    g1_over_g0 = _yule_walker(ts, get_taper("rect"))
+    assert abs(g1_over_g0) ** 31 > 1e-7
     assert fit.converged and fit.iterations > 1
-    assert abs(fit.theta_hat[0] - c1_over_c0) > 1e-3
+    assert abs(fit.theta_hat[0] - g1_over_g0) > 1e-3
     # the search before the closed form: theta_hat and objective_value
     assert abs(fit.theta_hat[0] - -0.8627180285658219) <= 1e-7
     assert fit.objective_value <= 0.8814430051460602 * (1.0 + 1e-12)
