@@ -25,9 +25,9 @@ The reference law is computed, not sampled (`reference_pvalue`).  A nu
 within 1e-6 of 0 drops out and one within 1e-6 of 1 joins the unit
 terms; when nothing else remains the law is chi-square and the p-value
 is its survival function.  Otherwise it comes from Imhof's (1961)
-inversion of the characteristic function.  A score-orthogonal basis built
-for the fitted model (`TestBasis.score_orthogonal`) has b = 0, so the
-composite test takes nu = 1 and computes neither Gamma nor b.
+inversion of the characteristic function.  A basis carrying the fitted
+model's AR polynomial (`TestBasis.ar`) has b = 0 however it was passed, so
+the composite test takes nu = 1 and computes neither Gamma nor b.
 
 Every slot is harmonic: slot j is Re(e^{i j lam} u(lam)) / sqrt(pi), with
 u = 1 for `cosine_basis` and the AR ratio for `ar_example_basis`.  Each
@@ -42,17 +42,17 @@ Phi_j is one complex dot product of the grid's e^{i j lam} table with
 u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
 (`TestBasis.values`) are built only for the population quadratures.
 
-A composite test of a closed-form AR(1) fit (see `whittle`) with the
-`ar_example_basis` built for it builds no periodogram: (I/f0) u = 2 pi I
-abar^2 / s2, so slot j's sum is 2 pi sum_t eta_t eps_{t+j} / (s2 sum h^2
-sqrt(pi)) with eta_t = y_t - theta y_{t+1}, eps_t = y_t - theta y_{t-1} (that
-is g_j - 2 theta g_{j-1} + theta^2 g_{j-2}, y = h x), and the -1 adds the slot's
+A composite test of an AR(1) fit (see `whittle`), closed-form or searched,
+with its own `ar_example_basis` projects with no periodogram while m <= N - T
+(no lag wraps around the grid): (I/f0) u = 2 pi I abar^2 / s2, so slot j's
+sum is 2 pi sum_t eta_t eps_{t+j} / (s2 sum h^2 sqrt(pi)) with
+eta_t = y_t - theta y_{t+1}, eps_t = y_t - theta y_{t-1} (that is
+g_j - 2 theta g_{j-1} + theta^2 g_{j-2}, y = h x), and the -1 adds the slot's
 exact grid sum 2 pi theta^{N-j} (1 - theta^2) / ((1 - theta^N) sqrt(pi)).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -63,8 +63,8 @@ import scipy.special
 
 from ._quad import spectral_integral
 from .errors import DomainError
-from .models import Model, _constants, _poly_on_circle
-from .spectrum import Periodogram, canonical_grid, tapered_periodogram
+from .models import ARMA, Model, _constants, _poly_on_circle, ar_polynomial
+from .spectrum import Periodogram, _values_of, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 from .whittle import WhittleFit, info_matrices, whittle_estimate
 
@@ -77,35 +77,34 @@ _NU_TOL = 1e-6  # a mixture weight this close to 0 or 1 is taken as exactly that
 class TestBasis:
     """m harmonic orthonormal test functions on [-pi, pi].
 
-    The first `zero` slots are identically zero: they carry no statistic
-    mass and no degree of freedom.  Slot j > zero (counted from 1) is
+    `ar` is empty, or the coefficients (1, -phi_1, ..., -phi_p) of an AR
+    polynomial a (`models.ar_polynomial`).  The first `zero` = p slots are
+    identically zero: they carry no statistic mass and no degree of
+    freedom.  Slot j > p (counted from 1) is
 
         phi_j(lam) = Re(e^{i j lam} u(lam)) / sqrt(pi)
 
-    with u = `ratio`(c) for a FrequencyConstants value c, or u = 1 when
-    `ratio` is None.  Every slot is even by construction: the periodogram
-    is even in lambda, so an odd slot would project to exactly zero for
-    every sample while still claiming a degree of freedom.
+    with u = a(e^{-i lam}) / a(e^{i lam}), or u = 1 when `ar` is empty.
+    Every slot is even by construction: the periodogram is even in lambda,
+    so an odd slot would project to exactly zero for every sample while
+    still claiming a degree of freedom.
 
     `project(c, r)` gives the m sums sum_k phi_j(lam_k) r_k that
     `phi_vector` takes, without building the slots (see the module
     docstring); `values` builds them, for the population quadratures.
-    `degree` is the highest frequency j of an e^{i j lam} factor in any
-    slot, u being smooth; the population quadratures start fine enough to
-    resolve it.  `score_orthogonal` marks b = 0 for the model it was built
-    for.
     """
 
     __test__ = False  # data container; keeps pytest from collecting it
 
     m: int
-    zero: int = 0
-    ratio: object = None
-    score_orthogonal: bool = False
+    ar: tuple = ()
+
+    def __post_init__(self):  # any sequence of coefficients, compared by value
+        object.__setattr__(self, "ar", tuple(map(float, self.ar)))
 
     @property
-    def degree(self) -> int:
-        return self.m
+    def zero(self) -> int:
+        return max(len(self.ar) - 1, 0)
 
     @property
     def active(self) -> tuple:
@@ -115,10 +114,17 @@ class TestBasis:
     def m_active(self) -> int:
         return self.m - self.zero
 
+    def _ratio(self, c):
+        """u = conj(q) / q, q = a(e^{i lam}) for real a, on the constants c."""
+        if not self.ar:
+            return None
+        q = _poly_on_circle(np.array(self.ar), c.exp_ij(1))
+        return np.conj(q) / q
+
     def values(self, lam) -> np.ndarray:
         """All slots at an array of frequencies or a FrequencyConstants value."""
         c = _constants(lam)
-        u = None if self.ratio is None else self.ratio(c)
+        u = self._ratio(c)
         rows = [np.zeros_like(c.lam)] * self.zero
         rows += [np.real(c.exp_ij(j) if u is None else c.exp_ij(j) * u) / math.sqrt(math.pi)
                  for j in range(self.zero + 1, self.m + 1)]
@@ -126,7 +132,8 @@ class TestBasis:
 
     def project(self, c, r) -> np.ndarray:
         """Re(sum_k e^{i j lam_k} u_k r_k) / sqrt(pi) per slot, from c's table."""
-        v = np.asarray(r if self.ratio is None else self.ratio(c) * r, dtype=complex)
+        u = self._ratio(c)
+        v = np.asarray(r if u is None else u * r, dtype=complex)
         sums = np.array([np.real(c.exp_ij(j) @ v) for j in range(self.zero + 1, self.m + 1)])
         return np.concatenate((np.zeros(self.zero), sums / math.sqrt(math.pi)))
 
@@ -140,17 +147,6 @@ def cosine_basis(m: int) -> TestBasis:
     if m < 1:
         raise DomainError("cosine basis needs m >= 1")
     return TestBasis(m)
-
-
-def _ar_poly(model: Model) -> np.ndarray:
-    """Coefficients (1, -phi_1, ..., -phi_p) of a pure AR model."""
-    if model.family == "ar1":
-        return np.array([1.0, -float(model.theta)])
-    if model.family == "arma":
-        if len(model.theta) != 0:
-            raise DomainError("score-orthogonal basis requires a pure AR model")
-        return np.concatenate(([1.0], -np.asarray(model.phi, dtype=float)))
-    raise DomainError("score-orthogonal basis requires an AR family model")
 
 
 def ar_example_basis(model: Model, m: int) -> TestBasis:
@@ -170,18 +166,15 @@ def ar_example_basis(model: Model, m: int) -> TestBasis:
     degree of freedom per active slot.  It is orthonormal and
     score-orthogonal by construction (the tests certify both).
     """
-    a = _ar_poly(model)
-    p = a.size - 1
+    a = ar_polynomial(model)
+    if a is None:
+        kind = "a pure AR" if type(model) is ARMA else "an AR family"
+        raise DomainError(f"score-orthogonal basis requires {kind} model")
+    p = len(a) - 1
     m = int(m)
     if m <= p:
         raise DomainError(f"need m > p = {p} basis slots")
-    return TestBasis(m, zero=p, ratio=functools.partial(_ar_ratio, a), score_orthogonal=True)
-
-
-def _ar_ratio(a: np.ndarray, c) -> np.ndarray:
-    """a(e^{-i lam}) / a(e^{i lam}) = conj(q) / q, q = a(e^{i lam}), for real a."""
-    q = _poly_on_circle(a, c.exp_ij(1))
-    return np.conj(q) / q
+    return TestBasis(m, a)
 
 
 @dataclass(frozen=True)
@@ -218,16 +211,16 @@ def phi_vector(pgram: Periodogram, taper: Taper, f0: Model, basis: TestBasis) ->
     return scale * basis.project(grid.constants, resid) * grid.weight
 
 
-def _ar1_phi(fit: WhittleFit, taper: Taper, basis: TestBasis) -> np.ndarray | None:
-    """`phi_vector` of `basis` from the tapered series of a closed-form AR(1)
-    fit (see the module docstring); None unless `basis` is the fitted
-    model's `ar_example_basis` and no lag wraps around the grid."""
-    T, n, m, r = fit.T, canonical_grid(fit.T, False).N, basis.m, basis.ratio
-    if (fit.tapered is None or m > n - T or not isinstance(r, functools.partial)
-            or r.func is not _ar_ratio or not np.array_equal(r.args[0], _ar_poly(fit.model))):
+def _ar1_phi(series, fit: WhittleFit, taper: Taper, basis: TestBasis) -> np.ndarray | None:
+    """`phi_vector` of `basis`, the fitted model's own AR slots, from the
+    series' lagged products (see the module docstring); None unless the fit
+    is an AR(1) and no lag wraps around the grid."""
+    T, m, n = fit.T, basis.m, canonical_grid(fit.T, False).N
+    if len(basis.ar) != 2 or m > n - T:
         return None
     theta = float(fit.theta_hat[0])
-    z = np.concatenate(([0.0], fit.tapered, np.zeros(m)))
+    y = taper.values(T) * _values_of(series)  # the fit's h x, bit for bit
+    z = np.concatenate(([0.0], y, np.zeros(m)))
     eps, eta = z[1:] - theta * z[:-1], z[:-1] - theta * z[1:]  # eps_{i+1}, eta_i at i
     j = np.arange(2, m + 1)
     cross = np.array([eta[:eta.size + 1 - k] @ eps[k - 1:] for k in j])
@@ -274,7 +267,7 @@ def b_matrix(model: Model, basis: TestBasis, taper: Taper) -> np.ndarray:
         return np.vstack([phi[j] * s[k] for j in active for k in range(p)])
 
     vals = spectral_integral(integrand, exponent=0.0 if model.long_memory else None,
-                             degree=basis.degree)
+                             degree=basis.m)  # the slots' top frequency, u being smooth
     out[list(active)] = scale * vals.reshape(len(active), p)
     return out
 
@@ -376,15 +369,16 @@ def composite_test(series, taper: Taper, model: Model, basis,
     reference law is the chi-square mixture with one unit term per
     surplus active slot and one nu-weighted term per fitted shape
     parameter (see `reference_pvalue`); `law["dof"]` is its chi-square
-    dof, or None for a genuine mixture.
+    dof, or None for a genuine mixture.  Every nu is 1 exactly when the
+    basis carries the fitted model's AR polynomial, however it was passed.
     """
     fit = whittle_estimate(series, taper, model, kappa4=kappa4)
     if not fit.converged:
         raise DomainError("estimator did not converge; test aborted")
     fitted = fit.model
     test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
-    own_basis = callable(basis) and test_basis.score_orthogonal  # built for `fitted`: b = 0
-    phi = _ar1_phi(fit, taper, test_basis) if own_basis else None
+    own_basis = test_basis.ar == ar_polynomial(fitted)  # b = 0 (see `ar_example_basis`)
+    phi = _ar1_phi(series, fit, taper, test_basis) if own_basis else None
     if phi is None:
         # the fitted model has the null's family, so the fit's grid is the test's
         phi = phi_vector(fit.periodogram, taper, fitted, test_basis)

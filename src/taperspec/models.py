@@ -550,6 +550,16 @@ class ARMA(Model):
         return TimeSeries(x, prov)
 
 
+def ar_polynomial(model: Model) -> tuple | None:
+    """(1, -phi_1, ..., -phi_p) of an `ar1`, or an `arma` without theta; else
+    None.  A subclass may change the density (`arfima_pdq`), so types match exactly."""
+    if type(model) is AR1:
+        return (1.0, -model.theta)
+    if type(model) is ARMA and not model.theta:
+        return (1.0, *(-v for v in model.phi))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # fractional integration
 

@@ -18,9 +18,10 @@ in closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
 Nelder-Mead from five deterministic starts.
 
-An AR(1)-shaped family (`ar1`, or `arma` with one phi and no theta)
-needs no search.  Its unit density is 1 / (2 pi |1 - theta z|^2),
-z = e^{-i lam}.  On the unshifted grid (N >= 4T: no lag wraps around)
+An AR(1) family (`models.ar_polynomial` of length 2: `ar1`, or `arma`
+with one phi and no theta) needs no search.  Its unit density is
+1 / (2 pi |1 - theta z|^2), z = e^{-i lam}.  On the unshifted grid
+(N >= 4T: no lag wraps around)
 sum_j I_j cos(k lam_j) w = g_k / sum h^2, g_k = sum_t y_t y_{t+k} the
 lagged products of y = h x, and the z_j are the N-th roots of unity, so
 sum_j ln|1 - theta z_j|^2 = ln(1 - theta^N)^2 and the profiled criterion is
@@ -67,7 +68,7 @@ import scipy.optimize
 from ._quad import spectral_integral
 from .errors import DomainError, SingularInformationError
 from .functionals import _lagged_products
-from .models import AR1, ARMA, Model
+from .models import Model, ar_polynomial
 from .spectrum import Periodogram, _values_of, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 
@@ -96,7 +97,7 @@ class WhittleFit:
     `info_matrices` on first access and then kept; a singular information
     matrix raises SingularInformationError there, not during the fit.
     `periodogram` is the one the criterion was fitted to, built on first read
-    after a closed-form AR(1) fit (whose h x is `tapered`, else None).
+    after a closed-form AR(1) fit.
     """
 
     theta_hat: np.ndarray
@@ -110,7 +111,6 @@ class WhittleFit:
     T: int
     tapering_factor: float
     kappa4: float = 0.0
-    tapered: np.ndarray | None = field(default=None, repr=False)
     _periodogram: Callable[[], Periodogram] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -242,14 +242,6 @@ def _fisher_scoring(evaluate, step_at, x: float, lo: float, hi: float, tol: floa
     return x, value, state, evals, False
 
 
-def _ar1_shaped(model: Model) -> bool:
-    """Whether the model's unit density is 1 / (2 pi |1 - theta e^{-i lam}|^2)
-    in its one shape parameter: `ar1`, or `arma` with one phi and no theta
-    (a subclass may change the density, so the type is matched exactly)."""
-    return type(model) is AR1 or (type(model) is ARMA and len(model.phi) == 1
-                                   and not model.theta)
-
-
 def _nm_starts(bounds) -> list:
     p = len(bounds)
     lo = np.array([b[0] for b in bounds])
@@ -274,16 +266,19 @@ def whittle_estimate(series, taper: Taper, model: Model,
     `model` doubles as the family template; its free parameters are the
     search space and its scale (when it has one) is profiled out.  A
     family with no free parameter fits its scale alone, at one criterion
-    evaluation, and takes no `bounds` pairs.  An AR(1)-shaped family is
+    evaluation, and takes no `bounds` pairs.  An AR(1) family is
     fitted in closed form, theta_hat = g1 / g0 clipped into its box (see
     the module docstring), when |theta_hat|^{N-1} <= `tol` on the sample's
     grid of N points; otherwise, and for every other one-parameter family,
     by projected Fisher scoring (`_fisher_scoring`) from theta_hat or the
     centre of the box.  More than one shape parameter is fitted by
     Nelder-Mead from five deterministic starts.  `iterations` counts
-    criterion evaluations (1 for a closed form).
+    criterion evaluations (1 for a closed form).  A series holding nan or
+    inf is refused.
     """
     x = _values_of(series)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("series contains nan or inf")
     T = x.shape[0]
     p = len(model.free_names)
     has_scale = model.scale_name is not None
@@ -295,7 +290,7 @@ def whittle_estimate(series, taper: Taper, model: Model,
     start, closed = None, False
     if p == 1:
         lo, hi = float(box[0][0]), float(box[0][1])
-        if _ar1_shaped(model):
+        if len(ar_polynomial(model) or ()) == 2:  # an AR(1): the closed form
             y = taper.values(T) * x
             g = np.append(_lagged_products(y, 1), 0.0)  # g_1 = 0 at T = 1
             if g[0] > 0.0:  # else g_1 / g_0 is undefined (no energy): search from the centre
@@ -359,7 +354,7 @@ def whittle_estimate(series, taper: Taper, model: Model,
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
-        kappa4=kappa4, tapered=y if closed else None,
+        kappa4=kappa4,
         _periodogram=lambda: tapered_periodogram(x, taper) if pgram is None else pgram)
 
 

@@ -39,6 +39,7 @@ from taperspec import gof, spectrum, whittle
 from taperspec.gof import _imhof_sf
 from taperspec.models import (
     AR1,
+    ar_polynomial,
     derive_seed,
     gaussian,
     make_rng,
@@ -67,7 +68,7 @@ def test_cosine_basis_certificate():
     assert basis == TestBasis(4)
     assert _certify(basis) == (("even",) * 4, pytest.approx(0.0, abs=1e-12))
     assert basis.zero == 0 and basis.active == (0, 1, 2, 3)
-    assert basis.m == 4 and basis.m_active == 4 and basis.degree == 4
+    assert basis.m == 4 and basis.m_active == 4 and basis.ar == ()
     with pytest.raises(DomainError, match="m >= 1"):
         cosine_basis(0)
 
@@ -75,10 +76,9 @@ def test_cosine_basis_certificate():
 def test_ar_example_basis_structure():
     basis = ar_example_basis(AR_HALF, 4)
     assert basis.zero == 1 and basis.active == (1, 2, 3)
-    assert basis.m == 4 and basis.m_active == 3 and basis.degree == 4
-    assert basis.score_orthogonal
-    assert [f.name for f in dataclasses.fields(TestBasis)] == [
-        "m", "zero", "ratio", "score_orthogonal"]
+    assert basis.m == 4 and basis.m_active == 3 and basis.ar == (1.0, -0.5)
+    assert [f.name for f in dataclasses.fields(TestBasis)] == ["m", "ar"]
+    assert TestBasis(4, np.array([1.0, -0.5])) == basis  # coefficients as floats
 
 
 def test_ar_example_basis_score_orthogonal():
@@ -89,20 +89,20 @@ def test_ar_example_basis_score_orthogonal():
     nulls += [(parse_model("arma{phi=[0.9,-0.5,0.2],sigma2=2}"), 6)]
     for model, m in nulls:
         basis = ar_example_basis(model, m)
-        assert basis.score_orthogonal
+        assert basis.ar == ar_polynomial(model)
         b = b_matrix(model, basis, TUKEY)
         assert np.max(np.abs(b)) <= 1e-12, (model.describe(), m)
         nu = mixture_weights(gamma_matrix(model), math.sqrt(tapering_factor(TUKEY)) * b)
         assert np.array_equal(nu, np.ones(len(model.fitted_names))), (model.describe(), m)
-    assert not cosine_basis(3).score_orthogonal
+    assert cosine_basis(3).ar == ()
 
 
 def test_ar_example_basis_rejects_bad_shapes():
     with pytest.raises(DomainError):
         ar_example_basis(AR_HALF, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="an AR family model"):
         ar_example_basis(parse_model("arfima0d0{d=0.2}"), 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="a pure AR model"):
         ar_example_basis(parse_model("arma{phi=[0.5],theta=[0.3],sigma2=1.0}"), 4)
 
 
@@ -118,7 +118,6 @@ def test_ar_example_basis_accepted_near_unit_root(theta):
     # orthonormal by construction; the certificate's quadrature must see it
     basis = ar_example_basis(AR1(theta=theta, sigma2=1.0), 4)
     assert _certify(basis) == (("zero",) + ("even",) * 3, pytest.approx(0.0, abs=1e-12))
-    assert basis.degree == 4
 
 
 def _certify(basis, nodes=1 << 16):
@@ -187,10 +186,10 @@ def test_ar_example_on_grid_constants_matches_raw_points(spec, m, shifted):
     model = parse_model(spec)
     grid = canonical_grid(200, shifted)
     basis = ar_example_basis(model, m)
-    want = _ar_example_reference(gof._ar_poly(model), m, grid.points)
+    want = _ar_example_reference(np.array(ar_polynomial(model)), m, grid.points)
     assert np.array_equal(basis.values(grid.points), want)
     # the constants sit on the grid's nodes, [0, pi] when it is unshifted
-    want = _ar_example_reference(gof._ar_poly(model), m, grid.nodes)
+    want = _ar_example_reference(np.array(ar_polynomial(model)), m, grid.nodes)
     assert np.array_equal(basis.values(grid.constants), want)
     assert np.array_equal(basis.values(grid.constants), want)  # read from the table
 
@@ -705,13 +704,22 @@ def test_score_orthogonal_composite_computes_no_information(monkeypatch):
 def test_score_orthogonal_shortcut_matches_the_quadrature_path(data, null, m, seed):
     x = parse_model(data).simulate(gaussian(), 512, seed=derive_seed(808103, seed))
     fast = composite_test(x, TUKEY, parse_model(null), lambda mdl: ar_example_basis(mdl, m))
-    slow = composite_test(x, TUKEY, parse_model(null), lambda mdl: dataclasses.replace(
-        ar_example_basis(mdl, m), score_orthogonal=False))
+    # the general path written out: the fit's periodogram projected on the
+    # grid, and nu from Gamma and b by quadrature
+    fit = whittle_estimate(x, TUKEY, parse_model(null))
+    basis = ar_example_basis(fit.model, m)
+    phi = phi_vector(fit.periodogram, TUKEY, fit.model, basis)
+    b = math.sqrt(tapering_factor(TUKEY)) * b_matrix(fit.model, basis, TUKEY)
+    nu = mixture_weights(gamma_matrix(fit.model), b)
+    unit_dof = basis.m_active - len(nu)
+    p_value, dof = reference_pvalue(float(phi @ phi), unit_dof, nu)
     # an AR(1) fast path projects from lagged products, the slow one on the
     # grid: the same sums up to round-off
-    assert fast.statistic == pytest.approx(slow.statistic, rel=1e-12, abs=0.0)
-    assert fast.p_value == pytest.approx(slow.p_value, rel=1e-12, abs=0.0)
-    assert fast.reject == slow.reject and fast.law == slow.law
+    assert fast.statistic == pytest.approx(float(phi @ phi), rel=1e-12, abs=0.0)
+    assert fast.p_value == pytest.approx(p_value, rel=1e-12, abs=0.0)
+    assert fast.reject == (p_value < 0.05)
+    assert fast.law == {"kind": "chisq", "dof": dof, "unit_dof": unit_dof,
+                        "nu": tuple(float(v) for v in nu)}
     assert fast.law["dof"] == fast.law["unit_dof"] + len(fast.law["nu"])  # chi-square
 
 
@@ -832,6 +840,59 @@ def test_grid_sum_of_an_ar1_slot_is_exact(theta, T):
         assert grid_sum == pytest.approx(exact, rel=1e-12, abs=1e-14), (k, grid_sum, exact)
 
 
+def test_searched_ar1_fits_project_from_lags(monkeypatch):
+    # where |theta_hat|^{N-1} exceeds the search tolerance (small T, theta
+    # near +-1) the AR(1) fit is searched, and its own slots still project
+    # from the series' lagged products: no phi_vector, and the grid's sums
+    # up to round-off
+    calls = []
+    real = gof.phi_vector
+    monkeypatch.setattr(gof, "phi_vector", lambda *a: calls.append(1) or real(*a))
+    null = parse_model("ar1{theta=0.0,sigma2=1.0}")
+    searched = 0
+    for T in (2, 4, 8, 16, 64, 256):
+        for theta in (-0.99, 0.9, 0.99):
+            for name in ("rect", "linear", "tukey"):
+                x = AR1(theta=theta).simulate(gaussian(), T, seed=derive_seed(808111, T))
+                res = composite_test(x, get_taper(name), null,
+                                     lambda mdl: ar_example_basis(mdl, 4))
+                if res.fit.iterations == 1:  # the closed form
+                    continue
+                searched += 1
+                case = (T, theta, name)
+                assert calls == [], case
+                grid_phi = real(res.fit.periodogram, get_taper(name), res.fit.model,
+                                ar_example_basis(res.fit.model, 4))
+                np.testing.assert_allclose(res.phi, grid_phi, rtol=0.0,
+                                           atol=1e-12 * np.abs(grid_phi).max(), err_msg=case)
+    assert searched >= 20
+
+
+def test_the_law_follows_the_basis_not_how_it_was_passed():
+    # b = 0 only for the fitted model's own AR slots (see ar_example_basis):
+    # another theta's slots take the mixture law as a basis and as a callable
+    x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
+    basis = ar_example_basis(AR1(theta=0.3), 4)
+    null = parse_model("ar1{theta=0.0}")
+    passed = composite_test(x, TUKEY, null, basis)
+    built = composite_test(x, TUKEY, null, lambda mdl: basis)
+    assert built.statistic == passed.statistic
+    assert built.law == passed.law and built.p_value == passed.p_value
+    assert passed.law["kind"] == "mixture"
+    assert passed.law["nu"][0] == pytest.approx(0.99545, abs=5e-6)
+    assert passed.p_value == pytest.approx(0.64415, abs=5e-6)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["rect", "tukey"])
+def test_composite_refuses_a_series_holding_nan_or_inf(bad, name):
+    for null, basis in (("ar1{theta=0.0}", lambda mdl: ar_example_basis(mdl, 4)),
+                        ("arfima0d0{d=0.2}", cosine_basis(3))):
+        with pytest.raises(DomainError, match="nan or inf"):
+            composite_test(np.array([bad, 1.0, 2.0]), get_taper(name), parse_model(null),
+                           basis)
+
+
 @pytest.mark.parametrize("m, from_lags", [(192, True), (193, False)])
 def test_composite_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, from_lags):
     # at T = 64 (N = 256) a slot of frequency m reads lags up to m + T - 1,
@@ -844,7 +905,7 @@ def test_composite_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, fr
     x = AR_HALF.simulate(gaussian(), 64, seed=derive_seed(808101, 4))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
                          lambda mdl: ar_example_basis(mdl, m))
-    assert res.fit.tapered is not None
+    assert res.fit.iterations == 1  # the closed form
     assert calls == ([] if from_lags else [1])
     grid_phi = phi_vector(res.fit.periodogram, TUKEY, res.fit.model,
                           ar_example_basis(res.fit.model, m))
@@ -853,14 +914,15 @@ def test_composite_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, fr
 
 
 @pytest.mark.parametrize("other", [
-    lambda mdl: TestBasis(4, zero=1, score_orthogonal=True),  # cosine slots
+    lambda mdl: cosine_basis(4),  # cosine slots
     lambda mdl: ar_example_basis(AR1(theta=0.3), 4),  # another theta's AR slots
 ])
 def test_composite_projects_any_other_score_orthogonal_basis_on_the_grid(other):
     # only the fitted model's own AR slots have the lagged-product sums
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"), other)
-    assert res.fit.tapered is not None
+    assert res.fit.iterations == 1  # the closed form
+    assert res.law["kind"] == "mixture"  # b != 0
     assert np.array_equal(res.phi, phi_vector(tapered_periodogram(x, TUKEY), TUKEY,
                                               res.fit.model, other(res.fit.model)))
 
