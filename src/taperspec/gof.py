@@ -37,18 +37,31 @@ of the slot times the residual r = I/f0 - 1 under the fold weights
 (1, 2, ..., 2, 1) (`FrequencyGrid.fold_weights`).  A fractional null
 (`Model.fractional`) takes the shifted grid, which keeps all N points at
 unit weight and its bits (see `spectrum`); a composite test projects the
-periodogram of its Whittle fit, on the grid of the null's family.  Each
+periodogram its Whittle fit searched (a fresh one after a closed form), on
+the grid of the null's family.  Each
 Phi_j is one complex dot product of the grid's e^{i j lam} table with
 u (I/f0 - 1) (`TestBasis.project`); the slot values themselves
 (`TestBasis.values`) are built only for the population quadratures.
 
-A composite test of an AR(1) fit (see `whittle`), closed-form or searched,
-with its own `ar_example_basis` projects with no periodogram while m <= N - T
-(no lag wraps around the grid): (I/f0) u = 2 pi I abar^2 / s2, so slot j's
-sum is 2 pi sum_t eta_t eps_{t+j} / (s2 sum h^2 sqrt(pi)) with
-eta_t = y_t - theta y_{t+1}, eps_t = y_t - theta y_{t-1} (that is
-g_j - 2 theta g_{j-1} + theta^2 g_{j-2}, y = h x), and the -1 adds the slot's
-exact grid sum 2 pi theta^{N-j} (1 - theta^2) / ((1 - theta^N) sqrt(pi)).
+Under a pure-AR null f0 = s2 / (2 pi |a(z)|^2), z = e^{-i lam}
+(`models.ar_polynomial`), both tests project a cosine basis and f0's own
+`ar_example_basis` with no periodogram.  With y = h x (0 outside 1..T),
+the residuals eps = a(B) y and eta = a(F) y have tapered DFTs d a(z) and
+d conj(a(z)), so I/f0 = |d a(z)|^2 / (s2 sum h^2) is the residuals'
+periodogram over s2, and on the N-th roots of unity
+sum_k |D(lam_k)|^2 e^{i j lam_k} = N sum_t eps_t eps_{t+j}.  A cosine slot
+is therefore a residual autocovariance,
+
+    Phi_j = sqrt(T / e(h)) sum_t eps_t eps_{t+j} / (s2 sum h^2)
+
+(the -1 sums to zero), and an own slot j > p, where u turns |a|^2 into
+a(z)^2, reads sum_t eta_t eps_{t+j} in its place, less the slot's exact
+grid sum / N: sum_{l >= 1} kappa_{l N - j}, kappa_i = e1' a(C) C^i e1 the
+coefficients of u, C the companion matrix of a (theta^{N-j} (1 - theta^2)
+/ (1 - theta^N) for an AR(1)).  This holds while no lag wraps around the
+grid, m + T + p - o <= N, o = p for the own basis and 0 for a cosine one;
+beyond, and for every other null or basis, the tests project the
+periodogram.
 """
 
 from __future__ import annotations
@@ -211,29 +224,60 @@ def phi_vector(pgram: Periodogram, taper: Taper, f0: Model, basis: TestBasis) ->
     return scale * basis.project(grid.constants, resid) * grid.weight
 
 
-def _ar1_phi(series, fit: WhittleFit, taper: Taper, basis: TestBasis) -> np.ndarray | None:
-    """`phi_vector` of `basis`, the fitted model's own AR slots, from the
-    series' lagged products (see the module docstring); None unless the fit
-    is an AR(1) and no lag wraps around the grid."""
-    T, m, n = fit.T, basis.m, canonical_grid(fit.T, False).N
-    if len(basis.ar) != 2 or m > n - T:
+def _alias_sums(a: tuple, n: int, j: np.ndarray) -> np.ndarray:
+    """(1 / n) sum_k Re(e^{i j lam_k} u_k) over the n grid points, for the
+    slots j > p of AR polynomial a's own basis: sum_{l >= 1} kappa_{l n - j},
+    kappa_i being the Fourier coefficient of u at frequency i (see the module
+    docstring)."""
+    if len(a) == 2:  # kappa_i = theta^i (1 - theta^2)
+        theta = -a[1]
+        return theta ** (n - j) * (1.0 - theta * theta) / (1.0 - theta**n)
+    p = len(a) - 1
+    C = np.eye(p, k=-1)  # companion matrix of a: 1 / a(z) = sum_i (C^i)_11 z^i
+    C[0] = np.negative(a[1:])
+
+    def power(k):
+        return np.linalg.matrix_power(C, int(k))
+
+    row = sum(ak * power(k)[0] for k, ak in enumerate(a))  # kappa_i = e1' a(C) C^i e1
+    x = np.linalg.solve(np.eye(p) - power(n), np.eye(p)[0])  # (I - C^n)^{-1} e1
+    return np.array([row @ power(n - k) @ x for k in j])
+
+
+def _lag_phi(x: np.ndarray, taper: Taper, f0: Model, basis: TestBasis) -> np.ndarray | None:
+    """`phi_vector` of a cosine basis or of f0's own AR basis under a pure-AR
+    null f0, from the lagged products of the tapered series' AR residuals
+    (see the module docstring); None for any other null or basis, and where
+    a lag would wrap around the grid."""
+    a = ar_polynomial(f0)
+    if a is None or basis.ar not in ((), a):
         return None
-    theta = float(fit.theta_hat[0])
-    y = taper.values(T) * _values_of(series)  # the fit's h x, bit for bit
-    z = np.concatenate(([0.0], y, np.zeros(m)))
-    eps, eta = z[1:] - theta * z[:-1], z[:-1] - theta * z[1:]  # eps_{i+1}, eta_i at i
-    j = np.arange(2, m + 1)
-    cross = np.array([eta[:eta.size + 1 - k] @ eps[k - 1:] for k in j])
-    slot = theta ** (n - j) * (1.0 - theta * theta) / (1.0 - theta**n)
-    phi = cross / (fit.sigma2_hat * taper.sum_of_powers(2, T)) - slot
-    return np.concatenate(([0.0], math.sqrt(T / tapering_factor(taper)) * phi))
+    T, m, o, p = x.shape[0], basis.m, basis.zero, len(a) - 1
+    n = canonical_grid(T, False).N
+    if m + T + p - o > n:
+        return None
+    z = np.concatenate((np.zeros(p), taper.values(T) * x, np.zeros(m + p - 1)))
+    # eps_{i+1} = (a(B) y)_{i+1} and eta_{i+1-p} = (a(F) y)_{i+1-p} at i, y = h x
+    eps = np.convolve(z, a, "valid")
+    left = np.convolve(z, a[::-1], "valid") if o else eps
+    j = np.arange(o + 1, m + 1)
+    cross = np.array([left[:eps.size - (k - o)] @ eps[k - o:] for k in j])
+    phi = cross / (f0.sigma2 * taper.sum_of_powers(2, T))
+    if o:
+        phi = phi - _alias_sums(a, n, j)
+    return np.concatenate((np.zeros(o), math.sqrt(T / tapering_factor(taper)) * phi))
 
 
 def simple_test(series, taper: Taper, f0: Model, basis: TestBasis,
                 alpha: float = 0.05) -> GofResult:
-    """S = |Phi|^2 against chi^2 with one dof per active slot."""
-    pgram = tapered_periodogram(series, taper, shifted=f0.fractional)
-    phi = phi_vector(pgram, taper, f0, basis)
+    """S = |Phi|^2 against chi^2 with one dof per active slot.  A series
+    holding nan or inf is refused."""
+    x = _values_of(series)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("series contains nan or inf")
+    phi = _lag_phi(x, taper, f0, basis)
+    if phi is None:
+        phi = phi_vector(tapered_periodogram(x, taper, shifted=f0.fractional), taper, f0, basis)
     s = float(np.dot(phi, phi))
     p_value, dof = reference_pvalue(s, basis.m_active)
     return GofResult(statistic=s, p_value=p_value, reject=bool(p_value < alpha),
@@ -378,10 +422,13 @@ def composite_test(series, taper: Taper, model: Model, basis,
     fitted = fit.model
     test_basis = require_surplus(basis(fitted) if callable(basis) else basis, fitted)
     own_basis = test_basis.ar == ar_polynomial(fitted)  # b = 0 (see `ar_example_basis`)
-    phi = _ar1_phi(series, fit, taper, test_basis) if own_basis else None
+    phi = _lag_phi(_values_of(series), taper, fitted, test_basis)
     if phi is None:
         # the fitted model has the null's family, so the fit's grid is the test's
-        phi = phi_vector(fit.periodogram, taper, fitted, test_basis)
+        pgram = fit.periodogram
+        if pgram is None:
+            pgram = tapered_periodogram(series, taper, shifted=fitted.fractional)
+        phi = phi_vector(pgram, taper, fitted, test_basis)
     s = float(np.dot(phi, phi))
     p = len(fitted.fitted_names)
     m_active = test_basis.m_active

@@ -385,28 +385,42 @@ def _spectral_radius(poly: np.ndarray) -> float:
     return float(np.max(1.0 / np.abs(roots)))
 
 
-def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
-    """Whether every root of 1 + c1 z + ... + cp z^p has modulus > 1.
+def _step_down(poly) -> list | None:
+    """Partial autocorrelations r_1..r_p of the AR polynomial
+    1 + c1 z + ... + cp z^p (c = -phi), or None unless every root has modulus > 1.
 
-    Schur-Cohn step-down recursion, without root finding: the property
-    holds iff the reflection coefficient k = c_p has |k| < 1 and the
-    polynomial with coefficients (c_i - k c_{p-i}) / (1 - k^2),
-    i = 1..p-1, has it as well.  Non-finite coefficients fail.
+    Schur-Cohn step-down recursion, without root finding: r_p = -c_p, and
+    the roots lie outside the unit circle iff |r_p| < 1 and the polynomial
+    with coefficients (c_i + r_p c_{p-i}) / (1 - r_p^2), i = 1..p-1, has them
+    there as well (Barndorff-Nielsen & Schou 1973).  Non-finite coefficients
+    fail.  `_step_up` is the inverse.
     """
     c = [float(v) for v in poly[1:]]
+    r = []
     while c:
         k = c[-1]
         if not abs(k) < 1.0:
-            return False
+            return None
+        r.append(-k)
         c = [(c[i] - k * c[-2 - i]) / (1.0 - k * k) for i in range(len(c) - 1)]
-    return True
+    return r[::-1]
+
+
+def _step_up(r, phi: tuple = ()) -> tuple:
+    """phi_1..phi_p of the AR(p) with partial autocorrelations r_1..r_p, by
+    the Levinson recursion phi_j <- phi_j - r_k phi_{k-j}, phi_k = r_k; from
+    `phi` of order k - 1 it adds the orders k, k + 1, ....  Every point of
+    (-1, 1)^p is a stationary AR(p), and r_1 alone is phi_1 itself."""
+    for k in r:
+        phi = tuple(c - k * d for c, d in zip(phi, reversed(phi))) + (k,)
+    return phi
 
 
 def _check_arma(phi: tuple, theta: tuple):
     a, b = [1.0] + [-v for v in phi], [1.0, *theta]
-    if not _roots_outside_unit_circle(a):
+    if _step_down(a) is None:
         raise DomainError("autoregressive polynomial has a root on or inside the unit circle")
-    if not _roots_outside_unit_circle(b):
+    if _step_down(b) is None:
         raise DomainError("moving-average polynomial is not invertible")
     return np.array(a), np.array(b)
 

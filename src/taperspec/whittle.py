@@ -16,25 +16,35 @@ numeric search runs over shape parameters only: one by projected Fisher
 scoring, with the gradient and expected Hessian of the profiled criterion
 in closed form from `model.score` (the periodogram is fixed during a
 search, so the criterion is as smooth as the density), more by
-Nelder-Mead from five deterministic starts.
+Nelder-Mead from five deterministic starts (for a pure AR from r_hat
+alone, or from r_hat too where an earlier r_hat_k was clipped, below).
 
-An AR(1) family (`models.ar_polynomial` of length 2: `ar1`, or `arma`
-with one phi and no theta) needs no search.  Its unit density is
-1 / (2 pi |1 - theta z|^2), z = e^{-i lam}.  On the unshifted grid
-(N >= 4T: no lag wraps around)
-sum_j I_j cos(k lam_j) w = g_k / sum h^2, g_k = sum_t y_t y_{t+k} the
-lagged products of y = h x, and the z_j are the N-th roots of unity, so
-sum_j ln|1 - theta z_j|^2 = ln(1 - theta^N)^2 and the profiled criterion is
+A pure AR(p) family (`models.ar_polynomial`: `ar1`, or `arma` with phi
+and no theta) needs no search.  Its unit density is 1 / (2 pi |a(z)|^2),
+a(z) = 1 - phi_1 z - ... - phi_p z^p = prod_i (1 - rho_i z), z = e^{-i lam}.
+On the unshifted grid (N >= 4T and p <= N - T: no lag wraps around),
+I_j |a(z_j)|^2 is the periodogram of the residuals eps = a(B) y of
+y = h x (y = 0 outside 1..T), so sum_j I_j |a(z_j)|^2 w = sum_t eps_t^2 / sum h^2
+= a' G a / sum h^2, G the Toeplitz matrix of the lagged products
+g_k = sum_t y_t y_{t+k}.  The z_j are the N-th roots of unity, so
+sum_j ln|a(z_j)|^2 = 2 sum_i ln|1 - rho_i^N|, and the profiled criterion is
 
-    (1/2) [ln(s2 / 2 pi) + 1 - (2/N) ln|1 - theta^N|],
-    s2 = (g0 (1 + theta^2) - 2 theta g1) / sum h^2 = sum_t (y_t - theta y_{t-1})^2 / sum h^2
+    (1/2) [ln(s2 / 2 pi) + 1 - (2/N) sum_i ln|1 - rho_i^N|],
+    s2 = sum_{t=1}^{T+p} eps_t^2 / sum h^2.
 
-(y = 0 outside 1..T; the last sum does not cancel).  The first term is
-minimized by the Yule-Walker estimate g1 / g0 (Brockwell & Davis 1991,
-section 10.8), the second moves the minimizer by about |theta|^{N-1}.  So
-where |theta_hat|^{N-1} is at most the search tolerance, theta_hat =
-g1 / g0 clipped into the box is the fit, with no density or periodogram;
-elsewhere (small T, theta near +-1) the scoring search starts there.
+The first term is minimized by the Yule-Walker estimate, which
+Durbin-Levinson recursion on g_0..g_p gives with its partial
+autocorrelations r_1..r_p (Brockwell & Davis 1991, sections 5.2 and 8.2;
+Dahlhaus 1988 for the tapered estimate); the second moves the minimizer by
+about max|rho|^{N-1}.  The fit is searched in r, whose cube
+(-1, 1)^p is the stationary region (`models._step_up` maps it onto phi;
+Barndorff-Nielsen & Schou 1973): the box is (-0.99, 0.99)^p there.  So
+where max|rho_hat|^{N-1} is at most the search tolerance and no r_hat_k
+with k < p lies outside the box, r_hat clipped into the box is the fit,
+with no density or periodogram (clipping r_p alone keeps the residual sum
+minimal over the box, see `_yule_walker`); elsewhere (small T, a root near
+the circle, an earlier r_hat_k clipped) the search starts there.  For
+p = 1, r_1 = g_1 / g_0 and rho_1 = phi_1: no root is sought.
 
 Only what depends on the candidate is computed per criterion evaluation.
 The frequency constants the densities read (cos lam, e^{-i lam},
@@ -60,7 +70,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.optimize
@@ -68,7 +77,7 @@ import scipy.optimize
 from ._quad import spectral_integral
 from .errors import DomainError, SingularInformationError
 from .functionals import _lagged_products
-from .models import Model, ar_polynomial
+from .models import Model, _step_up, ar_polynomial
 from .spectrum import Periodogram, _values_of, canonical_grid, tapered_periodogram
 from .taper import Taper, tapering_factor
 
@@ -96,8 +105,8 @@ class WhittleFit:
     `asym_cov` (e(h) Gamma at the fitted point) and `se` are computed by
     `info_matrices` on first access and then kept; a singular information
     matrix raises SingularInformationError there, not during the fit.
-    `periodogram` is the one the criterion was fitted to, built on first read
-    after a closed-form AR(1) fit.
+    `periodogram` is the one the criterion was fitted to, None after a
+    closed-form fit.
     """
 
     theta_hat: np.ndarray
@@ -111,17 +120,10 @@ class WhittleFit:
     T: int
     tapering_factor: float
     kappa4: float = 0.0
-    _periodogram: Callable[[], Periodogram] | None = field(default=None, repr=False)
+    periodogram: Periodogram | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
-
-    @functools.cached_property
-    def periodogram(self) -> Periodogram:
-        return self._periodogram()
-
-    def __getstate__(self):  # the builder is a closure, which does not pickle: build it
-        return {**self.__dict__, "periodogram": self.periodogram, "_periodogram": None}
 
     @functools.cached_property
     def asym_cov(self) -> np.ndarray:
@@ -258,6 +260,56 @@ def _nm_starts(bounds) -> list:
     return starts
 
 
+def _search_box(model: Model, bounds, pure_ar: bool) -> list:
+    """`bounds`, or the default box, checked pair by pair: finite with lo < hi,
+    and inside (-1, 1) for the partial autocorrelations of a pure AR."""
+    if bounds is None:
+        return default_bounds(model)
+    box = [tuple(map(float, b)) for b in bounds]
+    if len(box) != len(model.free_names):
+        raise DomainError(f"need {len(model.free_names)} bounds pairs, got {len(box)}")
+    inf = 1.0 if pure_ar else math.inf
+    for name, (lo, hi) in zip(model.free_names, box):
+        if not -inf < lo < hi < inf:  # a nan fails too
+            raise DomainError(f"bounds pair for {name!r} must have {-inf} < lo < hi < {inf}, "
+                              f"got ({lo}, {hi})")
+    return box
+
+
+def _yule_walker(g, box) -> tuple:
+    """Durbin-Levinson on g_0..g_p (g_0 > 0): the partial autocorrelations
+    r_1..r_p of the Yule-Walker fit, r_1 = g_1 / g_0, each clipped into its
+    pair, and whether they minimize the residual sum over the box.  They do
+    unless some r_k with k < p was clipped.  For any fixed r_p the sum is a
+    convex quadratic in the order-(p-1) coefficients (eps = e_f - r_p e_b,
+    both residuals linear in them), stationary at their Yule-Walker values,
+    so clipping r_p alone keeps a minimizer; but r_{k+1}..r_p were fitted to
+    the unclipped r_k."""
+    r, phi, v = [], (), g[0]
+    for k in range(1, len(g)):
+        rk = g[k]
+        for i, c in enumerate(phi):
+            rk -= c * g[k - 1 - i]
+        rk /= v
+        v *= 1.0 - rk * rk
+        phi = _step_up((rk,), phi)
+        r.append(rk)
+    clipped = [min(max(rk, lo), hi) for rk, (lo, hi) in zip(r, box)]
+    return clipped, clipped[:-1] == r[:-1]
+
+
+def _residual_sum(y: np.ndarray, a) -> float:
+    """sum_t (a(B) y)_t^2 over t = 1..T + p, y = 0 outside 1..T: the terms
+    t = p + 1..T first, then those that reach past an end of y."""
+    p, T = len(a) - 1, y.shape[0]
+    eps = np.convolve(y, a)
+    inner = eps[p:T]
+    ss = float(inner @ inner)
+    for e in eps[:p].tolist() + eps[max(p, T):].tolist():
+        ss += e * e
+    return ss
+
+
 def whittle_estimate(series, taper: Taper, model: Model,
                      kappa4: float = 0.0, bounds=None, tol: float = 1e-7,
                      max_evals: int = 2000) -> WhittleFit:
@@ -266,15 +318,17 @@ def whittle_estimate(series, taper: Taper, model: Model,
     `model` doubles as the family template; its free parameters are the
     search space and its scale (when it has one) is profiled out.  A
     family with no free parameter fits its scale alone, at one criterion
-    evaluation, and takes no `bounds` pairs.  An AR(1) family is
-    fitted in closed form, theta_hat = g1 / g0 clipped into its box (see
-    the module docstring), when |theta_hat|^{N-1} <= `tol` on the sample's
-    grid of N points; otherwise, and for every other one-parameter family,
-    by projected Fisher scoring (`_fisher_scoring`) from theta_hat or the
-    centre of the box.  More than one shape parameter is fitted by
-    Nelder-Mead from five deterministic starts.  `iterations` counts
-    criterion evaluations (1 for a closed form).  A series holding nan or
-    inf is refused.
+    evaluation, and takes no `bounds` pairs.  A pure AR(p)
+    (`models.ar_polynomial`) is fitted in its partial autocorrelations r,
+    whose box must lie inside (-1, 1): r_hat clipped into it where
+    max|rho_hat|^{N-1} <= `tol` on the sample's grid of N points and no
+    r_hat_k with k < p was clipped (see the module docstring), else a
+    search from there.  One parameter is searched
+    by projected Fisher scoring (`_fisher_scoring`), from r_hat or the
+    centre of the box; more by Nelder-Mead, from r_hat alone unless an
+    earlier r_hat_k was clipped, else from it and five deterministic starts.  `iterations` counts criterion evaluations (1 for
+    a closed form).  A series holding nan or inf is refused, and so is a
+    bounds pair that is not finite with lo < hi.
     """
     x = _values_of(series)
     if not np.all(np.isfinite(x)):
@@ -284,29 +338,32 @@ def whittle_estimate(series, taper: Taper, model: Model,
     has_scale = model.scale_name is not None
     if not (p or has_scale):
         raise DomainError("model has no free parameters to fit")
-    box = list(bounds) if bounds is not None else default_bounds(model)
-    if len(box) != p:
-        raise DomainError(f"need {p} bounds pairs, got {len(box)}")
-    start, closed = None, False
-    if p == 1:
-        lo, hi = float(box[0][0]), float(box[0][1])
-        if len(ar_polynomial(model) or ()) == 2:  # an AR(1): the closed form
-            y = taper.values(T) * x
-            g = np.append(_lagged_products(y, 1), 0.0)  # g_1 = 0 at T = 1
-            if g[0] > 0.0:  # else g_1 / g_0 is undefined (no energy): search from the centre
-                start, n = float(min(max(g[1] / g[0], lo), hi)), canonical_grid(T, False).N
-                closed = abs(start) ** (n - 1) <= tol
+    pure_ar = p > 0 and ar_polynomial(model) is not None
+    box = _search_box(model, bounds, pure_ar)
+    start, minimizes, closed = None, False, False
+    if pure_ar:
+        y = taper.values(T) * x
+        g = _lagged_products(y, p).tolist()
+        g += [0.0] * (p + 1 - len(g))  # g_k = 0 for k >= T
+        if g[0] > 0.0:  # else r_hat is undefined (no energy): search from the centre
+            start, minimizes = _yule_walker(g, box)
+            n = canonical_grid(T, False).N
+            if minimizes and p <= n - T:
+                a = (1.0, *[-c for c in _step_up(start)])
+                rho = start if p == 1 else np.roots(a).tolist()  # a = prod_i (1 - rho_i z)
+                closed = max(map(abs, rho)) ** (n - 1) <= tol
     # a fractional family's box reaches long-memory points wherever it starts
     pgram = None if closed else tapered_periodogram(x, taper, shifted=model.fractional)
     # candidates are built at unit scale, so each is built once
     template = model.with_params(**{model.scale_name: 1.0}) if has_scale else model
+    free_of = _step_up if pure_ar else np.asarray  # search coordinates -> free parameters
 
     def shape_objective(vec) -> tuple:
         """(value, (s2, f1, candidate)): the candidate's density f1 on the
         grid's nodes, at unit scale when the family has a scale, and the
         scale s2 that minimizes the criterion (1 for a family without one)."""
         try:
-            cand = template.with_free(vec)
+            cand = template.with_free(free_of(vec))
             f1 = _grid_density(cand, pgram.grid)
             s2, val = _profile_scale(pgram, f1) if has_scale else (1.0, _criterion(pgram, f1))
             return val, (s2, f1, cand)
@@ -314,30 +371,34 @@ def whittle_estimate(series, taper: Taper, model: Model,
             return math.inf, (None, None, None)
 
     if closed:  # the module docstring's closed form; g0 > 0, so sum h^2 > 0 too
-        resid = y[1:] - start * y[:-1]  # y_t - theta y_{t-1} for t = 2..T; t = 1, T + 1 below
-        ss = float(resid @ resid) + y[0] ** 2 + (start * y[-1]) ** 2
-        s2 = max(ss / taper.sum_of_powers(2, T), _F_FLOOR)
-        value = 0.5 * (math.log(s2 / (2.0 * math.pi)) + 1.0 - 2.0 * math.log1p(-start**n) / n)
-        best_vec, iterations, converged = np.array([start]), 1, True
+        s2 = max(_residual_sum(y, a) / taper.sum_of_powers(2, T), _F_FLOOR)
+        log_circle = (math.log1p(-start[0] ** n) if p == 1  # sum_i ln|1 - rho_i^N|
+                      else sum(math.log(abs(1.0 - v**n)) for v in rho))
+        value = 0.5 * (math.log(s2 / (2.0 * math.pi)) + 1.0 - 2.0 * log_circle / n)
+        best_vec, iterations, converged = start, 1, True
     elif p == 0:  # the scale alone
         best_vec, iterations, converged = np.empty(0), 1, True
         value, (s2, _, _) = shape_objective(best_vec)
     elif p == 1:
+        lo, hi = box[0]
         xopt, value, (s2, _, _), iterations, converged = _fisher_scoring(
             lambda t: shape_objective([t]),
             lambda state: _scoring_step(pgram, *state),
-            lo + 0.5 * (hi - lo) if start is None else start,
+            lo + 0.5 * (hi - lo) if start is None else start[0],
             lo, hi, tol, max_evals)
         best_vec = np.array([xopt])
     else:
-        per_start = max(200, max_evals // 5)
+        # r_hat is near the minimizer unless an earlier r_hat_k was clipped
+        starts = (([] if start is None else [np.array(start)])
+                  + ([] if minimizes else _nm_starts(box)))
+        per_start = max(200, max_evals // len(starts))
         # Nelder-Mead subtracts criterion values (inf - inf is nan), so an
         # infeasible candidate scores the finite penalty; min() maps nan there too
         results = [scipy.optimize.minimize(
-            lambda v: min(_NM_PENALTY, shape_objective(v)[0]), start,
+            lambda v: min(_NM_PENALTY, shape_objective(v)[0]), x0,
             method="Nelder-Mead", bounds=box,
             options={"xatol": tol, "fatol": 1e-12, "maxfev": per_start})
-            for start in _nm_starts(box)]
+            for x0 in starts]
         best = min(results, key=lambda r: r.fun)
         best_vec = np.asarray(best.x, dtype=float)
         iterations = sum(r.nfev for r in results)
@@ -345,17 +406,17 @@ def whittle_estimate(series, taper: Taper, model: Model,
         value, (s2, _, _) = shape_objective(best_vec)
     if not math.isfinite(value):
         raise DomainError("objective not finite at the reported minimum")
-    fitted = model.with_free(best_vec)
+    theta_hat = np.array(free_of(best_vec), dtype=float)
+    fitted = model.with_free(theta_hat)
     if has_scale:
         fitted = fitted.with_params(**{model.scale_name: s2})
     return WhittleFit(
-        theta_hat=best_vec if p else np.array([s2]), names=model.fitted_names,
+        theta_hat=theta_hat if p else np.array([s2]), names=model.fitted_names,
         objective_value=float(value),
         iterations=int(iterations), converged=bool(converged), model=fitted,
         sigma2_hat=float(s2) if has_scale else None,
         taper_id=taper.id, T=T, tapering_factor=tapering_factor(taper),
-        kappa4=kappa4,
-        _periodogram=lambda: tapered_periodogram(x, taper) if pgram is None else pgram)
+        kappa4=kappa4, periodogram=pgram)
 
 
 def info_matrices(model: Model, kappa4: float = 0.0) -> InfoMatrices:

@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from taperspec import gof, spectrum, whittle
 from taperspec.gof import _imhof_sf
 from taperspec.models import (
     AR1,
+    ARMA,
     ar_polynomial,
     derive_seed,
     gaussian,
@@ -341,15 +343,18 @@ def test_phi_density_guard():
 # ----------------------------------------------------------- simple test
 
 def test_simple_test_matched_is_zero(monkeypatch):
-    # the sample's periodogram is the null density itself
-    pg = _synthetic_pgram(AR_HALF, 512)
+    # the sample's periodogram is the null density itself; the null is an
+    # AR(1) written with a zero MA term, so it is not a pure AR and the test
+    # projects the periodogram
+    null = parse_model("arma{phi=[0.5],theta=[0.0],sigma2=1.0}")
+    pg = _synthetic_pgram(null, 512)
 
     def periodogram(series, taper, shifted):
-        assert not shifted  # AR(1) is not fractional
+        assert not shifted  # an ARMA is not fractional
         return pg
 
     monkeypatch.setattr(gof, "tapered_periodogram", periodogram)
-    res = simple_test(np.zeros(512), TUKEY, AR_HALF, cosine_basis(3))
+    res = simple_test(np.zeros(512), TUKEY, null, cosine_basis(3))
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert not res.reject
@@ -708,12 +713,12 @@ def test_score_orthogonal_shortcut_matches_the_quadrature_path(data, null, m, se
     # grid, and nu from Gamma and b by quadrature
     fit = whittle_estimate(x, TUKEY, parse_model(null))
     basis = ar_example_basis(fit.model, m)
-    phi = phi_vector(fit.periodogram, TUKEY, fit.model, basis)
+    phi = phi_vector(tapered_periodogram(x, TUKEY), TUKEY, fit.model, basis)
     b = math.sqrt(tapering_factor(TUKEY)) * b_matrix(fit.model, basis, TUKEY)
     nu = mixture_weights(gamma_matrix(fit.model), b)
     unit_dof = basis.m_active - len(nu)
     p_value, dof = reference_pvalue(float(phi @ phi), unit_dof, nu)
-    # an AR(1) fast path projects from lagged products, the slow one on the
+    # the fast path projects from lagged products, the slow one on the
     # grid: the same sums up to round-off
     assert fast.statistic == pytest.approx(float(phi @ phi), rel=1e-12, abs=0.0)
     assert fast.p_value == pytest.approx(p_value, rel=1e-12, abs=0.0)
@@ -862,7 +867,7 @@ def test_searched_ar1_fits_project_from_lags(monkeypatch):
                 case = (T, theta, name)
                 assert calls == [], case
                 grid_phi = real(res.fit.periodogram, get_taper(name), res.fit.model,
-                                ar_example_basis(res.fit.model, 4))
+                                ar_example_basis(res.fit.model, 4))  # a searched fit keeps it
                 np.testing.assert_allclose(res.phi, grid_phi, rtol=0.0,
                                            atol=1e-12 * np.abs(grid_phi).max(), err_msg=case)
     assert searched >= 20
@@ -900,25 +905,28 @@ def test_composite_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, fr
     # projects the periodogram instead
     calls = []
     real = spectrum.tapered_periodogram
-    monkeypatch.setattr(whittle, "tapered_periodogram",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    spy = lambda *a, **k: calls.append(1) or real(*a, **k)
+    for module in (whittle, gof):
+        monkeypatch.setattr(module, "tapered_periodogram", spy)
     x = AR_HALF.simulate(gaussian(), 64, seed=derive_seed(808101, 4))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
                          lambda mdl: ar_example_basis(mdl, m))
     assert res.fit.iterations == 1  # the closed form
     assert calls == ([] if from_lags else [1])
-    grid_phi = phi_vector(res.fit.periodogram, TUKEY, res.fit.model,
+    grid_phi = phi_vector(real(x, TUKEY), TUKEY, res.fit.model,
                           ar_example_basis(res.fit.model, m))
     np.testing.assert_allclose(res.phi, grid_phi, rtol=0.0,
                                atol=1e-12 * np.abs(grid_phi).max())
 
 
 @pytest.mark.parametrize("other", [
-    lambda mdl: cosine_basis(4),  # cosine slots
+    lambda mdl: ar_example_basis(ARMA(phi=(0.3, 0.1)), 4),  # another polynomial's AR slots
     lambda mdl: ar_example_basis(AR1(theta=0.3), 4),  # another theta's AR slots
 ])
 def test_composite_projects_any_other_score_orthogonal_basis_on_the_grid(other):
-    # only the fitted model's own AR slots have the lagged-product sums
+    # of the AR bases, only the fitted model's own slots have the
+    # lagged-product sums (cosine slots have them too: see
+    # test_lag_domain_projections_are_the_grid_projections)
     x = AR_HALF.simulate(gaussian(), 512, seed=derive_seed(808101, 5))
     res = composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"), other)
     assert res.fit.iterations == 1  # the closed form
@@ -984,3 +992,86 @@ def test_composite_needs_surplus_slots():
     with pytest.raises(DomainError, match="slots"):
         composite_test(x, TUKEY, parse_model("ar1{theta=0.0,sigma2=1.0}"),
                        cosine_basis(1))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["rect", "tukey"])
+def test_simple_test_refuses_a_series_holding_nan_or_inf(bad, name):
+    # refused by name on both paths (the lag domain's AR null and the grid's
+    # fractional one), with no warning on the way and no silent non-rejection
+    x = AR_HALF.simulate(gaussian(), 64, seed=derive_seed(808113, 0)).values.copy()
+    x[17] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for null in (AR_HALF, parse_model("arfima0d0{d=0.2}")):
+            with pytest.raises(DomainError, match="series contains nan or inf"):
+                simple_test(x, get_taper(name), null, cosine_basis(3))
+
+
+# ------------------------------------------------- lag-domain projections
+
+_PW_AR4 = ARMA(phi=(2.7607, -3.8106, 2.6535, -0.9238))
+_LAG_DOMAIN_NULLS = {  # data, and the family a composite test fits to it
+    1: (AR1(theta=0.9), AR1(theta=0.0)),
+    2: (ARMA(phi=(1.8, -0.95)), ARMA(phi=(0.0, 0.0))),
+    4: (_PW_AR4, ARMA(phi=(0.0,) * 4)),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_LAG_DOMAIN_NULLS))
+@pytest.mark.parametrize("name", ["rect", "linear", "tukey"])
+def test_lag_domain_projections_are_the_grid_projections(p, name):
+    # Under a pure-AR null f0 = s2 / (2 pi |a|^2), I/f0 = |d a|^2 / (s2 sum h^2)
+    # is 2 pi / s2 times the periodogram of the residuals eps = a(B) y,
+    # y = h x.  So a cosine slot sums their lagged products, and an own slot those of
+    # eta = a(F) y with eps, less its exact grid sum.  Both tests take these
+    # projections, after a closed-form fit (T = 512) or a searched one
+    # (T = 4 and 8), and each equals phi_vector on a fresh periodogram.
+    truth, family = _LAG_DOMAIN_NULLS[p]
+    taper = get_taper(name)
+    fits = set()
+    for T in (4, 8, 512):
+        x = truth.simulate(gaussian(), T, seed=derive_seed(808117, T)).values
+        pgram = tapered_periodogram(x, taper)
+        for make in (lambda mdl: cosine_basis(p + 3), lambda mdl: ar_example_basis(mdl, 2 * p + 2)):
+            res = composite_test(x, taper, family, make)
+            fits.add(res.fit.iterations == 1)
+            simple = simple_test(x, taper, truth, make(truth))
+            for got, f0 in ((res.phi, res.fit.model), (simple.phi, truth)):
+                grid_phi = phi_vector(pgram, taper, f0, make(f0))
+                np.testing.assert_allclose(got, grid_phi, rtol=0.0,
+                                           atol=1e-12 * np.abs(grid_phi).max(),
+                                           err_msg=str((T, f0)))
+    assert fits == {True, False}  # closed-form and searched fits both ran
+
+
+@pytest.mark.parametrize("p", sorted(_LAG_DOMAIN_NULLS))
+def test_neither_test_builds_a_periodogram_under_an_ar_null(monkeypatch, p):
+    calls = []
+    real = spectrum.tapered_periodogram
+    spy = lambda *a, **k: calls.append(1) or real(*a, **k)
+    for module in (spectrum, whittle, gof):
+        monkeypatch.setattr(module, "tapered_periodogram", spy)
+    truth, family = _LAG_DOMAIN_NULLS[p]
+    x = truth.simulate(gaussian(), 512, seed=derive_seed(808119, p))
+    for make in (lambda mdl: cosine_basis(p + 3), lambda mdl: ar_example_basis(mdl, 2 * p + 2)):
+        assert composite_test(x, TUKEY, family, make).fit.iterations == 1
+        simple_test(x, TUKEY, truth, make(truth))
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, from_lags", [(190, True), (191, False)])
+def test_simple_test_projects_on_the_grid_where_lags_would_wrap(monkeypatch, m, from_lags):
+    # at T = 64 (N = 256) under an AR(2) null, cosine slot j reads residual
+    # lags up to j + T + 1, which wrap around the grid from j = N - T - 1 on
+    calls = []
+    real = spectrum.tapered_periodogram
+    monkeypatch.setattr(gof, "tapered_periodogram",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    null = ARMA(phi=(0.5, -0.2))
+    x = null.simulate(gaussian(), 64, seed=derive_seed(808121, 0))
+    res = simple_test(x, TUKEY, null, cosine_basis(m))
+    assert calls == ([] if from_lags else [1])
+    grid_phi = phi_vector(real(x, TUKEY), TUKEY, null, cosine_basis(m))
+    np.testing.assert_allclose(res.phi, grid_phi, rtol=0.0,
+                               atol=1e-12 * np.abs(grid_phi).max())

@@ -448,11 +448,11 @@ _PINNED_CSV_SHA256 = {
     "gs": (["gof", "--mode", "simple", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "40", "--seed", "29", "--check"],
-           "daf7141685021235eaf8f8f10e0603d8c5821f3da8a8974b2039290f1564acad"),
+           "3d7760c6cc98088c18004a9424e1cf4d463c6c434de564837ec315e42726a735"),
     "gm": (["gof", "--mode", "composite", "--basis", "cosine:3",
             "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",
             "--T", "128", "--reps", "3", "--seed", "31", "--check"],
-           "bdcc47d851d27ffea296e2d27397e90879a88312464c65eb11d7cc8c1f98d4b3"),
+           "035e117617e6500db648dc8f48b57bc5673a7d94b8f83af9068aed8dfca79ef3"),
     "tr": (["trace-experiment", "--pair", "ar1xcos", "--taper", "tukey",
             "--T", "64,128,256,512", "--check"],
            "5edaf5b5c1cf86528a3661f3eac8e7b5f119d65f9c7c7080dd267dc228db1eca"),
@@ -504,7 +504,11 @@ _PINNED_CSV_SHA256 = {
 # fit: mean_statistic and the p-value list moved at round-off (gc's JSON did
 # not move).  gc and gm re-recorded with their CSVs when that fit, and gc's
 # projections, came from lagged products: mean_statistic and gm's KS
-# statistic and p-value moved at round-off.
+# statistic and p-value moved at round-off.  gs's CSV and gm's CSV and JSON
+# re-recorded when the cosine projections under an AR null came from the
+# lagged products of its residuals: gs's statistics and p-values, and gm's
+# with its mean_statistic, KS statistic, KS p-value and the KS check detail,
+# moved at round-off (gs's JSON did not move).
 _PINNED_JSON_SHA256 = {
     "gc": "2cb9f9b4d1928cc9ea2981f2a6c1008bebc6c9f9bfa6ec646beac7c26171d288",
     "lm": "8bf39a028677feed270ed9fa8a8291f679d1c02ef445cd96bf7ed30bfc8127c1",
@@ -514,7 +518,7 @@ _PINNED_JSON_SHA256 = {
     "pg": "88602510de61df9233fe13552155695361907250845fbd73a5fe1d6f8c1756c1",
     "fn": "14f2687fc606c06aad03e01befe288dc77c303301e67b51293a30bc4aa8783bb",
     "gs": "636b994ffa4676f973521c76b0d5eb086423ecf1a159f4f51f35a0469cefc6df",
-    "gm": "baecfe39991defc321a8434a0317a856016d0c7fd4fdf008fdfdb6e78843a99d",
+    "gm": "ee49e0814fd84df14b8e829627a0e8c1be6f9971dbcb7a3fb0edd7654322f465",
     "tr": "5c3cd76a8cca1e7ac6079201b075f6c3b845817dce46b6229d07b635180a436a",
     "fj": "d0fc7937b093a972a4f53bbb1249294f5374dab795d7fbab5aa89ccbb108796c",
     "rb": "f9677018c267b7f092d0430f25c95667f73a90014c5988a4d7d07a7611391fce",
@@ -1346,3 +1350,56 @@ def test_check_failure_exits_two(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL final_delta_max" in out
     assert "CHECKS FAILED" in out
+
+
+# The first 12 replications of the gof_size and gof_power presets (simple
+# test, AR(1) null, cosine:3, tukey, T = 1024) as (statistic, p_value,
+# reject) when their projections ran on the periodogram's grid.  They now
+# come from the lagged products of the null's residuals: the same sums in
+# another order, so each may move at round-off (1e-12 relative) and no
+# decision may flip.
+_SIMPLE_PRESETS_ON_THE_GRID = {
+    "gof_size": (
+        (3.855762432734222, 0.2774663097949285, 0),
+        (1.187588107756017, 0.7559827095996107, 0),
+        (1.8939112721015239, 0.5947150037393942, 0),
+        (1.4083493434610552, 0.7035787710176475, 0),
+        (4.305735586635549, 0.23028665664212447, 0),
+        (1.881948621048671, 0.5972663619574914, 0),
+        (4.524668791281888, 0.2101004139624312, 0),
+        (2.3145397856958163, 0.5097411941756955, 0),
+        (1.8136057596192052, 0.6119786552721256, 0),
+        (8.889061034668291, 0.03080282932966803, 1),
+        (2.8567106087828447, 0.4142492244611161, 0),
+        (1.350420409672421, 0.7171964753142646, 0),
+    ),
+    "gof_power": (
+        (120.5146961511417, 5.978416260159803e-26, 1),
+        (94.66838286074538, 2.175611578128706e-20, 1),
+        (57.89171028239918, 1.6578283682358245e-12, 1),
+        (104.8161874992769, 1.4311790883696972e-22, 1),
+        (108.27287117899613, 2.5822697450088203e-23, 1),
+        (39.449275582918, 1.3940429624467851e-08, 1),
+        (44.69213241135447, 1.0757042236845994e-09, 1),
+        (57.90809432151058, 1.6445278950141322e-12, 1),
+        (66.12770960510605, 2.878105751172905e-14, 1),
+        (47.047637054533794, 3.3954517358257504e-10, 1),
+        (81.68121862953636, 1.3377423643387419e-17, 1),
+        (40.58280203976924, 8.016760307644029e-09, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SIMPLE_PRESETS_ON_THE_GRID))
+def test_simple_gof_presets_move_at_round_off_from_the_grid(tmp_path, monkeypatch, preset):
+    monkeypatch.chdir(tmp_path)
+    want = _SIMPLE_PRESETS_ON_THE_GRID[preset]
+    assert main(["run", "--config", str(REPO / "acceptance" / f"{preset}.ini"),
+                 "--reps", str(len(want)), "--out", preset]) == 0
+    with open(tmp_path / f"{preset}.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(want)
+    for row, (statistic, p_value, reject) in zip(rows, want):
+        assert float(row["statistic"]) == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert float(row["p_value"]) == pytest.approx(p_value, rel=1e-12, abs=0.0)
+        assert row["reject"] == str(reject)

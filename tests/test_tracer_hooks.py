@@ -107,12 +107,14 @@ def test_traced_composite_gof_writes_the_untraced_bytes(tracing, tmp_path, monke
 
 def test_traced_cosine_composite_counts_its_population_quadratures(tracing, tmp_path,
                                                                    monkeypatch):
-    # the cosine basis projects on the grid: each replication builds the
-    # fit's periodogram when the projection first reads it
+    # the cosine basis is not score-orthogonal: each replication computes b
+    # and Gamma by quadrature, but under the AR(1) null its projections come
+    # from lagged products, so none builds a periodogram or projects one
     counts = _traced_composite(tracing, tmp_path, monkeypatch, "cosine:3")
-    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices",
-                 "gof.phi_vector", "spectrum.tapered_periodogram"):
+    for name in ("gof.b_matrix", "gof.gamma_matrix", "whittle.info_matrices"):
         assert counts[name] == 2, name
+    for name in ("gof.phi_vector", "spectrum.tapered_periodogram"):
+        assert counts[name] == 0, name
 
 
 _FUNCTIONAL = ["estimate-functional", "--model", "ar1{theta=0.5,sigma2=1}", "--taper", "tukey",

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import sys
 import warnings
 
@@ -17,6 +18,7 @@ from taperspec.models import (
     FGN,
     ArfimaPDQ,
     WhiteNoise,
+    ar_polynomial,
     derive_seed,
     gaussian,
     parse_model,
@@ -31,6 +33,12 @@ from taperspec.whittle import (
     whittle_estimate,
     whittle_objective,
 )
+
+
+# a peaked AR(2) and the AR(4) of Percival & Walden (1993), whose roots lie
+# near the unit circle: outside today's box of phi, inside the r cube
+_PEAKED_AR2 = ARMA(phi=(1.8, -0.95))
+_PW_AR4 = ARMA(phi=(2.7607, -3.8106, 2.6535, -0.9238))
 
 
 class _NegativeDensity(WhiteNoise):
@@ -163,10 +171,12 @@ def test_scoring_agrees_with_recorded_estimates(truth, seed, taper, start, expec
     assert abs(fit.theta_hat[0] - expected) <= 1e-7
 
 
-def _with_the_skipped_step(fit) -> float:
+def _with_the_skipped_step(fit, ts, taper) -> float:
     """theta_hat moved by the scoring step a converged search no longer
-    evaluates (at most tol), clipped into the default box as a step is."""
-    m, pgram = fit.model, fit.periodogram
+    evaluates (at most tol), clipped into the default box as a step is; a
+    closed-form fit keeps no periodogram, so the step reads a fresh one."""
+    m = fit.model
+    pgram = tapered_periodogram(ts, taper) if fit.periodogram is None else fit.periodogram
     if m.scale_name is None:
         step = whittle._scoring_step(pgram, 1.0, None, m)
     else:
@@ -204,7 +214,7 @@ def test_folded_scoring_fits_move_at_round_off(spec, T, seed, taper, before):
     ts = model.simulate(gaussian(), T, seed=seed)
     fit = whittle_estimate(ts, get_taper(taper), model)
     assert fit.converged
-    assert abs(_with_the_skipped_step(fit) - before) <= 1e-12
+    assert abs(_with_the_skipped_step(fit, ts, get_taper(taper)) - before) <= 1e-12
 
 
 # Fits of families without a scale (T, seed, taper, theta_hat, criterion
@@ -374,10 +384,10 @@ def test_scoring_fit_evaluates_each_candidate_density_once(monkeypatch):
         assert len(calls) == fit.iterations, truth
 
 
-def test_ar1_closed_form_builds_its_periodogram_only_when_read(monkeypatch):
+def test_ar_closed_form_builds_no_periodogram(monkeypatch):
     # the closed form comes from the tapered series' lagged products: it
-    # evaluates no density and no profiled criterion, and builds the
-    # periodogram only when it is read
+    # evaluates no density and no profiled criterion, builds no periodogram
+    # and keeps none, so the fit pickles as it is
     densities, profiles, pgrams = [], [], []
     real_density, real_profile = whittle._grid_density, whittle._profile_scale
     real_pgram = whittle.tapered_periodogram
@@ -387,29 +397,31 @@ def test_ar1_closed_form_builds_its_periodogram_only_when_read(monkeypatch):
                         lambda *a: profiles.append(a) or real_profile(*a))
     monkeypatch.setattr(whittle, "tapered_periodogram",
                         lambda *a, **k: pgrams.append(a) or real_pgram(*a, **k))
-    ts = AR1(theta=0.9).simulate(gaussian(), 1024, seed=derive_seed(67, 0))
-    for start in (AR1(theta=0.0), ARMA(phi=(0.0,))):
+    for truth, start in ((AR1(theta=0.9), AR1(theta=0.0)),
+                         (AR1(theta=0.9), ARMA(phi=(0.0,))),
+                         (_PEAKED_AR2, ARMA(phi=(0.0, 0.0))),
+                         (_PW_AR4, ARMA(phi=(0.0,) * 4))):
+        ts = truth.simulate(gaussian(), 1024, seed=derive_seed(67, 0))
         densities.clear()
         profiles.clear()
         pgrams.clear()
         fit = whittle_estimate(ts, get_taper("tukey"), start)
         assert fit.converged and fit.iterations == 1
         assert len(densities) == len(profiles) == len(pgrams) == 0
-        assert fit.periodogram is fit.periodogram  # built once, then kept
-        assert len(pgrams) == 1 and densities == profiles == []
-        assert fit.periodogram.grid is canonical_grid(1024, False)
+        assert fit.periodogram is None
+        copy = pickle.loads(pickle.dumps(fit))
+        assert copy.periodogram is None
+        assert (tuple(copy.theta_hat), copy.sigma2_hat, copy.objective_value) == (
+            tuple(fit.theta_hat), fit.sigma2_hat, fit.objective_value)
 
 
-def test_a_closed_form_fit_pickles_with_its_periodogram():
-    # the periodogram's builder is a closure, so pickling builds it first;
-    # the copy reads the same periodogram, and the fit's other values
-    ts = AR1(theta=0.5).simulate(gaussian(), 512, seed=derive_seed(67, 1))
-    fit = whittle_estimate(ts, get_taper("tukey"), AR1(theta=0.0))
+def test_a_searched_fit_keeps_the_periodogram_it_was_fitted_to():
+    ts = AR1(theta=-0.95).simulate(gaussian(), 8, seed=11)
+    fit = whittle_estimate(ts, get_taper("rect"), AR1(theta=0.0))
+    assert fit.iterations > 1
+    assert np.array_equal(fit.periodogram.values, tapered_periodogram(ts, get_taper("rect")).values)
     copy = pickle.loads(pickle.dumps(fit))
-    assert np.array_equal(copy.periodogram.values,
-                          tapered_periodogram(ts, get_taper("tukey")).values)
-    assert (copy.theta_hat[0], copy.sigma2_hat, copy.objective_value) == (
-        fit.theta_hat[0], fit.sigma2_hat, fit.objective_value)
+    assert np.array_equal(copy.periodogram.values, fit.periodogram.values)
 
 
 def test_scoring_out_of_evaluations_is_not_converged():
@@ -669,13 +681,13 @@ def test_ar1_closed_form_is_the_grid_criterion_at_its_minimizer(T, taper):
     tp = get_taper(taper)
     ts = AR1(theta=-0.2).simulate(gaussian(), T, seed=derive_seed(97, T))
     fit = whittle_estimate(ts, tp, AR1(theta=0.0))
-    assert fit.iterations == 1
+    assert fit.iterations == 1 and fit.periodogram is None
+    pg = tapered_periodogram(ts, tp)
     unit = fit.model.with_params(sigma2=1.0)
-    s2, value = whittle._profile_scale(fit.periodogram,
-                                       whittle._grid_density(unit, fit.periodogram.grid))
+    s2, value = whittle._profile_scale(pg, whittle._grid_density(unit, pg.grid))
     assert fit.sigma2_hat == pytest.approx(s2, rel=1e-13, abs=0.0)
     assert fit.objective_value == pytest.approx(value, rel=1e-13, abs=0.0)
-    assert whittle_objective(fit.periodogram, fit.model) == pytest.approx(value, rel=1e-13)
+    assert whittle_objective(pg, fit.model) == pytest.approx(value, rel=1e-13)
 
 
 @pytest.mark.parametrize("T", [8, 64, 1024, 4096])
@@ -718,7 +730,9 @@ def test_one_parameter_search_raises_no_runtime_warning():
                              (ARMA(theta=(-0.6,)), ARMA(theta=(0.0,)))):
             ts = truth.simulate(gaussian(), 512, seed=12)
             assert whittle_estimate(ts, tp, start).converged
-            assert whittle_estimate(ts, tp, start, bounds=[(-1.5, 1.5)]).converged
+            # a pure AR's box holds partial autocorrelations: inside (-1, 1)
+            box = (-0.999, 0.999) if ar_polynomial(start) else (-1.5, 1.5)
+            assert whittle_estimate(ts, tp, start, bounds=[box]).converged
 
 
 def test_default_bounds_by_parameter_name():
@@ -1086,3 +1100,326 @@ def test_nelder_mead_meets_no_infinite_criterion():
         fit = whittle_estimate(x, get_taper("tukey"), model)
         assert fit.converged
         assert math.isfinite(fit.objective_value) and fit.objective_value < 0.0
+
+
+# ------------------------------------------- pure AR(p): Durbin-Levinson fits
+
+_AR2 = ARMA(phi=(0.5, -0.2))
+_AR3 = ARMA(phi=(0.6, -0.4, 0.3))
+
+
+def _pacf(phi) -> list:
+    """The partial autocorrelations of a stationary AR coefficient vector."""
+    return models._step_down([1.0, *(-v for v in phi)])
+
+
+# Pure-AR fits as the five-start Nelder-Mead search in the box of phi gave
+# them, from the family at the origin: (data, T, taper, seed, theta_hat,
+# objective_value, converged) for data seeded derive_seed(3101 + T, seed).
+# The peaked AR(2) and the AR(4) lie outside that box, so those fits ended
+# on a face of it.
+_SEARCHED_AR_FITS = [
+    (_AR2, 1024, "rect", 0, (0.49432067638044586, -0.1978230567865567),
+     -0.4087334966284679, True),
+    (_AR2, 1024, "rect", 1, (0.4797335959884784, -0.18919049808662028),
+     -0.4025032530519563, True),
+    (_AR2, 1024, "rect", 2, (0.5080622949752153, -0.22042003727177578),
+     -0.4070717633157151, True),
+    (_AR2, 1024, "tukey", 0, (0.5022141229188477, -0.18692989071143434),
+     -0.3997627428992312, True),
+    (_AR2, 1024, "tukey", 1, (0.4971801759663969, -0.15185151252002807),
+     -0.3768711691472292, True),
+    (_AR2, 1024, "tukey", 2, (0.4930581496091261, -0.2427967489883015),
+     -0.39566954369693713, True),
+    (_AR2, 1024, "linear", 0, (0.4992526510290962, -0.21505074687406744),
+     -0.4131095438936667, True),
+    (_AR2, 1024, "linear", 1, (0.47335771330707066, -0.20502979536943342),
+     -0.4089752584315377, True),
+    (_AR2, 1024, "linear", 2, (0.512258147772364, -0.2064096055665726),
+     -0.4340207841723641, True),
+    (_PEAKED_AR2, 1024, "rect", 0, (0.99, -0.19314977645874032),
+     0.5294912082117784, True),
+    (_PEAKED_AR2, 1024, "rect", 1, (0.99, -0.19985161552917052),
+     0.5164980927800717, True),
+    (_PEAKED_AR2, 1024, "rect", 2, (0.99, -0.20670524974275462),
+     0.6325375503802242, True),
+    (_PEAKED_AR2, 1024, "tukey", 0, (0.99, -0.2046201427178434),
+     0.4885373124847705, True),
+    (_PEAKED_AR2, 1024, "tukey", 1, (0.99, -0.2046683303833008),
+     0.5370042292979101, True),
+    (_PEAKED_AR2, 1024, "tukey", 2, (0.99, -0.19953788681030266),
+     0.45656313770008156, True),
+    (_PEAKED_AR2, 1024, "linear", 0, (0.99, -0.18480908027829018),
+     0.5291386043404996, True),
+    (_PEAKED_AR2, 1024, "linear", 1, (0.99, -0.1976332552479354),
+     0.5057700665012286, True),
+    (_PEAKED_AR2, 1024, "linear", 2, (0.99, -0.20932936548233938),
+     0.7830786120575384, True),
+    (_AR3, 1024, "rect", 0, (0.592733595560762, -0.3990596745818348, 0.3203234452771088),
+     -0.4087724501747279, True),
+    (_AR3, 1024, "rect", 1, (0.5894791478348478, -0.4133938620542873, 0.34171255344247986),
+     -0.40270722455784413, True),
+    (_AR3, 1024, "rect", 2, (0.6093993362013457, -0.4232679149501314, 0.32183165550501025),
+     -0.4070792414989105, True),
+    (_AR3, 1024, "tukey", 0, (0.6001024159986477, -0.37006371414285577, 0.2915240794227534),
+     -0.4001008428683651, True),
+    (_AR3, 1024, "tukey", 1, (0.5964062491328821, -0.380248861116788, 0.3592864356167821),
+     -0.3777999211324551, True),
+    (_AR3, 1024, "tukey", 2, (0.5804254688698585, -0.4273135666220996, 0.29529958792823996),
+     -0.3952544281231452, True),
+    (_AR3, 1024, "linear", 0, (0.5994182162084978, -0.4324322672391445, 0.3472383893320171),
+     -0.41370083084616877, True),
+    (_AR3, 1024, "linear", 1, (0.5860967515113589, -0.4285259398132395, 0.3350514484676922),
+     -0.40880301839589633, True),
+    (_AR3, 1024, "linear", 2, (0.6191793178274615, -0.4155924187147927, 0.3394012807832423),
+     -0.4349013049561975, True),
+    (_AR3, 1, "rect", 0, (9.836277737594367e-06, -2.609244703504955e-09, -9.835871810402354e-06),
+     0.040689732226705785, True),
+    (_AR3, 1, "rect", 1, (0.0, 0.0, 0.0),
+     -3.789593714926926, True),
+    (_AR3, 1, "rect", 2, (1.3644849294772384e-05, -3.358018631541997e-09, -1.3627978205810492e-05),
+     -0.8792670933657367, True),
+    (_AR3, 1, "tukey", 0, (9.836277737594367e-06, -2.609244703504955e-09, -9.835871810402354e-06),
+     0.040689732226705785, True),
+    (_AR3, 1, "tukey", 1, (0.0, 0.0, 0.0),
+     -3.789593714926926, True),
+    (_AR3, 1, "tukey", 2, (1.3644849294772384e-05, -3.358018631541997e-09, -1.3627978205810492e-05),
+     -0.8792670933657367, True),
+    (_AR3, 2, "rect", 0, (0.45855005427433804, -0.20064842198783941, 0.06550617362851704),
+     -0.20260015827625566, True),
+    (_AR3, 2, "rect", 1, (0.7177647311053439, -0.45255263861169476, 0.17348942026781594),
+     -0.5904063550026077, True),
+    (_AR3, 2, "rect", 2, (0.34614674818840807, -0.11745859609205725, 0.032884415544665486),
+     -0.5848614614636536, True),
+    (_AR3, 2, "tukey", 0, (0.2313997781646831, -0.05328578927929169, 0.01114063643054087),
+     0.03128093403671524, True),
+    (_AR3, 2, "tukey", 1, (0.5958445264121117, -0.3244017826226039, 0.11742724648200531),
+     -0.5994728866551138, True),
+    (_AR3, 2, "tukey", 2, (0.17345184151177376, -0.030035852902519942, 0.004914314172929862),
+     -0.3499979447609356, True),
+    (_AR3, 3, "rect", 0, (0.5620964030596716, -0.2871769524770476, 0.1193530885552983),
+     -0.29343698237683596, True),
+    (_AR3, 3, "rect", 1, (-0.06413519494561144, -0.4695649106265523, -0.04514155095386711),
+     -0.8370073133883456, True),
+    (_AR3, 3, "rect", 2, (0.1848133759354409, -0.042297178714854326, 0.008966355922323626),
+     -0.8532629820607858, True),
+    (_AR3, 3, "tukey", 0, (0.2163254589686727, -0.04028086084323147, 0.007041715581475057),
+     -0.2693248163671409, True),
+    (_AR3, 3, "tukey", 1, (-0.1692761277210431, -0.2136661628421066, -0.05906153929251421),
+     -0.6588750338503693, True),
+    (_AR3, 3, "tukey", 2, (0.024664759749726185, -0.0042963290925689315, 0.00019640511689726886),
+     -0.838956836093295, True),
+    (_PW_AR4, 1024, "rect", 0, (0.9899999981977134, -0.21525627738811054, -0.6508271555341354, 0.183147091239645),
+     1.2317478944334712, False),
+    (_PW_AR4, 1024, "rect", 1, (0.99, -0.1553465592449202, -0.7410379468322987, 0.24829661768156364),
+     1.2496319880600437, False),
+    (_PW_AR4, 1024, "rect", 2, (0.9899999999999539, -0.1293563634304261, -0.8003738690602213, 0.3043505603570481),
+     1.2187529560224875, False),
+    (_PW_AR4, 1024, "tukey", 0, (0.9899999999999989, -0.037184961989393195, -0.8837513927483036, 0.3315984349394226),
+     1.0066004266407342, True),
+    (_PW_AR4, 1024, "tukey", 1, (0.9899999999999933, -0.09367449799686757, -0.800564186136244, 0.2705699432644345),
+     1.2850243373403816, True),
+    (_PW_AR4, 1024, "tukey", 2, (0.9899999999999989, -0.15049837456932358, -0.7614111266923085, 0.27331661366416815),
+     1.3434490711825606, True),
+    (_PW_AR4, 1024, "linear", 0, (0.99, -0.3466653144665036, -0.48399729762111005, 0.07658809806555167),
+     1.399043756357012, False),
+    (_PW_AR4, 1024, "linear", 1, (0.99, -0.25877039567983895, -0.6007152114717031, 0.1573634100149417),
+     1.2476314007990517, False),
+    (_PW_AR4, 1024, "linear", 2, (0.989999999999994, -0.11018214845509955, -0.8442778684811683, 0.3221515876352463),
+     1.090985851182968, False),
+    (_PW_AR4, 1, "rect", 0, (0.0, 0.0, 0.0, 0.0),
+     1.3425352824291146, True),
+    (_PW_AR4, 1, "rect", 1, (0.019973472703031226, -0.00020545562361408786, -0.0199735113201783, -0.9417947204767945),
+     3.9850139109493026, True),
+    (_PW_AR4, 1, "rect", 2, (-4.9540965353352145e-06, 3.979955768318751e-09, 4.938296281650595e-06, 0.00012500591014895815),
+     2.915349519715112, True),
+    (_PW_AR4, 1, "tukey", 0, (0.0, 0.0, 0.0, 0.0),
+     1.3425352824291146, True),
+    (_PW_AR4, 1, "tukey", 1, (0.019973472703031226, -0.00020545562361408786, -0.0199735113201783, -0.9417947204767945),
+     3.9850139109493026, True),
+    (_PW_AR4, 1, "tukey", 2, (-4.9540965353352145e-06, 3.979955768318751e-09, 4.938296281650595e-06, 0.00012500591014895815),
+     2.915349519715112, True),
+    (_PW_AR4, 2, "rect", 0, (0.2688368885092465, -0.07227575459714886, 0.020944149786386514, -0.0056305478839372945),
+     2.6877705055231855, False),
+    (_PW_AR4, 2, "rect", 1, (0.6166015365962398, -0.5978375664817382, 0.8321625330331577, -0.5356218728162025),
+     2.2657250813686485, False),
+    (_PW_AR4, 2, "rect", 2, (0.7804090945332425, -0.7407708965235447, 0.989969592640489, -0.679784223139793),
+     2.591170810052257, True),
+    (_PW_AR4, 2, "tukey", 0, (0.13441828794948824, -0.018068605105281167, 0.0024742286565974767, -0.0003322937088322945),
+     2.9227757174081535, False),
+    (_PW_AR4, 2, "tukey", 1, (0.646219370272014, -0.6604974600506777, 0.9241450515230001, -0.6030042582590667),
+     2.1166346588739704, False),
+    (_PW_AR4, 2, "tukey", 2, (0.5051563471456232, -0.257222773688242, 0.17462432645927983, -0.0882241231816378),
+     2.7611749284591536, False),
+    (_PW_AR4, 4, "rect", 0, (0.6550794601015575, -0.35064774642241214, -0.07250339847966936, 0.15008614286050964),
+     2.390486860446369, True),
+    (_PW_AR4, 4, "rect", 1, (0.9899999978405103, -0.577993298733599, 0.18963627086113544, -0.012860293634956485),
+     2.389592063144703, False),
+    (_PW_AR4, 4, "rect", 2, (0.9899999999999665, -0.24026938496261718, -0.278452849498635, 0.2111357205603242),
+     2.025030417888417, False),
+    (_PW_AR4, 4, "tukey", 0, (0.728995485383147, -0.4294977611829462, 0.17231531023247765, -0.04108917935294304),
+     2.6130295296315817, True),
+    (_PW_AR4, 4, "tukey", 1, (0.99, -0.6766319718049174, 0.3687635722472106, -0.13888602335192934),
+     2.5349619000994283, True),
+    (_PW_AR4, 4, "tukey", 2, (0.9899998466173907, -0.6576001240003333, 0.3136740946249643, -0.08776540783592163),
+     2.0370448880558105, False),
+]
+
+
+@pytest.mark.parametrize("data,T,taper,seed,before,objective,converged", [
+    pytest.param(*case, id=f"p{len(case[4])}-{case[1]}-{case[2]}-{case[3]}")
+    for case in _SEARCHED_AR_FITS])
+def test_pure_ar_fits_reach_the_former_search_criterion(data, T, taper, seed, before,
+                                                        objective, converged):
+    # Every fit converges.  Wherever the former minimizer lies inside the r
+    # cube (-0.99, 0.99)^p, the Levinson fit's criterion is at most its own
+    # but for round-off; where it does not (two T = 2 fits of the AR(4),
+    # with r2 = -0.99999), the fit ends on the cube's face, within the
+    # search's resolution.  At T = 1024 the fit is the closed form, and
+    # where the search converged off the faces of its box, both agree
+    # within its tolerance.  At T <= p the criterion is flat
+    # in places (at T = 1, estimates 1e-5 apart share it to 1e-16), so only
+    # the criterion is compared there.
+    p = len(before)
+    x = data.simulate(gaussian(), T, seed=derive_seed(3101 + T, seed))
+    fit = whittle_estimate(x, get_taper(taper), ARMA(phi=(0.0,) * p))
+    assert fit.converged
+    if max(map(abs, _pacf(before))) < 0.99:
+        assert fit.objective_value <= objective + 1e-12 * abs(objective)
+    else:
+        assert 0.99 - 1e-6 <= max(map(abs, _pacf(fit.theta_hat))) <= 0.99 + 1e-12
+    if T == 1024:
+        assert fit.iterations == 1
+        if converged and max(map(abs, before)) < 0.99 - 1e-6:
+            assert max(abs(u - v) for u, v in zip(fit.theta_hat, before)) <= 1e-7
+
+
+@pytest.mark.parametrize("taper", ["rect", "linear", "tukey"])
+def test_every_percival_walden_ar4_fit_is_a_converged_closed_form(taper):
+    for rep in range(200):
+        ts = _PW_AR4.simulate(gaussian(), 1024, seed=derive_seed(3104, rep))
+        fit = whittle_estimate(ts, get_taper(taper), ARMA(phi=(0.0,) * 4))
+        assert fit.iterations == 1 and fit.converged, rep
+
+
+@pytest.mark.parametrize("taper", ["rect", "linear", "tukey"])
+def test_peaked_ar2_fits_are_interior(taper):
+    # no coefficient on a face of the box: every r_hat inside the cube
+    for rep in range(40):
+        ts = _PEAKED_AR2.simulate(gaussian(), 1024, seed=derive_seed(3102, rep))
+        fit = whittle_estimate(ts, get_taper(taper), ARMA(phi=(0.0, 0.0)))
+        assert fit.iterations == 1 and fit.converged, rep
+        assert max(map(abs, _pacf(fit.theta_hat))) < 0.99, rep
+
+
+def test_a_pure_ar_fit_searches_only_where_the_guard_fails(monkeypatch):
+    calls = []
+    real = whittle.scipy.optimize.minimize
+    monkeypatch.setattr(whittle.scipy.optimize, "minimize",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for truth in (_AR2, _PEAKED_AR2, _AR3, _PW_AR4):
+        start = ARMA(phi=(0.0,) * len(truth.phi))
+        for T, closed in ((1024, True), (3, False)):
+            calls.clear()
+            ts = truth.simulate(gaussian(), T, seed=derive_seed(3105, T))
+            fit = whittle_estimate(ts, get_taper("rect"), start)
+            assert (fit.iterations == 1) == closed == (calls == []), (truth, T)
+            assert len(calls) == (0 if closed else 1)  # one start: r_hat
+
+
+@pytest.mark.parametrize("truth", [_AR2, _PEAKED_AR2, _AR3, _PW_AR4], ids=["ar2", "peaked", "ar3", "pw4"])
+@pytest.mark.parametrize("T", [256, 1024])
+@pytest.mark.parametrize("taper", ["rect", "linear", "tukey"])
+def test_ar_closed_form_is_the_grid_criterion_at_its_minimizer(truth, T, taper):
+    # sigma2_hat and U_T = (1/2)[ln(s2 / 2 pi) + 1 - (2/N) sum_i ln|1 - rho_i^N|]
+    # from the residual sum and the inverse roots are the grid's profiled
+    # scale and criterion at theta_hat, up to round-off
+    tp = get_taper(taper)
+    ts = truth.simulate(gaussian(), T, seed=derive_seed(3106, T))
+    fit = whittle_estimate(ts, tp, ARMA(phi=(0.0,) * len(truth.phi)))
+    assert fit.iterations == 1
+    pg = tapered_periodogram(ts, tp)
+    unit = fit.model.with_params(sigma2=1.0)
+    s2, value = whittle._profile_scale(pg, whittle._grid_density(unit, pg.grid))
+    assert fit.sigma2_hat == pytest.approx(s2, rel=1e-12, abs=0.0)
+    assert fit.objective_value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model,box,name,inside", [
+    (AR1(theta=0.0), [(0.9, 0.1)], "theta", "-1.0 < lo < hi < 1.0"),
+    (AR1(theta=0.0), [(float("nan"), 0.5)], "theta", "-1.0 < lo < hi < 1.0"),
+    (AR1(theta=0.0), [(-1.0, 0.5)], "theta", "-1.0 < lo < hi < 1.0"),
+    (AR1(theta=0.0), [(-1.5, 1.5)], "theta", "-1.0 < lo < hi < 1.0"),
+    (ARMA(phi=(0.0,)), [(0.2, 1.0)], "phi1", "-1.0 < lo < hi < 1.0"),
+    (ARMA(phi=(0.0, 0.0)), [(-0.5, 0.5), (0.5, -0.5)], "phi2", "-1.0 < lo < hi < 1.0"),
+    (ARMA(phi=(0.0, 0.0)), [(-0.5, 0.5), (-1.2, 0.5)], "phi2", "-1.0 < lo < hi < 1.0"),
+    (ARFIMA0d0(d=0.0), [(0.9, 0.1)], "d", "-inf < lo < hi < inf"),
+    (ARFIMA0d0(d=0.0), [(0.1, 0.1)], "d", "-inf < lo < hi < inf"),
+    (ARFIMA0d0(d=0.0), [(float("nan"), 0.1)], "d", "-inf < lo < hi < inf"),
+    (ARMA(theta=(0.0,)), [(-0.5, float("inf"))], "theta1", "-inf < lo < hi < inf"),
+])
+def test_fit_refuses_a_bounds_pair_naming_it(model, box, name, inside):
+    # every pair must be finite with lo < hi; a pure AR's pairs bound its
+    # partial autocorrelations, so they also lie inside (-1, 1)
+    ts = AR1(theta=0.5).simulate(gaussian(), 256, seed=3)
+    with pytest.raises(DomainError, match=re.escape(f"bounds pair for '{name}' must have {inside}")):
+        whittle_estimate(ts, get_taper("rect"), model, bounds=box)
+
+
+def test_a_coefficient_of_another_family_takes_any_finite_box():
+    ts = ARMA(theta=(0.3,)).simulate(gaussian(), 256, seed=3)
+    assert whittle_estimate(ts, get_taper("rect"), ARMA(theta=(0.0,)),
+                            bounds=[(-1.5, 1.5)]).converged
+
+
+def test_a_pure_ar_box_bounds_the_partial_autocorrelations():
+    # r of the peaked AR(2) is (0.92, -0.95): the box clips r2, not phi2,
+    # and phi1 = r1 (1 - r2) follows it
+    ts = _PEAKED_AR2.simulate(gaussian(), 1024, seed=derive_seed(3102, 0))
+    free = whittle_estimate(ts, get_taper("tukey"), ARMA(phi=(0.0, 0.0)))
+    r1, r2 = _pacf(free.theta_hat)
+    fit = whittle_estimate(ts, get_taper("tukey"), ARMA(phi=(0.0, 0.0)),
+                           bounds=[(-0.99, 0.99), (-0.8, 0.8)])
+    assert r2 < -0.8 and fit.iterations == 1
+    assert _pacf(fit.theta_hat) == pytest.approx([r1, -0.8], abs=1e-12)
+    assert fit.theta_hat[0] == pytest.approx(r1 * 1.8, rel=1e-12)
+
+
+def test_levinson_flags_a_clipped_earlier_partial_autocorrelation():
+    # g = (1, 0.995, 0.99): r_hat = (0.995, -0.0025), and the default box
+    # clips r1.  Given r1 = 0.99 the best r2 is 0.495, not r_hat2, so the
+    # clipped r_hat is no minimizer; clipping the last r alone keeps one
+    box = [(-0.99, 0.99)] * 2
+    r, minimizes = whittle._yule_walker([1.0, 0.995, 0.99], box)
+    assert not minimizes and r == [0.99, pytest.approx(-0.0025, abs=1e-5)]
+    r, minimizes = whittle._yule_walker([1.0, 0.5, 0.45], [(-0.99, 0.99), (-0.2, 0.2)])
+    assert minimizes and r[1] == 0.2
+
+
+@pytest.mark.parametrize("truth,T,taper,box", [
+    (_PEAKED_AR2, 256, "tukey", [(-0.5, 0.5), (-0.99, 0.99)]),
+    (_PEAKED_AR2, 256, "rect", [(-0.5, 0.5), (-0.3, 0.3)]),  # r_hat clipped to a corner
+    (ARMA(phi=(1.98, -0.985)), 1024, "rect", None),  # r1 = 0.9975: the default box clips it
+])
+def test_a_fit_with_an_earlier_r_clipped_searches_the_box(truth, T, taper, box):
+    # the search, from the clipped r_hat and the five starts, ends no higher
+    # than the best point of a 101 x 101 grid over the r box, and below the
+    # criterion at the clipped r_hat
+    tp = get_taper(taper)
+    ts = truth.simulate(gaussian(), T, seed=derive_seed(3107, T))
+    fit = whittle_estimate(ts, tp, ARMA(phi=(0.0, 0.0)), bounds=box)
+    assert fit.converged and fit.iterations > 1 and fit.periodogram is not None
+    box = box or whittle.default_bounds(fit.model)
+    pg = tapered_periodogram(ts, tp)
+
+    def criterion(r):
+        unit = ARMA(phi=tuple(models._step_up(r)))
+        return whittle._profile_scale(pg, whittle._grid_density(unit, pg.grid))[1]
+
+    r_hat, minimizes = whittle._yule_walker(
+        _lagged_products(tp.values(T) * ts.values, 2).tolist(), box)
+    assert not minimizes
+    best = min(criterion((r1, r2)) for r1 in np.linspace(*box[0], 101)
+               for r2 in np.linspace(*box[1], 101))
+    assert fit.objective_value <= best + 1e-12 * abs(best)
+    assert fit.objective_value < criterion(r_hat)
